@@ -36,7 +36,7 @@ from .datasets import (
     normalize_splits,
     save_model,
 )
-from .glm import SpikeTrain, rate_encode
+from .glm import SpikeTrain, encoded_chunks
 from .perf import (
     compute_report,
     default_config,
@@ -46,6 +46,7 @@ from .perf import (
     save_config,
 )
 from .quantize import (
+    DATAPATH_BITS,
     derive_lfsr_seed,
     evaluate_quantized,
     quantize_model,
@@ -108,8 +109,9 @@ def _find_file(data_dir: Path, stem: str) -> Path:
 
 def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int | None):
     if dataset == "synthetic":
+        # one task: the test split reuses the train split's class prototypes
         train_ds = make_synthetic(256, seed=seed, split="train")
-        test_ds = make_synthetic(64, seed=seed + 1, split="test")
+        test_ds = make_synthetic(64, seed=seed, sample_seed=seed + 1, split="test")
     elif dataset == "digits":
         if data_dir is None:
             raise UsageError("--data-dir is required for the digits dataset")
@@ -269,9 +271,13 @@ def cmd_simulate(args) -> int:
         trace_writer.writerow(
             ["sample_id", "step", "wordlines_read", "decided", "class", "t_d"]
         )
-        for k in range(len(labels)):
-            enc = rate_encode(mags[k], qm.presentation_time, rng)
-            spike_train = SpikeTrain(raster=enc.raster, sign=signs[k])
+        samples = (
+            (start + i, raster)
+            for start, rasters in encoded_chunks(mags, qm.presentation_time, rng)
+            for i, raster in enumerate(rasters)
+        )
+        for k, raster in samples:
+            spike_train = SpikeTrain(raster=raster, sign=signs[k])
             decision, trace = run_first_to_spike(
                 image, spike_train, qm, lfsr_seed=derive_lfsr_seed(args.seed, k)
             )
@@ -345,8 +351,9 @@ def _parse_bits(text: str):
         bits = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise UsageError(f"--bits expects integers, got {text!r}") from None
-    if not bits or any(not 1 <= b <= 16 for b in bits):
-        raise UsageError("--bits values must be in [1, 16]")
+    lo, hi = DATAPATH_BITS.start, DATAPATH_BITS.stop - 1
+    if not bits or any(b not in DATAPATH_BITS for b in bits):
+        raise UsageError(f"--bits values must be in [{lo}, {hi}]")
     return bits
 
 

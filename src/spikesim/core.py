@@ -23,9 +23,8 @@ from .quantize import (
     FMT_1_4_3,
     QuantizedModel,
     clip_to_fixed,
-    lfsr_next,
+    lfsr_run,
     pwl_sigmoid,
-    spike_decision,
 )
 from .training import FtsDecision
 
@@ -340,12 +339,9 @@ def core_step(state: CoreState, image: CoreMemoryImage, input_spikes_t, signs):
     state.last_clipped = clip_to_fixed(u_real, FMT_1_4_3)
     pwl = pwl_sigmoid(state.last_clipped)
 
-    spikes = np.zeros(state.n_active_outputs, dtype=np.uint8)
-    lfsr = state.lfsr_state
-    for i in range(state.n_active_outputs):
-        fired, lfsr = spike_decision(int(pwl[i]), lfsr)
-        spikes[i] = fired
-    state.lfsr_state = lfsr
+    run = lfsr_run(state.lfsr_state, state.n_active_outputs + 1)
+    spikes = (pwl > (run[:-1] & 0xFF)).astype(np.uint8)
+    state.lfsr_state = int(run[-1])
     return spikes, addrs
 
 

@@ -237,10 +237,18 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
 
 
 def make_synthetic(n_samples: int, n_features: int = 16, n_classes: int = 4,
-                   seed: int = 0, noise: float = 0.05, split: str = "train") -> Dataset:
-    """Deterministic prototype-based separable dataset for demos and tests."""
+                   seed: int = 0, noise: float = 0.05, split: str = "train",
+                   sample_seed: int | None = None) -> Dataset:
+    """Deterministic prototype-based separable dataset for demos and tests.
+
+    The class prototypes come from `seed`.  The samples follow from the
+    same generator, or from their own one seeded with `sample_seed`, so
+    splits that share `seed` but not `sample_seed` are one task.
+    """
     rng = np.random.default_rng(seed)
     protos = rng.uniform(0.1, 0.9, size=(n_classes, n_features))
+    if sample_seed is not None:
+        rng = np.random.default_rng(sample_seed)
     labels = rng.integers(0, n_classes, size=n_samples)
     features = protos[labels] + rng.normal(scale=noise, size=(n_samples, n_features))
     features = np.clip(features, 0.0, 1.0)

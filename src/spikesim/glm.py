@@ -78,6 +78,56 @@ class SpikeTrain:
         return self.raster.shape[1]
 
 
+#: samples drawn and scored together by the batched evaluators; bounds the
+#: memory of one block's random draws and GEMM operands
+ENCODE_CHUNK = 64
+
+
+def check_magnitudes(x) -> np.ndarray:
+    """|x| of one input vector or a block of them, validated for rate encoding.
+
+    Raises EncodingError on non-finite values or a magnitude above 1.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise EncodingError("input contains non-finite values")
+    mag = np.abs(x)
+    if (mag > 1.0).any():
+        worst = np.unravel_index(np.argmax(mag), mag.shape)
+        raise EncodingError(
+            f"channel {worst[-1]} has magnitude {mag[worst]:g} > 1; normalize first"
+        )
+    return mag
+
+
+def check_signs(signs) -> np.ndarray:
+    """Per-channel sign flags of one input or a block of them, all +1 or -1."""
+    signs = np.asarray(signs)
+    if not np.isin(signs, (-1, 1)).all():
+        raise ValueError("sign entries must be +1 or -1")
+    return signs
+
+
+def draw_rasters(mag: np.ndarray, duration: int, rng: np.random.Generator) -> np.ndarray:
+    """Bernoulli spike rasters for validated magnitudes: mag.shape + (duration,).
+
+    One rng.random call, so a block of samples consumes the same stream as
+    one call per sample in order.
+    """
+    return (rng.random(mag.shape + (duration,)) < mag[..., None]).astype(np.uint8)
+
+
+def encoded_chunks(magnitudes, duration: int, rng: np.random.Generator):
+    """Yield (start, rasters) for consecutive blocks of ENCODE_CHUNK samples.
+
+    The whole split is validated once, before the first draw; the rasters
+    are those per-sample rate_encode calls would draw from the same rng.
+    """
+    mags = check_magnitudes(magnitudes)
+    for start in range(0, len(mags), ENCODE_CHUNK):
+        yield start, draw_rasters(mags[start : start + ENCODE_CHUNK], duration, rng)
+
+
 def rate_encode(x, duration: int, rng: np.random.Generator) -> SpikeTrain:
     """Bernoulli rate encoding of a normalized input vector.
 
@@ -88,15 +138,7 @@ def rate_encode(x, duration: int, rng: np.random.Generator) -> SpikeTrain:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise EncodingError("input must be a 1-D feature vector")
-    if not np.isfinite(x).all():
-        raise EncodingError("input contains non-finite values")
-    mag = np.abs(x)
-    if (mag > 1.0).any():
-        worst = int(np.argmax(mag))
-        raise EncodingError(
-            f"channel {worst} has magnitude {mag[worst]:g} > 1; normalize first"
-        )
-    raster = (rng.random((x.size, duration)) < mag[:, None]).astype(np.uint8)
+    raster = draw_rasters(check_magnitudes(x), duration, rng)
     sign = np.where(x < 0, -1, 1).astype(np.int8)
     return SpikeTrain(raster=raster, sign=sign)
 
@@ -173,22 +215,6 @@ def expand_kernel(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return basis @ w
 
 
-def build_windows(raster: np.ndarray, window: int) -> np.ndarray:
-    """Spike windows for every step of a raster.
-
-    Returns W of shape (duration, n_inputs, window) where W[t-1, j, d-1]
-    is channel j's spike d steps before step t (zero before the train
-    starts).  Position 0 of a window is the most recent spike.
-    """
-    raster = np.asarray(raster, dtype=np.uint8)
-    n_inputs, duration = raster.shape
-    out = np.zeros((duration, n_inputs, window), dtype=np.uint8)
-    for d in range(1, window + 1):
-        # window tap d at step t sees the spike from step t-d
-        out[d:, :, d - 1] = raster[:, : duration - d].T
-    return out
-
-
 def membrane_potential(model: GlmModel, windows, signs, i: int) -> float:
     """Membrane potential of output neuron i for one step.
 
@@ -207,11 +233,53 @@ def membrane_potential(model: GlmModel, windows, signs, i: int) -> float:
     return float(np.sum(signs * np.sum(alpha * windows, axis=1)) + model.biases[i])
 
 
+def kernel_matrix(kernels) -> np.ndarray:
+    """Kernels (n_inputs, n_outputs, window) as the potential GEMM's operand.
+
+    Returns K of shape (n_inputs, window * n_outputs) in float64 with
+    K[j, d * n_outputs + i] = kernels[j, i, d].  Integer codes come through
+    exactly, so the GEMM over them sums integers.
+    """
+    kernels = np.asarray(kernels)
+    n_inputs, n_outputs, window = kernels.shape
+    return np.ascontiguousarray(
+        kernels.transpose(0, 2, 1).reshape(n_inputs, window * n_outputs),
+        dtype=np.float64,
+    )
+
+
+def windowed_potentials(rasters, signs, kmat: np.ndarray, window: int) -> np.ndarray:
+    """Kernel sums of a batch of spike trains, without the bias.
+
+    rasters is (batch, n_inputs, T), signs (batch, n_inputs) and kmat the
+    kernel_matrix of the kernels K.  Returns u of shape (batch, T, n_outputs)
+    with u[b, t, i] = sum_d sum_j signs[b, j] rasters[b, j, t-d] K[j, i, d-1]
+    over taps d = 1..window and t-d >= 0 (0-based steps).  One GEMM,
+    (batch*(T-1), n_inputs) @ (n_inputs, window*n_outputs), gives every
+    tap's contribution of every step's spikes; window shifted adds place
+    them.  Over integer codes the sums are exact integers below 2**53.
+    """
+    rasters = np.asarray(rasters)
+    batch, n_inputs, duration = rasters.shape
+    n_outputs = kmat.shape[1] // window
+    u = np.zeros((batch, duration, n_outputs))
+    if duration < 2:
+        return u
+    # the last step's spikes reach no later step in the train
+    x = np.empty((batch, duration - 1, n_inputs))
+    x[...] = rasters[:, :, :-1].transpose(0, 2, 1)
+    x *= np.asarray(signs, dtype=np.float64)[:, None, :]
+    taps = (x.reshape(-1, n_inputs) @ kmat).reshape(
+        batch, duration - 1, window, n_outputs
+    )
+    for d in range(1, min(window, duration - 1) + 1):
+        u[:, d:, :] += taps[:, : duration - d, d - 1, :]
+    return u
+
+
 def membrane_series(model: GlmModel, train: SpikeTrain) -> np.ndarray:
     """Membrane potentials for all steps and outputs: shape (duration, n_outputs)."""
-    windows = build_windows(train.raster, model.window).astype(np.float64)
-    windows *= train.sign[None, :, None]
-    alpha = model.kernels()  # (n_inputs, n_outputs, window)
-    u = np.einsum("tjd,jid->ti", windows, alpha)
+    kmat = kernel_matrix(model.kernels())
+    u = windowed_potentials(train.raster[None], train.sign[None], kmat, model.window)[0]
     u += model.biases[None, :]
     return u

@@ -10,14 +10,26 @@ the digital datapath bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .glm import GlmModel, SpikeTrain
+from .glm import (
+    GlmModel,
+    SpikeTrain,
+    check_signs,
+    encoded_chunks,
+    kernel_matrix,
+    windowed_potentials,
+)
 from .training import FtsDecision
 
 LFSR_MASK = 0xFFFF
 LFSR_PERIOD = 2**16 - 1
+
+#: synapse precisions the quantized datapath defines: the b-bit membrane
+#: format embeds into the 8-bit PWL input only for b <= 8
+DATAPATH_BITS = range(2, 9)
 
 
 def round_ties_away(x):
@@ -101,26 +113,33 @@ def fixed_to_real(code, fmt: FixedPointFormat = FMT_1_4_3):
     return out
 
 
-def quantize_uniform(values, bits: int):
+def quantize_uniform(values, bits: int, lo: float | None = None, hi: float | None = None):
     """Uniform quantizer with one bit reserved for the sign.
 
-    step = (max - min) / 2**(bits-1); codes are round(value / step)
+    step = (hi - lo) / 2**(bits-1); codes are round(value / step)
     clamped to +-(2**(bits-1) - 1); dequantized value = code * step.
-    A degenerate range (max == min) yields all-zero codes and step 0, as
-    does bits=1 (zero magnitude bits; runs but collapses every code).
+    lo and hi default to the values' min and max.  A degenerate range
+    (hi == lo) yields all-zero codes and step 0, as does bits=1 (zero
+    magnitude bits; runs but collapses every code).
     """
     if not 1 <= bits <= 16:
         raise ValueError("bits must be in [1, 16]")
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    lo, hi = float(values.min()), float(values.max())
+    lo = float(values.min()) if lo is None else lo
+    hi = float(values.max()) if hi is None else hi
     step = (hi - lo) / 2 ** (bits - 1)
     if step == 0.0:
         return np.zeros(values.shape, dtype=np.int16), 0.0
     bound = 2 ** (bits - 1) - 1
     codes = np.clip(round_ties_away(values / step), -bound, bound).astype(np.int16)
     return codes, step
+
+
+def _zero_inclusive_range(values):
+    """[min(v, 0), max(v, 0)]: a range the symmetric code grid can cover."""
+    return min(float(values.min()), 0.0), max(float(values.max()), 0.0)
 
 
 @dataclass
@@ -172,18 +191,27 @@ class QuantizedModel:
 
 
 def quantize_model(model: GlmModel, bits: int) -> QuantizedModel:
-    """Post-training quantization of a trained model's expanded kernels."""
+    """Post-training quantization of a trained model's expanded kernels.
+
+    Kernels and biases are each quantized over their range widened to
+    include zero, so the symmetric code grid covers every value (the
+    zero-point rule of arXiv:1712.05877): biases that are all negative,
+    or all equal, keep their values to within one step instead of
+    collapsing.
+    """
     kernels = model.kernels()
-    w_codes, _ = quantize_uniform(kernels, bits)
-    gamma_codes, _ = quantize_uniform(model.biases, bits)
+    w_min, w_max = _zero_inclusive_range(kernels)
+    gamma_min, gamma_max = _zero_inclusive_range(model.biases)
+    w_codes, _ = quantize_uniform(kernels, bits, w_min, w_max)
+    gamma_codes, _ = quantize_uniform(model.biases, bits, gamma_min, gamma_max)
     return QuantizedModel(
         bits=bits,
         w_codes=w_codes,
         gamma_codes=gamma_codes,
-        w_min=float(kernels.min()),
-        w_max=float(kernels.max()),
-        gamma_min=float(model.biases.min()),
-        gamma_max=float(model.biases.max()),
+        w_min=w_min,
+        w_max=w_max,
+        gamma_min=gamma_min,
+        gamma_max=gamma_max,
         presentation_time=model.presentation_time,
         window=model.window,
     )
@@ -245,6 +273,37 @@ def spike_decision(pwl: int, state: int, compare_bits: int = 8):
     return bool(spike), lfsr_next(state)
 
 
+@cache
+def _lfsr_table():
+    """The LFSR's states in sequence order from state 1, and each state's
+    position in it (-1 for the unreachable state 0).  Built once per process.
+    """
+    sequence = np.empty(LFSR_PERIOD, dtype=np.uint16)
+    state = 1
+    for k in range(LFSR_PERIOD):
+        sequence[k] = state
+        state = lfsr_next(state)
+    position = np.full(LFSR_MASK + 1, -1, dtype=np.int32)
+    position[sequence] = np.arange(LFSR_PERIOD, dtype=np.int32)
+    sequence.flags.writeable = False
+    position.flags.writeable = False
+    return sequence, position
+
+
+def lfsr_run(states, n: int) -> np.ndarray:
+    """The n LFSR states from each start state on, the start state first.
+
+    Returns shape np.shape(states) + (n,).  Element k is the state after k
+    shifts, so a run of n + 1 ends in the state that follows n draws.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    if ((states <= 0) | (states > LFSR_MASK)).any():
+        raise ValueError("LFSR state must be a nonzero 16-bit value")
+    sequence, position = _lfsr_table()
+    start = position[states].astype(np.int64)
+    return sequence[(start[..., None] + np.arange(n)) % LFSR_PERIOD]
+
+
 def quantized_potentials(qm: QuantizedModel, train: SpikeTrain):
     """Integer kernel sums and real membrane potentials for every step.
 
@@ -252,59 +311,83 @@ def quantized_potentials(qm: QuantizedModel, train: SpikeTrain):
     active weight codes (an integer in weight-step units); u_real adds the
     dequantized bias.
     """
-    from .glm import build_windows
+    sums = windowed_potentials(
+        train.raster[None], train.sign[None], kernel_matrix(qm.w_codes), qm.window
+    )[0]
+    return sums.astype(np.int64), _real_potentials(qm, sums)
 
-    windows = build_windows(train.raster, qm.window).astype(np.int64)
-    signed = qm.w_codes.astype(np.int64) * train.sign.astype(np.int64)[:, None, None]
-    kernel_sums = np.einsum("tjd,jid->ti", windows, signed)
-    gamma_real = qm.dequant_biases()
-    u_real = kernel_sums.astype(np.float64) * qm.w_step + gamma_real[None, :]
-    return kernel_sums, u_real
+
+def _real_potentials(qm: QuantizedModel, sums: np.ndarray) -> np.ndarray:
+    """Exact kernel sums (in weight steps) scaled and offset by the bias."""
+    return sums * qm.w_step + qm.dequant_biases()
+
+
+def first_to_spike_quantized(bits: int, u_real, lfsr_seeds):
+    """First-to-spike decisions of a batch through the b-bit datapath.
+
+    u_real is (batch, T, n_outputs).  At each step the potentials are
+    clipped to the b-bit membrane format, pushed through the PWL sigmoid
+    (output requantized to b bits) and compared against the low b bits of
+    the sample's LFSR, one draw per neuron per step in index order, so
+    step t's draws are states t*n_outputs .. (t+1)*n_outputs - 1 of its
+    run.  The first step with a spike decides (lowest index wins ties);
+    when nothing spikes, the argmax of the final clipped potentials does.
+
+    Returns (predicted, decision_time), decision_time 0 for the fallback.
+    """
+    if bits not in DATAPATH_BITS:
+        raise ValueError(
+            f"the quantized datapath defines b in [{DATAPATH_BITS.start}, "
+            f"{DATAPATH_BITS.stop - 1}], not {bits}"
+        )
+    fmt = membrane_format(bits)
+    batch, duration, n_outputs = u_real.shape
+    u_codes = clip_to_fixed(u_real, fmt)
+    pwl = pwl_sigmoid(u_codes << (3 - fmt.frac_bits)) >> (8 - bits)
+    draws = lfsr_run(lfsr_seeds, duration * n_outputs).reshape(u_codes.shape)
+    spikes = pwl > (draws & ((1 << bits) - 1))
+    fired = spikes.any(axis=2)                        # (batch, T)
+    first = fired.argmax(axis=1)
+    rows = np.arange(batch)
+    predicted = np.where(
+        fired[rows, first],
+        spikes[rows, first].argmax(axis=1),
+        u_codes[:, -1].argmax(axis=1),
+    )
+    decision_time = np.where(fired[rows, first], first + 1, 0)
+    return predicted, decision_time
 
 
 def infer_fts_quantized(
     qm: QuantizedModel, train: SpikeTrain, lfsr_seed: int
 ) -> FtsDecision:
-    """First-to-spike inference through the b-bit quantized datapath.
-
-    Membrane potentials come from integer code accumulation, are clipped
-    to the b-bit fixed-point membrane format, pushed through the PWL
-    sigmoid (output requantized to b bits) and compared against the low
-    b bits of the shared LFSR, one draw per neuron per step in index
-    order.  Falls back to the argmax of the final clipped potentials when
-    nothing spikes.
-    """
-    fmt = membrane_format(qm.bits)
-    embed_shift = 3 - fmt.frac_bits
-    out_shift = 8 - min(qm.bits, 8)
-    compare_bits = min(qm.bits, 8)
-
+    """First-to-spike inference of one sample through the b-bit quantized
+    datapath (see first_to_spike_quantized)."""
     _, u_real = quantized_potentials(qm, train)
-    state = lfsr_seed
-    u_codes = None
-    for t in range(u_real.shape[0]):
-        u_codes = clip_to_fixed(u_real[t], fmt)
-        pwl = pwl_sigmoid(u_codes << embed_shift) >> out_shift
-        fired = -1
-        for i in range(qm.n_outputs):
-            spike, state = spike_decision(int(pwl[i]), state, compare_bits)
-            if spike and fired < 0:
-                fired = i
-        if fired >= 0:
-            return FtsDecision(fired, t + 1, False)
-    return FtsDecision(int(np.argmax(u_codes)), None, True)
+    predicted, decision_time = first_to_spike_quantized(
+        qm.bits, u_real[None], [lfsr_seed]
+    )
+    t_d = int(decision_time[0])
+    return FtsDecision(int(predicted[0]), t_d or None, t_d == 0)
 
 
 def evaluate_quantized(qm, magnitudes, signs, labels, seed, limit=None) -> float:
-    """Accuracy of quantized first-to-spike inference with fresh encodings."""
-    from .glm import rate_encode
+    """Accuracy of quantized first-to-spike inference with fresh encodings.
 
+    The rng draws only the rasters, so they are drawn and scored in blocks
+    of samples; sample k decides on LFSR seed derive_lfsr_seed(seed, k).
+    """
     n = len(labels) if limit is None else min(limit, len(labels))
     rng = np.random.default_rng(seed)
+    signs = check_signs(signs[:n])
+    kmat = kernel_matrix(qm.w_codes)
     correct = 0
-    for k in range(n):
-        enc = rate_encode(magnitudes[k], qm.presentation_time, rng)
-        train = SpikeTrain(raster=enc.raster, sign=np.asarray(signs[k], dtype=np.int8))
-        decision = infer_fts_quantized(qm, train, derive_lfsr_seed(seed, k))
-        correct += decision.predicted_class == labels[k]
+    for start, rasters in encoded_chunks(magnitudes[:n], qm.presentation_time, rng):
+        stop = start + len(rasters)
+        sums = windowed_potentials(rasters, signs[start:stop], kmat, qm.window)
+        seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
+        predicted, _ = first_to_spike_quantized(
+            qm.bits, _real_potentials(qm, sums), seeds
+        )
+        correct += int(np.count_nonzero(predicted == np.asarray(labels[start:stop])))
     return correct / n if n else 0.0

@@ -16,11 +16,15 @@ import numpy as np
 from .glm import (
     GlmModel,
     SpikeTrain,
+    check_magnitudes,
+    check_signs,
+    draw_rasters,
+    kernel_matrix,
     log_one_minus_sigmoid,
     log_sigmoid,
     membrane_series,
-    rate_encode,
     sigmoid,
+    windowed_potentials,
 )
 
 
@@ -132,7 +136,10 @@ def fts_objective(model: GlmModel, train: SpikeTrain, c: int) -> float:
 
 
 def _windows_batch(rasters, window):
-    """build_windows over a batch: (batch, n_inputs, T) -> (batch, T, n_inputs, window)."""
+    """Spike windows of a batch: (batch, n_inputs, T) -> (batch, T, n_inputs, window).
+
+    out[b, t, j, d-1] = rasters[b, j, t-d], zero for t < d.
+    """
     b, n_inputs, duration = rasters.shape
     out = np.zeros((b, duration, n_inputs, window), dtype=np.float64)
     for d in range(1, window + 1):
@@ -197,28 +204,37 @@ def infer_fts_float(model: GlmModel, train: SpikeTrain, rng: np.random.Generator
     neuron index wins ties).  If nothing spikes, fall back to the argmax
     of the final-step potentials.
     """
-    u = membrane_series(model, train)
+    return _first_to_spike_float(membrane_series(model, train), rng)
+
+
+def _first_to_spike_float(u, rng) -> FtsDecision:
+    """The first-to-spike draw over potentials u (duration, n_outputs)."""
+    p = sigmoid(u)
     for t in range(u.shape[0]):
-        fired = rng.random(model.n_outputs) < sigmoid(u[t])
+        fired = rng.random(u.shape[1]) < p[t]
         if fired.any():
             return FtsDecision(int(np.argmax(fired)), t + 1, False)
     return FtsDecision(int(np.argmax(u[-1])), None, True)
 
 
 def evaluate_float(model, magnitudes, signs, labels, rng, limit=None) -> float:
-    """Accuracy of stochastic first-to-spike inference with fresh encodings."""
+    """Accuracy of stochastic first-to-spike inference with fresh encodings.
+
+    Each sample's raster is drawn just before its spike draws, so the rng
+    stream interleaves them sample by sample, as infer_fts_float on a
+    rate_encode'd train would.
+    """
     n = len(labels) if limit is None else min(limit, len(labels))
+    mags = check_magnitudes(magnitudes[:n])
+    signs = check_signs(signs[:n])
+    kmat = kernel_matrix(model.kernels())
     correct = 0
     for k in range(n):
-        train = _encode_signed(magnitudes[k], signs[k], model.presentation_time, rng)
-        decision = infer_fts_float(model, train, rng)
-        correct += decision.predicted_class == labels[k]
+        raster = draw_rasters(mags[k], model.presentation_time, rng)
+        u = windowed_potentials(raster[None], signs[k : k + 1], kmat, model.window)[0]
+        u += model.biases[None, :]
+        correct += _first_to_spike_float(u, rng).predicted_class == labels[k]
     return correct / n if n else 0.0
-
-
-def _encode_signed(magnitude, sign, duration, rng):
-    train = rate_encode(magnitude, duration, rng)
-    return SpikeTrain(raster=train.raster, sign=np.asarray(sign, dtype=np.int8))
 
 
 def train(train_data, test_data, config: TrainConfig):

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -45,6 +44,17 @@ class TestTrainCommand:
         ])
         assert code == EXIT_USAGE
 
+    def test_quick_start_generalises_to_the_test_split(self, tmp_path):
+        # the README quick start: test accuracy well above chance (0.25),
+        # because both synthetic splits come from one set of prototypes
+        out = tmp_path / "quick"
+        assert main([
+            "train", "--dataset", "synthetic", "--out", str(out), "--epochs", "30",
+            "--lr", "0.2", "--T", "8", "--tau", "8", "--seed", "1",
+        ]) == EXIT_OK
+        final = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
+        assert float(final[2]) >= 0.5
+
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--no-such-flag"])
         assert code == EXIT_USAGE
@@ -68,15 +78,16 @@ class TestQuantizeCommand:
         assert q5.kind == "quantized"
         assert q5.model.bits == 5
 
-    def test_degenerate_one_bit_quantization_still_runs(self, trained_run, tmp_path):
-        out = tmp_path / "quant2"
-        code = main([
-            "quantize", "--dataset", "synthetic", "--out", str(out),
-            "--model", str(trained_run / "model_float.bin"), "--bits", "1,2",
-        ])
-        assert code == EXIT_OK
-        q1 = load_model(out / "model_q1.bin").model
-        assert np.all(q1.w_codes == 0)  # one magnitude bit collapses every code
+    def test_bits_outside_the_datapath_are_usage_errors(self, trained_run, tmp_path):
+        # the b-bit datapath is defined for b in 2..8 only
+        for bits in ("8,9", "1,2", "16"):
+            out = tmp_path / f"quant_{bits.replace(',', '_')}"
+            code = main([
+                "quantize", "--dataset", "synthetic", "--out", str(out),
+                "--model", str(trained_run / "model_float.bin"), "--bits", bits,
+            ])
+            assert code == EXIT_USAGE
+            assert not list(out.glob("model_q*.bin"))
 
     def test_sweep_accuracy_does_not_degrade_with_more_bits(self, tmp_path):
         # well-trained model: 8-bit accuracy should match or beat 5-bit
@@ -84,7 +95,7 @@ class TestQuantizeCommand:
         out_t = tmp_path / "sweep_train"
         assert main([
             "train", "--dataset", "synthetic", "--out", str(out_t), "--seed", "2",
-            "--epochs", "20", "--T", "6", "--tau", "6",
+            "--epochs", "100", "--lr", "0.2", "--T", "6", "--tau", "6",
         ]) == EXIT_OK
         out_q = tmp_path / "sweep_quant"
         assert main([
@@ -94,6 +105,8 @@ class TestQuantizeCommand:
         ]) == EXIT_OK
         rows = (out_q / "accuracy_vs_bits.csv").read_text().splitlines()[1:]
         acc = {int(r.split(",")[0]): float(r.split(",")[1]) for r in rows}
+        float_acc = float(rows[0].split(",")[2])
+        assert float_acc >= 0.8  # the premise: the model did learn the task
         assert acc[8] >= acc[5] - 0.05
 
     def test_missing_model_is_data_error(self, tmp_path):

@@ -22,6 +22,8 @@ from spikesim.glm import SpikeTrain
 from spikesim.quantize import QuantizedModel, derive_lfsr_seed, infer_fts_quantized
 from spikesim.training import FtsDecision
 
+from oracles import build_windows
+
 
 def random_qm(rng, bits=8, n_inputs=4, n_outputs=5, window=3, duration=6,
               w_range=(-1.0, 1.0), g_range=(-0.5, 0.5)):
@@ -190,6 +192,25 @@ class TestCoreStep:
             draws += 64
         assert abs(fired / draws - 0.5) < 0.05
 
+    def test_draws_match_per_neuron_spike_decisions(self):
+        from spikesim.quantize import pwl_sigmoid, spike_decision
+
+        rng = np.random.default_rng(85)
+        qm = random_qm(rng, n_inputs=4, n_outputs=7, window=3, duration=6)
+        geom = CoreGeometry(n_inputs=4, n_outputs=7, window=3)
+        image = map_model_to_memory(qm, geom)
+        state = CoreState.initial(image, qm, duration=6, lfsr_seed=0x0F0F)
+        for t in range(6):
+            lfsr = state.lfsr_state
+            spikes, _ = core_step(state, image, rng.integers(0, 2, size=4), np.ones(4))
+            pwl = pwl_sigmoid(state.last_clipped)
+            want = []
+            for i in range(7):
+                fired, lfsr = spike_decision(int(pwl[i]), lfsr)
+                want.append(int(fired))
+            assert spikes.tolist() == want
+            assert state.lfsr_state == lfsr
+
     def test_single_active_line_matches_scalar_recomputation(self):
         rng = np.random.default_rng(86)
         qm = random_qm(rng, n_inputs=3, n_outputs=4, window=2, duration=4)
@@ -302,8 +323,6 @@ class TestRunFirstToSpike:
         raster = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
         train = SpikeTrain(raster=raster, sign=np.ones(5, dtype=np.int8))
         decision, trace = run_first_to_spike(image, train, qm, lfsr_seed=0x5A5A)
-        from spikesim.glm import build_windows
-
         windows = build_windows(raster, 3)
         expect = [int(windows[t].sum()) + 1 for t in range(trace.steps)]
         assert trace.reads_per_step == expect

@@ -174,6 +174,18 @@ class TestNormalization:
         assert np.array_equal(a.labels, b.labels)
         assert a.magnitudes().max() <= 1.0
 
+    def test_synthetic_splits_with_one_seed_share_the_task(self):
+        train = make_synthetic(400, seed=5, noise=0.01)
+        test = make_synthetic(400, seed=5, noise=0.01, sample_seed=6, split="test")
+        assert not np.array_equal(train.labels, test.labels)
+        for c in range(train.n_classes):
+            centre = train.features[train.labels == c].mean(axis=0)
+            other = test.features[test.labels == c].mean(axis=0)
+            assert np.abs(centre - other).max() < 0.01
+        # without sample_seed the samples follow the prototypes' generator
+        again = make_synthetic(400, seed=5, noise=0.01)
+        assert np.array_equal(again.features, train.features)
+
 
 def build_models(rng):
     model = GlmModel(

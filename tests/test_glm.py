@@ -6,17 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesim.glm import (
+    ENCODE_CHUNK,
     EncodingError,
     GlmModel,
     SpikeTrain,
-    build_windows,
+    encoded_chunks,
     expand_kernel,
     identity_basis,
+    kernel_matrix,
     membrane_potential,
     membrane_series,
     rate_encode,
     sigmoid,
+    windowed_potentials,
 )
+from oracles import build_windows, windowed_sums
 
 
 def brute_force_matvec(basis, w):
@@ -219,3 +223,88 @@ class TestWindows:
                 weights=np.zeros((1, 1, 3)),
                 biases=np.zeros(1),
             )
+
+
+def kernel_case(rng, n_inputs, n_outputs, duration, window, basis=None):
+    """Random signed trains and float kernels expanded through `basis`."""
+    n_basis = window if basis is None else basis.shape[1]
+    model = GlmModel(
+        n_inputs=n_inputs, n_outputs=n_outputs, presentation_time=duration,
+        window=window, weights=rng.normal(size=(n_inputs, n_outputs, n_basis)),
+        biases=rng.normal(size=n_outputs), basis=basis,
+    )
+    return model
+
+
+class TestPotentialKernel:
+    """The one GEMM kernel against the window-tensor einsum oracle."""
+
+    @pytest.mark.parametrize(
+        "duration,window,batch",
+        [(6, 6, 1), (6, 6, 4), (7, 1, 1), (7, 1, 3), (8, 3, 5), (2, 2, 2), (1, 1, 2)],
+    )
+    def test_float_kernels_match_oracle(self, duration, window, batch):
+        rng = np.random.default_rng(duration * 100 + window * 10 + batch)
+        model = kernel_case(rng, 5, 3, duration, window)
+        rasters = rng.integers(0, 2, size=(batch, 5, duration)).astype(np.uint8)
+        signs = rng.choice([-1, 1], size=(batch, 5))
+        got = windowed_potentials(rasters, signs, kernel_matrix(model.kernels()), window)
+        assert got.shape == (batch, duration, 3)
+        for b in range(batch):
+            want = windowed_sums(rasters[b], signs[b], model.kernels())
+            np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=1e-12)
+
+    def test_non_identity_basis(self):
+        rng = np.random.default_rng(31)
+        basis = np.array([[1, 0], [1, 1], [0, 1], [0, 1]], dtype=np.uint8)
+        model = kernel_case(rng, 4, 2, 6, 4, basis=basis)
+        rasters = rng.integers(0, 2, size=(3, 4, 6)).astype(np.uint8)
+        signs = rng.choice([-1, 1], size=(3, 4))
+        got = windowed_potentials(rasters, signs, kernel_matrix(model.kernels()), 4)
+        for b in range(3):
+            want = windowed_sums(rasters[b], signs[b], model.kernels())
+            np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("duration,window,batch", [(5, 5, 1), (6, 1, 3), (16, 7, 4)])
+    def test_integer_codes_are_exact(self, duration, window, batch):
+        rng = np.random.default_rng(duration + window + batch)
+        codes = rng.integers(-127, 128, size=(9, 4, window)).astype(np.int16)
+        rasters = rng.integers(0, 2, size=(batch, 9, duration)).astype(np.uint8)
+        signs = rng.choice([-1, 1], size=(batch, 9))
+        got = windowed_potentials(rasters, signs, kernel_matrix(codes), window)
+        for b in range(batch):
+            want = windowed_sums(rasters[b], signs[b], codes, dtype=np.int64)
+            assert np.array_equal(got[b].astype(np.int64), want)
+            assert np.array_equal(got[b], want.astype(np.float64))
+
+    def test_membrane_series_adds_the_bias(self):
+        rng = np.random.default_rng(32)
+        model = kernel_case(rng, 3, 2, 5, 3)
+        train = SpikeTrain(raster=rng.integers(0, 2, size=(3, 5)),
+                           sign=rng.choice([-1, 1], size=3))
+        want = windowed_sums(train.raster, train.sign, model.kernels()) + model.biases
+        np.testing.assert_allclose(membrane_series(model, train), want,
+                                   rtol=1e-12, atol=1e-12)
+
+
+class TestEncodedChunks:
+    def test_blocks_draw_what_per_sample_encoding_draws(self):
+        rng = np.random.default_rng(40)
+        n = 2 * ENCODE_CHUNK + 3
+        x = rng.uniform(-1.0, 1.0, size=(n, 5))
+        blocks = list(encoded_chunks(x, 4, np.random.default_rng(9)))
+        assert [start for start, _ in blocks] == [0, ENCODE_CHUNK, 2 * ENCODE_CHUNK]
+        rasters = np.concatenate([r for _, r in blocks])
+        ref_rng = np.random.default_rng(9)
+        for k in range(n):
+            assert np.array_equal(rasters[k], rate_encode(x[k], 4, ref_rng).raster)
+
+    def test_whole_split_is_validated_before_any_draw(self):
+        rng = np.random.default_rng(41)
+        state = rng.bit_generator.state
+        for bad_value in (1.5, np.nan):
+            x = np.full((ENCODE_CHUNK + 2, 2), 0.5)
+            x[-1, 1] = bad_value  # in the last block
+            with pytest.raises(EncodingError):
+                next(encoded_chunks(x, 4, rng))
+        assert rng.bit_generator.state == state

@@ -13,9 +13,12 @@ from spikesim.quantize import (
     QuantizedModel,
     clip_to_fixed,
     derive_lfsr_seed,
+    evaluate_quantized,
+    first_to_spike_quantized,
     fixed_to_real,
     infer_fts_quantized,
     lfsr_next,
+    lfsr_run,
     membrane_format,
     pwl_sigmoid,
     quantize_model,
@@ -23,6 +26,7 @@ from spikesim.quantize import (
     quantized_potentials,
     spike_decision,
 )
+from oracles import evaluate_quantized_loop, infer_fts_quantized_loop
 
 
 def scalar_quantize(v, lo, hi, bits):
@@ -280,3 +284,119 @@ class TestQuantizedModel:
         assert 0 <= d1.predicted_class < 2
         if not d1.fallback_used:
             assert 1 <= d1.decision_time <= 5
+
+
+class TestLfsrTable:
+    def test_full_table_walks_the_iterated_sequence(self):
+        run = lfsr_run(0xACE1, LFSR_PERIOD + 1)
+        state = 0xACE1
+        for k in range(LFSR_PERIOD + 1):
+            assert run[k] == state
+            state = lfsr_next(state)
+
+    def test_runs_from_random_states_cross_the_wrap(self):
+        rng = np.random.default_rng(90)
+        # state 1 sits at table position 0, so the runs from the states just
+        # before it in the sequence wrap from position 65534 back to 0
+        before_one = lfsr_run(1, LFSR_PERIOD)[-3:]
+        starts = [*before_one, *rng.integers(1, 0x10000, size=5)]
+        runs = lfsr_run(starts, 40)
+        assert runs.shape == (len(starts), 40)
+        for start, run in zip(starts, runs):
+            state, want = int(start), []
+            for _ in range(40):
+                want.append(state)
+                state = lfsr_next(state)
+            assert run.tolist() == want
+
+    def test_rejects_zero_and_wide_states(self):
+        for bad in (0, 1 << 16, -1):
+            with pytest.raises(ValueError):
+                lfsr_run(bad, 3)
+
+
+class TestBiasQuantization:
+    """Biases keep their values to within one step (ranges include zero)."""
+
+    def _model(self, biases, rng):
+        n_out = len(biases)
+        return GlmModel(
+            n_inputs=3, n_outputs=n_out, presentation_time=4, window=2,
+            weights=rng.normal(size=(3, n_out, 2)), biases=np.asarray(biases),
+        )
+
+    @pytest.mark.parametrize("bits", [5, 6, 7, 8])
+    @pytest.mark.parametrize(
+        "biases",
+        [[-5.6, -5.5, -5.4, -5.45], [-4.4, -4.4, -4.4], [-3.0], [2.5]],
+        ids=["all-negative", "equal", "single-output", "single-positive"],
+    )
+    def test_biases_survive_within_one_step(self, bits, biases):
+        qm = quantize_model(self._model(biases, np.random.default_rng(bits)), bits)
+        assert qm.gamma_step > 0
+        # the extreme value clamps from code -2**(b-1) to -(2**(b-1) - 1)
+        err = np.abs(qm.dequant_biases() - biases).max()
+        assert err <= qm.gamma_step * (1 + 1e-9)
+        assert qm.gamma_min <= min(min(biases), 0.0)
+        assert qm.gamma_max >= max(max(biases), 0.0)
+
+    def test_all_zero_biases_stay_zero(self):
+        qm = quantize_model(self._model([0.0, 0.0], np.random.default_rng(3)), 8)
+        assert np.all(qm.gamma_codes == 0)
+
+    def test_explicit_bounds_set_the_step(self):
+        codes, step = quantize_uniform(np.array([-3.0, -1.0]), 5, lo=-3.0, hi=0.0)
+        assert step == pytest.approx(3.0 / 16)
+        assert codes.tolist() == [-15, -5]
+
+
+class TestQuantizedDecisions:
+    """Batched first-to-spike decisions against the per-neuron loop."""
+
+    @pytest.mark.parametrize("bits", range(2, 9))
+    def test_batch_matches_per_neuron_loop(self, bits):
+        rng = np.random.default_rng(100 + bits)
+        model = GlmModel(
+            n_inputs=6, n_outputs=4, presentation_time=7, window=3,
+            weights=rng.normal(size=(6, 4, 3)), biases=rng.normal(-1.0, 1.0, size=4),
+        )
+        qm = quantize_model(model, bits)
+        trains = [SpikeTrain(raster=rng.integers(0, 2, size=(6, 7)),
+                             sign=rng.choice([-1, 1], size=6)) for _ in range(12)]
+        seeds = [derive_lfsr_seed(bits, k) for k in range(12)]
+        u_real = np.stack([quantized_potentials(qm, t)[1] for t in trains])
+        predicted, decision_time = first_to_spike_quantized(bits, u_real, seeds)
+        for k, (train, seed) in enumerate(zip(trains, seeds)):
+            want = infer_fts_quantized_loop(qm, train, seed)
+            assert (int(predicted[k]), int(decision_time[k]) or None) == want
+            decision = infer_fts_quantized(qm, train, seed)
+            assert (decision.predicted_class, decision.decision_time) == want
+            assert decision.fallback_used == (want[1] is None)
+
+    def test_evaluate_matches_per_sample_loop(self):
+        rng = np.random.default_rng(110)
+        model = GlmModel(
+            n_inputs=5, n_outputs=3, presentation_time=6, window=4,
+            weights=rng.normal(size=(5, 3, 4)), biases=rng.normal(-1.0, 0.5, size=3),
+        )
+        x = rng.uniform(-1.0, 1.0, size=(150, 5))  # more than one block
+        labels = rng.integers(0, 3, size=150)
+        signs = np.where(x < 0, -1, 1)
+        for bits in (5, 8):
+            qm = quantize_model(model, bits)
+            got = evaluate_quantized(qm, np.abs(x), signs, labels, seed=bits)
+            want = evaluate_quantized_loop(qm, np.abs(x), signs, labels, seed=bits)
+            assert got == want
+
+    @pytest.mark.parametrize("bits", [1, 9, 16])
+    def test_undefined_precisions_are_rejected(self, bits):
+        bound = 2 ** (bits - 1) - 1
+        qm = QuantizedModel(
+            bits=bits, w_codes=np.full((2, 2, 2), bound, dtype=np.int16),
+            gamma_codes=np.zeros(2, dtype=np.int16),
+            w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
+            presentation_time=3, window=2,
+        )
+        train = SpikeTrain(raster=np.ones((2, 3)), sign=np.ones(2))
+        with pytest.raises(ValueError, match="datapath"):
+            infer_fts_quantized(qm, train, 0x1234)

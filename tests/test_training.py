@@ -10,12 +10,14 @@ from spikesim.training import (
     FtsDecision,
     TrainConfig,
     TrainingDiverged,
+    evaluate_float,
     fts_gradient,
     fts_log_prob,
     fts_objective,
     infer_fts_float,
     train,
 )
+from oracles import evaluate_float_loop
 
 
 class ArrayData:
@@ -348,3 +350,27 @@ class TestTrain:
         )
         with pytest.raises(TrainingDiverged):
             train(data, data, config)
+
+
+class TestEvaluateFloat:
+    def test_matches_per_sample_loop_draw_for_draw(self):
+        rng = np.random.default_rng(60)
+        model = GlmModel(
+            n_inputs=6, n_outputs=3, presentation_time=7, window=4,
+            weights=rng.normal(size=(6, 3, 4)), biases=rng.normal(-1.5, 0.5, size=3),
+        )
+        x = rng.uniform(-1.0, 1.0, size=(40, 6))
+        labels = rng.integers(0, 3, size=40)
+        signs = np.where(x < 0, -1, 1)
+        got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = evaluate_float(model, np.abs(x), signs, labels, got_rng)
+        want = evaluate_float_loop(model, np.abs(x), signs, labels, want_rng)
+        assert got == want
+        # the same draws in the same order leave the generators in step
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_rejects_bad_signs(self):
+        model = GlmModel.zeros(2, 2, 3, 2)
+        with pytest.raises(ValueError):
+            evaluate_float(model, np.full((1, 2), 0.5), np.array([[1, 0]]), [0],
+                           np.random.default_rng(0))
