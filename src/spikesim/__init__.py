@@ -20,11 +20,11 @@ from .core import (
     CoreMemoryImage,
     CoreState,
     core_step,
+    first_to_spike_batch,
     gather_active_wordlines,
     latency_cdf,
     map_model_to_memory,
     run_first_to_spike,
-    spike_window,
 )
 from .perf import PerfReport, compute_report, default_config, efficiency, energy_per_step, gsops, rollup
 from .datasets import Dataset, ModelArtifact, load_digits, load_har, load_model, save_model

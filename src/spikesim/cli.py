@@ -3,7 +3,7 @@
 Every command resolves its configuration (including the one seed that
 drives all randomness), writes it as run_config.json next to the
 outputs, and emits deterministic CSV/JSON files: reruns with the same
-arguments produce byte-identical outputs.
+arguments at a fixed BLAS thread count produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -21,9 +21,9 @@ import numpy as np
 
 from .core import (
     CoreGeometry,
+    first_to_spike_batch,
     latency_cdf,
     map_model_to_memory,
-    run_first_to_spike,
     save_image,
 )
 from .datasets import (
@@ -36,7 +36,7 @@ from .datasets import (
     normalize_splits,
     save_model,
 )
-from .glm import SpikeTrain, encoded_chunks
+from .glm import check_signs, encoded_chunks
 from .perf import (
     compute_report,
     default_config,
@@ -52,6 +52,7 @@ from .quantize import (
     quantize_model,
 )
 from .training import (
+    FtsDecision,
     TrainConfig,
     TrainingDiverged,
     evaluate_float,
@@ -255,7 +256,8 @@ def cmd_simulate(args) -> int:
     save_image(out_dir / "core_image.bin", image)
 
     _write_run_config(out_dir, config)
-    mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
+    mags, labels = test_ds.magnitudes(), test_ds.labels
+    signs = check_signs(test_ds.signs())
     rng = np.random.default_rng(args.seed)
 
     decisions = []
@@ -271,32 +273,28 @@ def cmd_simulate(args) -> int:
         trace_writer.writerow(
             ["sample_id", "step", "wordlines_read", "decided", "class", "t_d"]
         )
-        samples = (
-            (start + i, raster)
-            for start, rasters in encoded_chunks(mags, qm.presentation_time, rng)
-            for i, raster in enumerate(rasters)
-        )
-        for k, raster in samples:
-            spike_train = SpikeTrain(raster=raster, sign=signs[k])
-            decision, trace = run_first_to_spike(
-                image, spike_train, qm, lfsr_seed=derive_lfsr_seed(args.seed, k)
+        for start, rasters in encoded_chunks(mags, qm.presentation_time, rng):
+            stop = start + len(rasters)
+            seeds = [derive_lfsr_seed(args.seed, k) for k in range(start, stop)]
+            predicted, decision_time, reads = first_to_spike_batch(
+                image, qm, rasters, signs[start:stop], seeds
             )
-            decisions.append(decision)
-            t_d = -1 if decision.decision_time is None else decision.decision_time
-            dec_writer.writerow(
-                [k, labels[k], decision.predicted_class, t_d,
-                 int(decision.fallback_used),
-                 int(decision.predicted_class == labels[k])]
-            )
-            for step, reads in enumerate(trace.reads_per_step, start=1):
-                decided = step == trace.steps and (
-                    decision.decision_time is not None or decision.fallback_used
+            dec_rows, trace_rows = [], []
+            for k, cls, t_d, sample_reads in zip(
+                range(start, stop), predicted.tolist(), decision_time.tolist(),
+                reads.tolist(),
+            ):
+                decisions.append(FtsDecision(cls, t_d or None, t_d == 0))
+                steps = t_d or len(sample_reads)  # the fallback runs every step
+                t_csv = t_d or -1
+                dec_rows.append(
+                    [k, labels[k], cls, t_csv, int(t_d == 0), int(cls == labels[k])]
                 )
-                trace_writer.writerow(
-                    [k, step, reads, int(decided),
-                     decision.predicted_class if decided else "",
-                     t_d if decided else ""]
-                )
+                trace_rows += [[k, step, n, 0, "", ""]
+                               for step, n in enumerate(sample_reads[: steps - 1], start=1)]
+                trace_rows.append([k, steps, sample_reads[steps - 1], 1, cls, t_csv])
+            dec_writer.writerows(dec_rows)
+            trace_writer.writerows(trace_rows)
 
     horizon = qm.presentation_time
     cdf_all, no_spike = latency_cdf(decisions, horizon)

@@ -9,6 +9,12 @@ windows, accumulates their codes in an 18-bit saturating integer
 accumulator, clips the scaled potential to the 1.4.3 fixed-point format,
 applies the PWL sigmoid and draws one spike decision per output neuron
 from the shared LFSR.  Inference stops at the first output spike.
+
+first_to_spike_batch runs a block of samples at once: the potentials come
+from glm.windowed_potentials over the codes decoded from the array, steps
+whose accumulator could saturate are summed again line by line, and
+quantize.first_to_spike_quantized at the 8-bit neuron width decides.
+core_step is the step-by-step reference it is tested against.
 """
 
 from __future__ import annotations
@@ -18,11 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .glm import SpikeTrain
+from .glm import SpikeTrain, kernel_matrix, windowed_potentials
 from .quantize import (
+    DATAPATH_BITS,
     FMT_1_4_3,
     QuantizedModel,
     clip_to_fixed,
+    first_to_spike_quantized,
     lfsr_run,
     pwl_sigmoid,
 )
@@ -30,6 +38,15 @@ from .training import FtsDecision
 
 #: symmetric saturation bound of the 18-bit signed accumulator
 ACC_LIMIT = 2**17 - 1
+
+#: width of the core's neuron datapath: potentials clip to 1.4.3 and the PWL
+#: output is compared with 8 LFSR bits, whatever the synapse precision
+NEURON_BITS = 8
+
+#: element budget of one sub-block of first_to_spike_batch, counted as
+#: samples * T * max(window * n_outputs, n_inputs); bounds both operands of
+#: the potential GEMM, its input rows and its tap tensor
+BLOCK_ELEMENTS = 2**18
 
 _IMAGE_MAGIC = b"SPKIMG\x00"
 _IMAGE_VERSION = 1
@@ -55,8 +72,11 @@ class CoreGeometry:
     def __post_init__(self):
         if min(self.n_inputs, self.n_outputs, self.window) < 1:
             raise ValueError("geometry dimensions must be positive")
-        if not 2 <= self.bits <= 16:
-            raise ValueError("bits must be in [2, 16]")
+        if self.bits not in DATAPATH_BITS:
+            raise ValueError(
+                f"bits must be in [{DATAPATH_BITS.start}, {DATAPATH_BITS.stop - 1}], "
+                f"not {self.bits}"
+            )
 
     @property
     def word_width(self) -> int:
@@ -92,6 +112,7 @@ class CoreMemoryImage:
         if self.bits.shape != expect:
             raise ValueError(f"image shape {self.bits.shape} != {expect}")
         self._decoded = None
+        self._operands = {}
 
     def decoded(self):
         """Cached (kernel_codes, gamma_codes) decode of the whole array."""
@@ -103,6 +124,22 @@ class CoreMemoryImage:
                 codes[geom.gamma_line].astype(np.int64),
             )
         return self._decoded
+
+    def model_operands(self, n_inputs: int, n_outputs: int, window: int):
+        """Cached potential operands of the mapped model region, decoded
+        from the array: (kmat, max_code, gamma_codes).
+
+        kmat is the glm.kernel_matrix of the region's kernel codes (see
+        unpack_model), max_code their largest magnitude and gamma_codes
+        the region's bias codes.
+        """
+        key = (n_inputs, n_outputs, window)
+        if key not in self._operands:
+            w_codes, gamma_codes = unpack_model(self, *key)
+            self._operands[key] = (
+                kernel_matrix(w_codes), int(np.abs(w_codes).max(initial=0)), gamma_codes
+            )
+        return self._operands[key]
 
 
 def _encode_rows(codes: np.ndarray, bits: int) -> np.ndarray:
@@ -158,12 +195,6 @@ def map_model_to_memory(qm: QuantizedModel, geom: CoreGeometry) -> CoreMemoryIma
     return CoreMemoryImage(geometry=geom, bits=_encode_rows(codes, geom.bits))
 
 
-def unpack_memory(image: CoreMemoryImage):
-    """Decode every used word line: (kernel_codes, gamma_codes)."""
-    kernel, gamma = image.decoded()
-    return kernel.copy(), gamma.copy()
-
-
 def unpack_model(image: CoreMemoryImage, n_inputs: int, n_outputs: int, window: int):
     """Recover the (w_codes, gamma_codes) of a mapped model, code for code."""
     geom = image.geometry
@@ -204,21 +235,18 @@ def load_image(path) -> CoreMemoryImage:
     return CoreMemoryImage(geometry=geom, bits=bits)
 
 
-def spike_window(history, t: int, window: int) -> np.ndarray:
-    """Activation pattern of one input at step t: spikes t-1 down to t-window.
+def _step_windows(history: np.ndarray, t: int, active_window: int,
+                  geom_window: int) -> np.ndarray:
+    """Spike windows of step t (1-based) over a (n_inputs, >= t - 1) history.
 
-    history[s] is the spike latched at step s+1; position 0 of the window
-    is the most recent spike, zero-filled before the train starts.
+    Returns (n_inputs, geom_window): column d0 holds the spike latched
+    d0 + 1 steps before t.  Taps at or beyond active_window, and taps
+    before the train starts, stay 0.
     """
-    if t < 1:
-        raise ValueError("steps are 1-based")
-    history = np.asarray(history, dtype=np.uint8)
-    out = np.zeros(window, dtype=np.uint8)
-    for d0 in range(window):
-        idx = t - 2 - d0
-        if idx >= 0:
-            out[d0] = history[idx]
-    return out
+    windows = np.zeros((history.shape[0], geom_window), dtype=np.uint8)
+    for d0 in range(min(active_window, t - 1)):
+        windows[:, d0] = history[:, t - 2 - d0]
+    return windows
 
 
 def gather_active_wordlines(windows: np.ndarray, geom: CoreGeometry) -> np.ndarray:
@@ -308,6 +336,17 @@ def _saturating_sum(contrib: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _accumulate(image: CoreMemoryImage, addrs: np.ndarray, signs, n_outputs: int):
+    """18-bit saturating sum of the sign-adjusted codes on the kernel lines
+    of addrs, in address order (the trailing bias line is not summed)."""
+    geom = image.geometry
+    kernel_codes, _ = image.decoded()
+    kernel_addrs = addrs[:-1]
+    selected = kernel_codes[kernel_addrs][:, :n_outputs]
+    line_signs = np.asarray(signs, dtype=np.int64)[kernel_addrs // geom.window]
+    return _saturating_sum(selected * line_signs[:, None])
+
+
 def core_step(state: CoreState, image: CoreMemoryImage, input_spikes_t, signs):
     """Advance the core by one step.
 
@@ -316,24 +355,19 @@ def core_step(state: CoreState, image: CoreMemoryImage, input_spikes_t, signs):
     clips the scaled potential to 1.4.3, applies the PWL sigmoid and
     draws one spike per active output neuron in index order from the
     shared LFSR.  Returns (output_spikes, addresses_read).
+
+    This is the step-level reference of first_to_spike_batch.
     """
     geom = state.geometry
     state.step += 1
     t = state.step
     state.history[:, t - 1] = input_spikes_t
 
-    windows = np.zeros((state.n_active_inputs, geom.window), dtype=np.uint8)
-    for d0 in range(min(state.active_window, t - 1)):
-        windows[:, d0] = state.history[:, t - 2 - d0]
-
+    windows = _step_windows(state.history, t, state.active_window, geom.window)
     addrs = gather_active_wordlines(windows, geom)
-    kernel_codes, gamma_codes = image.decoded()
+    state.accumulators = _accumulate(image, addrs, signs, state.n_active_outputs)
 
-    kernel_addrs = addrs[:-1]
-    selected = kernel_codes[kernel_addrs][:, : state.n_active_outputs]
-    line_signs = np.asarray(signs, dtype=np.int64)[kernel_addrs // geom.window]
-    state.accumulators = _saturating_sum(selected * line_signs[:, None])
-
+    _, gamma_codes = image.decoded()
     gamma_real = gamma_codes[: state.n_active_outputs].astype(np.float64) * state.gamma_step
     u_real = state.accumulators.astype(np.float64) * state.w_step + gamma_real
     state.last_clipped = clip_to_fixed(u_real, FMT_1_4_3)
@@ -343,6 +377,85 @@ def core_step(state: CoreState, image: CoreMemoryImage, input_spikes_t, signs):
     spikes = (pwl > (run[:-1] & 0xFF)).astype(np.uint8)
     state.lfsr_state = int(run[-1])
     return spikes, addrs
+
+
+def _wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
+    """Word lines each step reads, the bias line included: (batch, T).
+
+    Step t reads one line per spike latched 1..min(window, t - 1) steps
+    before it, plus the bias line.
+    """
+    spikes = rasters.sum(axis=1, dtype=np.int64)  # (batch, T) spikes per step
+    latched = np.zeros((spikes.shape[0], spikes.shape[1] + 1), dtype=np.int64)
+    np.cumsum(spikes, axis=1, out=latched[:, 1:])
+    t = np.arange(spikes.shape[1])
+    return 1 + latched[:, t] - latched[:, np.maximum(t - window, 0)]
+
+
+def _kernel_sums(image: CoreMemoryImage, qm: QuantizedModel, rasters, signs,
+                 reads: np.ndarray) -> np.ndarray:
+    """Every step's 18-bit accumulator values of a block: (batch, T, n_outputs).
+
+    A plain sum equals the sequential saturating one when the magnitudes
+    of a step's kernel-line codes sum to at most ACC_LIMIT for every
+    neuron.  Steps that fail the cheap bound, kernel lines * largest code,
+    get that sum from a GEMM over |codes|; the steps above it are summed
+    again, line by line, in address order.
+    """
+    kmat, max_code, _ = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
+    sums = windowed_potentials(rasters, signs, kmat, qm.window)
+    risky = np.flatnonzero(((reads - 1) * max_code > ACC_LIMIT).any(axis=1))
+    if risky.size:
+        bound = windowed_potentials(
+            rasters[risky], np.ones((risky.size, qm.n_inputs)), np.abs(kmat), qm.window
+        ).max(axis=2)
+        geom = image.geometry
+        for r, t0 in zip(*np.nonzero(bound > ACC_LIMIT)):
+            k = risky[r]
+            windows = _step_windows(rasters[k], t0 + 1, qm.window, geom.window)
+            addrs = gather_active_wordlines(windows, geom)
+            sums[k, t0] = _accumulate(image, addrs, signs[k], qm.n_outputs)
+    return sums
+
+
+def first_to_spike_batch(image: CoreMemoryImage, qm: QuantizedModel, rasters,
+                         signs, lfsr_seeds):
+    """First-to-spike decisions of a batch of samples on the core.
+
+    rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
+    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  Each step
+    accumulates the codes of the word lines its spike windows select,
+    decoded from the device array, in the 18-bit saturating accumulator
+    and adds the bias line; quantize.first_to_spike_quantized at
+    NEURON_BITS then clips to 1.4.3, applies the PWL sigmoid and draws
+    the spikes.  Samples run in sub-blocks of at most BLOCK_ELEMENTS.
+
+    Returns (predicted, decision_time, reads): decision_time is 0 for the
+    no-spike fallback, and reads[k, t-1] is the number of word lines step
+    t of sample k reads, bias line included.  Only steps up to the
+    decision (all T for the fallback) execute on the core.
+    """
+    rasters = np.asarray(rasters)
+    batch, n_inputs, duration = rasters.shape
+    if n_inputs != qm.n_inputs:
+        raise ValueError("spike train width does not match the mapped model")
+    signs = np.asarray(signs)
+    seeds = np.asarray(lfsr_seeds)
+    _, _, gamma_codes = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
+    gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
+    reads = _wordline_reads(rasters, qm.window)
+
+    predicted = np.empty(batch, dtype=np.int64)
+    decision_time = np.empty(batch, dtype=np.int64)
+    per_sample = duration * max(qm.window * qm.n_outputs, qm.n_inputs)
+    block = max(1, BLOCK_ELEMENTS // per_sample)
+    for lo in range(0, batch, block):
+        part = slice(lo, lo + block)
+        sums = _kernel_sums(image, qm, rasters[part], signs[part], reads[part])
+        predicted[part], decision_time[part] = first_to_spike_quantized(
+            NEURON_BITS, sums * qm.w_step + gamma_real, seeds[part]
+        )
+    return predicted, decision_time, reads
 
 
 def run_first_to_spike(
@@ -356,19 +469,20 @@ def run_first_to_spike(
     Early termination skips the remaining steps entirely (their word
     lines are never read).  If no neuron spikes within the presentation
     time, the decision falls back to the argmax of the final clipped
-    potentials (lowest index on ties).
+    potentials (lowest index on ties).  One-sample form of
+    first_to_spike_batch; the trace holds each executed step's addresses.
     """
-    if train.n_inputs != qm.n_inputs:
-        raise ValueError("spike train width does not match the mapped model")
-    state = CoreState.initial(image, qm, duration=train.duration, lfsr_seed=lfsr_seed)
-    trace = AccessTrace()
-    for t in range(1, train.duration + 1):
-        spikes, addrs = core_step(state, image, train.raster[:, t - 1], train.sign)
-        trace.record(addrs)
-        if spikes.any():
-            trace.decision_time = t
-            return FtsDecision(int(np.argmax(spikes)), t, False), trace
-    return FtsDecision(int(np.argmax(state.last_clipped)), None, True), trace
+    predicted, decision_time, _ = first_to_spike_batch(
+        image, qm, train.raster[None], train.sign[None], [lfsr_seed]
+    )
+    t_d = int(decision_time[0])
+    geom = image.geometry
+    trace = AccessTrace(decision_time=t_d or None)
+    for t in range(1, (t_d or train.duration) + 1):
+        trace.record(
+            gather_active_wordlines(_step_windows(train.raster, t, qm.window, geom.window), geom)
+        )
+    return FtsDecision(int(predicted[0]), t_d or None, t_d == 0), trace
 
 
 def latency_cdf(decisions, horizon: int):

@@ -3,6 +3,29 @@
 import numpy as np
 
 
+def spike_window(history, t: int, window: int) -> np.ndarray:
+    """Activation pattern of one input at step t: spikes t-1 down to t-window.
+
+    history[s] is the spike latched at step s+1; position 0 of the window
+    is the most recent spike, zero-filled before the train starts.
+    """
+    if t < 1:
+        raise ValueError("steps are 1-based")
+    history = np.asarray(history, dtype=np.uint8)
+    out = np.zeros(window, dtype=np.uint8)
+    for d0 in range(window):
+        idx = t - 2 - d0
+        if idx >= 0:
+            out[d0] = history[idx]
+    return out
+
+
+def unpack_memory(image):
+    """Decode every used word line of a core image: (kernel_codes, gamma_codes)."""
+    kernel, gamma = image.decoded()
+    return kernel.copy(), gamma.copy()
+
+
 def build_windows(raster: np.ndarray, window: int) -> np.ndarray:
     """Spike windows for every step of a raster.
 
@@ -91,3 +114,55 @@ def evaluate_float_loop(model, magnitudes, signs, labels, rng):
                 break
         correct += predicted == labels[k]
     return correct / len(labels)
+
+
+def first_to_spike_loop(image, qm, rasters, signs, lfsr_seeds):
+    """One core_step per step and sample, stopping at the first spike: the
+    step-level reference of core.first_to_spike_batch.
+
+    Returns one (predicted_class, decision_time or 0 for the fallback,
+    word lines read per executed step) per sample.
+    """
+    from spikesim.core import CoreState, core_step
+
+    out = []
+    for raster, sign, seed in zip(rasters, signs, lfsr_seeds):
+        duration = raster.shape[1]
+        state = CoreState.initial(image, qm, duration=duration, lfsr_seed=int(seed))
+        reads = []
+        for t in range(1, duration + 1):
+            spikes, addrs = core_step(state, image, raster[:, t - 1], sign)
+            reads.append(len(addrs))
+            if spikes.any():
+                out.append((int(np.argmax(spikes)), t, reads))
+                break
+        else:
+            out.append((int(np.argmax(state.last_clipped)), 0, reads))
+    return out
+
+
+def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
+    """The decisions.csv and trace.csv rows `spikesim simulate` writes, as
+    strings, from one rate_encode and one core_step loop per sample."""
+    from spikesim.core import CoreGeometry, map_model_to_memory
+    from spikesim.glm import rate_encode
+    from spikesim.quantize import derive_lfsr_seed
+
+    geom = CoreGeometry(n_inputs=qm.n_inputs, n_outputs=qm.n_outputs,
+                        window=qm.window, bits=qm.bits)
+    image = map_model_to_memory(qm, geom)
+    rng = np.random.default_rng(seed)
+    decisions, trace = [], []
+    for k in range(len(labels)):
+        raster = rate_encode(magnitudes[k], qm.presentation_time, rng).raster
+        [(cls, t_d, reads)] = first_to_spike_loop(
+            image, qm, [raster], [signs[k]], [derive_lfsr_seed(seed, k)]
+        )
+        t_d = t_d or -1
+        decisions.append([str(v) for v in (k, labels[k], cls, t_d, int(t_d == -1),
+                                           int(cls == labels[k]))])
+        for step, n in enumerate(reads, start=1):
+            last = step == len(reads)
+            trace.append([str(k), str(step), str(n), str(int(last)),
+                          str(cls) if last else "", str(t_d) if last else ""])
+    return decisions, trace

@@ -1,9 +1,14 @@
+import csv
 import json
 
+import numpy as np
 import pytest
 
-from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from spikesim.datasets import load_model
+from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_split_pair, main
+from spikesim.datasets import load_model, save_model
+from spikesim.quantize import QuantizedModel
+
+from oracles import simulate_rows_loop
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +184,46 @@ class TestSimulateCommand:
         cdf = [float(r.split(",")[1]) for r in rows]
         assert cdf == sorted(cdf)
         assert cdf[-1] <= 1.0
+
+    def test_rows_match_the_step_loop_at_every_precision(self, trained_run, tmp_path):
+        quant = tmp_path / "quant"
+        assert main([
+            "quantize", "--dataset", "synthetic", "--out", str(quant),
+            "--model", str(trained_run / "model_float.bin"), "--bits", "5,6,7,8",
+            "--seed", "11",
+        ]) == EXIT_OK
+        _, test_ds = _load_split_pair("synthetic", None, 4, None)
+        for bits in (5, 6, 7, 8):
+            out = tmp_path / f"sim_q{bits}"
+            model = quant / f"model_q{bits}.bin"
+            assert main([
+                "simulate", "--dataset", "synthetic", "--out", str(out),
+                "--model", str(model), "--seed", "4",
+            ]) == EXIT_OK
+            decisions, trace = simulate_rows_loop(
+                load_model(model).model, test_ds.magnitudes(), test_ds.signs(),
+                test_ds.labels, seed=4,
+            )
+            with open(out / "decisions.csv", newline="") as fh:
+                assert list(csv.reader(fh))[1:] == decisions
+            with open(out / "trace.csv", newline="") as fh:
+                assert list(csv.reader(fh))[1:] == trace
+
+    def test_nine_bit_artifact_is_usage_error(self, tmp_path):
+        # the core geometry, like --bits, accepts only the datapath's 2..8
+        qm = QuantizedModel(
+            bits=9, w_codes=np.full((16, 4, 4), 200), gamma_codes=np.zeros(4),
+            w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
+            presentation_time=6, window=4,
+        )
+        artifact = tmp_path / "model_q9.bin"
+        save_model(artifact, qm, {"bits": 9})
+        code = main([
+            "simulate", "--dataset", "synthetic", "--out", str(tmp_path / "s"),
+            "--model", str(artifact),
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "s" / "decisions.csv").exists()
 
     def test_float_artifact_rejected(self, trained_run, tmp_path):
         code = main([

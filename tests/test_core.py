@@ -1,28 +1,29 @@
 import numpy as np
 import pytest
 
+from spikesim import core
 from spikesim.core import (
     ACC_LIMIT,
+    BLOCK_ELEMENTS,
     AccessTrace,
     CoreGeometry,
     CoreMemoryImage,
     CoreState,
     core_step,
+    first_to_spike_batch,
     gather_active_wordlines,
     latency_cdf,
     load_image,
     map_model_to_memory,
     run_first_to_spike,
     save_image,
-    spike_window,
-    unpack_memory,
     unpack_model,
 )
 from spikesim.glm import SpikeTrain
 from spikesim.quantize import QuantizedModel, derive_lfsr_seed, infer_fts_quantized
 from spikesim.training import FtsDecision
 
-from oracles import build_windows
+from oracles import build_windows, first_to_spike_loop, spike_window, unpack_memory
 
 
 def random_qm(rng, bits=8, n_inputs=4, n_outputs=5, window=3, duration=6,
@@ -67,6 +68,8 @@ class TestGeometry:
             CoreGeometry(n_inputs=0)
         with pytest.raises(ValueError):
             CoreGeometry(bits=1)
+        with pytest.raises(ValueError):
+            CoreGeometry(bits=9)  # outside the quantized datapath's 2..8
 
 
 class TestMemoryMapping:
@@ -380,6 +383,129 @@ class TestRunFirstToSpike:
             core_decision, _ = run_first_to_spike(image, train, qm, lfsr_seed=seed)
             eval_decision = infer_fts_quantized(qm, train, lfsr_seed=seed)
             assert core_decision == eval_decision
+
+
+def assert_batch_matches_loop(image, qm, rasters, signs, seeds):
+    """first_to_spike_batch == the core_step loop on class, decision step,
+    fallback and reads per executed step.  Returns the decision steps."""
+    predicted, decision_time, reads = first_to_spike_batch(image, qm, rasters, signs, seeds)
+    want = first_to_spike_loop(image, qm, rasters, signs, seeds)
+    assert predicted.tolist() == [w[0] for w in want]
+    assert decision_time.tolist() == [w[1] for w in want]
+    for k, (_, t_d, want_reads) in enumerate(want):
+        assert reads[k, : len(want_reads)].tolist() == want_reads
+    return decision_time
+
+
+def random_batch(rng, qm, batch, density=0.5):
+    rasters = (rng.random((batch, qm.n_inputs, qm.presentation_time)) < density)
+    signs = rng.choice([-1, 1], size=(batch, qm.n_inputs))
+    seeds = rng.integers(1, 0x10000, size=batch)
+    return rasters.astype(np.uint8), signs, seeds
+
+
+class TestFirstToSpikeBatch:
+    @pytest.mark.parametrize("bits", [5, 6, 7, 8])
+    def test_random_models_match_the_step_loop(self, bits):
+        rng = np.random.default_rng(120 + bits)
+        decided_late = 0
+        for _ in range(25):
+            window = int(rng.integers(1, 5))
+            qm = random_qm(
+                rng, bits=bits, n_inputs=int(rng.integers(1, 7)),
+                n_outputs=int(rng.integers(1, 7)), window=window,
+                duration=int(rng.integers(window, 9)), g_range=(-6.0, 1.0),
+            )
+            # geometries at least as wide as the model in every dimension
+            geom = CoreGeometry(
+                n_inputs=qm.n_inputs + int(rng.integers(0, 3)),
+                n_outputs=qm.n_outputs + int(rng.integers(0, 3)),
+                window=window + int(rng.integers(0, 3)), bits=bits,
+            )
+            image = map_model_to_memory(qm, geom)
+            batch = int(rng.integers(1, 10))
+            rasters, signs, seeds = random_batch(rng, qm, batch, rng.uniform(0.1, 0.9))
+            decision_time = assert_batch_matches_loop(image, qm, rasters, signs, seeds)
+            decided_late += int(np.count_nonzero(decision_time > 1))
+        assert decided_late > 0  # the windows, not only the biases, decided some
+
+    def test_batch_of_one_and_narrow_model_window(self):
+        # a 2-tap model in a 7-tap geometry, one sample at a time
+        rng = np.random.default_rng(131)
+        qm = random_qm(rng, n_inputs=5, n_outputs=4, window=2, duration=8,
+                       g_range=(-8.0, 0.5))
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=5, n_outputs=4, window=7))
+        for _ in range(20):
+            assert_batch_matches_loop(image, qm, *random_batch(rng, qm, 1, 0.8))
+
+    def test_fallback_samples(self):
+        # biases in [-8, -7.125] give PWL 0 at every step: every sample runs
+        # all T steps and falls back to the argmax of the final clipped codes
+        rng = np.random.default_rng(132)
+        for bits in (5, 8):
+            qm = random_qm(rng, bits=bits, n_inputs=4, n_outputs=6, window=3,
+                           duration=5, w_range=(-1e-3, 1e-3))
+            # gamma_step = 8 / bound: codes -bound..-0.9 bound sit in [-8, -7.2]
+            bound = 2 ** (bits - 1) - 1
+            qm.gamma_codes = -rng.integers(int(0.9 * bound) + 1, bound + 1, size=6)
+            qm.gamma_max = 4 * 2 ** (bits - 1) / bound
+            qm.gamma_min = -qm.gamma_max
+            geom = CoreGeometry(n_inputs=4, n_outputs=6, window=3, bits=bits)
+            image = map_model_to_memory(qm, geom)
+            decision_time = assert_batch_matches_loop(image, qm, *random_batch(rng, qm, 12))
+            assert np.all(decision_time == 0)
+
+    @pytest.mark.parametrize("n_inputs,n_outputs,window,duration", [
+        (6, 64, 7, 16),   # the tap tensor sets the sub-block size
+        (600, 2, 2, 8),   # the input rows set it
+    ])
+    def test_batch_across_sub_blocks(self, n_inputs, n_outputs, window, duration):
+        rng = np.random.default_rng(133)
+        qm = random_qm(rng, n_inputs=n_inputs, n_outputs=n_outputs, window=window,
+                       duration=duration, g_range=(-8.0, 8.0))
+        qm.gamma_codes = -rng.integers(32, 65, size=n_outputs)  # biases -4..-8
+        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window)
+        image = map_model_to_memory(qm, geom)
+        block = BLOCK_ELEMENTS // (duration * max(window * n_outputs, n_inputs))
+        decision_time = assert_batch_matches_loop(
+            image, qm, *random_batch(rng, qm, 2 * block + 3, 0.3)
+        )
+        assert len(set(decision_time.tolist())) > 2
+
+    @pytest.mark.parametrize("small_codes", [False, True])
+    def test_saturating_steps(self, small_codes):
+        # 200 inputs: kernel lines * max|code| exceeds ACC_LIMIT from step 7.
+        # With all codes 127 the |code| sums do too, and from step 8 the
+        # first 150 inputs drive the accumulator into the clamp before the
+        # last 50 pull it down again, so the plain sum differs from the
+        # core's.  With small codes and one 127 the |code| sums stay below.
+        n_inputs, window, duration = 200, 7, 10
+        codes = np.full((n_inputs, 3, window), 127, dtype=np.int16)
+        if small_codes:
+            codes[:] = np.random.default_rng(134).integers(-3, 4, size=codes.shape)
+            codes[0, 0, 0] = 127
+        qm = QuantizedModel(
+            bits=8, w_codes=codes, gamma_codes=np.array([-20, -10, 0], dtype=np.int16),
+            w_min=-0.004, w_max=0.004, gamma_min=-1.0, gamma_max=1.0,
+            presentation_time=duration, window=window,
+        )
+        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=3, window=window)
+        image = map_model_to_memory(qm, geom)
+        rasters = np.ones((4, n_inputs, duration), dtype=np.uint8)
+        signs = np.ones((4, n_inputs), dtype=np.int64)
+        signs[:, 150:] = -1
+        reads = core._wordline_reads(rasters, window)
+        sums = core._kernel_sums(image, qm, rasters, signs, reads)
+        plain = np.einsum("j,jid->i", signs[0], codes)  # every line of every input
+        state = CoreState.initial(image, qm, duration=duration)
+        for t in range(duration):
+            core_step(state, image, rasters[0, :, t], signs[0])
+            assert np.array_equal(sums[0, t], state.accumulators)
+        if not small_codes:
+            assert np.all(sums[0, -1] != plain)
+            assert np.all(sums[0, -1] == ACC_LIMIT - 50 * window * 127)
+        assert_batch_matches_loop(image, qm, rasters, signs,
+                                  [0x1D87, 0xACE1, 0x0101, 0x5A5A])
 
 
 class TestLatencyCdf:
