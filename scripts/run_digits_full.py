@@ -3,14 +3,15 @@
 
 Trains the first-to-spike network at T=8, tau=8 for 200 epochs on the
 complete 60k/10k IDX corpus, sweeps synapse precisions 5..8 through the
-quantized datapath, and measures the decision-latency CDF on the core
-simulator.  Expect about two hours on one core of a 2-core Xeon server with
-one BLAS thread: an epoch takes about 36 s, 1875 SGD minibatches of 32 at
-about 18 ms each plus 12k first-to-spike evaluations at about 0.13 ms each.
+quantized datapath (b-bit codes into the same 8-bit neuron), and measures
+the decision-latency CDF on the core simulator.  Expect about 40 minutes on
+one core of a 2-core Xeon server with one BLAS thread: an epoch takes about
+11 s, 1875 SGD minibatches of 32 at about 5 ms each plus 12k first-to-spike
+evaluations at about 0.13 ms each.
 
 Reference points this run should land near:
   float test accuracy   ~0.935
-  5-bit accuracy        within 2 points of float
+  5-bit synapses        within 2 points of float
   decided within 4 steps ~0.75 of samples
 
 Usage:

@@ -2,8 +2,9 @@
 """Full activity-recognition benchmark reproduction.
 
 Trains at T=16, tau=16 for 200 epochs on the ~7k/3k feature corpus and
-sweeps synapse precisions.  Reference: float test accuracy ~0.945, 5-bit
-within 2 points.
+sweeps synapse precisions 5..8 through the quantized datapath (b-bit codes
+into the same 8-bit neuron).  Reference: float test accuracy ~0.945, 5-bit
+synapses within 2 points.
 
 Usage:
   python scripts/run_har_full.py --data-dir /path/to/har --out runs/har

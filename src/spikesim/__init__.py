@@ -15,7 +15,6 @@ from .quantize import (
     spike_decision,
 )
 from .core import (
-    AccessTrace,
     CoreGeometry,
     CoreMemoryImage,
     CoreState,
@@ -24,7 +23,6 @@ from .core import (
     gather_active_wordlines,
     latency_cdf,
     map_model_to_memory,
-    run_first_to_spike,
 )
 from .perf import PerfReport, compute_report, default_config, efficiency, energy_per_step, gsops, rollup
 from .datasets import Dataset, ModelArtifact, load_digits, load_har, load_model, save_model

@@ -10,43 +10,30 @@ accumulator, clips the scaled potential to the 1.4.3 fixed-point format,
 applies the PWL sigmoid and draws one spike decision per output neuron
 from the shared LFSR.  Inference stops at the first output spike.
 
-first_to_spike_batch runs a block of samples at once: the potentials come
-from glm.windowed_potentials over the codes decoded from the array, steps
-whose accumulator could saturate are summed again line by line, and
-quantize.first_to_spike_quantized at the 8-bit neuron width decides.
-core_step is the step-by-step reference it is tested against.
+first_to_spike_batch runs a block of samples at once through
+quantize.first_to_spike_quantized, the datapath the quantized evaluator
+scores, on the codes decoded from the array, and counts the word lines each
+step reads.  core_step is the step-by-step reference it is tested against.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import SpikeTrain, kernel_matrix, windowed_potentials
 from .quantize import (
     DATAPATH_BITS,
     FMT_1_4_3,
     QuantizedModel,
     clip_to_fixed,
+    datapath_operands,
     first_to_spike_quantized,
     lfsr_run,
     pwl_sigmoid,
+    saturating_sum,
 )
-from .training import FtsDecision
-
-#: symmetric saturation bound of the 18-bit signed accumulator
-ACC_LIMIT = 2**17 - 1
-
-#: width of the core's neuron datapath: potentials clip to 1.4.3 and the PWL
-#: output is compared with 8 LFSR bits, whatever the synapse precision
-NEURON_BITS = 8
-
-#: element budget of one sub-block of first_to_spike_batch, counted as
-#: samples * T * max(window * n_outputs, n_inputs); bounds both operands of
-#: the potential GEMM, its input rows and its tap tensor
-BLOCK_ELEMENTS = 2**18
 
 _IMAGE_MAGIC = b"SPKIMG\x00"
 _IMAGE_VERSION = 1
@@ -126,19 +113,11 @@ class CoreMemoryImage:
         return self._decoded
 
     def model_operands(self, n_inputs: int, n_outputs: int, window: int):
-        """Cached potential operands of the mapped model region, decoded
-        from the array: (kmat, max_code, gamma_codes).
-
-        kmat is the glm.kernel_matrix of the region's kernel codes (see
-        unpack_model), max_code their largest magnitude and gamma_codes
-        the region's bias codes.
-        """
+        """Cached quantize.datapath_operands of the mapped model region's
+        codes, decoded from the array (see unpack_model)."""
         key = (n_inputs, n_outputs, window)
         if key not in self._operands:
-            w_codes, gamma_codes = unpack_model(self, *key)
-            self._operands[key] = (
-                kernel_matrix(w_codes), int(np.abs(w_codes).max(initial=0)), gamma_codes
-            )
+            self._operands[key] = datapath_operands(*unpack_model(self, *key))
         return self._operands[key]
 
 
@@ -262,29 +241,6 @@ def gather_active_wordlines(windows: np.ndarray, geom: CoreGeometry) -> np.ndarr
 
 
 @dataclass
-class AccessTrace:
-    """Word lines read per executed step, with per-sample decision time."""
-
-    addresses: list = field(default_factory=list)  # one int64 array per step
-    decision_time: int | None = None
-
-    def record(self, addrs: np.ndarray):
-        self.addresses.append(addrs)
-
-    @property
-    def steps(self) -> int:
-        return len(self.addresses)
-
-    @property
-    def reads_per_step(self):
-        return [len(a) for a in self.addresses]
-
-    @property
-    def total_reads(self) -> int:
-        return sum(len(a) for a in self.addresses)
-
-
-@dataclass
 class CoreState:
     """Mutable per-sample state: shift registers, accumulators, LFSR."""
 
@@ -319,23 +275,6 @@ class CoreState:
         )
 
 
-def _saturating_sum(contrib: np.ndarray) -> np.ndarray:
-    """Sequential 18-bit saturating accumulation down the word-line axis.
-
-    The fast path applies when no running sum ever leaves the 18-bit
-    range, where plain summation is exact.
-    """
-    if contrib.shape[0] == 0:
-        return np.zeros(contrib.shape[1], dtype=np.int64)
-    running = np.cumsum(contrib, axis=0)
-    if abs(running).max() <= ACC_LIMIT:
-        return running[-1]
-    acc = np.zeros(contrib.shape[1], dtype=np.int64)
-    for row in contrib:
-        acc = np.clip(acc + row, -ACC_LIMIT, ACC_LIMIT)
-    return acc
-
-
 def _accumulate(image: CoreMemoryImage, addrs: np.ndarray, signs, n_outputs: int):
     """18-bit saturating sum of the sign-adjusted codes on the kernel lines
     of addrs, in address order (the trailing bias line is not summed)."""
@@ -344,7 +283,7 @@ def _accumulate(image: CoreMemoryImage, addrs: np.ndarray, signs, n_outputs: int
     kernel_addrs = addrs[:-1]
     selected = kernel_codes[kernel_addrs][:, :n_outputs]
     line_signs = np.asarray(signs, dtype=np.int64)[kernel_addrs // geom.window]
-    return _saturating_sum(selected * line_signs[:, None])
+    return saturating_sum(selected * line_signs[:, None])
 
 
 def core_step(state: CoreState, image: CoreMemoryImage, input_spikes_t, signs):
@@ -392,43 +331,14 @@ def _wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
     return 1 + latched[:, t] - latched[:, np.maximum(t - window, 0)]
 
 
-def _kernel_sums(image: CoreMemoryImage, qm: QuantizedModel, rasters, signs,
-                 reads: np.ndarray) -> np.ndarray:
-    """Every step's 18-bit accumulator values of a block: (batch, T, n_outputs).
-
-    A plain sum equals the sequential saturating one when the magnitudes
-    of a step's kernel-line codes sum to at most ACC_LIMIT for every
-    neuron.  Steps that fail the cheap bound, kernel lines * largest code,
-    get that sum from a GEMM over |codes|; the steps above it are summed
-    again, line by line, in address order.
-    """
-    kmat, max_code, _ = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
-    sums = windowed_potentials(rasters, signs, kmat, qm.window)
-    risky = np.flatnonzero(((reads - 1) * max_code > ACC_LIMIT).any(axis=1))
-    if risky.size:
-        bound = windowed_potentials(
-            rasters[risky], np.ones((risky.size, qm.n_inputs)), np.abs(kmat), qm.window
-        ).max(axis=2)
-        geom = image.geometry
-        for r, t0 in zip(*np.nonzero(bound > ACC_LIMIT)):
-            k = risky[r]
-            windows = _step_windows(rasters[k], t0 + 1, qm.window, geom.window)
-            addrs = gather_active_wordlines(windows, geom)
-            sums[k, t0] = _accumulate(image, addrs, signs[k], qm.n_outputs)
-    return sums
-
-
 def first_to_spike_batch(image: CoreMemoryImage, qm: QuantizedModel, rasters,
                          signs, lfsr_seeds):
     """First-to-spike decisions of a batch of samples on the core.
 
     rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
-    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  Each step
-    accumulates the codes of the word lines its spike windows select,
-    decoded from the device array, in the 18-bit saturating accumulator
-    and adds the bias line; quantize.first_to_spike_quantized at
-    NEURON_BITS then clips to 1.4.3, applies the PWL sigmoid and draws
-    the spikes.  Samples run in sub-blocks of at most BLOCK_ELEMENTS.
+    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  The samples
+    decide through quantize.first_to_spike_quantized on the codes decoded
+    from the device array.
 
     Returns (predicted, decision_time, reads): decision_time is 0 for the
     no-spike fallback, and reads[k, t-1] is the number of word lines step
@@ -436,53 +346,13 @@ def first_to_spike_batch(image: CoreMemoryImage, qm: QuantizedModel, rasters,
     decision (all T for the fallback) execute on the core.
     """
     rasters = np.asarray(rasters)
-    batch, n_inputs, duration = rasters.shape
-    if n_inputs != qm.n_inputs:
+    if rasters.shape[1] != qm.n_inputs:
         raise ValueError("spike train width does not match the mapped model")
-    signs = np.asarray(signs)
-    seeds = np.asarray(lfsr_seeds)
-    _, _, gamma_codes = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
-    gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
-    reads = _wordline_reads(rasters, qm.window)
-
-    predicted = np.empty(batch, dtype=np.int64)
-    decision_time = np.empty(batch, dtype=np.int64)
-    per_sample = duration * max(qm.window * qm.n_outputs, qm.n_inputs)
-    block = max(1, BLOCK_ELEMENTS // per_sample)
-    for lo in range(0, batch, block):
-        part = slice(lo, lo + block)
-        sums = _kernel_sums(image, qm, rasters[part], signs[part], reads[part])
-        predicted[part], decision_time[part] = first_to_spike_quantized(
-            NEURON_BITS, sums * qm.w_step + gamma_real, seeds[part]
-        )
-    return predicted, decision_time, reads
-
-
-def run_first_to_spike(
-    image: CoreMemoryImage,
-    train: SpikeTrain,
-    qm: QuantizedModel,
-    lfsr_seed: int = 1,
-):
-    """Present one sample and stop at the first output spike.
-
-    Early termination skips the remaining steps entirely (their word
-    lines are never read).  If no neuron spikes within the presentation
-    time, the decision falls back to the argmax of the final clipped
-    potentials (lowest index on ties).  One-sample form of
-    first_to_spike_batch; the trace holds each executed step's addresses.
-    """
-    predicted, decision_time, _ = first_to_spike_batch(
-        image, qm, train.raster[None], train.sign[None], [lfsr_seed]
+    predicted, decision_time = first_to_spike_quantized(
+        qm, rasters, signs, lfsr_seeds,
+        image.model_operands(qm.n_inputs, qm.n_outputs, qm.window),
     )
-    t_d = int(decision_time[0])
-    geom = image.geometry
-    trace = AccessTrace(decision_time=t_d or None)
-    for t in range(1, (t_d or train.duration) + 1):
-        trace.record(
-            gather_active_wordlines(_step_windows(train.raster, t, qm.window, geom.window), geom)
-        )
-    return FtsDecision(int(predicted[0]), t_d or None, t_d == 0), trace
+    return predicted, decision_time, _wordline_reads(rasters, qm.window)
 
 
 def latency_cdf(decisions, horizon: int):

@@ -200,8 +200,12 @@ class GlmModel:
         )
 
     def kernels(self) -> np.ndarray:
-        """Expanded kernels basis @ weights, shape (n_inputs, n_outputs, window)."""
-        return np.einsum("tk,jik->jit", self.basis.astype(np.float64), self.weights)
+        """Expanded kernels basis @ weights, shape (n_inputs, n_outputs, window).
+
+        One GEMM; with the identity basis every kernel is its weights exactly.
+        """
+        flat = self.weights.reshape(-1, self.basis.shape[1]) @ self.basis.T.astype(np.float64)
+        return flat.reshape(self.n_inputs, self.n_outputs, self.window)
 
 
 def expand_kernel(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -259,22 +263,49 @@ def windowed_potentials(rasters, signs, kmat: np.ndarray, window: int) -> np.nda
     tap's contribution of every step's spikes; window shifted adds place
     them.  Over integer codes the sums are exact integers below 2**53.
     """
-    rasters = np.asarray(rasters)
-    batch, n_inputs, duration = rasters.shape
+    batch, _, duration = np.shape(rasters)
     n_outputs = kmat.shape[1] // window
     u = np.zeros((batch, duration, n_outputs))
     if duration < 2:
         return u
-    # the last step's spikes reach no later step in the train
-    x = np.empty((batch, duration - 1, n_inputs))
-    x[...] = rasters[:, :, :-1].transpose(0, 2, 1)
-    x *= np.asarray(signs, dtype=np.float64)[:, None, :]
-    taps = (x.reshape(-1, n_inputs) @ kmat).reshape(
+    taps = (_signed_inputs(rasters, signs) @ kmat).reshape(
         batch, duration - 1, window, n_outputs
     )
     for d in range(1, min(window, duration - 1) + 1):
         u[:, d:, :] += taps[:, : duration - d, d - 1, :]
     return u
+
+
+def windowed_potentials_adjoint(rasters, signs, d_u, window: int) -> np.ndarray:
+    """The adjoint of windowed_potentials in its kernel operand.
+
+    d_u is (batch, T, n_outputs), shaped like the potentials.  Returns the
+    gradient of sum(d_u * u) with respect to kmat, shape (n_inputs,
+    window * n_outputs): entry (j, (d-1) * n_outputs + i) is
+    sum_b sum_t signs[b, j] rasters[b, j, t-d] d_u[b, t, i] over t-d >= 0.
+    One GEMM of windowed_potentials' signed input rows against d_u shifted
+    back by each tap gives every entry.
+    """
+    batch, duration, n_outputs = np.shape(d_u)
+    if duration < 2:
+        return np.zeros((np.shape(rasters)[1], window * n_outputs))
+    shifted = np.zeros((batch, duration - 1, window, n_outputs))
+    for d in range(1, min(window, duration - 1) + 1):
+        shifted[:, : duration - d, d - 1, :] = d_u[:, d:, :]
+    return _signed_inputs(rasters, signs).T @ shifted.reshape(-1, window * n_outputs)
+
+
+def _signed_inputs(rasters, signs) -> np.ndarray:
+    """The signed spikes of steps 1..T-1 as GEMM rows: (batch * (T-1), n_inputs).
+
+    The last step's spikes reach no later step in the train.
+    """
+    rasters = np.asarray(rasters)
+    batch, n_inputs, duration = rasters.shape
+    x = np.empty((batch, duration - 1, n_inputs))
+    x[...] = rasters[:, :, :-1].transpose(0, 2, 1)
+    x *= np.asarray(signs, dtype=np.float64)[:, None, :]
+    return x.reshape(-1, n_inputs)
 
 
 def membrane_series(model: GlmModel, train: SpikeTrain) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Hardware-exact quantization and datapath primitives.
+"""Hardware-exact quantization and the quantized datapath.
 
 Covers the post-training uniform quantizer for weights and biases, the
 signed fixed-point clip applied to membrane potentials, the shift/add
-piecewise-linear sigmoid, and the 16-bit LFSR used to sample output
-spikes.  Everything here is integer-exact so a software run reproduces
-the digital datapath bit for bit.
+piecewise-linear sigmoid, the 16-bit LFSR used to sample output spikes,
+and first_to_spike_quantized, the one routine that decides every quantized
+sample: b-bit synapse codes summed in an 18-bit saturating accumulator,
+then one fixed-width neuron (1.4.3 clip, PWL, 8-bit LFSR compare) whatever
+b is.  Everything here is integer-exact so a software run reproduces the
+digital datapath bit for bit.
 """
 
 from __future__ import annotations
@@ -27,9 +30,17 @@ from .training import FtsDecision
 LFSR_MASK = 0xFFFF
 LFSR_PERIOD = 2**16 - 1
 
-#: synapse precisions the quantized datapath defines: the b-bit membrane
-#: format embeds into the 8-bit PWL input only for b <= 8
+#: synapse precisions the quantized datapath defines: b-bit codes of at
+#: most a byte, read by one 8-bit neuron
 DATAPATH_BITS = range(2, 9)
+
+#: symmetric saturation bound of the 18-bit signed accumulator
+ACC_LIMIT = 2**17 - 1
+
+#: element budget of one sub-block of first_to_spike_quantized, counted as
+#: samples * T * max(window * n_outputs, n_inputs); bounds both operands of
+#: the potential GEMM, its input rows and its tap tensor
+BLOCK_ELEMENTS = 2**18
 
 
 def round_ties_away(x):
@@ -82,11 +93,6 @@ class FixedPointFormat:
 
 #: datapath format for clipped membrane potentials: range [-8.0, +7.875]
 FMT_1_4_3 = FixedPointFormat(1, 4, 3)
-
-
-def membrane_format(bits: int) -> FixedPointFormat:
-    """Fixed-point layout for a b-bit membrane potential (1.4.3 at b=8)."""
-    return FixedPointFormat(1, 4, max(bits - 5, 0))
 
 
 def clip_to_fixed(u, fmt: FixedPointFormat = FMT_1_4_3):
@@ -304,68 +310,112 @@ def lfsr_run(states, n: int) -> np.ndarray:
     return sequence[(start[..., None] + np.arange(n)) % LFSR_PERIOD]
 
 
-def quantized_potentials(qm: QuantizedModel, train: SpikeTrain):
-    """Integer kernel sums and real membrane potentials for every step.
+def saturating_sum(contrib: np.ndarray) -> np.ndarray:
+    """Sequential 18-bit saturating accumulation down the word-line axis.
 
-    Returns (kernel_sums, u_real): kernel_sums[t, i] is the signed sum of
-    active weight codes (an integer in weight-step units); u_real adds the
-    dequantized bias.
+    The fast path applies when no running sum ever leaves the 18-bit
+    range, where plain summation is exact.
     """
-    sums = windowed_potentials(
-        train.raster[None], train.sign[None], kernel_matrix(qm.w_codes), qm.window
-    )[0]
-    return sums.astype(np.int64), _real_potentials(qm, sums)
+    if contrib.shape[0] == 0:
+        return np.zeros(contrib.shape[1], dtype=np.int64)
+    running = np.cumsum(contrib, axis=0)
+    if abs(running).max() <= ACC_LIMIT:
+        return running[-1]
+    acc = np.zeros(contrib.shape[1], dtype=running.dtype)
+    for row in contrib:
+        acc = np.clip(acc + row, -ACC_LIMIT, ACC_LIMIT)
+    return acc
 
 
-def _real_potentials(qm: QuantizedModel, sums: np.ndarray) -> np.ndarray:
-    """Exact kernel sums (in weight steps) scaled and offset by the bias."""
-    return sums * qm.w_step + qm.dequant_biases()
+def datapath_operands(w_codes, gamma_codes):
+    """The operands first_to_spike_quantized sums: (kmat, gamma_codes, exact).
+
+    kmat is the glm.kernel_matrix of the kernel codes (n_inputs, n_outputs,
+    window).  exact is True when no neuron's code magnitudes sum to more
+    than ACC_LIMIT: then no running sum of any step can saturate, and the
+    plain sum is the accumulator's for every input.
+    """
+    magnitudes = np.abs(w_codes).sum(axis=0, dtype=np.int64).sum(axis=1)
+    exact = bool(magnitudes.max(initial=0) <= ACC_LIMIT)
+    return kernel_matrix(w_codes), np.asarray(gamma_codes, dtype=np.int64), exact
 
 
-def first_to_spike_quantized(bits: int, u_real, lfsr_seeds):
-    """First-to-spike decisions of a batch through the b-bit datapath.
+def _accumulator_sums(rasters, signs, kmat: np.ndarray, window: int, exact: bool):
+    """Every step's 18-bit accumulator values of a block: (batch, T, n_outputs).
 
-    u_real is (batch, T, n_outputs).  At each step the potentials are
-    clipped to the b-bit membrane format, pushed through the PWL sigmoid
-    (output requantized to b bits) and compared against the low b bits of
-    the sample's LFSR, one draw per neuron per step in index order, so
-    step t's draws are states t*n_outputs .. (t+1)*n_outputs - 1 of its
-    run.  The first step with a spike decides (lowest index wins ties);
-    when nothing spikes, the argmax of the final clipped potentials does.
+    The plain windowed sums, unless the model could saturate.  Then a GEMM
+    over |codes| bounds each step's running sums, and the steps above
+    ACC_LIMIT are summed again, line by line, in address order (input-major,
+    then tap).
+    """
+    sums = windowed_potentials(rasters, signs, kmat, window)
+    if exact:
+        return sums
+    bound = windowed_potentials(rasters, np.ones(signs.shape), np.abs(kmat), window)
+    lines = kmat.reshape(kmat.shape[0], window, -1)
+    for k, t0 in zip(*np.nonzero(bound.max(axis=2) > ACC_LIMIT)):
+        # column d0 holds the spike latched d0 + 1 steps before step t0 + 1
+        js, ds = np.nonzero(rasters[k][:, t0 - 1 - np.arange(min(window, t0))])
+        sums[k, t0] = saturating_sum(lines[js, ds] * signs[k][js, None])
+    return sums
+
+
+def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
+                             operands=None):
+    """First-to-spike decisions of a batch through the quantized datapath.
+
+    rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
+    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  operands are
+    the datapath_operands of the codes to sum, qm's own by default.  At each
+    step the codes of the lines the spike windows select sum in the 18-bit
+    saturating accumulator; the potential, that sum in weight steps plus
+    the dequantized bias, clips to 1.4.3, goes through the PWL sigmoid and
+    is compared with the low 8 bits of the sample's LFSR, one draw per
+    neuron per step in index order, so step t's draws are states
+    t*n_outputs .. (t+1)*n_outputs - 1 of its run.  The first step with a
+    spike decides (lowest index wins ties); when nothing spikes, the argmax
+    of the final clipped potentials does.  Only the codes depend on
+    qm.bits.  Samples run in sub-blocks of at most BLOCK_ELEMENTS.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     """
-    if bits not in DATAPATH_BITS:
+    if qm.bits not in DATAPATH_BITS:
         raise ValueError(
             f"the quantized datapath defines b in [{DATAPATH_BITS.start}, "
-            f"{DATAPATH_BITS.stop - 1}], not {bits}"
+            f"{DATAPATH_BITS.stop - 1}], not {qm.bits}"
         )
-    fmt = membrane_format(bits)
-    batch, duration, n_outputs = u_real.shape
-    u_codes = clip_to_fixed(u_real, fmt)
-    pwl = pwl_sigmoid(u_codes << (3 - fmt.frac_bits)) >> (8 - bits)
-    draws = lfsr_run(lfsr_seeds, duration * n_outputs).reshape(u_codes.shape)
-    spikes = pwl > (draws & ((1 << bits) - 1))
-    fired = spikes.any(axis=2)                        # (batch, T)
-    first = fired.argmax(axis=1)
-    rows = np.arange(batch)
-    predicted = np.where(
-        fired[rows, first],
-        spikes[rows, first].argmax(axis=1),
-        u_codes[:, -1].argmax(axis=1),
-    )
-    decision_time = np.where(fired[rows, first], first + 1, 0)
+    kmat, gamma_codes, exact = operands or datapath_operands(qm.w_codes, qm.gamma_codes)
+    gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
+    rasters, signs = np.asarray(rasters), np.asarray(signs)
+    seeds = np.asarray(lfsr_seeds)
+    batch, n_inputs, duration = rasters.shape
+    predicted = np.empty(batch, dtype=np.int64)
+    decision_time = np.empty(batch, dtype=np.int64)
+    block = max(1, BLOCK_ELEMENTS // (duration * max(qm.window * qm.n_outputs, n_inputs)))
+    for lo in range(0, batch, block):
+        part = slice(lo, lo + block)
+        sums = _accumulator_sums(rasters[part], signs[part], kmat, qm.window, exact)
+        u_codes = clip_to_fixed(sums * qm.w_step + gamma_real)
+        draws = lfsr_run(seeds[part], duration * qm.n_outputs).reshape(u_codes.shape)
+        spikes = pwl_sigmoid(u_codes) > (draws & 0xFF)
+        fired = spikes.any(axis=2)                        # (part, T)
+        first = fired.argmax(axis=1)
+        rows = np.arange(len(first))
+        decided = fired[rows, first]
+        predicted[part] = np.where(
+            decided, spikes[rows, first].argmax(axis=1), u_codes[:, -1].argmax(axis=1)
+        )
+        decision_time[part] = np.where(decided, first + 1, 0)
     return predicted, decision_time
 
 
 def infer_fts_quantized(
     qm: QuantizedModel, train: SpikeTrain, lfsr_seed: int
 ) -> FtsDecision:
-    """First-to-spike inference of one sample through the b-bit quantized
-    datapath (see first_to_spike_quantized)."""
-    _, u_real = quantized_potentials(qm, train)
+    """First-to-spike inference of one sample through the quantized datapath
+    (see first_to_spike_quantized)."""
     predicted, decision_time = first_to_spike_quantized(
-        qm.bits, u_real[None], [lfsr_seed]
+        qm, train.raster[None], train.sign[None], [lfsr_seed]
     )
     t_d = int(decision_time[0])
     return FtsDecision(int(predicted[0]), t_d or None, t_d == 0)
@@ -380,14 +430,13 @@ def evaluate_quantized(qm, magnitudes, signs, labels, seed, limit=None) -> float
     n = len(labels) if limit is None else min(limit, len(labels))
     rng = np.random.default_rng(seed)
     signs = check_signs(signs[:n])
-    kmat = kernel_matrix(qm.w_codes)
+    operands = datapath_operands(qm.w_codes, qm.gamma_codes)
     correct = 0
     for start, rasters in encoded_chunks(magnitudes[:n], qm.presentation_time, rng):
         stop = start + len(rasters)
-        sums = windowed_potentials(rasters, signs[start:stop], kmat, qm.window)
         seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
         predicted, _ = first_to_spike_quantized(
-            qm.bits, _real_potentials(qm, sums), seeds
+            qm, rasters, signs[start:stop], seeds, operands
         )
         correct += int(np.count_nonzero(predicted == np.asarray(labels[start:stop])))
     return correct / n if n else 0.0

@@ -25,6 +25,7 @@ from .glm import (
     membrane_series,
     sigmoid,
     windowed_potentials,
+    windowed_potentials_adjoint,
 )
 
 
@@ -135,39 +136,20 @@ def fts_objective(model: GlmModel, train: SpikeTrain, c: int) -> float:
     return float(_logsumexp(ell, axis=0))
 
 
-def _windows_batch(rasters, window):
-    """Spike windows of a batch: (batch, n_inputs, T) -> (batch, T, n_inputs, window).
-
-    out[b, t, j, d-1] = rasters[b, j, t-d], zero for t < d.
-    """
-    b, n_inputs, duration = rasters.shape
-    out = np.zeros((b, duration, n_inputs, window), dtype=np.float64)
-    for d in range(1, window + 1):
-        out[:, d:, :, d - 1] = rasters[:, :, : duration - d].transpose(0, 2, 1)
-    return out
-
-
 def _batch_objective_and_gradient(model, rasters, signs, labels):
     """Mean objective and its exact gradient over a minibatch.
 
     rasters: (batch, n_inputs, T), signs: (batch, n_inputs), labels: (batch,).
-    Returns (grad_w, grad_gamma, mean_log_prob).  The reduction order over
-    the batch is fixed, so results are bit-reproducible.
+    Returns (grad_w, grad_gamma, mean_log_prob).  The potentials come from
+    glm.windowed_potentials and the kernel gradient from its adjoint; the
+    reduction order over the batch is fixed, so results are bit-reproducible
+    at a fixed BLAS thread count.
     """
     b, n_inputs, duration = rasters.shape
-    n_outputs = model.n_outputs
-    n_basis = model.basis.shape[1]
+    n_outputs, window = model.n_outputs, model.window
 
-    windows = _windows_batch(rasters, model.window)
-    windows *= signs[:, None, :, None]
-    identity = n_basis == model.window and np.array_equal(
-        model.basis, np.eye(model.window, dtype=np.uint8)
-    )
-    projected = windows if identity else windows @ model.basis.astype(np.float64)
-
-    flat = projected.reshape(b * duration, n_inputs * n_basis)
-    w_mat = model.weights.transpose(0, 2, 1).reshape(n_inputs * n_basis, n_outputs)
-    u = (flat @ w_mat).reshape(b, duration, n_outputs) + model.biases
+    u = windowed_potentials(rasters, signs, kernel_matrix(model.kernels()), window)
+    u += model.biases
 
     ell = _log_prob_series(u, labels)              # (b, T)
     log_prob = _logsumexp(ell, axis=1)             # (b,)
@@ -180,8 +162,12 @@ def _batch_objective_and_gradient(model, rasters, signs, labels):
     )
 
     grad_gamma = d_u.sum(axis=(0, 1)) / b
-    grad_flat = flat.T @ d_u.reshape(b * duration, n_outputs) / b
-    grad_w = grad_flat.reshape(n_inputs, n_basis, n_outputs).transpose(0, 2, 1)
+    # kernels[j, i] = basis @ weights[j, i], so the weight gradient is the
+    # kernel gradient (n_inputs * n_outputs, window) times basis
+    grad_k = windowed_potentials_adjoint(rasters, signs, d_u, window).reshape(
+        n_inputs, window, n_outputs
+    ).transpose(0, 2, 1).reshape(n_inputs * n_outputs, window)
+    grad_w = (grad_k @ model.basis.astype(np.float64)).reshape(n_inputs, n_outputs, -1) / b
     return grad_w, grad_gamma, float(log_prob.mean())
 
 

@@ -1,5 +1,7 @@
 """Brute-force references for the vectorized datapath, used only by tests."""
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 
@@ -50,31 +52,61 @@ def windowed_sums(raster, sign, kernels, dtype=np.float64) -> np.ndarray:
     return np.einsum("tjd,jid->ti", windows, signed)
 
 
-def infer_fts_quantized_loop(qm, train, lfsr_seed):
-    """Per-step, per-neuron first-to-spike through the b-bit datapath.
+def quantized_potentials(qm, train):
+    """Integer kernel sums and real membrane potentials for every step.
 
-    Potentials from the einsum oracle; one spike_decision per neuron per
-    step in index order, the LFSR advancing one state per decision.
+    Returns (kernel_sums, u_real): kernel_sums[t, i] is the signed sum of
+    active weight codes (an integer in weight-step units, not saturated);
+    u_real adds the dequantized bias.
+    """
+    from spikesim.glm import kernel_matrix, windowed_potentials
+
+    sums = windowed_potentials(
+        train.raster[None], train.sign[None], kernel_matrix(qm.w_codes), qm.window
+    )[0]
+    return sums.astype(np.int64), sums * qm.w_step + qm.dequant_biases()
+
+
+def saturating_sums_loop(raster, sign, w_codes):
+    """Every step's 18-bit accumulator values (duration, n_outputs): one
+    clamped add per active word line, input-major then tap order."""
+    from spikesim.quantize import ACC_LIMIT
+
+    w_codes = np.asarray(w_codes, dtype=np.int64)
+    n_inputs, n_outputs, window = w_codes.shape
+    duration = raster.shape[1]
+    out = np.zeros((duration, n_outputs), dtype=np.int64)
+    for t in range(1, duration + 1):
+        acc = np.zeros(n_outputs, dtype=np.int64)
+        for j in range(n_inputs):
+            for d0 in range(window):
+                if t - 2 - d0 >= 0 and raster[j, t - 2 - d0]:
+                    acc = np.clip(acc + int(sign[j]) * w_codes[j, :, d0],
+                                  -ACC_LIMIT, ACC_LIMIT)
+        out[t - 1] = acc
+    return out
+
+
+def infer_fts_quantized_loop(qm, train, lfsr_seed):
+    """Per-step, per-neuron first-to-spike through the quantized datapath.
+
+    Accumulator values from the line-by-line saturating loop; the 1.4.3
+    clip, the PWL sigmoid and one 8-bit spike_decision per neuron per step
+    in index order, the LFSR advancing one state per decision.
     Returns (predicted_class, decision_time or None).
     """
-    from spikesim.quantize import (
-        clip_to_fixed,
-        membrane_format,
-        pwl_sigmoid,
-        spike_decision,
-    )
+    from spikesim.quantize import clip_to_fixed, pwl_sigmoid, spike_decision
 
-    fmt = membrane_format(qm.bits)
-    sums = windowed_sums(train.raster, train.sign, qm.w_codes, dtype=np.int64)
+    sums = saturating_sums_loop(train.raster, train.sign, qm.w_codes)
     u_real = sums.astype(np.float64) * qm.w_step + qm.dequant_biases()[None, :]
     state = lfsr_seed
     u_codes = None
     for t in range(u_real.shape[0]):
-        u_codes = clip_to_fixed(u_real[t], fmt)
-        pwl = pwl_sigmoid(u_codes << (3 - fmt.frac_bits)) >> (8 - qm.bits)
+        u_codes = clip_to_fixed(u_real[t])
+        pwl = pwl_sigmoid(u_codes)
         fired = -1
         for i in range(qm.n_outputs):
-            spike, state = spike_decision(int(pwl[i]), state, qm.bits)
+            spike, state = spike_decision(int(pwl[i]), state)
             if spike and fired < 0:
                 fired = i
         if fired >= 0:
@@ -166,3 +198,75 @@ def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
             trace.append([str(k), str(step), str(n), str(int(last)),
                           str(cls) if last else "", str(t_d) if last else ""])
     return decisions, trace
+
+
+@dataclass
+class AccessTrace:
+    """Word lines read per executed step, with the decision time."""
+
+    addresses: list = field(default_factory=list)  # one int64 array per step
+    decision_time: int | None = None
+
+    @property
+    def steps(self) -> int:
+        return len(self.addresses)
+
+    @property
+    def reads_per_step(self):
+        return [len(a) for a in self.addresses]
+
+    @property
+    def total_reads(self) -> int:
+        return sum(len(a) for a in self.addresses)
+
+
+def run_first_to_spike(image, train, qm, lfsr_seed: int = 1):
+    """One sample through core.first_to_spike_batch, with the addresses
+    each executed step reads: (FtsDecision, AccessTrace).
+
+    Early termination skips the remaining steps (their word lines are never
+    read); the no-spike fallback runs every step.
+    """
+    from spikesim.core import first_to_spike_batch, gather_active_wordlines
+    from spikesim.training import FtsDecision
+
+    predicted, decision_time, _ = first_to_spike_batch(
+        image, qm, train.raster[None], train.sign[None], [lfsr_seed]
+    )
+    t_d = int(decision_time[0])
+    windows = build_windows(train.raster, qm.window)
+    trace = AccessTrace(decision_time=t_d or None)
+    for t in range(1, (t_d or train.duration) + 1):
+        trace.addresses.append(gather_active_wordlines(windows[t - 1], image.geometry))
+    return FtsDecision(int(predicted[0]), t_d or None, t_d == 0), trace
+
+
+def batch_objective_and_gradient_windows(model, rasters, signs, labels):
+    """training._batch_objective_and_gradient over the window tensor
+    (batch, T, n_inputs, window), projected through the basis: the
+    gradient's reference.  Returns (grad_w, grad_gamma, mean_log_prob)."""
+    from spikesim.glm import sigmoid
+    from spikesim.training import _log_prob_series, _logsumexp
+
+    b, n_inputs, duration = rasters.shape
+    n_outputs = model.n_outputs
+    n_basis = model.basis.shape[1]
+    windows = np.stack([build_windows(r, model.window) for r in rasters]).astype(np.float64)
+    windows *= signs[:, None, :, None]
+    projected = windows @ model.basis.astype(np.float64)
+
+    flat = projected.reshape(b * duration, n_inputs * n_basis)
+    w_mat = model.weights.transpose(0, 2, 1).reshape(n_inputs * n_basis, n_outputs)
+    u = (flat @ w_mat).reshape(b, duration, n_outputs) + model.biases
+
+    ell = _log_prob_series(u, labels)
+    log_prob = _logsumexp(ell, axis=1)
+    step_weight = np.exp(ell - log_prob[:, None])
+    tail = np.cumsum(step_weight[:, ::-1], axis=1)[:, ::-1]
+    d_u = -sigmoid(u) * tail[:, :, None]
+    d_u[np.arange(b)[:, None], np.arange(duration)[None, :], labels[:, None]] += step_weight
+
+    grad_gamma = d_u.sum(axis=(0, 1)) / b
+    grad_flat = flat.T @ d_u.reshape(b * duration, n_outputs) / b
+    grad_w = grad_flat.reshape(n_inputs, n_basis, n_outputs).transpose(0, 2, 1)
+    return grad_w, grad_gamma, float(log_prob.mean())

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spikesim.cli import EXIT_OK, _load_split_pair, main
-from spikesim.core import CoreGeometry, CoreState, core_step, latency_cdf, map_model_to_memory, run_first_to_spike
+from spikesim.core import CoreGeometry, CoreState, core_step, latency_cdf, map_model_to_memory
 from spikesim.datasets import (
     Dataset,
     load_digits,
@@ -43,6 +43,8 @@ from spikesim.quantize import (
     quantize_model,
 )
 from spikesim.training import TrainConfig, evaluate_float, fts_gradient, fts_log_prob, fts_objective, train
+
+from oracles import run_first_to_spike
 
 
 def report(criterion, ok, detail):
@@ -345,39 +347,48 @@ def test_criterion_08_desk_scale_learning(tmp_path):
 
 def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
     # the README quick start end to end, with no download and no scikit-learn
-    t, q, s = tmp_path / "t", tmp_path / "q", tmp_path / "s"
+    t, q = tmp_path / "t", tmp_path / "q"
     common = ["--dataset", "synthetic", "--seed", "1"]
     assert main(["train", *common, "--out", str(t), "--epochs", "30",
                  "--lr", "0.2", "--T", "8", "--tau", "8"]) == EXIT_OK
     assert main(["quantize", *common, "--out", str(q),
                  "--model", str(t / "model_float.bin"), "--bits", "5,6,7,8"]) == EXIT_OK
-    assert main(["simulate", *common, "--out", str(s),
-                 "--model", str(q / "model_q8.bin")]) == EXIT_OK
 
     float_acc = float((t / "metrics.csv").read_text().splitlines()[-1].split(",")[2])
     rows = [r.split(",") for r in (q / "accuracy_vs_bits.csv").read_text().splitlines()[1:]]
     accs = {int(r[0]): float(r[1]) for r in rows}
     worst = max(abs(acc - float_acc) for acc in accs.values())
 
-    # the b=8 evaluator on simulate's draws: same rasters, same LFSR seeds
+    # simulate each precision against the evaluator at that b on simulate's
+    # draws: same rasters, same LFSR seeds
     _, test_ds = _load_split_pair("synthetic", None, 1, None)
-    qm = load_model(q / "model_q8.bin").model
-    rng = np.random.default_rng(1)
-    evaluator = []
-    for k, (mag, sign) in enumerate(zip(test_ds.magnitudes(), test_ds.signs())):
-        st = SpikeTrain(raster=rate_encode(mag, qm.presentation_time, rng).raster, sign=sign)
-        d = infer_fts_quantized(qm, st, derive_lfsr_seed(1, k))
-        evaluator.append([str(d.predicted_class), str(d.decision_time or -1)])
-    simulated = [r.split(",")[2:4] for r in (s / "decisions.csv").read_text().splitlines()[1:]]
+    agree, identical = {}, True
+    for bits in sorted(accs):
+        s = tmp_path / f"s{bits}"
+        assert main(["simulate", *common, "--out", str(s),
+                     "--model", str(q / f"model_q{bits}.bin")]) == EXIT_OK
+        qm = load_model(q / f"model_q{bits}.bin").model
+        rng = np.random.default_rng(1)
+        evaluator = []
+        for k, (mag, sign) in enumerate(zip(test_ds.magnitudes(), test_ds.signs())):
+            st = SpikeTrain(raster=rate_encode(mag, qm.presentation_time, rng).raster,
+                            sign=sign)
+            d = infer_fts_quantized(qm, st, derive_lfsr_seed(1, k))
+            evaluator.append([str(d.predicted_class), str(d.decision_time or -1)])
+        simulated = [r.split(",")[2:4]
+                     for r in (s / "decisions.csv").read_text().splitlines()[1:]]
+        agree[bits] = sum(a == b for a, b in zip(simulated, evaluator))
+        identical &= simulated == evaluator
 
+    n = len(test_ds.labels)
     ok = (float_acc >= 0.7 and worst <= 0.1 and len(accs) == 4
-          and simulated == evaluator)
+          and identical)
     report(
         11, ok,
         f"synthetic quick start: float test acc {float_acc:.3f} (>=0.7); "
         f"b=5..8 acc {[accs[b] for b in sorted(accs)]} within {worst:.3f} of float "
-        f"(<=0.1); simulate == b=8 evaluator on "
-        f"{sum(a == b for a, b in zip(simulated, evaluator))}/{len(evaluator)} samples",
+        f"(<=0.1); simulate == evaluator at each b on "
+        f"{[f'{agree[b]}/{n}' for b in sorted(agree)]} samples",
     )
 
 

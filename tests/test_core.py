@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
 
-from spikesim import core
+from spikesim import quantize
 from spikesim.core import (
-    ACC_LIMIT,
-    BLOCK_ELEMENTS,
-    AccessTrace,
     CoreGeometry,
     CoreMemoryImage,
     CoreState,
@@ -15,15 +12,29 @@ from spikesim.core import (
     latency_cdf,
     load_image,
     map_model_to_memory,
-    run_first_to_spike,
     save_image,
     unpack_model,
 )
 from spikesim.glm import SpikeTrain
-from spikesim.quantize import QuantizedModel, derive_lfsr_seed, infer_fts_quantized
+from spikesim.quantize import (
+    ACC_LIMIT,
+    BLOCK_ELEMENTS,
+    DATAPATH_BITS,
+    QuantizedModel,
+    datapath_operands,
+    derive_lfsr_seed,
+    first_to_spike_quantized,
+    infer_fts_quantized,
+)
 from spikesim.training import FtsDecision
 
-from oracles import build_windows, first_to_spike_loop, spike_window, unpack_memory
+from oracles import (
+    build_windows,
+    first_to_spike_loop,
+    run_first_to_spike,
+    spike_window,
+    unpack_memory,
+)
 
 
 def random_qm(rng, bits=8, n_inputs=4, n_outputs=5, window=3, duration=6,
@@ -369,20 +380,43 @@ class TestRunFirstToSpike:
             state.accumulators, oracle_kernel_sums(qm, raster, np.ones(3), 3)
         )
 
-    def test_core_agrees_with_quantized_inference_at_8_bits(self):
-        # the byte-exact datapath and the b-bit evaluation path coincide at b=8
+    def test_core_agrees_with_quantized_inference_at_every_precision(self):
+        # the core and the evaluator run one datapath: b-bit codes, 18-bit
+        # saturating accumulator, 8-bit neuron
         rng = np.random.default_rng(90)
-        for trial in range(25):
-            qm = random_qm(rng, n_inputs=4, n_outputs=5, window=3, duration=6)
-            geom = CoreGeometry(n_inputs=4, n_outputs=5, window=3)
-            image = map_model_to_memory(qm, geom)
-            raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
-            sign = rng.choice([-1, 1], size=4)
+        for bits in DATAPATH_BITS:
+            for trial in range(25):
+                qm = random_qm(rng, bits=bits, n_inputs=4, n_outputs=5, window=3,
+                               duration=6)
+                geom = CoreGeometry(n_inputs=4, n_outputs=5, window=3, bits=bits)
+                image = map_model_to_memory(qm, geom)
+                raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
+                sign = rng.choice([-1, 1], size=4)
+                train = SpikeTrain(raster=raster, sign=sign)
+                seed = derive_lfsr_seed(bits, trial)
+                core_decision, _ = run_first_to_spike(image, train, qm, lfsr_seed=seed)
+                eval_decision = infer_fts_quantized(qm, train, lfsr_seed=seed)
+                assert core_decision == eval_decision
+        # a model that saturates: 300 inputs of 127 codes, the last 50 negated
+        qm = QuantizedModel(
+            bits=8, w_codes=np.full((300, 3, 7), 127), gamma_codes=np.array([-120, -110, -100]),
+            w_min=-0.008, w_max=0.008, gamma_min=-8.0, gamma_max=8.0,
+            presentation_time=10, window=7,
+        )
+        kmat, gamma_codes, exact = datapath_operands(qm.w_codes, qm.gamma_codes)
+        assert not exact
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=300, n_outputs=3, window=7))
+        rasters = (rng.random((10, 300, 10)) < 0.9).astype(np.uint8)
+        signs = np.tile(np.where(np.arange(300) < 250, 1, -1), (10, 1))
+        seeds = [derive_lfsr_seed(9, k) for k in range(10)]
+        for raster, sign, seed in zip(rasters, signs, seeds):
             train = SpikeTrain(raster=raster, sign=sign)
-            seed = derive_lfsr_seed(7, trial)
             core_decision, _ = run_first_to_spike(image, train, qm, lfsr_seed=seed)
-            eval_decision = infer_fts_quantized(qm, train, lfsr_seed=seed)
-            assert core_decision == eval_decision
+            assert core_decision == infer_fts_quantized(qm, train, lfsr_seed=seed)
+        # the saturation decides: plain sums would change some decision steps
+        saturated = first_to_spike_quantized(qm, rasters, signs, seeds)[1]
+        plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))[1]
+        assert np.any(saturated != plain)
 
 
 def assert_batch_matches_loop(image, qm, rasters, signs, seeds):
@@ -474,11 +508,11 @@ class TestFirstToSpikeBatch:
 
     @pytest.mark.parametrize("small_codes", [False, True])
     def test_saturating_steps(self, small_codes):
-        # 200 inputs: kernel lines * max|code| exceeds ACC_LIMIT from step 7.
-        # With all codes 127 the |code| sums do too, and from step 8 the
-        # first 150 inputs drive the accumulator into the clamp before the
-        # last 50 pull it down again, so the plain sum differs from the
-        # core's.  With small codes and one 127 the |code| sums stay below.
+        # 200 inputs: with all codes 127 a neuron's |code| sum exceeds
+        # ACC_LIMIT, and from step 8 the first 150 inputs drive the
+        # accumulator into the clamp before the last 50 pull it down again,
+        # so the plain sum differs from the core's.  With small codes and
+        # one 127 the model's |code| sums stay below ACC_LIMIT.
         n_inputs, window, duration = 200, 7, 10
         codes = np.full((n_inputs, 3, window), 127, dtype=np.int16)
         if small_codes:
@@ -494,8 +528,9 @@ class TestFirstToSpikeBatch:
         rasters = np.ones((4, n_inputs, duration), dtype=np.uint8)
         signs = np.ones((4, n_inputs), dtype=np.int64)
         signs[:, 150:] = -1
-        reads = core._wordline_reads(rasters, window)
-        sums = core._kernel_sums(image, qm, rasters, signs, reads)
+        kmat, _, exact = image.model_operands(n_inputs, 3, window)
+        assert exact == small_codes
+        sums = quantize._accumulator_sums(rasters, signs, kmat, window, exact)
         plain = np.einsum("j,jid->i", signs[0], codes)  # every line of every input
         state = CoreState.initial(image, qm, duration=duration)
         for t in range(duration):

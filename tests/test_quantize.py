@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikesim import quantize
 from spikesim.glm import GlmModel, SpikeTrain
 from spikesim.quantize import (
     FMT_1_4_3,
@@ -19,14 +20,12 @@ from spikesim.quantize import (
     infer_fts_quantized,
     lfsr_next,
     lfsr_run,
-    membrane_format,
     pwl_sigmoid,
     quantize_model,
     quantize_uniform,
-    quantized_potentials,
     spike_decision,
 )
-from oracles import evaluate_quantized_loop, infer_fts_quantized_loop
+from oracles import evaluate_quantized_loop, infer_fts_quantized_loop, quantized_potentials
 
 
 def scalar_quantize(v, lo, hi, bits):
@@ -108,8 +107,6 @@ class TestClipToFixed:
         assert (fmt.min_value, fmt.max_value) == (-8.0, 7.875)
         assert fmt.step == 0.125
         assert fmt.width == 8
-        assert membrane_format(8) == fmt
-        assert membrane_format(5).step == 1.0
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     @settings(max_examples=200, deadline=None)
@@ -364,8 +361,9 @@ class TestQuantizedDecisions:
         trains = [SpikeTrain(raster=rng.integers(0, 2, size=(6, 7)),
                              sign=rng.choice([-1, 1], size=6)) for _ in range(12)]
         seeds = [derive_lfsr_seed(bits, k) for k in range(12)]
-        u_real = np.stack([quantized_potentials(qm, t)[1] for t in trains])
-        predicted, decision_time = first_to_spike_quantized(bits, u_real, seeds)
+        predicted, decision_time = first_to_spike_quantized(
+            qm, np.stack([t.raster for t in trains]), np.stack([t.sign for t in trains]), seeds
+        )
         for k, (train, seed) in enumerate(zip(trains, seeds)):
             want = infer_fts_quantized_loop(qm, train, seed)
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
@@ -387,6 +385,30 @@ class TestQuantizedDecisions:
             got = evaluate_quantized(qm, np.abs(x), signs, labels, seed=bits)
             want = evaluate_quantized_loop(qm, np.abs(x), signs, labels, seed=bits)
             assert got == want
+
+    def test_saturating_model_matches_per_neuron_loop(self, monkeypatch):
+        # with the accumulator limit lowered to 600, a small model saturates
+        # on most steps, so the line-by-line re-sum decides; the loop oracle
+        # reads the same limit
+        monkeypatch.setattr(quantize, "ACC_LIMIT", 600)
+        rng = np.random.default_rng(111)
+        qm = QuantizedModel(
+            bits=6, w_codes=rng.integers(10, 32, size=(12, 3, 4)),
+            gamma_codes=np.array([-16, -14, -12]),
+            w_min=-0.2, w_max=0.2, gamma_min=-8.0, gamma_max=8.0,
+            presentation_time=8, window=4,
+        )
+        kmat, gamma_codes, exact = quantize.datapath_operands(qm.w_codes, qm.gamma_codes)
+        assert not exact
+        rasters = (rng.random((30, 12, 8)) < 0.8).astype(np.uint8)
+        signs = np.where(np.arange(12) < 9, 1, -1) * np.ones((30, 1), dtype=np.int64)
+        seeds = [derive_lfsr_seed(3, k) for k in range(30)]
+        predicted, decision_time = first_to_spike_quantized(qm, rasters, signs, seeds)
+        for k in range(30):
+            want = infer_fts_quantized_loop(qm, SpikeTrain(rasters[k], signs[k]), seeds[k])
+            assert (int(predicted[k]), int(decision_time[k]) or None) == want
+        plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))
+        assert np.any(plain[1] != decision_time)
 
     @pytest.mark.parametrize("bits", [1, 9, 16])
     def test_undefined_precisions_are_rejected(self, bits):

@@ -10,6 +10,7 @@ from spikesim.training import (
     FtsDecision,
     TrainConfig,
     TrainingDiverged,
+    _batch_objective_and_gradient,
     evaluate_float,
     fts_gradient,
     fts_log_prob,
@@ -17,7 +18,7 @@ from spikesim.training import (
     infer_fts_float,
     train,
 )
-from oracles import evaluate_float_loop
+from oracles import batch_objective_and_gradient_windows, evaluate_float_loop
 
 
 class ArrayData:
@@ -228,6 +229,33 @@ class TestFtsGradient:
         grad_w, grad_gamma = fts_gradient(model, train_, 0)
         assert np.allclose(grad_w[:, 1, :], grad_w[:, 2, :], rtol=1e-12)
         assert grad_gamma[1] == pytest.approx(grad_gamma[2], rel=1e-12)
+
+    def test_minibatch_matches_the_window_tensor_oracle(self):
+        # the kernel GEMM and its adjoint against the (batch, T, n_in, window)
+        # window tensor projected through the basis, identity or not
+        rng = np.random.default_rng(34)
+        for trial in range(40):
+            duration = int(rng.integers(1, 9))
+            window = int(rng.integers(1, duration + 1))
+            n_basis = window if trial % 2 else int(rng.integers(1, window + 1))
+            basis = (np.eye(window, dtype=np.uint8) if trial % 2
+                     else rng.integers(0, 2, size=(window, n_basis)))
+            n_inputs, n_outputs = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            model = GlmModel(
+                n_inputs=n_inputs, n_outputs=n_outputs, presentation_time=duration,
+                window=window, weights=rng.normal(size=(n_inputs, n_outputs, n_basis)),
+                biases=rng.normal(size=n_outputs), basis=basis,
+            )
+            batch = int(rng.integers(1, 6))
+            rasters = (rng.random((batch, n_inputs, duration)) < 0.5).astype(np.float64)
+            signs = rng.choice([-1.0, 1.0], size=(batch, n_inputs))
+            labels = rng.integers(0, n_outputs, size=batch)
+            got = _batch_objective_and_gradient(model, rasters, signs, labels)
+            want = batch_objective_and_gradient_windows(model, rasters, signs, labels)
+            for g, w in zip(got[:2], want[:2]):
+                assert g.shape == w.shape
+                assert np.allclose(g, w, rtol=1e-12, atol=1e-14)
+            assert got[2] == pytest.approx(want[2], rel=1e-12)
 
 
 def enumerate_decision_distribution(u):
