@@ -1,7 +1,7 @@
 """Probabilistic first-to-spike networks: training, bit-accurate core
 simulation and accelerator performance modeling."""
 
-from .glm import GlmModel, SpikeTrain, expand_kernel, membrane_potential, rate_encode, sigmoid
+from .glm import GlmModel, SpikeTrain, rate_encode, sigmoid
 from .training import FtsDecision, TrainConfig, fts_gradient, fts_log_prob, fts_objective, infer_fts_float, train
 from .quantize import (
     FMT_1_4_3,
@@ -17,10 +17,7 @@ from .quantize import (
 from .core import (
     CoreGeometry,
     CoreMemoryImage,
-    CoreState,
-    core_step,
     first_to_spike_batch,
-    gather_active_wordlines,
     latency_cdf,
     map_model_to_memory,
 )

@@ -52,7 +52,6 @@ from .quantize import (
     quantize_model,
 )
 from .training import (
-    FtsDecision,
     TrainConfig,
     TrainingDiverged,
     evaluate_float,
@@ -260,7 +259,7 @@ def cmd_simulate(args) -> int:
     signs = check_signs(test_ds.signs())
     rng = np.random.default_rng(args.seed)
 
-    decisions = []
+    decisions, correct = [], []
     with open(out_dir / "decisions.csv", "w", newline="") as dec_fh, open(
         out_dir / "trace.csv", "w", newline=""
     ) as trace_fh:
@@ -279,12 +278,13 @@ def cmd_simulate(args) -> int:
             predicted, decision_time, reads = first_to_spike_batch(
                 image, qm, rasters, signs[start:stop], seeds
             )
+            decisions += decision_time.tolist()
+            correct += (predicted == labels[start:stop]).tolist()
             dec_rows, trace_rows = [], []
             for k, cls, t_d, sample_reads in zip(
                 range(start, stop), predicted.tolist(), decision_time.tolist(),
                 reads.tolist(),
             ):
-                decisions.append(FtsDecision(cls, t_d or None, t_d == 0))
                 steps = t_d or len(sample_reads)  # the fallback runs every step
                 t_csv = t_d or -1
                 dec_rows.append(
@@ -298,9 +298,9 @@ def cmd_simulate(args) -> int:
 
     horizon = qm.presentation_time
     cdf_all, no_spike = latency_cdf(decisions, horizon)
-    correct = [d for d, y in zip(decisions, labels) if d.predicted_class == y]
-    if correct:
-        cdf_correct, _ = latency_cdf(correct, horizon)
+    correct = np.array(correct)
+    if correct.any():
+        cdf_correct, _ = latency_cdf(np.array(decisions)[correct], horizon)
     else:
         cdf_correct = np.zeros(horizon)
     with open(out_dir / "latency_cdf.csv", "w", newline="") as fh:
@@ -309,8 +309,7 @@ def cmd_simulate(args) -> int:
         for t in range(horizon):
             writer.writerow([t + 1, f"{cdf_all[t]:.6f}", f"{cdf_correct[t]:.6f}"])
 
-    accuracy = np.mean([d.predicted_class == y for d, y in zip(decisions, labels)])
-    print(f"simulated {len(labels)} samples: accuracy={accuracy:.4f} "
+    print(f"simulated {len(labels)} samples: accuracy={correct.mean():.4f} "
           f"no_spike={no_spike:.4f}")
     if horizon >= 4:
         print(f"fraction decided within 4 steps: {cdf_all[3]:.4f}")

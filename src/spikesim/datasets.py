@@ -182,11 +182,12 @@ def load_digits(images_path, labels_path, split: str) -> Dataset:
 def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Dataset:
     """Activity-recognition split from delimited text feature/label files.
 
-    Features may be whitespace- or comma-separated; labels are one
-    integer per line in 1..n_classes (mapped to 0-based).  Signs are
-    preserved; normalization stats are fitted later on the train split.
+    Features may be whitespace- or comma-separated and must be finite;
+    labels are one integer per line in 1..n_classes (mapped to 0-based).
+    Signs are preserved; normalization stats are fitted later on the train
+    split.
     """
-    rows = []
+    rows, linenos = [], []
     width = None
     with open(features_path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -204,6 +205,14 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
                 rows.append([float(tok) for tok in tokens])
             except ValueError as exc:
                 raise DataFormatError(f"{features_path}:{lineno}: {exc}") from None
+            linenos.append(lineno)
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+    if not np.isfinite(features).all():
+        row, col = np.argwhere(~np.isfinite(features))[0]
+        raise DataFormatError(
+            f"{features_path}:{linenos[row]}: field {col + 1} is "
+            f"{features[row, col]:g}, not a finite number"
+        )
 
     labels = []
     with open(labels_path) as fh:
@@ -229,7 +238,7 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
             f"{labels_path} holds {len(labels)} labels"
         )
     return Dataset(
-        features=np.array(rows, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         split=split,
         n_classes=n_classes,

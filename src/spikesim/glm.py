@@ -208,35 +208,6 @@ class GlmModel:
         return flat.reshape(self.n_inputs, self.n_outputs, self.window)
 
 
-def expand_kernel(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Expand one weight vector through the basis: alpha = basis @ w."""
-    basis = np.asarray(basis, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if basis.ndim != 2 or w.shape != (basis.shape[1],):
-        raise ValueError(
-            f"basis {basis.shape} and weights {w.shape} do not conform"
-        )
-    return basis @ w
-
-
-def membrane_potential(model: GlmModel, windows, signs, i: int) -> float:
-    """Membrane potential of output neuron i for one step.
-
-    windows is the (n_inputs, window) spike-window matrix for the current
-    step; signs flips each channel's contribution.  The potential is the
-    signed sum of kernel/window dot products plus the neuron's bias.
-    """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.shape != (model.n_inputs, model.window):
-        raise ValueError(
-            f"windows shape {windows.shape} does not match model "
-            f"({model.n_inputs}, {model.window})"
-        )
-    signs = np.asarray(signs, dtype=np.float64)
-    alpha = model.kernels()[:, i, :]  # (n_inputs, window)
-    return float(np.sum(signs * np.sum(alpha * windows, axis=1)) + model.biases[i])
-
-
 def kernel_matrix(kernels) -> np.ndarray:
     """Kernels (n_inputs, n_outputs, window) as the potential GEMM's operand.
 

@@ -39,43 +39,6 @@ STT_DEVICE_PARAMS = {
 
 
 @dataclass(frozen=True)
-class TechParams:
-    cell_area_f2: float
-    r_on_ohm: float
-    r_off_ohm: float
-    read_voltage_mv: float
-    read_pulse_ns: float
-    program_current_ua: float
-    write_pulse_ns: float
-    feature_nm: float
-
-    def __post_init__(self):
-        vals = asdict(self)
-        if any(v <= 0 for v in vals.values()):
-            raise ValueError("device parameters must be positive")
-        if self.r_off_ohm <= self.r_on_ohm:
-            raise ValueError("r_off must exceed r_on")
-
-
-@dataclass(frozen=True)
-class MemoryStats:
-    technology: str
-    clock_mhz: float
-    power_mw: float
-    area_mm2: float
-    read_energy_per_wordline_pj: float | None = None
-    read_latency_ns: float | None = None
-    calibrated: bool = False
-
-
-@dataclass(frozen=True)
-class LogicStats:
-    power_mw: float
-    area_mm2: float
-    calibrated: bool = True
-
-
-@dataclass(frozen=True)
 class StepEnergy:
     memory_nj: float
     logic_nj: float

@@ -19,13 +19,11 @@ import numpy as np
 
 from .glm import (
     GlmModel,
-    SpikeTrain,
     check_signs,
     encoded_chunks,
     kernel_matrix,
     windowed_potentials,
 )
-from .training import FtsDecision
 
 LFSR_MASK = 0xFFFF
 LFSR_PERIOD = 2**16 - 1
@@ -109,14 +107,6 @@ def clip_to_fixed(u, fmt: FixedPointFormat = FMT_1_4_3):
     if codes.ndim == 0:
         return int(codes)
     return codes
-
-
-def fixed_to_real(code, fmt: FixedPointFormat = FMT_1_4_3):
-    code = np.asarray(code, dtype=np.float64)
-    out = code * fmt.step
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def quantize_uniform(values, bits: int, lo: float | None = None, hi: float | None = None):
@@ -407,18 +397,6 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
         )
         decision_time[part] = np.where(decided, first + 1, 0)
     return predicted, decision_time
-
-
-def infer_fts_quantized(
-    qm: QuantizedModel, train: SpikeTrain, lfsr_seed: int
-) -> FtsDecision:
-    """First-to-spike inference of one sample through the quantized datapath
-    (see first_to_spike_quantized)."""
-    predicted, decision_time = first_to_spike_quantized(
-        qm, train.raster[None], train.sign[None], [lfsr_seed]
-    )
-    t_d = int(decision_time[0])
-    return FtsDecision(int(predicted[0]), t_d or None, t_d == 0)
 
 
 def evaluate_quantized(qm, magnitudes, signs, labels, seed, limit=None) -> float:

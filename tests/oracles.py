@@ -1,7 +1,5 @@
 """Brute-force references for the vectorized datapath, used only by tests."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
@@ -23,9 +21,17 @@ def spike_window(history, t: int, window: int) -> np.ndarray:
 
 
 def unpack_memory(image):
-    """Decode every used word line of a core image: (kernel_codes, gamma_codes)."""
-    kernel, gamma = image.decoded()
-    return kernel.copy(), gamma.copy()
+    """Decode every used word line of a core image: (kernel_codes, gamma_codes).
+
+    Each synapse field is a sign bit (1 = negative) then its magnitude bits,
+    most significant first.
+    """
+    geom = image.geometry
+    n_lines = geom.n_wordlines
+    fields = image.bits[:n_lines].reshape(n_lines, geom.n_outputs, geom.bits).astype(np.int64)
+    magnitude = fields[:, :, 1:] @ 2 ** np.arange(geom.bits - 2, -1, -1)
+    codes = np.where(fields[:, :, 0] == 1, -magnitude, magnitude)
+    return codes[: geom.n_kernel_lines], codes[geom.gamma_line]
 
 
 def build_windows(raster: np.ndarray, window: int) -> np.ndarray:
@@ -148,47 +154,37 @@ def evaluate_float_loop(model, magnitudes, signs, labels, rng):
     return correct / len(labels)
 
 
-def first_to_spike_loop(image, qm, rasters, signs, lfsr_seeds):
-    """One core_step per step and sample, stopping at the first spike: the
-    step-level reference of core.first_to_spike_batch.
+def first_to_spike_loop(qm, rasters, signs, lfsr_seeds):
+    """infer_fts_quantized_loop per sample on qm's own codes, with the word
+    lines each executed step reads: its window popcount plus the bias line.
+    The reference of core.first_to_spike_batch, which reads the array.
 
     Returns one (predicted_class, decision_time or 0 for the fallback,
     word lines read per executed step) per sample.
     """
-    from spikesim.core import CoreState, core_step
+    from spikesim.glm import SpikeTrain
 
     out = []
     for raster, sign, seed in zip(rasters, signs, lfsr_seeds):
-        duration = raster.shape[1]
-        state = CoreState.initial(image, qm, duration=duration, lfsr_seed=int(seed))
-        reads = []
-        for t in range(1, duration + 1):
-            spikes, addrs = core_step(state, image, raster[:, t - 1], sign)
-            reads.append(len(addrs))
-            if spikes.any():
-                out.append((int(np.argmax(spikes)), t, reads))
-                break
-        else:
-            out.append((int(np.argmax(state.last_clipped)), 0, reads))
+        cls, t_d = infer_fts_quantized_loop(qm, SpikeTrain(raster, sign), int(seed))
+        windows = build_windows(raster, qm.window)
+        steps = t_d or raster.shape[1]  # the fallback runs every step
+        out.append((cls, t_d or 0, [int(windows[t].sum()) + 1 for t in range(steps)]))
     return out
 
 
 def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
     """The decisions.csv and trace.csv rows `spikesim simulate` writes, as
-    strings, from one rate_encode and one core_step loop per sample."""
-    from spikesim.core import CoreGeometry, map_model_to_memory
+    strings, from one rate_encode and one first_to_spike_loop per sample."""
     from spikesim.glm import rate_encode
     from spikesim.quantize import derive_lfsr_seed
 
-    geom = CoreGeometry(n_inputs=qm.n_inputs, n_outputs=qm.n_outputs,
-                        window=qm.window, bits=qm.bits)
-    image = map_model_to_memory(qm, geom)
     rng = np.random.default_rng(seed)
     decisions, trace = [], []
     for k in range(len(labels)):
         raster = rate_encode(magnitudes[k], qm.presentation_time, rng).raster
         [(cls, t_d, reads)] = first_to_spike_loop(
-            image, qm, [raster], [signs[k]], [derive_lfsr_seed(seed, k)]
+            qm, [raster], [signs[k]], [derive_lfsr_seed(seed, k)]
         )
         t_d = t_d or -1
         decisions.append([str(v) for v in (k, labels[k], cls, t_d, int(t_d == -1),
@@ -198,47 +194,6 @@ def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
             trace.append([str(k), str(step), str(n), str(int(last)),
                           str(cls) if last else "", str(t_d) if last else ""])
     return decisions, trace
-
-
-@dataclass
-class AccessTrace:
-    """Word lines read per executed step, with the decision time."""
-
-    addresses: list = field(default_factory=list)  # one int64 array per step
-    decision_time: int | None = None
-
-    @property
-    def steps(self) -> int:
-        return len(self.addresses)
-
-    @property
-    def reads_per_step(self):
-        return [len(a) for a in self.addresses]
-
-    @property
-    def total_reads(self) -> int:
-        return sum(len(a) for a in self.addresses)
-
-
-def run_first_to_spike(image, train, qm, lfsr_seed: int = 1):
-    """One sample through core.first_to_spike_batch, with the addresses
-    each executed step reads: (FtsDecision, AccessTrace).
-
-    Early termination skips the remaining steps (their word lines are never
-    read); the no-spike fallback runs every step.
-    """
-    from spikesim.core import first_to_spike_batch, gather_active_wordlines
-    from spikesim.training import FtsDecision
-
-    predicted, decision_time, _ = first_to_spike_batch(
-        image, qm, train.raster[None], train.sign[None], [lfsr_seed]
-    )
-    t_d = int(decision_time[0])
-    windows = build_windows(train.raster, qm.window)
-    trace = AccessTrace(decision_time=t_d or None)
-    for t in range(1, (t_d or train.duration) + 1):
-        trace.addresses.append(gather_active_wordlines(windows[t - 1], image.geometry))
-    return FtsDecision(int(predicted[0]), t_d or None, t_d == 0), trace
 
 
 def batch_objective_and_gradient_windows(model, rasters, signs, labels):

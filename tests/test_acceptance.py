@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from spikesim.cli import EXIT_OK, _load_split_pair, main
-from spikesim.core import CoreGeometry, CoreState, core_step, latency_cdf, map_model_to_memory
+from spikesim.core import CoreGeometry, first_to_spike_batch, latency_cdf, map_model_to_memory
 from spikesim.datasets import (
     Dataset,
     load_digits,
@@ -25,7 +25,7 @@ from spikesim.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from spikesim.glm import GlmModel, SpikeTrain, rate_encode, sigmoid
+from spikesim.glm import GlmModel, SpikeTrain, encoded_chunks, rate_encode, sigmoid
 from spikesim.perf import (
     REFERENCE_EFFICIENCY,
     compute_report,
@@ -35,16 +35,15 @@ from spikesim.perf import (
 from spikesim.quantize import (
     LFSR_PERIOD,
     QuantizedModel,
+    _accumulator_sums,
     derive_lfsr_seed,
     evaluate_quantized,
-    infer_fts_quantized,
+    first_to_spike_quantized,
     lfsr_next,
     pwl_sigmoid,
     quantize_model,
 )
 from spikesim.training import TrainConfig, evaluate_float, fts_gradient, fts_log_prob, fts_objective, train
-
-from oracles import run_first_to_spike
 
 
 def report(criterion, ok, detail):
@@ -222,14 +221,15 @@ def test_criterion_06_core_oracle_equivalence():
         image = map_model_to_memory(qm, geom)
         raster = rng.integers(0, 2, size=(n_inputs, duration)).astype(np.uint8)
         sign = rng.choice([-1, 1], size=n_inputs)
-        state = CoreState.initial(image, qm, duration=duration)
+        # the sums simulate runs: the datapath over the codes read from the array
+        kmat, _, exact = image.model_operands(n_inputs, n_outputs, window)
+        sums = _accumulator_sums(raster[None], sign[None], kmat, window, exact)[0]
         for t in range(1, duration + 1):
-            core_step(state, image, raster[:, t - 1], sign)
             want = _oracle_kernel_sums(qm, raster, sign, t)
-            assert np.array_equal(state.accumulators, want), "integer mismatch"
+            assert np.array_equal(sums[t - 1], want), "integer mismatch"
             checked += n_outputs
-    report(6, True, f"1000 random 8-bit instances: accumulators == direct "
-                    f"windowed-sum oracle, exact ({checked} neuron-steps)")
+    report(6, True, f"1000 random 8-bit instances: accumulators of the core's "
+                    f"datapath == direct windowed-sum oracle, exact ({checked} neuron-steps)")
 
 
 def test_criterion_07_lfsr_period_and_rate():
@@ -371,10 +371,10 @@ def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
         rng = np.random.default_rng(1)
         evaluator = []
         for k, (mag, sign) in enumerate(zip(test_ds.magnitudes(), test_ds.signs())):
-            st = SpikeTrain(raster=rate_encode(mag, qm.presentation_time, rng).raster,
-                            sign=sign)
-            d = infer_fts_quantized(qm, st, derive_lfsr_seed(1, k))
-            evaluator.append([str(d.predicted_class), str(d.decision_time or -1)])
+            raster = rate_encode(mag, qm.presentation_time, rng).raster
+            cls, t_d = first_to_spike_quantized(qm, raster[None], sign[None],
+                                                [derive_lfsr_seed(1, k)])
+            evaluator.append([str(cls[0]), str(t_d[0] or -1)])
         simulated = [r.split(",")[2:4]
                      for r in (s / "decisions.csv").read_text().splitlines()[1:]]
         agree[bits] = sum(a == b for a, b in zip(simulated, evaluator))
@@ -471,14 +471,14 @@ def test_full_digits_pipeline(tmp_path):
                         window=qm.window, bits=qm.bits)
     image = map_model_to_memory(qm, geom)
     rng = np.random.default_rng(4)
-    decisions = []
-    for k in range(2000):
-        enc = rate_encode(mags[k], qm.presentation_time, rng)
-        st = SpikeTrain(raster=enc.raster, sign=signs[k])
-        decision, _ = run_first_to_spike(image, st, qm,
-                                         lfsr_seed=derive_lfsr_seed(4, k))
-        decisions.append(decision)
-    cdf, _ = latency_cdf(decisions, qm.presentation_time)
+    decision_time = []
+    for start, rasters in encoded_chunks(mags[:2000], qm.presentation_time, rng):
+        stop = start + len(rasters)
+        seeds = [derive_lfsr_seed(4, k) for k in range(start, stop)]
+        decision_time.append(
+            first_to_spike_batch(image, qm, rasters, signs[start:stop], seeds)[1]
+        )
+    cdf, _ = latency_cdf(np.concatenate(decision_time), qm.presentation_time)
     print(f"fraction decided within 4 steps: {cdf[3]:.4f} (target ~0.75)")
     assert 0.65 <= cdf[3] <= 0.85
 

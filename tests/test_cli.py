@@ -62,6 +62,22 @@ class TestTrainCommand:
         final = (out / "metrics.csv").read_text().splitlines()[-1].split(",")
         assert float(final[2]) >= 0.5
 
+    def test_non_finite_har_feature_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "har"
+        data.mkdir()
+        for split in ("train", "test"):
+            rows = [" ".join(["0.5"] * 4)] * 6
+            if split == "train":
+                rows[4] = "0.5 nan 0.5 0.5"
+            (data / f"X_{split}.txt").write_text("\n".join(rows) + "\n")
+            (data / f"y_{split}.txt").write_text("1\n2\n3\n4\n5\n6\n")
+        code = main([
+            "train", "--dataset", "har", "--data-dir", str(data),
+            "--out", str(tmp_path / "x"), "--epochs", "1", "--T", "4", "--tau", "4",
+        ])
+        assert code == EXIT_DATA
+        assert "X_train.txt:5:" in capsys.readouterr().err
+
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--no-such-flag"])
         assert code == EXIT_USAGE

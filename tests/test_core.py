@@ -4,18 +4,13 @@ import pytest
 from spikesim import quantize
 from spikesim.core import (
     CoreGeometry,
-    CoreMemoryImage,
-    CoreState,
-    core_step,
     first_to_spike_batch,
-    gather_active_wordlines,
     latency_cdf,
     load_image,
     map_model_to_memory,
     save_image,
     unpack_model,
 )
-from spikesim.glm import SpikeTrain
 from spikesim.quantize import (
     ACC_LIMIT,
     BLOCK_ELEMENTS,
@@ -24,14 +19,12 @@ from spikesim.quantize import (
     datapath_operands,
     derive_lfsr_seed,
     first_to_spike_quantized,
-    infer_fts_quantized,
 )
-from spikesim.training import FtsDecision
 
 from oracles import (
     build_windows,
     first_to_spike_loop,
-    run_first_to_spike,
+    saturating_sums_loop,
     spike_window,
     unpack_memory,
 )
@@ -161,89 +154,132 @@ class TestSpikeWindow:
         assert spike_window(history, 8, 7).tolist() == [1] * 7
 
 
+def core_sums(image, qm, rasters, signs):
+    """The 18-bit accumulator values first_to_spike_batch's datapath sums
+    from the codes it decodes from the array: (batch, T, n_outputs)."""
+    kmat, _, exact = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
+    return quantize._accumulator_sums(np.asarray(rasters), np.asarray(signs), kmat,
+                                      qm.window, exact)
+
+
 class TestGatherActiveWordlines:
+    """The word lines a step reads: reads counts them, and the accumulator
+    sums the codes on them."""
+
     def test_pattern_1010010_reads_lines_1_3_6(self):
-        geom = CoreGeometry(n_inputs=4, n_outputs=4, window=7)
-        windows = np.zeros((4, 7), dtype=np.uint8)
-        windows[0] = [1, 0, 1, 0, 0, 1, 0]
-        addrs = gather_active_wordlines(windows, geom)
-        assert addrs.tolist() == [0, 2, 5, geom.gamma_line]
+        rng = np.random.default_rng(92)
+        qm = random_qm(rng, n_inputs=4, n_outputs=4, window=7, duration=8)
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=4, window=7))
+        rasters = np.zeros((1, 4, 8), dtype=np.uint8)
+        rasters[0, 0, [6, 4, 1]] = 1  # steps 7, 5 and 2: taps 1, 3 and 6 of step 8
+        signs = np.ones((1, 4), dtype=np.int64)
+        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [0x0101])
+        assert reads[0, 7] == 4
+        sums = core_sums(image, qm, rasters, signs)
+        assert np.array_equal(sums[0, 7], qm.w_codes[0][:, [0, 2, 5]].sum(axis=1))
 
     def test_silent_windows_read_only_gamma(self):
-        geom = CoreGeometry(n_inputs=4, n_outputs=4, window=7)
-        addrs = gather_active_wordlines(np.zeros((4, 7), dtype=np.uint8), geom)
-        assert addrs.tolist() == [geom.gamma_line]
+        rng = np.random.default_rng(93)
+        qm = random_qm(rng, n_inputs=4, n_outputs=4, window=7, duration=8)
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=4, window=7))
+        rasters = np.zeros((3, 4, 8), dtype=np.uint8)
+        signs = np.ones((3, 4), dtype=np.int64)
+        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [1, 2, 3])
+        assert np.all(reads == 1)
+        assert np.all(core_sums(image, qm, rasters, signs) == 0)
 
-    def test_count_is_popcount_plus_one_and_strictly_increasing(self):
+    def test_count_is_popcount_plus_one_and_strictly_increasing(self, monkeypatch):
+        # with the limit lowered so that most steps saturate, each step's
+        # sum is the clamped add of the lines it reads, one line at a time
+        # in strictly increasing address j * window + d, here in a geometry
+        # two taps wider than the model
+        monkeypatch.setattr(quantize, "ACC_LIMIT", 300)
         rng = np.random.default_rng(85)
-        geom = CoreGeometry(n_inputs=6, n_outputs=4, window=5)
-        for _ in range(20):
-            windows = rng.integers(0, 2, size=(6, 5)).astype(np.uint8)
-            addrs = gather_active_wordlines(windows, geom)
-            assert len(addrs) == windows.sum() + 1
-            kernel = addrs[:-1]
-            assert np.all(np.diff(kernel) > 0)
-            assert addrs[-1] == geom.gamma_line
+        qm = random_qm(rng, n_inputs=6, n_outputs=4, window=5, duration=8)
+        geom = CoreGeometry(n_inputs=6, n_outputs=4, window=7)
+        image = map_model_to_memory(qm, geom)
+        rasters, signs, seeds = random_batch(rng, qm, 20)
+        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, seeds)
+        sums = core_sums(image, qm, rasters, signs)
+        lines = unpack_memory(image)[0][:, :4]
+        saturated = 0
+        for k in range(20):
+            windows = build_windows(rasters[k], qm.window)
+            for t in range(8):
+                addrs = [j * geom.window + d for j in range(6) for d in range(5)
+                         if windows[t, j, d]]
+                assert reads[k, t] == len(addrs) + 1
+                acc = np.zeros(4, dtype=np.int64)
+                for a in addrs:
+                    acc = np.clip(acc + signs[k, a // geom.window] * lines[a], -300, 300)
+                assert np.array_equal(sums[k, t], acc)
+                saturated += int(np.any(np.abs(acc) == 300))
+        assert saturated > 20
 
 
 class TestCoreStep:
+    """One step of first_to_spike_batch: the sum, the clip and the draws."""
+
     def test_zero_image_spikes_at_half_rate(self):
+        # one neuron at potential 0: PWL 128 against a uniform byte, so half
+        # of the samples decide at step 1, and half of the rest at step 2
         qm = QuantizedModel(
             bits=8,
-            w_codes=np.zeros((2, 64, 3), dtype=np.int16),
-            gamma_codes=np.zeros(64, dtype=np.int16),
+            w_codes=np.zeros((2, 1, 3), dtype=np.int16),
+            gamma_codes=np.zeros(1, dtype=np.int16),
             w_min=-1, w_max=1, gamma_min=-1, gamma_max=1,
-            presentation_time=4, window=3,
+            presentation_time=40, window=3,
         )
-        geom = CoreGeometry(n_inputs=2, n_outputs=64, window=3)
-        image = map_model_to_memory(qm, geom)
-        fired = 0
-        draws = 0
-        state = CoreState.initial(image, qm, duration=40, lfsr_seed=0xACE1)
-        for t in range(40):
-            spikes, _ = core_step(state, image, np.zeros(2, dtype=np.uint8), np.ones(2))
-            fired += int(spikes.sum())
-            draws += 64
-        assert abs(fired / draws - 0.5) < 0.05
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=2, n_outputs=1, window=3))
+        n = 2000
+        _, decision_time, _ = first_to_spike_batch(
+            image, qm, np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
+            [derive_lfsr_seed(0, k) for k in range(n)],
+        )
+        assert abs(np.mean(decision_time == 1) - 0.5) < 0.05
+        assert abs(np.mean(decision_time == 2) - 0.25) < 0.05
+        assert np.all(decision_time > 0)
 
     def test_draws_match_per_neuron_spike_decisions(self):
-        from spikesim.quantize import pwl_sigmoid, spike_decision
+        from spikesim.quantize import clip_to_fixed, pwl_sigmoid, spike_decision
 
         rng = np.random.default_rng(85)
         qm = random_qm(rng, n_inputs=4, n_outputs=7, window=3, duration=6)
-        geom = CoreGeometry(n_inputs=4, n_outputs=7, window=3)
-        image = map_model_to_memory(qm, geom)
-        state = CoreState.initial(image, qm, duration=6, lfsr_seed=0x0F0F)
-        for t in range(6):
-            lfsr = state.lfsr_state
-            spikes, _ = core_step(state, image, rng.integers(0, 2, size=4), np.ones(4))
-            pwl = pwl_sigmoid(state.last_clipped)
-            want = []
-            for i in range(7):
-                fired, lfsr = spike_decision(int(pwl[i]), lfsr)
-                want.append(int(fired))
-            assert spikes.tolist() == want
-            assert state.lfsr_state == lfsr
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=7, window=3))
+        rasters, signs, seeds = random_batch(rng, qm, 30)
+        predicted, decision_time, _ = first_to_spike_batch(image, qm, rasters, signs, seeds)
+        u_codes = clip_to_fixed(core_sums(image, qm, rasters, signs) * qm.w_step
+                                + qm.dequant_biases())
+        pwl = pwl_sigmoid(u_codes)
+        for k in range(30):
+            lfsr = int(seeds[k])
+            want = (int(np.argmax(u_codes[k, -1])), 0)
+            for t in range(6):
+                fired = []
+                for i in range(7):
+                    spike, lfsr = spike_decision(int(pwl[k, t, i]), lfsr)
+                    fired.append(spike)
+                if any(fired):
+                    want = (fired.index(True), t + 1)
+                    break
+            assert (predicted[k], decision_time[k]) == want
 
     def test_single_active_line_matches_scalar_recomputation(self):
         rng = np.random.default_rng(86)
         qm = random_qm(rng, n_inputs=3, n_outputs=4, window=2, duration=4)
-        geom = CoreGeometry(n_inputs=3, n_outputs=4, window=2)
-        image = map_model_to_memory(qm, geom)
-        state = CoreState.initial(image, qm, duration=4)
+        image = map_model_to_memory(qm, CoreGeometry(n_inputs=3, n_outputs=4, window=2))
         # spike on input 1 at step 1; at step 2 only line (j=1, d=1) is active
-        spikes1 = np.array([0, 1, 0], dtype=np.uint8)
-        core_step(state, image, spikes1, np.ones(3))
-        core_step(state, image, np.zeros(3, dtype=np.uint8), np.ones(3))
-        for i in range(4):
-            want = int(qm.w_codes[1, i, 0])
-            assert state.accumulators[i] == want
-        u_want = state.accumulators.astype(np.float64) * qm.w_step + qm.dequant_biases()
-        from spikesim.quantize import clip_to_fixed
-
-        assert np.array_equal(state.last_clipped, clip_to_fixed(u_want))
+        rasters = np.zeros((1, 3, 4), dtype=np.uint8)
+        rasters[0, 1, 0] = 1
+        signs = np.ones((1, 3), dtype=np.int64)
+        sums = core_sums(image, qm, rasters, signs)
+        assert np.array_equal(sums[0, 1], qm.w_codes[1, :, 0])
+        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [1])
+        assert reads[0].tolist() == [1, 2, 2, 1]
 
     def test_saturation_clamps_instead_of_wrapping(self):
+        from spikesim.quantize import clip_to_fixed, pwl_sigmoid
+
         n_inputs, window = 150, 7  # 150*7*127 = 133350 > 131071
         qm = QuantizedModel(
             bits=8,
@@ -254,15 +290,12 @@ class TestCoreStep:
         )
         geom = CoreGeometry(n_inputs=n_inputs, n_outputs=2, window=window)
         image = map_model_to_memory(qm, geom)
-        state = CoreState.initial(image, qm, duration=window + 2)
-        ones = np.ones(n_inputs, dtype=np.uint8)
-        for _ in range(window + 1):
-            core_step(state, image, ones, np.ones(n_inputs))
-        assert np.all(state.accumulators == ACC_LIMIT)
+        rasters = np.ones((1, n_inputs, window + 2), dtype=np.uint8)
+        sums = core_sums(image, qm, rasters, np.ones((1, n_inputs), dtype=np.int64))
+        # step window + 1 reads every line of every input
+        assert np.all(sums[0, window] == ACC_LIMIT)
         # saturated potential still clips to the top of the 1.4.3 range
-        assert np.all(state.last_clipped == 63)
-        from spikesim.quantize import pwl_sigmoid
-
+        assert np.all(clip_to_fixed(sums[0, window] * qm.w_step + qm.dequant_biases()) == 63)
         assert pwl_sigmoid(63) == 255
 
     def test_accumulators_match_integer_oracle(self):
@@ -281,14 +314,14 @@ class TestCoreStep:
             image = map_model_to_memory(qm, geom)
             raster = rng.integers(0, 2, size=(qm.n_inputs, 5)).astype(np.uint8)
             sign = rng.choice([-1, 1], size=qm.n_inputs)
-            state = CoreState.initial(image, qm, duration=5)
+            sums = core_sums(image, qm, raster[None], sign[None])[0]
             for t in range(1, 6):
-                core_step(state, image, raster[:, t - 1], sign)
-                want = oracle_kernel_sums(qm, raster, sign, t)
-                assert np.array_equal(state.accumulators, want)
+                assert np.array_equal(sums[t - 1], oracle_kernel_sums(qm, raster, sign, t))
 
 
 class TestRunFirstToSpike:
+    """Whole samples through first_to_spike_batch: decisions and reads."""
+
     def test_dominant_bias_decides_at_step_one(self):
         qm = QuantizedModel(
             bits=8,
@@ -299,14 +332,12 @@ class TestRunFirstToSpike:
         )
         geom = CoreGeometry(n_inputs=2, n_outputs=3, window=2)
         image = map_model_to_memory(qm, geom)
-        train = SpikeTrain(
-            raster=np.zeros((2, 6), dtype=np.uint8), sign=np.ones(2, dtype=np.int8)
+        predicted, decision_time, reads = first_to_spike_batch(
+            image, qm, np.zeros((1, 2, 6), dtype=np.uint8), np.ones((1, 2)), [0x0101]
         )
-        decision, trace = run_first_to_spike(image, train, qm, lfsr_seed=0x0101)
         # gamma_step = 16/128, so neuron 1 sits at +15.875 -> clip 7.875 -> pwl 255
-        assert decision == FtsDecision(1, 1, False)
-        assert trace.steps == 1
-        assert trace.decision_time == 1
+        assert (predicted[0], decision_time[0]) == (1, 1)
+        assert reads[0, 0] == 1  # step 1 reads the bias line alone
 
     def test_silent_network_falls_back_after_full_presentation(self):
         qm = QuantizedModel(
@@ -319,14 +350,12 @@ class TestRunFirstToSpike:
         )
         geom = CoreGeometry(n_inputs=2, n_outputs=3, window=2)
         image = map_model_to_memory(qm, geom)
-        train = SpikeTrain(
-            raster=np.zeros((2, 5), dtype=np.uint8), sign=np.ones(2, dtype=np.int8)
+        predicted, decision_time, reads = first_to_spike_batch(
+            image, qm, np.zeros((1, 2, 5), dtype=np.uint8), np.ones((1, 2)), [0x0101]
         )
-        decision, trace = run_first_to_spike(image, train, qm, lfsr_seed=0x0101)
-        assert decision.fallback_used
-        assert decision.decision_time is None
-        assert decision.predicted_class == 1  # least negative potential
-        assert trace.steps == 5
+        assert decision_time[0] == 0  # the fallback
+        assert predicted[0] == 1  # least negative potential
+        assert reads[0].tolist() == [1] * 5  # every step of the presentation
 
     def test_trace_accounting_matches_popcounts(self):
         rng = np.random.default_rng(88)
@@ -335,16 +364,15 @@ class TestRunFirstToSpike:
         geom = CoreGeometry(n_inputs=5, n_outputs=4, window=3)
         image = map_model_to_memory(qm, geom)
         raster = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
-        train = SpikeTrain(raster=raster, sign=np.ones(5, dtype=np.int8))
-        decision, trace = run_first_to_spike(image, train, qm, lfsr_seed=0x5A5A)
+        _, decision_time, reads = first_to_spike_batch(
+            image, qm, raster[None], np.ones((1, 5)), [0x5A5A]
+        )
         windows = build_windows(raster, 3)
-        expect = [int(windows[t].sum()) + 1 for t in range(trace.steps)]
-        assert trace.reads_per_step == expect
-        assert trace.total_reads == sum(expect)
-        if decision.decision_time is not None and decision.decision_time < 6:
+        assert reads[0].tolist() == [int(windows[t].sum()) + 1 for t in range(6)]
+        executed = reads[0, : decision_time[0] or 6].sum()
+        if 0 < decision_time[0] < 6:
             # early termination reads strictly fewer lines than a full pass
-            full = sum(int(windows[t].sum()) + 1 for t in range(6))
-            assert trace.total_reads < full
+            assert executed < reads[0].sum()
 
     def test_identical_inputs_identical_outputs(self):
         rng = np.random.default_rng(89)
@@ -352,12 +380,12 @@ class TestRunFirstToSpike:
         geom = CoreGeometry(n_inputs=4, n_outputs=4, window=3)
         image = map_model_to_memory(qm, geom)
         raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
-        train = SpikeTrain(raster=raster, sign=np.ones(4, dtype=np.int8))
-        d1, t1 = run_first_to_spike(image, train, qm, lfsr_seed=0x1111)
-        d2, t2 = run_first_to_spike(image, train, qm, lfsr_seed=0x1111)
-        assert d1 == d2
-        assert t1.decision_time == t2.decision_time
-        assert all(np.array_equal(a, b) for a, b in zip(t1.addresses, t2.addresses))
+        # one sample twice in a batch, then alone
+        rasters, signs = np.stack([raster, raster]), np.ones((2, 4))
+        twice = first_to_spike_batch(image, qm, rasters, signs, [0x1111, 0x1111])
+        alone = first_to_spike_batch(image, qm, rasters[:1], signs[:1], [0x1111])
+        for both, one in zip(twice, alone):
+            assert np.array_equal(both, np.concatenate([one, one]))
 
     def test_short_window_model_in_wide_geometry_reads_only_its_taps(self):
         # a 2-tap model mapped into a 7-tap geometry must not touch the
@@ -366,19 +394,13 @@ class TestRunFirstToSpike:
         qm = random_qm(rng, n_inputs=3, n_outputs=2, window=2, duration=6)
         geom = CoreGeometry(n_inputs=3, n_outputs=2, window=7)
         image = map_model_to_memory(qm, geom)
-        raster = np.ones((3, 6), dtype=np.uint8)
-        train = SpikeTrain(raster=raster, sign=np.ones(3, dtype=np.int8))
-        decision, trace = run_first_to_spike(image, train, qm, lfsr_seed=0x2222)
-        for t, addrs in enumerate(trace.addresses, start=1):
-            taps = addrs[:-1] % geom.window
-            assert len(addrs) == 3 * min(2, t - 1) + 1
-            assert np.all(taps < 2)
-        state = CoreState.initial(image, qm, duration=6)
-        for t in range(1, 4):
-            core_step(state, image, raster[:, t - 1], np.ones(3))
-        assert np.array_equal(
-            state.accumulators, oracle_kernel_sums(qm, raster, np.ones(3), 3)
-        )
+        rasters = np.ones((1, 3, 6), dtype=np.uint8)
+        signs = np.ones((1, 3), dtype=np.int64)
+        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [0x2222])
+        assert reads[0].tolist() == [3 * min(2, t - 1) + 1 for t in range(1, 7)]
+        sums = core_sums(image, qm, rasters, signs)[0]
+        for t in range(1, 7):
+            assert np.array_equal(sums[t - 1], oracle_kernel_sums(qm, rasters[0], signs[0], t))
 
     def test_core_agrees_with_quantized_inference_at_every_precision(self):
         # the core and the evaluator run one datapath: b-bit codes, 18-bit
@@ -390,13 +412,12 @@ class TestRunFirstToSpike:
                                duration=6)
                 geom = CoreGeometry(n_inputs=4, n_outputs=5, window=3, bits=bits)
                 image = map_model_to_memory(qm, geom)
-                raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
-                sign = rng.choice([-1, 1], size=4)
-                train = SpikeTrain(raster=raster, sign=sign)
-                seed = derive_lfsr_seed(bits, trial)
-                core_decision, _ = run_first_to_spike(image, train, qm, lfsr_seed=seed)
-                eval_decision = infer_fts_quantized(qm, train, lfsr_seed=seed)
-                assert core_decision == eval_decision
+                raster = rng.integers(0, 2, size=(1, 4, 6)).astype(np.uint8)
+                sign = rng.choice([-1, 1], size=(1, 4))
+                seeds = [derive_lfsr_seed(bits, trial)]
+                core = first_to_spike_batch(image, qm, raster, sign, seeds)[:2]
+                evaluator = first_to_spike_quantized(qm, raster, sign, seeds)
+                assert np.array_equal(core, evaluator)
         # a model that saturates: 300 inputs of 127 codes, the last 50 negated
         qm = QuantizedModel(
             bits=8, w_codes=np.full((300, 3, 7), 127), gamma_codes=np.array([-120, -110, -100]),
@@ -409,21 +430,20 @@ class TestRunFirstToSpike:
         rasters = (rng.random((10, 300, 10)) < 0.9).astype(np.uint8)
         signs = np.tile(np.where(np.arange(300) < 250, 1, -1), (10, 1))
         seeds = [derive_lfsr_seed(9, k) for k in range(10)]
-        for raster, sign, seed in zip(rasters, signs, seeds):
-            train = SpikeTrain(raster=raster, sign=sign)
-            core_decision, _ = run_first_to_spike(image, train, qm, lfsr_seed=seed)
-            assert core_decision == infer_fts_quantized(qm, train, lfsr_seed=seed)
+        saturated = first_to_spike_quantized(qm, rasters, signs, seeds)
+        core = first_to_spike_batch(image, qm, rasters, signs, seeds)[:2]
+        assert np.array_equal(core, saturated)
         # the saturation decides: plain sums would change some decision steps
-        saturated = first_to_spike_quantized(qm, rasters, signs, seeds)[1]
         plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))[1]
-        assert np.any(saturated != plain)
+        assert np.any(saturated[1] != plain)
 
 
 def assert_batch_matches_loop(image, qm, rasters, signs, seeds):
-    """first_to_spike_batch == the core_step loop on class, decision step,
-    fallback and reads per executed step.  Returns the decision steps."""
+    """first_to_spike_batch == the per-neuron loop on qm's own codes on
+    class, decision step, fallback and reads per executed step.  Returns
+    the decision steps."""
     predicted, decision_time, reads = first_to_spike_batch(image, qm, rasters, signs, seeds)
-    want = first_to_spike_loop(image, qm, rasters, signs, seeds)
+    want = first_to_spike_loop(qm, rasters, signs, seeds)
     assert predicted.tolist() == [w[0] for w in want]
     assert decision_time.tolist() == [w[1] for w in want]
     for k, (_, t_d, want_reads) in enumerate(want):
@@ -506,6 +526,20 @@ class TestFirstToSpikeBatch:
         )
         assert len(set(decision_time.tolist())) > 2
 
+    @pytest.mark.parametrize("change", [
+        {"bits": 5},        # another synapse width: the fields would misalign
+        {"window": 4},      # a tap more: it would read the next input's first line
+        {"n_inputs": 5},    # an input more than the array holds
+        {"n_outputs": 6},   # an output more than a word line holds
+    ])
+    def test_rejects_a_model_the_image_does_not_hold(self, change):
+        rng = np.random.default_rng(135)
+        image = map_model_to_memory(random_qm(rng), CoreGeometry(n_inputs=4, n_outputs=5,
+                                                                 window=3))
+        qm = random_qm(rng, **change)
+        with pytest.raises(ValueError, match="geometry"):
+            first_to_spike_batch(image, qm, *random_batch(rng, qm, 2))
+
     @pytest.mark.parametrize("small_codes", [False, True])
     def test_saturating_steps(self, small_codes):
         # 200 inputs: with all codes 127 a neuron's |code| sum exceeds
@@ -532,10 +566,7 @@ class TestFirstToSpikeBatch:
         assert exact == small_codes
         sums = quantize._accumulator_sums(rasters, signs, kmat, window, exact)
         plain = np.einsum("j,jid->i", signs[0], codes)  # every line of every input
-        state = CoreState.initial(image, qm, duration=duration)
-        for t in range(duration):
-            core_step(state, image, rasters[0, :, t], signs[0])
-            assert np.array_equal(sums[0, t], state.accumulators)
+        assert np.array_equal(sums[0], saturating_sums_loop(rasters[0], signs[0], codes))
         if not small_codes:
             assert np.all(sums[0, -1] != plain)
             assert np.all(sums[0, -1] == ACC_LIMIT - 50 * window * 127)
@@ -545,21 +576,18 @@ class TestFirstToSpikeBatch:
 
 class TestLatencyCdf:
     def test_all_first_step(self):
-        decisions = [FtsDecision(0, 1, False)] * 4
-        cdf, no_spike = latency_cdf(decisions, 8)
+        cdf, no_spike = latency_cdf(np.ones(4, dtype=np.int64), 8)
         assert cdf[0] == 1.0
         assert no_spike == 0.0
 
     def test_uniform_over_first_four_steps(self):
-        decisions = [FtsDecision(0, t, False) for t in (1, 2, 3, 4)]
-        cdf, no_spike = latency_cdf(decisions, 8)
+        cdf, no_spike = latency_cdf([1, 2, 3, 4], 8)
         assert cdf[1] == 0.5
         assert cdf[3] == 1.0
         assert np.all(np.diff(cdf) >= 0)
 
     def test_no_spike_bucket(self):
-        decisions = [FtsDecision(0, 1, False), FtsDecision(1, None, True)]
-        cdf, no_spike = latency_cdf(decisions, 4)
+        cdf, no_spike = latency_cdf([1, 0], 4)  # 0: the fallback
         assert cdf[-1] == 0.5
         assert no_spike == 0.5
 

@@ -122,6 +122,17 @@ class TestHarLoading:
         with pytest.raises(DataFormatError, match=":11:"):
             load_har(feat, lab, "train")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_reports_line_number(self, tmp_path, token):
+        feat, lab, _, _ = write_har_files(tmp_path)
+        lines = feat.read_text().splitlines(keepends=True)
+        fields = lines[3].split()
+        fields[2] = token
+        lines[3] = " ".join(fields) + "\n"
+        feat.write_text("".join(lines))
+        with pytest.raises(DataFormatError, match=r":4: field 3 is (-?inf|nan),"):
+            load_har(feat, lab, "train")
+
     def test_unknown_label_rejected(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)
         with open(lab) as fh:

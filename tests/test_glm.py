@@ -11,10 +11,8 @@ from spikesim.glm import (
     GlmModel,
     SpikeTrain,
     encoded_chunks,
-    expand_kernel,
     identity_basis,
     kernel_matrix,
-    membrane_potential,
     membrane_series,
     rate_encode,
     sigmoid,
@@ -87,25 +85,43 @@ class TestRateEncode:
         assert np.array_equal(a.raster, b.raster)
 
 
+def basis_model(basis, weights):
+    """A model whose kernels expand weights (n_inputs, n_outputs, n_basis)
+    through basis, with as many steps as taps."""
+    basis, weights = np.asarray(basis), np.asarray(weights, dtype=np.float64)
+    return GlmModel(
+        n_inputs=weights.shape[0], n_outputs=weights.shape[1],
+        presentation_time=basis.shape[0], window=basis.shape[0],
+        weights=weights, biases=np.zeros(weights.shape[1]), basis=basis,
+    )
+
+
 class TestExpandKernel:
+    """GlmModel.kernels expands each weight vector through the basis."""
+
     def test_identity_basis_is_identity_map(self):
         w = np.arange(1.0, 8.0)
-        alpha = expand_kernel(identity_basis(7), w)
-        assert np.array_equal(alpha, w)
+        alpha = basis_model(identity_basis(7), w[None, None]).kernels()
+        assert np.array_equal(alpha[0, 0], w)
 
     def test_zero_weights_zero_kernel(self):
-        alpha = expand_kernel(identity_basis(5), np.zeros(5))
-        assert np.array_equal(alpha, np.zeros(5))
+        alpha = basis_model(identity_basis(5), np.zeros((1, 1, 5))).kernels()
+        assert np.array_equal(alpha[0, 0], np.zeros(5))
 
     def test_random_binary_basis_matches_brute_force(self):
         rng = np.random.default_rng(3)
         basis = rng.integers(0, 2, size=(4, 2))
-        w = rng.normal(size=2)
-        assert np.allclose(expand_kernel(basis, w), brute_force_matvec(basis, w))
+        w = rng.normal(size=(3, 2, 2))
+        alpha = basis_model(basis, w).kernels()
+        for j in range(3):
+            for i in range(2):
+                assert np.allclose(alpha[j, i], brute_force_matvec(basis, w[j, i]))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            expand_kernel(identity_basis(3), np.zeros(4))
+            GlmModel(n_inputs=1, n_outputs=1, presentation_time=3, window=3,
+                     weights=np.zeros((1, 1, 4)), biases=np.zeros(1),
+                     basis=identity_basis(3))
 
 
 class TestSigmoid:
@@ -147,19 +163,18 @@ class TestMembranePotential:
     def test_all_zero_windows_gives_bias(self):
         rng = np.random.default_rng(4)
         model = small_model(rng)
-        w = np.zeros((3, 4))
-        assert membrane_potential(model, w, np.ones(3), 1) == pytest.approx(
-            model.biases[1]
-        )
+        train = SpikeTrain(raster=np.zeros((3, 6)), sign=np.ones(3))
+        u = membrane_series(model, train)
+        assert np.array_equal(u, np.tile(model.biases, (6, 1)))
 
     def test_one_hot_window_picks_single_tap(self):
         rng = np.random.default_rng(5)
         model = small_model(rng)
         model.biases[:] = 0.0
-        w = np.zeros((3, 4))
-        w[2, 3] = 1  # channel 2, delay tap 4
-        got = membrane_potential(model, w, np.ones(3), 0)
-        assert got == pytest.approx(model.weights[2, 0, 3])
+        raster = np.zeros((3, 6))
+        raster[2, 0] = 1  # channel 2 at step 1: delay tap 4 of step 5
+        u = membrane_series(model, SpikeTrain(raster=raster, sign=np.ones(3)))
+        assert u[4, 0] == pytest.approx(model.weights[2, 0, 3])
 
     def test_series_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(6)
@@ -179,14 +194,13 @@ class TestMembranePotential:
         rng = np.random.default_rng(8)
         model = small_model(rng)
         signs = np.ones(3)
-        w1 = rng.integers(0, 2, size=(3, 4))
-        w2 = (1 - w1) * rng.integers(0, 2, size=(3, 4))
-        assert not np.any(w1 * w2)
-        u_join = membrane_potential(model, w1 | w2, signs, 0)
-        u1 = membrane_potential(model, w1, signs, 0)
-        u2 = membrane_potential(model, w2, signs, 0)
-        gamma = model.biases[0]
-        assert u_join + gamma == pytest.approx(u1 + u2, rel=1e-12, abs=1e-12)
+        r1 = rng.integers(0, 2, size=(3, 6))
+        r2 = (1 - r1) * rng.integers(0, 2, size=(3, 6))
+        assert not np.any(r1 * r2)
+        u_join = membrane_series(model, SpikeTrain(raster=r1 | r2, sign=signs))
+        u1 = membrane_series(model, SpikeTrain(raster=r1, sign=signs))
+        u2 = membrane_series(model, SpikeTrain(raster=r2, sign=signs))
+        assert np.allclose(u_join + model.biases, u1 + u2, rtol=1e-12, atol=1e-12)
 
 
 class TestWindows:

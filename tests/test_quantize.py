@@ -16,8 +16,6 @@ from spikesim.quantize import (
     derive_lfsr_seed,
     evaluate_quantized,
     first_to_spike_quantized,
-    fixed_to_real,
-    infer_fts_quantized,
     lfsr_next,
     lfsr_run,
     pwl_sigmoid,
@@ -91,16 +89,16 @@ class TestClipToFixed:
         assert clip_to_fixed(0.0) == 0
 
     def test_saturates_high_and_low(self):
-        assert fixed_to_real(clip_to_fixed(100.0)) == 7.875
-        assert fixed_to_real(clip_to_fixed(-100.0)) == -8.0
+        assert clip_to_fixed(100.0) * FMT_1_4_3.step == 7.875
+        assert clip_to_fixed(-100.0) * FMT_1_4_3.step == -8.0
 
     def test_rounding_oracle_value(self):
         # -1.44 / 0.125 = -11.52, nearest is -12
-        assert fixed_to_real(clip_to_fixed(-1.44)) == -1.5
+        assert clip_to_fixed(-1.44) * FMT_1_4_3.step == -1.5
 
     def test_ties_round_away_from_zero(self):
-        assert fixed_to_real(clip_to_fixed(-1.4375)) == -1.5
-        assert fixed_to_real(clip_to_fixed(1.4375)) == 1.5
+        assert clip_to_fixed(-1.4375) * FMT_1_4_3.step == -1.5
+        assert clip_to_fixed(1.4375) * FMT_1_4_3.step == 1.5
 
     def test_format_range_derivation(self):
         fmt = FMT_1_4_3
@@ -112,7 +110,7 @@ class TestClipToFixed:
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, u):
         once = clip_to_fixed(u)
-        again = clip_to_fixed(fixed_to_real(once))
+        again = clip_to_fixed(once * FMT_1_4_3.step)
         assert once == again
 
     def test_vectorized_matches_scalar(self):
@@ -274,13 +272,12 @@ class TestQuantizedModel:
         rng = np.random.default_rng(73)
         _, qm = tiny_quantized_model(rng, bits=6)
         raster = rng.integers(0, 2, size=(3, 5))
-        train = SpikeTrain(raster=raster, sign=np.ones(3, dtype=np.int8))
-        d1 = infer_fts_quantized(qm, train, 0x7777)
-        d2 = infer_fts_quantized(qm, train, 0x7777)
-        assert d1 == d2
-        assert 0 <= d1.predicted_class < 2
-        if not d1.fallback_used:
-            assert 1 <= d1.decision_time <= 5
+        signs = np.ones((1, 3), dtype=np.int8)
+        p1, t1 = first_to_spike_quantized(qm, raster[None], signs, [0x7777])
+        p2, t2 = first_to_spike_quantized(qm, raster[None], signs, [0x7777])
+        assert (p1.tolist(), t1.tolist()) == (p2.tolist(), t2.tolist())
+        assert 0 <= p1[0] < 2
+        assert 0 <= t1[0] <= 5  # 0 is the fallback
 
 
 class TestLfsrTable:
@@ -367,9 +364,6 @@ class TestQuantizedDecisions:
         for k, (train, seed) in enumerate(zip(trains, seeds)):
             want = infer_fts_quantized_loop(qm, train, seed)
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
-            decision = infer_fts_quantized(qm, train, seed)
-            assert (decision.predicted_class, decision.decision_time) == want
-            assert decision.fallback_used == (want[1] is None)
 
     def test_evaluate_matches_per_sample_loop(self):
         rng = np.random.default_rng(110)
@@ -419,6 +413,5 @@ class TestQuantizedDecisions:
             w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
             presentation_time=3, window=2,
         )
-        train = SpikeTrain(raster=np.ones((2, 3)), sign=np.ones(2))
         with pytest.raises(ValueError, match="datapath"):
-            infer_fts_quantized(qm, train, 0x1234)
+            first_to_spike_quantized(qm, np.ones((1, 2, 3)), np.ones((1, 2)), [0x1234])
