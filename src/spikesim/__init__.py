@@ -2,7 +2,7 @@
 simulation and accelerator performance modeling."""
 
 from .glm import GlmModel, SpikeTrain, rate_encode, sigmoid
-from .training import FtsDecision, TrainConfig, fts_gradient, fts_log_prob, fts_objective, infer_fts_float, train
+from .training import TrainConfig, fts_gradient, fts_log_prob, fts_objective, train
 from .quantize import (
     FMT_1_4_3,
     FixedPointFormat,

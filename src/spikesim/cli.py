@@ -312,7 +312,8 @@ def cmd_simulate(args) -> int:
     print(f"simulated {len(labels)} samples: accuracy={correct.mean():.4f} "
           f"no_spike={no_spike:.4f}")
     if horizon >= 4:
-        print(f"fraction decided within 4 steps: {cdf_all[3]:.4f}")
+        print(f"fraction decided within 4 steps: {cdf_all[3]:.4f}; "
+              f"of the correct decisions: {cdf_correct[3]:.4f}")
     print(f"wrote decisions.csv, trace.csv, latency_cdf.csv under {out_dir}")
     return EXIT_OK
 

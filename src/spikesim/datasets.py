@@ -206,7 +206,9 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
             except ValueError as exc:
                 raise DataFormatError(f"{features_path}:{lineno}: {exc}") from None
             linenos.append(lineno)
-    features = np.array(rows, dtype=np.float64).reshape(len(rows), width or 0)
+    if not rows:
+        raise DataFormatError(f"{features_path}: no feature rows")
+    features = np.array(rows, dtype=np.float64).reshape(len(rows), width)
     if not np.isfinite(features).all():
         row, col = np.argwhere(~np.isfinite(features))[0]
         raise DataFormatError(

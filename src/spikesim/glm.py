@@ -128,6 +128,23 @@ def encoded_chunks(magnitudes, duration: int, rng: np.random.Generator):
         yield start, draw_rasters(mags[start : start + ENCODE_CHUNK], duration, rng)
 
 
+def first_spike(spikes, final):
+    """First-to-spike decisions of a block: (predicted, decision_time).
+
+    spikes is (batch, T, n_outputs) of bool, final (batch, n_outputs) the
+    last step's potentials.  The first step with any spike decides, its
+    lowest spiking index wins, and decision_time is that 1-based step.  A
+    sample with no spike falls back to the argmax of final (lowest index
+    on ties), with decision_time 0.
+    """
+    fired = spikes.any(axis=2)                        # (batch, T)
+    first = fired.argmax(axis=1)
+    rows = np.arange(len(first))
+    decided = fired[rows, first]
+    predicted = np.where(decided, spikes[rows, first].argmax(axis=1), final.argmax(axis=1))
+    return predicted, np.where(decided, first + 1, 0)
+
+
 def rate_encode(x, duration: int, rng: np.random.Generator) -> SpikeTrain:
     """Bernoulli rate encoding of a normalized input vector.
 

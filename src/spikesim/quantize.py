@@ -21,6 +21,7 @@ from .glm import (
     GlmModel,
     check_signs,
     encoded_chunks,
+    first_spike,
     kernel_matrix,
     windowed_potentials,
 )
@@ -362,10 +363,10 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     the dequantized bias, clips to 1.4.3, goes through the PWL sigmoid and
     is compared with the low 8 bits of the sample's LFSR, one draw per
     neuron per step in index order, so step t's draws are states
-    t*n_outputs .. (t+1)*n_outputs - 1 of its run.  The first step with a
-    spike decides (lowest index wins ties); when nothing spikes, the argmax
-    of the final clipped potentials does.  Only the codes depend on
-    qm.bits.  Samples run in sub-blocks of at most BLOCK_ELEMENTS.
+    t*n_outputs .. (t+1)*n_outputs - 1 of its run.  glm.first_spike
+    decides, the final clipped potentials naming the fallback's class.
+    Only the codes depend on qm.bits.  Samples run in sub-blocks of at
+    most BLOCK_ELEMENTS.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     """
@@ -388,14 +389,7 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
         u_codes = clip_to_fixed(sums * qm.w_step + gamma_real)
         draws = lfsr_run(seeds[part], duration * qm.n_outputs).reshape(u_codes.shape)
         spikes = pwl_sigmoid(u_codes) > (draws & 0xFF)
-        fired = spikes.any(axis=2)                        # (part, T)
-        first = fired.argmax(axis=1)
-        rows = np.arange(len(first))
-        decided = fired[rows, first]
-        predicted[part] = np.where(
-            decided, spikes[rows, first].argmax(axis=1), u_codes[:, -1].argmax(axis=1)
-        )
-        decision_time[part] = np.where(decided, first + 1, 0)
+        predicted[part], decision_time[part] = first_spike(spikes, u_codes[:, -1])
     return predicted, decision_time
 
 

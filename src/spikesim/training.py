@@ -16,9 +16,9 @@ import numpy as np
 from .glm import (
     GlmModel,
     SpikeTrain,
-    check_magnitudes,
     check_signs,
-    draw_rasters,
+    encoded_chunks,
+    first_spike,
     kernel_matrix,
     log_one_minus_sigmoid,
     log_sigmoid,
@@ -27,6 +27,11 @@ from .glm import (
     windowed_potentials,
     windowed_potentials_adjoint,
 )
+
+
+#: train samples scored for each epoch's train accuracy; the test split is
+#: always scored whole
+TRAIN_EVAL_CAP = 2000
 
 
 class TrainingDiverged(ArithmeticError):
@@ -41,8 +46,6 @@ class TrainConfig:
     learning_rate: float = 0.05
     batch_size: int = 32
     seed: int = 0
-    train_eval_cap: int = 2000       # samples used for the per-epoch train accuracy
-    test_eval_cap: int | None = None  # None: score the whole test split each epoch
 
     def validate(self):
         if self.epochs < 1:
@@ -53,20 +56,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 1 <= self.window <= self.presentation_time:
             raise ValueError("need presentation_time >= window >= 1")
-
-
-@dataclass
-class FtsDecision:
-    """Outcome of one first-to-spike inference pass.
-
-    decision_time is the 1-based step of the first output spike, or None
-    when no neuron spiked within the presentation time and the fallback
-    (argmax of the final potentials, lowest index on ties) was used.
-    """
-
-    predicted_class: int
-    decision_time: int | None
-    fallback_used: bool
 
 
 @dataclass
@@ -182,44 +171,23 @@ def fts_gradient(model: GlmModel, train: SpikeTrain, c: int):
     return grad_w, grad_gamma
 
 
-def infer_fts_float(model: GlmModel, train: SpikeTrain, rng: np.random.Generator) -> FtsDecision:
-    """Stochastic first-to-spike inference on the floating-point model.
-
-    At every step each output neuron spikes with probability
-    sigmoid(potential); the first step with any spike decides (lowest
-    neuron index wins ties).  If nothing spikes, fall back to the argmax
-    of the final-step potentials.
-    """
-    return _first_to_spike_float(membrane_series(model, train), rng)
-
-
-def _first_to_spike_float(u, rng) -> FtsDecision:
-    """The first-to-spike draw over potentials u (duration, n_outputs)."""
-    p = sigmoid(u)
-    for t in range(u.shape[0]):
-        fired = rng.random(u.shape[1]) < p[t]
-        if fired.any():
-            return FtsDecision(int(np.argmax(fired)), t + 1, False)
-    return FtsDecision(int(np.argmax(u[-1])), None, True)
-
-
 def evaluate_float(model, magnitudes, signs, labels, rng, limit=None) -> float:
     """Accuracy of stochastic first-to-spike inference with fresh encodings.
 
-    Each sample's raster is drawn just before its spike draws, so the rng
-    stream interleaves them sample by sample, as infer_fts_float on a
-    rate_encode'd train would.
+    Samples are scored in glm.encoded_chunks blocks: a block's rasters,
+    then one uniform per step and output, spiking where it falls below
+    sigmoid(potential), and glm.first_spike decides on those spikes.
     """
     n = len(labels) if limit is None else min(limit, len(labels))
-    mags = check_magnitudes(magnitudes[:n])
     signs = check_signs(signs[:n])
     kmat = kernel_matrix(model.kernels())
     correct = 0
-    for k in range(n):
-        raster = draw_rasters(mags[k], model.presentation_time, rng)
-        u = windowed_potentials(raster[None], signs[k : k + 1], kmat, model.window)[0]
-        u += model.biases[None, :]
-        correct += _first_to_spike_float(u, rng).predicted_class == labels[k]
+    for start, rasters in encoded_chunks(magnitudes[:n], model.presentation_time, rng):
+        stop = start + len(rasters)
+        u = windowed_potentials(rasters, signs[start:stop], kmat, model.window)
+        u += model.biases
+        predicted, _ = first_spike(rng.random(u.shape) < sigmoid(u), u[:, -1])
+        correct += int(np.count_nonzero(predicted == np.asarray(labels[start:stop])))
     return correct / n if n else 0.0
 
 
@@ -228,10 +196,14 @@ def train(train_data, test_data, config: TrainConfig):
 
     train_data / test_data expose magnitudes() in [0, 1], signs(), and
     labels.  Spike rasters are re-drawn every epoch.  Returns the trained
-    model and the per-epoch metrics trajectory.
+    model and the per-epoch metrics trajectory.  After each epoch the model
+    is scored on the first TRAIN_EVAL_CAP train samples and the whole test
+    split, with draws from a child of the seed's SeedSequence, so scoring
+    never moves SGD's stream or the model.
     """
     config.validate()
     rng = np.random.default_rng(config.seed)
+    score_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
 
     mags = train_data.magnitudes()
     signs = train_data.signs()
@@ -277,12 +249,9 @@ def train(train_data, test_data, config: TrainConfig):
             n_batches += 1
 
         train_acc = evaluate_float(
-            model, mags, signs, labels, rng, limit=config.train_eval_cap
+            model, mags, signs, labels, score_rng, limit=TRAIN_EVAL_CAP
         )
-        test_acc = evaluate_float(
-            model, test_mags, test_signs, test_labels, rng,
-            limit=config.test_eval_cap,
-        )
+        test_acc = evaluate_float(model, test_mags, test_signs, test_labels, score_rng)
         metrics.append(
             EpochMetrics(epoch, train_acc, test_acc, epoch_loss / max(n_batches, 1))
         )

@@ -75,22 +75,24 @@ def quantized_potentials(qm, train):
 
 def saturating_sums_loop(raster, sign, w_codes):
     """Every step's 18-bit accumulator values (duration, n_outputs): one
-    clamped add per active word line, input-major then tap order."""
+    clamped add per word line, input-major then tap order, for all steps
+    at once.  A step whose window leaves the line inactive adds zero, which
+    the clamp leaves as it is."""
     from spikesim.quantize import ACC_LIMIT
 
     w_codes = np.asarray(w_codes, dtype=np.int64)
     n_inputs, n_outputs, window = w_codes.shape
-    duration = raster.shape[1]
-    out = np.zeros((duration, n_outputs), dtype=np.int64)
-    for t in range(1, duration + 1):
-        acc = np.zeros(n_outputs, dtype=np.int64)
-        for j in range(n_inputs):
-            for d0 in range(window):
-                if t - 2 - d0 >= 0 and raster[j, t - 2 - d0]:
-                    acc = np.clip(acc + int(sign[j]) * w_codes[j, :, d0],
-                                  -ACC_LIMIT, ACC_LIMIT)
-        out[t - 1] = acc
-    return out
+    windows = build_windows(raster, window).astype(np.int64)  # (T, n_inputs, window)
+    lines = (w_codes * np.asarray(sign, dtype=np.int64)[:, None, None]).transpose(0, 2, 1)
+    # contributions[j * window + d0, t]: line (j, d0)'s signed codes at step t + 1
+    contributions = (windows[:, :, :, None] * lines).reshape(
+        raster.shape[1], n_inputs * window, n_outputs).transpose(1, 0, 2).copy()
+    acc = np.zeros((raster.shape[1], n_outputs), dtype=np.int64)
+    for line in contributions:
+        acc += line
+        np.minimum(acc, ACC_LIMIT, out=acc)
+        np.maximum(acc, -ACC_LIMIT, out=acc)
+    return acc
 
 
 def infer_fts_quantized_loop(qm, train, lfsr_seed):
@@ -136,7 +138,8 @@ def evaluate_quantized_loop(qm, magnitudes, signs, labels, seed):
 
 
 def evaluate_float_loop(model, magnitudes, signs, labels, rng):
-    """Float accuracy with one rate_encode and one infer_fts_float per sample."""
+    """Float accuracy with one rate_encode and one first-to-spike draw loop
+    per sample: the reference of training.evaluate_float, in distribution."""
     from spikesim.glm import SpikeTrain, rate_encode, sigmoid
 
     correct = 0

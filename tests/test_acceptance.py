@@ -329,7 +329,7 @@ def test_criterion_08_desk_scale_learning(tmp_path):
     train_ds, test_ds = _digit_subset(tmp_path)
     config = TrainConfig(
         presentation_time=8, window=8, epochs=50, learning_rate=0.2,
-        batch_size=32, seed=21, train_eval_cap=100, test_eval_cap=100,
+        batch_size=32, seed=21,
     )
     model, _ = train(train_ds, test_ds, config)
     digit_acc = evaluate_float(
@@ -451,7 +451,7 @@ def test_full_digits_pipeline(tmp_path):
                           files["t10k-labels-idx1-ubyte"], "test")
     config = TrainConfig(
         presentation_time=8, window=8, epochs=200, learning_rate=0.05,
-        batch_size=32, seed=1, train_eval_cap=2000, test_eval_cap=2000,
+        batch_size=32, seed=1,
     )
     model, _ = train(train_ds, test_ds, config)
     mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
@@ -500,7 +500,7 @@ def test_full_har_accuracy():
     normalize_splits(train_ds, test_ds)
     config = TrainConfig(
         presentation_time=16, window=16, epochs=200, learning_rate=0.05,
-        batch_size=32, seed=1, train_eval_cap=2000, test_eval_cap=1000,
+        batch_size=32, seed=1,
     )
     model, _ = train(train_ds, test_ds, config)
     acc = evaluate_float(

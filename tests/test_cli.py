@@ -78,6 +78,20 @@ class TestTrainCommand:
         assert code == EXIT_DATA
         assert "X_train.txt:5:" in capsys.readouterr().err
 
+    def test_empty_har_feature_file_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "har"
+        data.mkdir()
+        (data / "X_train.txt").write_text("0.5 0.25 -0.5 1.0\n" * 6)
+        (data / "y_train.txt").write_text("1\n2\n3\n4\n5\n6\n")
+        (data / "X_test.txt").write_text("")
+        (data / "y_test.txt").write_text("")
+        code = main([
+            "train", "--dataset", "har", "--data-dir", str(data),
+            "--out", str(tmp_path / "x"), "--epochs", "1", "--T", "4", "--tau", "4",
+        ])
+        assert code == EXIT_DATA
+        assert "X_test.txt: no feature rows" in capsys.readouterr().err
+
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--no-such-flag"])
         assert code == EXIT_USAGE
@@ -203,6 +217,17 @@ class TestSimulateCommand:
         cdf = [float(r.split(",")[1]) for r in rows]
         assert cdf == sorted(cdf)
         assert cdf[-1] <= 1.0
+
+    def test_prints_both_step_4_shares(self, quantized_run, tmp_path, capsys):
+        # cdf_all[3] and cdf_correct[3], the paper's "test performance in 4 steps"
+        out = tmp_path / "sim3"
+        assert main([
+            "simulate", "--dataset", "synthetic", "--out", str(out),
+            "--model", str(quantized_run / "model_q8.bin"), "--seed", "5",
+        ]) == EXIT_OK
+        _, cdf_all, cdf_correct = (out / "latency_cdf.csv").read_text().splitlines()[4].split(",")
+        assert (f"fraction decided within 4 steps: {float(cdf_all):.4f}; "
+                f"of the correct decisions: {float(cdf_correct):.4f}") in capsys.readouterr().out
 
     def test_rows_match_the_step_loop_at_every_precision(self, trained_run, tmp_path):
         quant = tmp_path / "quant"
@@ -330,8 +355,8 @@ class TestPinnedOutputs:
             "--model", str(tmp_path / "model_float.bin"), "--bits", "5,6,7,8",
         ]) == EXIT_OK
         rows = (quant / "accuracy_vs_bits.csv").read_text().splitlines()[1:]
-        assert [r.split(",")[2] for r in rows] == ["0.437500"] * 4
-        assert rows[-1] == "8,0.468750,0.437500"
+        assert [r.split(",")[2] for r in rows] == ["0.515625"] * 4
+        assert rows[-1] == "8,0.468750,0.515625"
         for bits, digest in self.CODES.items():
             qm = load_model(quant / f"model_q{bits}.bin").model
             scales = np.array([qm.w_min, qm.w_max, qm.gamma_min, qm.gamma_max])

@@ -11,6 +11,7 @@ from spikesim.core import (
     save_image,
     unpack_model,
 )
+from spikesim.glm import kernel_matrix
 from spikesim.quantize import (
     ACC_LIMIT,
     BLOCK_ELEMENTS,
@@ -572,6 +573,18 @@ class TestFirstToSpikeBatch:
             assert np.all(sums[0, -1] == ACC_LIMIT - 50 * window * 127)
         assert_batch_matches_loop(image, qm, rasters, signs,
                                   [0x1D87, 0xACE1, 0x0101, 0x5A5A])
+
+    def test_saturating_steps_at_the_lower_limit(self):
+        # test_saturating_steps with every sign flipped: the first 150
+        # inputs drive the accumulator into the lower clamp
+        n_inputs, window, duration = 200, 7, 10
+        codes = np.full((n_inputs, 3, window), 127, dtype=np.int16)
+        rasters = np.ones((1, n_inputs, duration), dtype=np.uint8)
+        signs = -np.ones((1, n_inputs), dtype=np.int64)
+        signs[:, 150:] = 1
+        sums = quantize._accumulator_sums(rasters, signs, kernel_matrix(codes), window, False)
+        assert np.array_equal(sums[0], saturating_sums_loop(rasters[0], signs[0], codes))
+        assert np.all(sums[0, -1] == -ACC_LIMIT + 50 * window * 127)
 
 
 class TestLatencyCdf:

@@ -133,6 +133,14 @@ class TestHarLoading:
         with pytest.raises(DataFormatError, match=r":4: field 3 is (-?inf|nan),"):
             load_har(feat, lab, "train")
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_feature_file_without_rows_rejected(self, tmp_path, text):
+        feat, lab = tmp_path / "X.txt", tmp_path / "y.txt"
+        feat.write_text(text)
+        lab.write_text("")
+        with pytest.raises(DataFormatError, match="X.txt: no feature rows"):
+            load_har(feat, lab, "train")
+
     def test_unknown_label_rejected(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)
         with open(lab) as fh:
