@@ -104,30 +104,37 @@ class CoreMemoryImage:
         return self._operands[key]
 
 
-def _encode_rows(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack signed codes (n_rows, n_outputs) into sign-magnitude bit rows.
+def _fields(codes, bits: int) -> np.ndarray:
+    """Signed codes as sign-magnitude fields, one uint8 each: 1 sign bit
+    (1 = negative) above bits-1 magnitude bits."""
+    codes = np.asarray(codes)
+    return np.abs(codes).astype(np.uint8) | ((codes < 0).astype(np.uint8) << (bits - 1))
 
-    Per synapse: 1 sign bit (1 = negative) followed by bits-1 magnitude
-    bits, most significant first.
-    """
-    n_rows, n_outputs = codes.shape
-    out = np.zeros((n_rows, n_outputs * bits), dtype=np.uint8)
-    mag = np.abs(codes.astype(np.int64))
-    out[:, 0::bits] = (codes < 0).astype(np.uint8)
-    for k in range(bits - 1):
-        shift = bits - 2 - k
-        out[:, 1 + k :: bits] = ((mag >> shift) & 1).astype(np.uint8)
-    return out
+
+def _encode_rows(fields: np.ndarray, bits: int) -> np.ndarray:
+    """Bit rows of b-bit fields (n_rows, n_outputs): each field's bits, most
+    significant first.  The fields are unpacked whole, left-aligned in their
+    bytes, and the pad bits below them dropped."""
+    n_rows, n_outputs = fields.shape
+    unpacked = np.unpackbits(fields << (8 - bits), axis=1)
+    if bits == 8:
+        return unpacked
+    return unpacked.reshape(n_rows, n_outputs, 8)[:, :, :bits].reshape(n_rows, -1)
 
 
 def _decode_rows(rows: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of _encode_rows: bit rows back to signed int16 codes."""
+    """Inverse of _encode_rows over _fields: bit rows back to signed int16
+    codes.  Each row is packed into bytes, and field k is read from the
+    16-bit word that starts at the byte holding its first bit."""
     n_rows, width = rows.shape
-    mag = np.zeros((n_rows, width // bits), dtype=np.int16)
-    for k in range(bits - 1):
-        shift = bits - 2 - k
-        mag += rows[:, 1 + k :: bits].astype(np.int16) << shift
-    return np.where(rows[:, 0::bits] == 1, -mag, mag)
+    words = np.zeros((n_rows, (width + 7) // 8 + 1), dtype=np.uint16)
+    words[:, :-1] = np.packbits(rows, axis=1)
+    start = np.arange(0, width, bits)
+    shift = (16 - bits - start % 8).astype(np.uint16)
+    fields = ((words[:, start // 8] << 8) | words[:, start // 8 + 1]) >> shift
+    mag = (fields & ((1 << (bits - 1)) - 1)).astype(np.int16)
+    negative = ((fields >> (bits - 1)) & 1).astype(np.int16)
+    return mag * (1 - 2 * negative)
 
 
 def _check_fits(qm: QuantizedModel, geom: CoreGeometry):
@@ -152,25 +159,22 @@ def map_model_to_memory(qm: QuantizedModel, geom: CoreGeometry) -> CoreMemoryIma
     the model region, so unpack_model recovers every code exactly.
     """
     _check_fits(qm, geom)
-    codes = np.zeros((geom.device_rows, geom.n_outputs), dtype=np.int64)
-    for d in range(qm.window):
-        rows = np.arange(qm.n_inputs) * geom.window + d
-        codes[rows, : qm.n_outputs] = qm.w_codes[:, :, d]
-    codes[geom.gamma_line, : qm.n_outputs] = qm.gamma_codes
-    return CoreMemoryImage(geometry=geom, bits=_encode_rows(codes, geom.bits))
+    fields = np.zeros((geom.device_rows, geom.n_outputs), dtype=np.uint8)
+    lines = fields[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, geom.n_outputs)
+    lines[: qm.n_inputs, : qm.window, : qm.n_outputs] = _fields(
+        qm.w_codes.transpose(0, 2, 1), geom.bits)
+    fields[geom.gamma_line, : qm.n_outputs] = _fields(qm.gamma_codes, geom.bits)
+    return CoreMemoryImage(geometry=geom, bits=_encode_rows(fields, geom.bits))
 
 
 def unpack_model(image: CoreMemoryImage, n_inputs: int, n_outputs: int, window: int):
     """Recover the (w_codes, gamma_codes) of a mapped model, code for code,
-    decoding only the model's word lines and output columns."""
+    decoding the word lines up to the bias line in the model's output columns."""
     geom = image.geometry
-    columns = slice(0, n_outputs * geom.bits)
-    w_codes = np.empty((n_inputs, n_outputs, window), dtype=np.int16)
-    for d in range(window):
-        lines = slice(d, n_inputs * geom.window, geom.window)  # tap d of every input
-        w_codes[:, :, d] = _decode_rows(image.bits[lines, columns], geom.bits)
-    gamma = image.bits[geom.gamma_line : geom.gamma_line + 1, columns]
-    return w_codes, _decode_rows(gamma, geom.bits)[0]
+    codes = _decode_rows(image.bits[: geom.n_wordlines, : n_outputs * geom.bits], geom.bits)
+    lines = codes[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, n_outputs)
+    w_codes = lines[:n_inputs, :window].transpose(0, 2, 1)
+    return np.ascontiguousarray(w_codes), codes[geom.gamma_line]
 
 
 def save_image(path, image: CoreMemoryImage):

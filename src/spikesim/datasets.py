@@ -10,6 +10,7 @@ features can flip weight signs during accumulation.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import struct
 import zlib
@@ -179,33 +180,45 @@ def load_digits(images_path, labels_path, split: str) -> Dataset:
     )
 
 
-def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Dataset:
-    """Activity-recognition split from delimited text feature/label files.
+def _parse_features(features_path) -> np.ndarray:
+    """The (rows, width) features of a text file, parsed in one np.loadtxt
+    call over the comma-normalised text.  When that fails, or finds a value
+    that is not finite, the line scan parses the file again to name the
+    offending line."""
+    with open(features_path) as fh:
+        text = fh.read()
+    if text.strip():
+        try:
+            features = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2,
+                                  comments=None)
+        except ValueError:
+            features = None
+        if features is not None and np.isfinite(features).all():
+            return features
+    return _scan_features(features_path, text)
 
-    Features may be whitespace- or comma-separated and must be finite;
-    labels are one integer per line in 1..n_classes (mapped to 0-based).
-    Signs are preserved; normalization stats are fitted later on the train
-    split.
-    """
+
+def _scan_features(features_path, text) -> np.ndarray:
+    """_parse_features line by line: a DataFormatError names the file and the
+    line of the first ragged row, non-number or non-finite value."""
     rows, linenos = [], []
     width = None
-    with open(features_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            tokens = line.replace(",", " ").split()
-            if width is None:
-                width = len(tokens)
-            elif len(tokens) != width:
-                raise DataFormatError(
-                    f"{features_path}:{lineno}: row has {len(tokens)} fields, "
-                    f"expected {width}"
-                )
-            try:
-                rows.append([float(tok) for tok in tokens])
-            except ValueError as exc:
-                raise DataFormatError(f"{features_path}:{lineno}: {exc}") from None
-            linenos.append(lineno)
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        tokens = line.replace(",", " ").split()
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            raise DataFormatError(
+                f"{features_path}:{lineno}: row has {len(tokens)} fields, "
+                f"expected {width}"
+            )
+        try:
+            rows.append([float(tok) for tok in tokens])
+        except ValueError as exc:
+            raise DataFormatError(f"{features_path}:{lineno}: {exc}") from None
+        linenos.append(lineno)
     if not rows:
         raise DataFormatError(f"{features_path}: no feature rows")
     features = np.array(rows, dtype=np.float64).reshape(len(rows), width)
@@ -215,6 +228,18 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
             f"{features_path}:{linenos[row]}: field {col + 1} is "
             f"{features[row, col]:g}, not a finite number"
         )
+    return features
+
+
+def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Dataset:
+    """Activity-recognition split from delimited text feature/label files.
+
+    Features may be whitespace- or comma-separated and must be finite;
+    labels are one integer per line in 1..n_classes (mapped to 0-based).
+    Signs are preserved; normalization stats are fitted later on the train
+    split.
+    """
+    features = _parse_features(features_path)
 
     labels = []
     with open(labels_path) as fh:
@@ -234,9 +259,9 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
                 )
             labels.append(label - 1)
 
-    if len(rows) != len(labels):
+    if len(features) != len(labels):
         raise DataFormatError(
-            f"{features_path} holds {len(rows)} rows but "
+            f"{features_path} holds {len(features)} rows but "
             f"{labels_path} holds {len(labels)} labels"
         )
     return Dataset(

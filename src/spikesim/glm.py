@@ -244,24 +244,37 @@ def windowed_potentials(rasters, signs, kmat: np.ndarray, window: int) -> np.nda
     """Kernel sums of a batch of spike trains, without the bias.
 
     rasters is (batch, n_inputs, T), signs (batch, n_inputs) and kmat the
-    kernel_matrix of the kernels K.  Returns u of shape (batch, T, n_outputs)
-    with u[b, t, i] = sum_d sum_j signs[b, j] rasters[b, j, t-d] K[j, i, d-1]
-    over taps d = 1..window and t-d >= 0 (0-based steps).  One GEMM,
-    (batch*(T-1), n_inputs) @ (n_inputs, window*n_outputs), gives every
-    tap's contribution of every step's spikes; window shifted adds place
-    them.  Over integer codes the sums are exact integers below 2**53.
+    kernel_matrix of the kernels K.  Returns u of shape (batch, T, n_outputs),
+    in kmat's dtype, with u[b, t, i] = sum_d sum_j signs[b, j] rasters[b, j,
+    t-d] K[j, i, d-1] over taps d = 1..window and t-d >= 0 (0-based steps):
+    add_tap_contributions of every step's spikes at once.  Over integer
+    codes the sums are exact integers below 2**24 in float32 and below
+    2**53 in float64.
     """
     batch, _, duration = np.shape(rasters)
-    n_outputs = kmat.shape[1] // window
-    u = np.zeros((batch, duration, n_outputs))
-    if duration < 2:
-        return u
-    taps = (_signed_inputs(rasters, signs) @ kmat).reshape(
-        batch, duration - 1, window, n_outputs
-    )
-    for d in range(1, min(window, duration - 1) + 1):
-        u[:, d:, :] += taps[:, : duration - d, d - 1, :]
+    u = np.zeros((batch, duration, kmat.shape[1] // window), dtype=kmat.dtype)
+    if duration > 1:
+        add_tap_contributions(u, signed_inputs(rasters, signs, 0, duration - 1, kmat.dtype),
+                              kmat, window, 0)
     return u
+
+
+def add_tap_contributions(u, inputs, kmat: np.ndarray, window: int, first: int):
+    """Add the contributions of consecutive steps' input spikes to u in place.
+
+    u is (batch, T, n_outputs), inputs (batch, steps, n_inputs) the signed
+    spikes of 0-based steps first .. first + steps - 1 and kmat the
+    kernel_matrix of the kernels K.  The spikes of step s reach steps
+    s + 1 .. s + window: one GEMM, (batch*steps, n_inputs) @ (n_inputs,
+    window*n_outputs), gives every tap's contribution, and window shifted
+    adds place them, tap 1 first.
+    """
+    batch, steps, n_inputs = inputs.shape
+    duration, n_outputs = u.shape[1:]
+    taps = (inputs.reshape(-1, n_inputs) @ kmat).reshape(batch, steps, window, n_outputs)
+    for d in range(1, min(window, duration - first - 1) + 1):
+        stop = min(first + steps + d, duration)
+        u[:, first + d : stop, :] += taps[:, : stop - first - d, d - 1, :]
 
 
 def windowed_potentials_adjoint(rasters, signs, d_u, window: int) -> np.ndarray:
@@ -280,20 +293,19 @@ def windowed_potentials_adjoint(rasters, signs, d_u, window: int) -> np.ndarray:
     shifted = np.zeros((batch, duration - 1, window, n_outputs))
     for d in range(1, min(window, duration - 1) + 1):
         shifted[:, : duration - d, d - 1, :] = d_u[:, d:, :]
-    return _signed_inputs(rasters, signs).T @ shifted.reshape(-1, window * n_outputs)
+    x = signed_inputs(rasters, signs, 0, duration - 1).reshape(-1, np.shape(rasters)[1])
+    return x.T @ shifted.reshape(-1, window * n_outputs)
 
 
-def _signed_inputs(rasters, signs) -> np.ndarray:
-    """The signed spikes of steps 1..T-1 as GEMM rows: (batch * (T-1), n_inputs).
-
-    The last step's spikes reach no later step in the train.
-    """
+def signed_inputs(rasters, signs, first: int, stop: int, dtype=np.float64) -> np.ndarray:
+    """The signed spikes of 0-based steps first .. stop - 1 as GEMM rows:
+    (batch, stop - first, n_inputs) in dtype."""
     rasters = np.asarray(rasters)
-    batch, n_inputs, duration = rasters.shape
-    x = np.empty((batch, duration - 1, n_inputs))
-    x[...] = rasters[:, :, :-1].transpose(0, 2, 1)
-    x *= np.asarray(signs, dtype=np.float64)[:, None, :]
-    return x.reshape(-1, n_inputs)
+    batch, n_inputs, _ = rasters.shape
+    x = np.empty((batch, stop - first, n_inputs), dtype=dtype)
+    x[...] = rasters[:, :, first:stop].transpose(0, 2, 1)
+    x *= np.asarray(signs, dtype=dtype)[:, None, :]
+    return x
 
 
 def membrane_series(model: GlmModel, train: SpikeTrain) -> np.ndarray:

@@ -19,11 +19,12 @@ import numpy as np
 
 from .glm import (
     GlmModel,
+    add_tap_contributions,
     check_signs,
     encoded_chunks,
     first_spike,
     kernel_matrix,
-    windowed_potentials,
+    signed_inputs,
 )
 
 LFSR_MASK = 0xFFFF
@@ -36,10 +37,19 @@ DATAPATH_BITS = range(2, 9)
 #: symmetric saturation bound of the 18-bit signed accumulator
 ACC_LIMIT = 2**17 - 1
 
+#: steps first_to_spike_quantized computes between two decision checks;
+#: 3 and 4 were fastest on the benchmark's core-256 simulate, within noise
+CHUNK_STEPS = 4
+
 #: element budget of one sub-block of first_to_spike_quantized, counted as
-#: samples * T * max(window * n_outputs, n_inputs); bounds both operands of
-#: the potential GEMM, its input rows and its tap tensor
-BLOCK_ELEMENTS = 2**18
+#: samples * CHUNK_STEPS * max(window * n_outputs, n_inputs); bounds a
+#: chunk's potential GEMM: its input rows and its tap tensor.  A block of
+#: glm.ENCODE_CHUNK samples of the 256x256x7 core runs as one sub-block.
+BLOCK_ELEMENTS = 2**19
+
+#: a neuron's |code| sum below which every partial sum of its potential is
+#: an integer float32 holds exactly, in any summation order
+FLOAT32_EXACT = 2**24
 
 
 def round_ties_away(x):
@@ -287,68 +297,100 @@ def _lfsr_table():
     return sequence, position
 
 
-def lfsr_run(states, n: int) -> np.ndarray:
-    """The n LFSR states from each start state on, the start state first.
+def lfsr_run(states, n: int, skip: int = 0) -> np.ndarray:
+    """n LFSR states from each start state on, after skipping `skip` of them.
 
-    Returns shape np.shape(states) + (n,).  Element k is the state after k
-    shifts, so a run of n + 1 ends in the state that follows n draws.
+    Returns shape np.shape(states) + (n,).  Element k is the state after
+    skip + k shifts, so a run of n + 1 ends in the state that follows n
+    draws, and lfsr_run(s, n, skip) is lfsr_run(s, skip + n)[..., skip:].
     """
     states = np.asarray(states, dtype=np.int64)
     if ((states <= 0) | (states > LFSR_MASK)).any():
         raise ValueError("LFSR state must be a nonzero 16-bit value")
     sequence, position = _lfsr_table()
-    start = position[states].astype(np.int64)
+    start = position[states].astype(np.int64) + skip
     return sequence[(start[..., None] + np.arange(n)) % LFSR_PERIOD]
-
-
-def saturating_sum(contrib: np.ndarray) -> np.ndarray:
-    """Sequential 18-bit saturating accumulation down the word-line axis.
-
-    The fast path applies when no running sum ever leaves the 18-bit
-    range, where plain summation is exact.
-    """
-    if contrib.shape[0] == 0:
-        return np.zeros(contrib.shape[1], dtype=np.int64)
-    running = np.cumsum(contrib, axis=0)
-    if abs(running).max() <= ACC_LIMIT:
-        return running[-1]
-    acc = np.zeros(contrib.shape[1], dtype=running.dtype)
-    for row in contrib:
-        acc = np.clip(acc + row, -ACC_LIMIT, ACC_LIMIT)
-    return acc
 
 
 def datapath_operands(w_codes, gamma_codes):
     """The operands first_to_spike_quantized sums: (kmat, gamma_codes, exact).
 
     kmat is the glm.kernel_matrix of the kernel codes (n_inputs, n_outputs,
-    window).  exact is True when no neuron's code magnitudes sum to more
-    than ACC_LIMIT: then no running sum of any step can saturate, and the
-    plain sum is the accumulator's for every input.
+    window), in float32 when every neuron's |code| sum is below
+    FLOAT32_EXACT, so that every partial sum is an integer float32 holds
+    exactly, and in float64 otherwise.  exact is True when no neuron's code
+    magnitudes sum to more than ACC_LIMIT: then no running sum of any step
+    can saturate, and the plain sum is the accumulator's for every input.
     """
     magnitudes = np.abs(w_codes).sum(axis=0, dtype=np.int64).sum(axis=1)
-    exact = bool(magnitudes.max(initial=0) <= ACC_LIMIT)
-    return kernel_matrix(w_codes), np.asarray(gamma_codes, dtype=np.int64), exact
+    largest = magnitudes.max(initial=0)
+    kmat = kernel_matrix(w_codes)
+    if largest < FLOAT32_EXACT:
+        kmat = kmat.astype(np.float32)
+    return kmat, np.asarray(gamma_codes, dtype=np.int64), bool(largest <= ACC_LIMIT)
 
 
-def _accumulator_sums(rasters, signs, kmat: np.ndarray, window: int, exact: bool):
-    """Every step's 18-bit accumulator values of a block: (batch, T, n_outputs).
+class _Accumulator:
+    """The 18-bit accumulator of a block of samples, run a chunk of steps at
+    a time, with running potential buffers of shape (batch, T, n_outputs).
 
-    The plain windowed sums, unless the model could saturate.  Then a GEMM
-    over |codes| bounds each step's running sums, and the steps above
-    ACC_LIMIT are summed again, line by line, in address order (input-major,
-    then tap).
+    sums(t0, t1) adds the taps of the spikes of steps t0 - 1 .. t1 - 2 and
+    returns steps t0 .. t1 - 1's accumulator values, which no later spike
+    reaches; keep(mask) drops the samples that need no more steps.  The sums
+    are plain, unless the model could saturate (exact False).  Then a second
+    buffer over |codes| bounds each step's running sums, and the steps above
+    ACC_LIMIT are summed again, one clamped add per line position in address
+    order (input-major, then tap), all of a chunk's such steps together.
     """
-    sums = windowed_potentials(rasters, signs, kmat, window)
-    if exact:
+
+    def __init__(self, rasters, signs, kmat: np.ndarray, window: int, exact: bool):
+        self.rasters, self.signs = np.asarray(rasters), np.asarray(signs)
+        self.kmat, self.window, self.exact = kmat, window, exact
+        batch, _, duration = self.rasters.shape
+        self.u = np.zeros((batch, duration, kmat.shape[1] // window), dtype=kmat.dtype)
+        if not exact:
+            self.abs_kmat = np.abs(kmat)
+            self.bound = np.zeros_like(self.u)
+            self.lines = kmat.reshape(-1, self.u.shape[2]).astype(np.int64)  # by address
+
+    def keep(self, mask):
+        self.rasters, self.signs, self.u = self.rasters[mask], self.signs[mask], self.u[mask]
+        if not self.exact:
+            self.bound = self.bound[mask]
+
+    def sums(self, t0: int, t1: int) -> np.ndarray:
+        first, stop = max(t0 - 1, 0), t1 - 1
+        if stop > first:
+            inputs = signed_inputs(self.rasters, self.signs, first, stop, self.kmat.dtype)
+            add_tap_contributions(self.u, inputs, self.kmat, self.window, first)
+            if not self.exact:
+                np.abs(inputs, out=inputs)
+                add_tap_contributions(self.bound, inputs, self.abs_kmat, self.window, first)
+        # float64, so that scaling by the step rounds as the float64
+        # potentials do: a float32 product can round onto another 1.4.3 code
+        sums = self.u[:, t0:t1].astype(np.float64)
+        if not self.exact:
+            ks, ts = np.nonzero(self.bound[:, t0:t1].max(axis=2) > ACC_LIMIT)
+            if len(ks):
+                sums[ks, ts] = self._saturating_sums(ks, ts + t0)
         return sums
-    bound = windowed_potentials(rasters, np.ones(signs.shape), np.abs(kmat), window)
-    lines = kmat.reshape(kmat.shape[0], window, -1)
-    for k, t0 in zip(*np.nonzero(bound.max(axis=2) > ACC_LIMIT)):
-        # column d0 holds the spike latched d0 + 1 steps before step t0 + 1
-        js, ds = np.nonzero(rasters[k][:, t0 - 1 - np.arange(min(window, t0))])
-        sums[k, t0] = saturating_sum(lines[js, ds] * signs[k][js, None])
-    return sums
+
+    def _saturating_sums(self, ks, ts) -> np.ndarray:
+        """Accumulator values of steps ts of samples ks, line by line."""
+        n_inputs = self.rasters.shape[1]
+        # active[p, j, d0]: line (j, d0) holds the spike latched d0 + 1 steps
+        # before 0-based step ts[p]; the step's sign rides on it
+        active = np.zeros((len(ks), n_inputs, self.window), dtype=np.int64)
+        for d0 in range(self.window):
+            valid = ts - 1 - d0 >= 0
+            active[valid, :, d0] = self.rasters[ks[valid], :, ts[valid] - 1 - d0]
+        active *= self.signs[ks][:, :, None]
+        active = active.reshape(len(ks), -1)
+        acc = np.zeros((len(ks), self.lines.shape[1]), dtype=np.int64)
+        for a in np.flatnonzero(active.any(axis=0)):
+            acc += active[:, a, None] * self.lines[a]
+            np.clip(acc, -ACC_LIMIT, ACC_LIMIT, out=acc)
+        return acc
 
 
 def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
@@ -360,13 +402,17 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     the datapath_operands of the codes to sum, qm's own by default.  At each
     step the codes of the lines the spike windows select sum in the 18-bit
     saturating accumulator; the potential, that sum in weight steps plus
-    the dequantized bias, clips to 1.4.3, goes through the PWL sigmoid and
-    is compared with the low 8 bits of the sample's LFSR, one draw per
-    neuron per step in index order, so step t's draws are states
-    t*n_outputs .. (t+1)*n_outputs - 1 of its run.  glm.first_spike
+    the dequantized bias (both in float64), clips to 1.4.3, goes through the
+    PWL sigmoid and is compared with the low 8 bits of the sample's LFSR,
+    one draw per neuron per step in index order, so step t's draws are
+    states t*n_outputs .. (t+1)*n_outputs - 1 of its run.  glm.first_spike
     decides, the final clipped potentials naming the fallback's class.
-    Only the codes depend on qm.bits.  Samples run in sub-blocks of at
-    most BLOCK_ELEMENTS.
+    Only the codes depend on qm.bits.
+
+    The steps run CHUNK_STEPS at a time, and a sample stops at the chunk in
+    which it decides: no step after it is summed, clipped or drawn.  The
+    fallback runs all T steps.  Samples run in sub-blocks of at most
+    BLOCK_ELEMENTS.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     """
@@ -380,16 +426,27 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     rasters, signs = np.asarray(rasters), np.asarray(signs)
     seeds = np.asarray(lfsr_seeds)
     batch, n_inputs, duration = rasters.shape
+    n_outputs = qm.n_outputs
     predicted = np.empty(batch, dtype=np.int64)
     decision_time = np.empty(batch, dtype=np.int64)
-    block = max(1, BLOCK_ELEMENTS // (duration * max(qm.window * qm.n_outputs, n_inputs)))
+    block = max(1, BLOCK_ELEMENTS // (CHUNK_STEPS * max(qm.window * n_outputs, n_inputs)))
     for lo in range(0, batch, block):
-        part = slice(lo, lo + block)
-        sums = _accumulator_sums(rasters[part], signs[part], kmat, qm.window, exact)
-        u_codes = clip_to_fixed(sums * qm.w_step + gamma_real)
-        draws = lfsr_run(seeds[part], duration * qm.n_outputs).reshape(u_codes.shape)
-        spikes = pwl_sigmoid(u_codes) > (draws & 0xFF)
-        predicted[part], decision_time[part] = first_spike(spikes, u_codes[:, -1])
+        live = np.arange(lo, min(lo + block, batch))  # samples still undecided
+        acc = _Accumulator(rasters[live], signs[live], kmat, qm.window, exact)
+        for t0 in range(0, duration, CHUNK_STEPS):
+            t1 = min(t0 + CHUNK_STEPS, duration)
+            u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
+            draws = lfsr_run(seeds[live], (t1 - t0) * n_outputs, t0 * n_outputs)
+            spikes = pwl_sigmoid(u_codes) > (draws.reshape(u_codes.shape) & 0xFF)
+            chosen, when = first_spike(spikes, u_codes[:, -1])
+            done = (when > 0) | (t1 == duration)  # the fallback decides at T
+            predicted[live[done]] = chosen[done]
+            decision_time[live[done]] = np.where(when[done] > 0, when[done] + t0, 0)
+            if done.all():
+                break
+            if done.any():
+                live = live[~done]
+                acc.keep(~done)
     return predicted, decision_time
 
 

@@ -44,7 +44,7 @@ def build_windows(raster: np.ndarray, window: int) -> np.ndarray:
     raster = np.asarray(raster, dtype=np.uint8)
     n_inputs, duration = raster.shape
     out = np.zeros((duration, n_inputs, window), dtype=np.uint8)
-    for d in range(1, window + 1):
+    for d in range(1, min(window, duration) + 1):
         # window tap d at step t sees the spike from step t-d
         out[d:, :, d - 1] = raster[:, : duration - d].T
     return out
@@ -93,6 +93,18 @@ def saturating_sums_loop(raster, sign, w_codes):
         np.minimum(acc, ACC_LIMIT, out=acc)
         np.maximum(acc, -ACC_LIMIT, out=acc)
     return acc
+
+
+def datapath_sums(rasters, signs, kmat, window, exact):
+    """Every step's 18-bit accumulator values (batch, T, n_outputs) as the
+    quantized datapath sums them: its accumulator run chunk by chunk over
+    all T steps, with no sample dropped at its decision."""
+    from spikesim.quantize import CHUNK_STEPS, _Accumulator
+
+    acc = _Accumulator(rasters, signs, kmat, window, exact)
+    duration = np.shape(rasters)[2]
+    return np.concatenate([acc.sums(t0, min(t0 + CHUNK_STEPS, duration))
+                           for t0 in range(0, duration, CHUNK_STEPS)], axis=1)
 
 
 def infer_fts_quantized_loop(qm, train, lfsr_seed):

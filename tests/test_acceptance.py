@@ -35,7 +35,6 @@ from spikesim.perf import (
 from spikesim.quantize import (
     LFSR_PERIOD,
     QuantizedModel,
-    _accumulator_sums,
     derive_lfsr_seed,
     evaluate_quantized,
     first_to_spike_quantized,
@@ -44,6 +43,8 @@ from spikesim.quantize import (
     quantize_model,
 )
 from spikesim.training import TrainConfig, evaluate_float, fts_gradient, fts_log_prob, fts_objective, train
+
+from oracles import datapath_sums
 
 
 def report(criterion, ok, detail):
@@ -223,7 +224,7 @@ def test_criterion_06_core_oracle_equivalence():
         sign = rng.choice([-1, 1], size=n_inputs)
         # the sums simulate runs: the datapath over the codes read from the array
         kmat, _, exact = image.model_operands(n_inputs, n_outputs, window)
-        sums = _accumulator_sums(raster[None], sign[None], kmat, window, exact)[0]
+        sums = datapath_sums(raster[None], sign[None], kmat, window, exact)[0]
         for t in range(1, duration + 1):
             want = _oracle_kernel_sums(qm, raster, sign, t)
             assert np.array_equal(sums[t - 1], want), "integer mismatch"
@@ -471,15 +472,23 @@ def test_full_digits_pipeline(tmp_path):
                         window=qm.window, bits=qm.bits)
     image = map_model_to_memory(qm, geom)
     rng = np.random.default_rng(4)
-    decision_time = []
+    predicted, decision_time = [], []
     for start, rasters in encoded_chunks(mags[:2000], qm.presentation_time, rng):
         stop = start + len(rasters)
         seeds = [derive_lfsr_seed(4, k) for k in range(start, stop)]
-        decision_time.append(
-            first_to_spike_batch(image, qm, rasters, signs[start:stop], seeds)[1]
-        )
-    cdf, _ = latency_cdf(np.concatenate(decision_time), qm.presentation_time)
-    print(f"fraction decided within 4 steps: {cdf[3]:.4f} (target ~0.75)")
+        batch = first_to_spike_batch(image, qm, rasters, signs[start:stop], seeds)
+        predicted.append(batch[0])
+        decision_time.append(batch[1])
+    decision_time = np.concatenate(decision_time)
+    correct = np.concatenate(predicted) == labels[: len(decision_time)]
+    cdf, _ = latency_cdf(decision_time, qm.presentation_time)
+    cdf_correct, _ = latency_cdf(decision_time[correct], qm.presentation_time)
+    print(f"fraction decided within 4 steps: {cdf[3]:.4f} (cdf_all[3])")
+    # the share of the correct decisions made by step 4, i.e. of the final
+    # accuracy reached by then: the paper's "75% of the test performance in
+    # as few as 4 time steps"
+    print(f"share of the test performance within 4 steps: {cdf_correct[3]:.4f} "
+          f"(cdf_correct[3], the paper's quantity, target ~0.75)")
     assert 0.65 <= cdf[3] <= 0.85
 
 

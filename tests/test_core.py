@@ -24,6 +24,7 @@ from spikesim.quantize import (
 
 from oracles import (
     build_windows,
+    datapath_sums,
     first_to_spike_loop,
     saturating_sums_loop,
     spike_window,
@@ -101,13 +102,36 @@ class TestMemoryMapping:
 
     def test_pack_unpack_roundtrip_code_for_code(self):
         rng = np.random.default_rng(82)
-        for bits in (5, 6, 7, 8):
+        for bits in DATAPATH_BITS:
             qm = random_qm(rng, bits=bits)
             geom = CoreGeometry(n_inputs=6, n_outputs=8, window=4, bits=bits)
             image = map_model_to_memory(qm, geom)
             w_codes, gamma_codes = unpack_model(image, 4, 5, 3)
             assert np.array_equal(w_codes, qm.w_codes)
             assert np.array_equal(gamma_codes, qm.gamma_codes)
+
+    def test_bit_layout_is_sign_then_magnitude_msb_first(self):
+        # every code of every precision, bit by bit, in a geometry wider than
+        # the model: kernel line j * window + d, then the bias line
+        for bits in DATAPATH_BITS:
+            bound = 2 ** (bits - 1) - 1
+            codes = np.arange(-bound, bound + 1)
+            qm = QuantizedModel(
+                bits=bits, w_codes=np.resize(codes, (3, len(codes), 2)),
+                gamma_codes=codes[::-1], w_min=-1, w_max=1, gamma_min=-1, gamma_max=1,
+                presentation_time=4, window=2,
+            )
+            geom = CoreGeometry(n_inputs=4, n_outputs=len(codes) + 1, window=3, bits=bits)
+            image = map_model_to_memory(qm, geom)
+            want = np.zeros((geom.device_rows, geom.word_width), dtype=np.uint8)
+            rows = {j * 3 + d: qm.w_codes[j, :, d] for j in range(3) for d in range(2)}
+            rows[geom.gamma_line] = qm.gamma_codes
+            for line, row in rows.items():
+                for i, code in enumerate(row.tolist()):
+                    field = [int(code < 0)] + [(abs(code) >> k) & 1
+                                               for k in range(bits - 2, -1, -1)]
+                    want[line, i * bits : (i + 1) * bits] = field
+            assert np.array_equal(image.bits, want)
 
     def test_rejects_oversized_or_mismatched_model(self):
         rng = np.random.default_rng(83)
@@ -159,8 +183,7 @@ def core_sums(image, qm, rasters, signs):
     """The 18-bit accumulator values first_to_spike_batch's datapath sums
     from the codes it decodes from the array: (batch, T, n_outputs)."""
     kmat, _, exact = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
-    return quantize._accumulator_sums(np.asarray(rasters), np.asarray(signs), kmat,
-                                      qm.window, exact)
+    return datapath_sums(rasters, signs, kmat, qm.window, exact)
 
 
 class TestGatherActiveWordlines:
@@ -514,14 +537,19 @@ class TestFirstToSpikeBatch:
         (6, 64, 7, 16),   # the tap tensor sets the sub-block size
         (600, 2, 2, 8),   # the input rows set it
     ])
-    def test_batch_across_sub_blocks(self, n_inputs, n_outputs, window, duration):
+    def test_batch_across_sub_blocks(self, n_inputs, n_outputs, window, duration,
+                                     monkeypatch):
+        # a budget an eighth of the datapath's keeps the loop oracle's batch
+        # small: each sub-block runs the chunk loop on its own
+        monkeypatch.setattr(quantize, "BLOCK_ELEMENTS", BLOCK_ELEMENTS // 8)
         rng = np.random.default_rng(133)
         qm = random_qm(rng, n_inputs=n_inputs, n_outputs=n_outputs, window=window,
                        duration=duration, g_range=(-8.0, 8.0))
         qm.gamma_codes = -rng.integers(32, 65, size=n_outputs)  # biases -4..-8
         geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window)
         image = map_model_to_memory(qm, geom)
-        block = BLOCK_ELEMENTS // (duration * max(window * n_outputs, n_inputs))
+        block = quantize.BLOCK_ELEMENTS // (
+            quantize.CHUNK_STEPS * max(window * n_outputs, n_inputs))
         decision_time = assert_batch_matches_loop(
             image, qm, *random_batch(rng, qm, 2 * block + 3, 0.3)
         )
@@ -565,7 +593,7 @@ class TestFirstToSpikeBatch:
         signs[:, 150:] = -1
         kmat, _, exact = image.model_operands(n_inputs, 3, window)
         assert exact == small_codes
-        sums = quantize._accumulator_sums(rasters, signs, kmat, window, exact)
+        sums = datapath_sums(rasters, signs, kmat, window, exact)
         plain = np.einsum("j,jid->i", signs[0], codes)  # every line of every input
         assert np.array_equal(sums[0], saturating_sums_loop(rasters[0], signs[0], codes))
         if not small_codes:
@@ -582,7 +610,7 @@ class TestFirstToSpikeBatch:
         rasters = np.ones((1, n_inputs, duration), dtype=np.uint8)
         signs = -np.ones((1, n_inputs), dtype=np.int64)
         signs[:, 150:] = 1
-        sums = quantize._accumulator_sums(rasters, signs, kernel_matrix(codes), window, False)
+        sums = datapath_sums(rasters, signs, kernel_matrix(codes), window, False)
         assert np.array_equal(sums[0], saturating_sums_loop(rasters[0], signs[0], codes))
         assert np.all(sums[0, -1] == -ACC_LIMIT + 50 * window * 127)
 

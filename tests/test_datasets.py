@@ -141,6 +141,32 @@ class TestHarLoading:
         with pytest.raises(DataFormatError, match="X.txt: no feature rows"):
             load_har(feat, lab, "train")
 
+    @pytest.mark.parametrize("last_row", ["-1E+2 3 .5", "-1E+2 3 1_0"])
+    def test_mixed_text_parses_as_python_floats(self, tmp_path, last_row):
+        # blank lines, mixed delimiters, exponents and signs; digit
+        # underscores are read by Python's float alone, so the line scan
+        # parses that file
+        text = "\n".join(["1e-3, +2.5  -0.0", "", "  \t", "7,8.125e2 , 9", last_row])
+        feat, lab = tmp_path / "X.txt", tmp_path / "y.txt"
+        feat.write_text(text)
+        lab.write_text("1\n2\n3\n")
+        want = [[float(t) for t in row.replace(",", " ").split()]
+                for row in text.split("\n") if row.strip()]
+        ds = load_har(feat, lab, "train")
+        assert ds.features.dtype == np.float64
+        assert ds.features.tolist() == want
+
+    def test_errors_name_lines_counted_with_blank_ones(self, tmp_path):
+        feat, lab = tmp_path / "X.txt", tmp_path / "y.txt"
+        lab.write_text("1\n1\n")
+        feat.write_text("1 2\n\n\n3 x\n")
+        with pytest.raises(DataFormatError,
+                           match=r"X.txt:4: could not convert string to float: 'x'"):
+            load_har(feat, lab, "train")
+        feat.write_text("1 2\n\n3 4 5\n")
+        with pytest.raises(DataFormatError, match=r"X.txt:3: row has 3 fields, expected 2"):
+            load_har(feat, lab, "train")
+
     def test_unknown_label_rejected(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)
         with open(lab) as fh:

@@ -23,7 +23,14 @@ from spikesim.quantize import (
     quantize_uniform,
     spike_decision,
 )
-from oracles import evaluate_quantized_loop, infer_fts_quantized_loop, quantized_potentials
+from oracles import (
+    datapath_sums,
+    evaluate_quantized_loop,
+    first_to_spike_loop,
+    infer_fts_quantized_loop,
+    quantized_potentials,
+    saturating_sums_loop,
+)
 
 
 def scalar_quantize(v, lo, hi, bits):
@@ -415,3 +422,177 @@ class TestQuantizedDecisions:
         )
         with pytest.raises(ValueError, match="datapath"):
             first_to_spike_quantized(qm, np.ones((1, 2, 3)), np.ones((1, 2)), [0x1234])
+
+
+def coded_model(w_codes, gamma_codes, duration, bits=8, w_range=(-1.0, 1.0),
+                g_range=(-0.5, 0.5)):
+    w_codes = np.asarray(w_codes)
+    return QuantizedModel(
+        bits=bits, w_codes=w_codes, gamma_codes=gamma_codes,
+        w_min=w_range[0], w_max=w_range[1], gamma_min=g_range[0], gamma_max=g_range[1],
+        presentation_time=duration, window=w_codes.shape[2],
+    )
+
+
+def assert_matches_loop(qm, rasters, signs, seeds):
+    """first_to_spike_quantized == the per-neuron loop on class and decision
+    step.  Returns the decision steps."""
+    predicted, decision_time = first_to_spike_quantized(qm, rasters, signs, seeds)
+    want = first_to_spike_loop(qm, rasters, signs, seeds)
+    assert predicted.tolist() == [w[0] for w in want]
+    assert decision_time.tolist() == [w[1] for w in want]
+    return decision_time
+
+
+@pytest.fixture
+def chunk_calls(monkeypatch):
+    """Every chunk the datapath sums, as (t0, t1, samples still undecided)."""
+    calls = []
+    sums = quantize._Accumulator.sums
+
+    def recorded(acc, t0, t1):
+        calls.append((t0, t1, len(acc.rasters)))
+        return sums(acc, t0, t1)
+
+    monkeypatch.setattr(quantize._Accumulator, "sums", recorded)
+    return calls
+
+
+class TestEarlyExit:
+    """The datapath runs CHUNK_STEPS steps at a time and drops each sample at
+    the chunk in which it decides."""
+
+    def test_decisions_straddle_chunk_boundaries(self, chunk_calls):
+        chunk = quantize.CHUNK_STEPS
+        duration = 3 * chunk + 1
+        rng = np.random.default_rng(140)
+        times = []
+        for trial in range(6):
+            qm = coded_model(rng.integers(-127, 128, size=(8, 5, 3)),
+                             rng.integers(-127, -60, size=5), duration,
+                             g_range=(-6.0, 6.0))
+            rasters = (rng.random((40, 8, duration)) < 0.5).astype(np.uint8)
+            signs = rng.choice([-1, 1], size=(40, 8))
+            seeds = [derive_lfsr_seed(trial, k) for k in range(40)]
+            chunk_calls.clear()
+            decision_time = assert_matches_loop(qm, rasters, signs, seeds)
+            # a chunk sums the samples not decided before it, and no later one
+            undecided = [int(np.count_nonzero((decision_time == 0) | (decision_time > t0)))
+                         for t0 in range(0, duration, chunk)]
+            assert [n for _, _, n in chunk_calls] == undecided[: len(chunk_calls)]
+            assert len(chunk_calls) == len(undecided) or undecided[len(chunk_calls)] == 0
+            times += decision_time.tolist()
+        # decisions at the last step of a chunk and the first of the next,
+        # in every chunk, and fallbacks that ran the whole train
+        assert {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, duration, 0} <= set(times)
+
+    def test_all_fallback_batch_runs_every_step(self, chunk_calls):
+        # biases of -8 and codes worth 1/8 keep every potential below -7, so
+        # the PWL gives 0 and no neuron ever fires.  Input 0 spikes only at
+        # step T-1 and drives output 2 alone: the final potentials, and only
+        # they, name output 2.
+        chunk = quantize.CHUNK_STEPS
+        duration = 2 * chunk + 1
+        w_codes = np.zeros((3, 4, 2), dtype=np.int16)
+        w_codes[0, 2, 0] = 1
+        w_codes[1:] = np.random.default_rng(141).integers(0, 2, size=(2, 4, 2))
+        qm = coded_model(w_codes, np.full(4, -127), duration, w_range=(-8.0, 8.0),
+                         g_range=(-4 * 128 / 127, 4 * 128 / 127))
+        rng = np.random.default_rng(142)
+        rasters = (rng.random((12, 3, duration)) < 0.5).astype(np.uint8)
+        rasters[0] = 0
+        rasters[0, 0, duration - 2] = 1
+        signs = np.ones((12, 3), dtype=np.int64)
+        seeds = [derive_lfsr_seed(7, k) for k in range(12)]
+        decision_time = assert_matches_loop(qm, rasters, signs, seeds)
+        assert np.all(decision_time == 0)
+        assert chunk_calls == [(0, chunk, 12), (chunk, 2 * chunk, 12),
+                               (2 * chunk, duration, 12)]
+        assert first_to_spike_quantized(qm, rasters[:1], signs[:1], seeds[:1])[0][0] == 2
+
+    def test_batch_deciding_at_step_one_sums_one_chunk(self, chunk_calls):
+        # biases at the 1.4.3 maximum give PWL 255 on the empty step-1
+        # window, so some output of every sample fires at step 1
+        rng = np.random.default_rng(143)
+        qm = coded_model(rng.integers(-127, 128, size=(5, 6, 3)), np.full(6, 127), 9,
+                         g_range=(-8.0, 8.0))
+        rasters = (rng.random((30, 5, 9)) < 0.7).astype(np.uint8)
+        signs = rng.choice([-1, 1], size=(30, 5))
+        seeds = [derive_lfsr_seed(8, k) for k in range(30)]
+        decision_time = assert_matches_loop(qm, rasters, signs, seeds)
+        assert np.all(decision_time == 1)
+        assert chunk_calls == [(0, quantize.CHUNK_STEPS, 30)]
+
+    @pytest.mark.parametrize("window,duration", [(3, 1), (1, 1), (5, 3)])
+    def test_short_trains_and_windows_longer_than_the_train(self, window, duration):
+        rng = np.random.default_rng(144 + window + duration)
+        qm = coded_model(rng.integers(-127, 128, size=(4, 3, window)),
+                         rng.integers(-127, 0, size=3), duration, g_range=(-8.0, 8.0))
+        rasters = (rng.random((25, 4, duration)) < 0.6).astype(np.uint8)
+        signs = rng.choice([-1, 1], size=(25, 4))
+        seeds = [derive_lfsr_seed(9, k) for k in range(25)]
+        assert_matches_loop(qm, rasters, signs, seeds)
+
+    def test_potential_scales_in_float64(self):
+        # the one output's sum at step 2 is the code 121; in float32 the
+        # product 121 * w_step rounds up to 7.5625, which with the -7.5 bias
+        # is a tie that rounds to code 1 (PWL 136); in float64 it stays
+        # below the tie, code 0 (PWL 128).  The step-2 draw lies in
+        # [128, 136), so only the float32 product would fire.
+        w_step = 7.5625 / 121 * (1 - 1e-12)
+        qm = coded_model(np.full((1, 1, 1), 121), np.array([-120]), 2,
+                         w_range=(-64 * w_step, 64 * w_step), g_range=(-4.0, 4.0))
+        assert qm.w_step == w_step and qm.dequant_biases()[0] == -7.5
+        bias = qm.dequant_biases()
+        assert clip_to_fixed(np.float32([121]) * w_step + bias)[0] == 1
+        assert clip_to_fixed(np.float64([121]) * w_step + bias)[0] == 0
+        starts = np.arange(1, LFSR_PERIOD + 1)
+        step2 = lfsr_run(starts, 2)[:, 1] & 0xFF
+        seed = int(starts[(step2 >= 128) & (step2 < 136)][0])
+        rasters, signs = np.array([[[1, 0]]]), np.array([[1]])
+        kmat = quantize.datapath_operands(qm.w_codes, qm.gamma_codes)[0]
+        assert kmat.dtype == np.float32
+        assert assert_matches_loop(qm, rasters, signs, [seed]).tolist() == [0]
+
+
+class TestOperandPrecision:
+    """datapath_operands sums in float32 exactly when every neuron's |code|
+    sum is below 2**24."""
+
+    def test_small_models_sum_in_float32(self):
+        rng = np.random.default_rng(150)
+        kmat, _, exact = quantize.datapath_operands(
+            rng.integers(-127, 128, size=(256, 256, 7)), np.zeros(256))
+        assert kmat.dtype == np.float32 and exact
+
+    @pytest.mark.parametrize("last_code,dtype", [(7, np.float32), (8, np.float64)])
+    def test_the_rule_at_two_to_the_24(self, last_code, dtype):
+        # 132104 lines of 127 and one of last_code: a |code| sum of 2**24 - 1
+        # or 2**24
+        codes = np.full((132105, 1, 1), 127, dtype=np.int16)
+        codes[-1] = last_code
+        assert 127 * 132104 + last_code == 2**24 + last_code - 8
+        kmat, _, exact = quantize.datapath_operands(codes, np.zeros(1))
+        assert kmat.dtype == dtype and not exact
+
+    def test_float64_operands_sum_like_the_integer_oracle(self):
+        # a |code| sum of 2**24 + 4: a sparse sample whose sums the plain
+        # GEMM gives and a dense one that saturates
+        n_inputs = 16_779
+        rng = np.random.default_rng(151)
+        codes = rng.integers(100, 128, size=(n_inputs, 2, 8))
+        codes[:, 0] = 127
+        codes[0, 0, :4] = 0
+        assert np.abs(codes).sum(axis=(0, 2))[0] >= 2**24
+        rasters = np.zeros((2, n_inputs, 3), dtype=np.uint8)
+        rasters[0, rng.choice(n_inputs, 60, replace=False), :2] = 1
+        rasters[1] = rng.random((n_inputs, 3)) < 0.5
+        signs = rng.choice([-1, 1], size=(2, n_inputs))
+        signs[1] = 1
+        kmat, _, exact = quantize.datapath_operands(codes, np.zeros(2))
+        assert kmat.dtype == np.float64 and not exact
+        sums = datapath_sums(rasters, signs, kmat, 8, exact)
+        for k in range(2):
+            assert np.array_equal(sums[k], saturating_sums_loop(rasters[k], signs[k], codes))
+        assert np.abs(sums[0]).max() < quantize.ACC_LIMIT
+        assert np.all(sums[1, 1:] == quantize.ACC_LIMIT)
