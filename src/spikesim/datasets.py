@@ -182,18 +182,21 @@ def load_digits(images_path, labels_path, split: str) -> Dataset:
 
 def _parse_features(features_path) -> np.ndarray:
     """The (rows, width) features of a text file, parsed in one np.loadtxt
-    call over the comma-normalised text.  When that fails, or finds a value
-    that is not finite, the line scan parses the file again to name the
-    offending line."""
+    call over the comma-normalised text.  When that fails, finds a value
+    that is not finite, or returns fewer rows than the file has lines (a
+    blank line, or one of nothing but commas, which loadtxt would skip),
+    the line scan parses the file again and names the offending line."""
     with open(features_path) as fh:
         text = fh.read()
+    n_lines = text.count("\n") + (not text.endswith("\n"))
     if text.strip():
         try:
             features = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2,
                                   comments=None)
         except ValueError:
             features = None
-        if features is not None and np.isfinite(features).all():
+        if (features is not None and len(features) == n_lines
+                and np.isfinite(features).all()):
             return features
     return _scan_features(features_path, text)
 

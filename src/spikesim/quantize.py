@@ -47,10 +47,6 @@ CHUNK_STEPS = 4
 #: glm.ENCODE_CHUNK samples of the 256x256x7 core runs as one sub-block.
 BLOCK_ELEMENTS = 2**19
 
-#: a neuron's |code| sum below which every partial sum of its potential is
-#: an integer float32 holds exactly, in any summation order
-FLOAT32_EXACT = 2**24
-
 
 def round_ties_away(x):
     """Round to nearest integer, ties away from zero."""
@@ -316,18 +312,21 @@ def datapath_operands(w_codes, gamma_codes):
     """The operands first_to_spike_quantized sums: (kmat, gamma_codes, exact).
 
     kmat is the glm.kernel_matrix of the kernel codes (n_inputs, n_outputs,
-    window), in float32 when every neuron's |code| sum is below
-    FLOAT32_EXACT, so that every partial sum is an integer float32 holds
-    exactly, and in float64 otherwise.  exact is True when no neuron's code
-    magnitudes sum to more than ACC_LIMIT: then no running sum of any step
-    can saturate, and the plain sum is the accumulator's for every input.
+    window) in float32.  exact is True when no neuron's code magnitudes sum
+    to more than ACC_LIMIT: then no running sum of any step can saturate,
+    and the plain sum is the accumulator's for every input.
+
+    float32 sums every step the datapath keeps exactly.  Each partial sum
+    of a step's potential, in the GEMM or in the tap adds, is an integer no
+    larger in magnitude than the step's |code| bound.  A step whose bound is
+    at most ACC_LIMIT (below 2**24) therefore sums exactly in any order.  A
+    step above it is summed again in int64, and its float32 bound cannot
+    round down to ACC_LIMIT or below: it sums non-negative terms.
     """
     magnitudes = np.abs(w_codes).sum(axis=0, dtype=np.int64).sum(axis=1)
-    largest = magnitudes.max(initial=0)
-    kmat = kernel_matrix(w_codes)
-    if largest < FLOAT32_EXACT:
-        kmat = kmat.astype(np.float32)
-    return kmat, np.asarray(gamma_codes, dtype=np.int64), bool(largest <= ACC_LIMIT)
+    exact = bool(magnitudes.max(initial=0) <= ACC_LIMIT)
+    kmat = kernel_matrix(w_codes).astype(np.float32)
+    return kmat, np.asarray(gamma_codes, dtype=np.int64), exact
 
 
 class _Accumulator:

@@ -166,6 +166,10 @@ class TestHarLoading:
         feat.write_text("1 2\n\n3 4 5\n")
         with pytest.raises(DataFormatError, match=r"X.txt:3: row has 3 fields, expected 2"):
             load_har(feat, lab, "train")
+        # a row of nothing but commas is a row of 0 fields, not a blank line
+        feat.write_text("1,2\n,,,\n3,4\n")
+        with pytest.raises(DataFormatError, match=r"X.txt:2: row has 0 fields, expected 2"):
+            load_har(feat, lab, "train")
 
     def test_unknown_label_rejected(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)

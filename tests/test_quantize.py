@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesim import quantize
-from spikesim.glm import GlmModel, SpikeTrain
+from spikesim.glm import GlmModel, SpikeTrain, windowed_potentials
 from spikesim.quantize import (
     FMT_1_4_3,
     LFSR_PERIOD,
@@ -556,8 +556,8 @@ class TestEarlyExit:
 
 
 class TestOperandPrecision:
-    """datapath_operands sums in float32 exactly when every neuron's |code|
-    sum is below 2**24."""
+    """datapath_operands sums in float32: every step below ACC_LIMIT sums
+    exactly, and the steps above it are summed again in int64."""
 
     def test_small_models_sum_in_float32(self):
         rng = np.random.default_rng(150)
@@ -565,32 +565,27 @@ class TestOperandPrecision:
             rng.integers(-127, 128, size=(256, 256, 7)), np.zeros(256))
         assert kmat.dtype == np.float32 and exact
 
-    @pytest.mark.parametrize("last_code,dtype", [(7, np.float32), (8, np.float64)])
-    def test_the_rule_at_two_to_the_24(self, last_code, dtype):
-        # 132104 lines of 127 and one of last_code: a |code| sum of 2**24 - 1
-        # or 2**24
-        codes = np.full((132105, 1, 1), 127, dtype=np.int16)
-        codes[-1] = last_code
-        assert 127 * 132104 + last_code == 2**24 + last_code - 8
-        kmat, _, exact = quantize.datapath_operands(codes, np.zeros(1))
-        assert kmat.dtype == dtype and not exact
-
-    def test_float64_operands_sum_like_the_integer_oracle(self):
-        # a |code| sum of 2**24 + 4: a sparse sample whose sums the plain
-        # GEMM gives and a dense one that saturates
-        n_inputs = 16_779
+    def test_sums_past_two_to_the_24_match_the_integer_oracle(self):
+        # neuron 0's |code| sum is 127 * (8 * 16779 - 3), odd and above
+        # 2**24: a sparse sample whose sums the plain GEMM gives, and a
+        # dense one whose last step sums every line, which float32 cannot
+        # hold, and which saturates
+        n_inputs, duration = 16_779, 9
         rng = np.random.default_rng(151)
         codes = rng.integers(100, 128, size=(n_inputs, 2, 8))
         codes[:, 0] = 127
-        codes[0, 0, :4] = 0
-        assert np.abs(codes).sum(axis=(0, 2))[0] >= 2**24
-        rasters = np.zeros((2, n_inputs, 3), dtype=np.uint8)
+        codes[0, 0, :3] = 0
+        full = 127 * (8 * n_inputs - 3)
+        assert np.abs(codes).sum(axis=(0, 2))[0] == full > 2**24 and full % 2
+        rasters = np.zeros((2, n_inputs, duration), dtype=np.uint8)
         rasters[0, rng.choice(n_inputs, 60, replace=False), :2] = 1
-        rasters[1] = rng.random((n_inputs, 3)) < 0.5
+        rasters[1] = 1
         signs = rng.choice([-1, 1], size=(2, n_inputs))
         signs[1] = 1
         kmat, _, exact = quantize.datapath_operands(codes, np.zeros(2))
-        assert kmat.dtype == np.float64 and not exact
+        assert kmat.dtype == np.float32 and not exact
+        plain = windowed_potentials(rasters[1:], signs[1:], kmat, 8)
+        assert int(plain[0, -1, 0]) != full
         sums = datapath_sums(rasters, signs, kmat, 8, exact)
         for k in range(2):
             assert np.array_equal(sums[k], saturating_sums_loop(rasters[k], signs[k], codes))
