@@ -1,18 +1,15 @@
 """Probabilistic first-to-spike networks: training, bit-accurate core
 simulation and accelerator performance modeling."""
 
-from .glm import GlmModel, SpikeTrain, rate_encode, sigmoid
-from .training import TrainConfig, fts_gradient, fts_log_prob, fts_objective, train
+from .glm import GlmModel, sigmoid
+from .training import TrainConfig, train
 from .quantize import (
-    FMT_1_4_3,
-    FixedPointFormat,
     QuantizedModel,
     clip_to_fixed,
     lfsr_next,
     pwl_sigmoid,
     quantize_model,
     quantize_uniform,
-    spike_decision,
 )
 from .core import (
     CoreGeometry,

@@ -8,7 +8,7 @@ with probability sigmoid(potential).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ def sigmoid(u):
     out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
     eu = np.exp(u[~pos])
     out[~pos] = eu / (1.0 + eu)
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -38,44 +36,6 @@ def log_sigmoid(u):
 def log_one_minus_sigmoid(u):
     """log(1 - sigmoid(u)) = log(sigmoid(-u)) without underflow."""
     return -np.logaddexp(0.0, np.asarray(u, dtype=np.float64))
-
-
-def identity_basis(window: int) -> np.ndarray:
-    """Binary basis where each learnable weight owns one delay tap."""
-    return np.eye(window, dtype=np.uint8)
-
-
-@dataclass
-class SpikeTrain:
-    """Binary raster of input spikes plus a per-channel sign flag.
-
-    raster[j, t] is the spike of channel j at step t+1 (steps are 1-based
-    in the dynamics).  Negative input magnitudes are absorbed into sign,
-    which flips the effective weight at accumulation time.
-    """
-
-    raster: np.ndarray  # (n_inputs, duration) of {0, 1}
-    sign: np.ndarray    # (n_inputs,) of {+1, -1}
-
-    def __post_init__(self):
-        self.raster = np.asarray(self.raster, dtype=np.uint8)
-        self.sign = np.asarray(self.sign, dtype=np.int8)
-        if self.raster.ndim != 2:
-            raise ValueError("raster must be 2-D (n_inputs, duration)")
-        if self.sign.shape != (self.raster.shape[0],):
-            raise ValueError("sign must have one entry per input channel")
-        if not np.isin(self.raster, (0, 1)).all():
-            raise ValueError("raster entries must be 0 or 1")
-        if not np.isin(self.sign, (-1, 1)).all():
-            raise ValueError("sign entries must be +1 or -1")
-
-    @property
-    def n_inputs(self) -> int:
-        return self.raster.shape[0]
-
-    @property
-    def duration(self) -> int:
-        return self.raster.shape[1]
 
 
 #: samples drawn and scored together by the batched evaluators; bounds the
@@ -121,7 +81,7 @@ def encoded_chunks(magnitudes, duration: int, rng: np.random.Generator):
     """Yield (start, rasters) for consecutive blocks of ENCODE_CHUNK samples.
 
     The whole split is validated once, before the first draw; the rasters
-    are those per-sample rate_encode calls would draw from the same rng.
+    are those one draw_rasters call per sample would draw from the same rng.
     """
     mags = check_magnitudes(magnitudes)
     for start in range(0, len(mags), ENCODE_CHUNK):
@@ -145,21 +105,6 @@ def first_spike(spikes, final):
     return predicted, np.where(decided, first + 1, 0)
 
 
-def rate_encode(x, duration: int, rng: np.random.Generator) -> SpikeTrain:
-    """Bernoulli rate encoding of a normalized input vector.
-
-    Each channel j spikes independently at every step with probability
-    |x_j|; the sign of x_j is carried on the SpikeTrain (0 maps to +1).
-    Magnitudes must already be normalized to [0, 1].
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise EncodingError("input must be a 1-D feature vector")
-    raster = draw_rasters(check_magnitudes(x), duration, rng)
-    sign = np.where(x < 0, -1, 1).astype(np.int8)
-    return SpikeTrain(raster=raster, sign=sign)
-
-
 @dataclass
 class GlmModel:
     """GLM network parameters: per-(input, output) kernel weights and biases.
@@ -175,11 +120,11 @@ class GlmModel:
     window: int
     weights: np.ndarray
     biases: np.ndarray
-    basis: np.ndarray = field(default=None)  # (window, n_basis) binary
+    basis: np.ndarray = None  # (window, n_basis) binary
 
     def __post_init__(self):
         if self.basis is None:
-            self.basis = identity_basis(self.window)
+            self.basis = np.eye(self.window, dtype=np.uint8)
         self.basis = np.asarray(self.basis, dtype=np.uint8)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
@@ -306,11 +251,3 @@ def signed_inputs(rasters, signs, first: int, stop: int, dtype=np.float64) -> np
     x[...] = rasters[:, :, first:stop].transpose(0, 2, 1)
     x *= np.asarray(signs, dtype=dtype)[:, None, :]
     return x
-
-
-def membrane_series(model: GlmModel, train: SpikeTrain) -> np.ndarray:
-    """Membrane potentials for all steps and outputs: shape (duration, n_outputs)."""
-    kmat = kernel_matrix(model.kernels())
-    u = windowed_potentials(train.raster[None], train.sign[None], kmat, model.window)[0]
-    u += model.biases[None, :]
-    return u

@@ -172,15 +172,31 @@ def default_config() -> dict:
     }
 
 
+def _lookup(config: dict, path: str):
+    """The value at a dotted key path; ValueError names the first key missing."""
+    value, parts = config, path.split(".")
+    for i, key in enumerate(parts):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"perf config missing {'.'.join(parts[: i + 1])!r}")
+        value = value[key]
+    return value
+
+
 def validate_config(config: dict):
+    """Check the version and every key compute_report reads."""
     if config.get("version") != CONFIG_VERSION:
         raise ValueError(f"unsupported perf config version {config.get('version')!r}")
-    for key in ("synapses_per_wordline", "overheads", "technologies", "logic_by_bits"):
-        if key not in config:
-            raise ValueError(f"perf config missing {key!r}")
-    for tech, entry in config["technologies"].items():
-        if entry["clock_mhz"] <= 0:
+    for path in ("synapses_per_wordline", "overheads.routing", "overheads.controller",
+                 "technologies.stt_ram.read_energy_per_wordline_pj", "logic_by_bits",
+                 "avg_active_wordlines"):
+        _lookup(config, path)
+    for tech in config["technologies"]:
+        if _lookup(config, f"technologies.{tech}.clock_mhz") <= 0:
             raise ValueError(f"{tech} clock must be positive")
+        for bits in _lookup(config, f"technologies.{tech}.memory_by_bits"):
+            for key in ("power_mw", "area_mm2"):
+                _lookup(config, f"technologies.{tech}.memory_by_bits.{bits}.{key}")
+                _lookup(config, f"logic_by_bits.{bits}.{key}")
 
 
 def load_config(path) -> dict:

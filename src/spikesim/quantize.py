@@ -54,90 +54,47 @@ def round_ties_away(x):
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
-@dataclass(frozen=True)
-class FixedPointFormat:
-    """Signed fixed-point layout: sign, integer and fractional bit widths.
-
-    Values are code * 2**-frac_bits with codes spanning
-    [-2**(int_bits-1+frac_bits), 2**(int_bits-1+frac_bits) - 1], i.e. the
-    representable range is [-2**(int_bits-1), 2**(int_bits-1) - step].
-    """
-
-    sign_bits: int
-    int_bits: int
-    frac_bits: int
-
-    def __post_init__(self):
-        if self.sign_bits != 1 or self.int_bits < 1 or self.frac_bits < 0:
-            raise ValueError("unsupported fixed-point layout")
-
-    @property
-    def width(self) -> int:
-        return self.sign_bits + self.int_bits + self.frac_bits
-
-    @property
-    def step(self) -> float:
-        return 2.0**-self.frac_bits
-
-    @property
-    def max_code(self) -> int:
-        return 2 ** (self.int_bits - 1 + self.frac_bits) - 1
-
-    @property
-    def min_code(self) -> int:
-        return -(2 ** (self.int_bits - 1 + self.frac_bits))
-
-    @property
-    def max_value(self) -> float:
-        return self.max_code * self.step
-
-    @property
-    def min_value(self) -> float:
-        return self.min_code * self.step
+#: code range of the neuron's 1.4.3 potentials: value = code / 8, over
+#: [-8.0, +7.875]
+U_MIN_CODE, U_MAX_CODE = -64, 63
 
 
-#: datapath format for clipped membrane potentials: range [-8.0, +7.875]
-FMT_1_4_3 = FixedPointFormat(1, 4, 3)
+def clip_to_fixed(u):
+    """Saturate and round real potentials onto the 1.4.3 grid.
 
-
-def clip_to_fixed(u, fmt: FixedPointFormat = FMT_1_4_3):
-    """Saturate and round a real value onto the fixed-point grid.
-
-    Returns the integer code (value = code * fmt.step).  Rounding is to
-    nearest with ties away from zero; out-of-range values saturate.
+    Returns the integer codes (value = code / 8).  Rounding is to nearest
+    with ties away from zero; out-of-range values saturate.
     """
     u = np.asarray(u, dtype=np.float64)
     if np.isnan(u).any():
         raise ValueError("cannot clip NaN")
-    codes = round_ties_away(u / fmt.step)
-    codes = np.clip(codes, fmt.min_code, fmt.max_code).astype(np.int64)
-    if codes.ndim == 0:
-        return int(codes)
-    return codes
+    return np.clip(round_ties_away(u * 8), U_MIN_CODE, U_MAX_CODE).astype(np.int64)
 
 
-def quantize_uniform(values, bits: int, lo: float | None = None, hi: float | None = None):
-    """Uniform quantizer with one bit reserved for the sign.
+def _check_bits(bits: int):
+    if bits not in DATAPATH_BITS:
+        raise ValueError(
+            f"the quantized datapath defines b in [{DATAPATH_BITS.start}, "
+            f"{DATAPATH_BITS.stop - 1}], not {bits}"
+        )
 
-    step = (hi - lo) / 2**(bits-1); codes are round(value / step)
-    clamped to +-(2**(bits-1) - 1); dequantized value = code * step.
-    lo and hi default to the values' min and max.  A degenerate range
-    (hi == lo) yields all-zero codes and step 0, as does bits=1 (zero
-    magnitude bits; runs but collapses every code).
+
+def quantize_uniform(values, bits: int, lo: float, hi: float) -> np.ndarray:
+    """Sign-magnitude b-bit codes of values over the range [lo, hi].
+
+    step = (hi - lo) / 2**(bits-1); codes are round(value / step), ties
+    away from zero, clamped to +-(2**(bits-1) - 1), so value ~ code * step.
+    A degenerate range (hi == lo) yields all-zero codes.
     """
-    if not 1 <= bits <= 16:
-        raise ValueError("bits must be in [1, 16]")
+    _check_bits(bits)
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise ValueError("values must be finite")
-    lo = float(values.min()) if lo is None else lo
-    hi = float(values.max()) if hi is None else hi
     step = (hi - lo) / 2 ** (bits - 1)
     if step == 0.0:
-        return np.zeros(values.shape, dtype=np.int16), 0.0
+        return np.zeros(values.shape, dtype=np.int16)
     bound = 2 ** (bits - 1) - 1
-    codes = np.clip(round_ties_away(values / step), -bound, bound).astype(np.int16)
-    return codes, step
+    return np.clip(round_ties_away(values / step), -bound, bound).astype(np.int16)
 
 
 def _zero_inclusive_range(values):
@@ -186,12 +143,6 @@ class QuantizedModel:
     def gamma_step(self) -> float:
         return (self.gamma_max - self.gamma_min) / 2 ** (self.bits - 1)
 
-    def dequant_weights(self) -> np.ndarray:
-        return self.w_codes.astype(np.float64) * self.w_step
-
-    def dequant_biases(self) -> np.ndarray:
-        return self.gamma_codes.astype(np.float64) * self.gamma_step
-
 
 def quantize_model(model: GlmModel, bits: int) -> QuantizedModel:
     """Post-training quantization of a trained model's expanded kernels.
@@ -205,12 +156,10 @@ def quantize_model(model: GlmModel, bits: int) -> QuantizedModel:
     kernels = model.kernels()
     w_min, w_max = _zero_inclusive_range(kernels)
     gamma_min, gamma_max = _zero_inclusive_range(model.biases)
-    w_codes, _ = quantize_uniform(kernels, bits, w_min, w_max)
-    gamma_codes, _ = quantize_uniform(model.biases, bits, gamma_min, gamma_max)
     return QuantizedModel(
         bits=bits,
-        w_codes=w_codes,
-        gamma_codes=gamma_codes,
+        w_codes=quantize_uniform(kernels, bits, w_min, w_max),
+        gamma_codes=quantize_uniform(model.biases, bits, gamma_min, gamma_max),
         w_min=w_min,
         w_max=w_max,
         gamma_min=gamma_min,
@@ -238,10 +187,7 @@ def pwl_sigmoid(code):
     numer = 128 - 8 * m
     neg_out = numer >> k
     pos_out = 256 - ((numer + (np.int64(1) << k) - 1) >> k)
-    out = np.where(q <= 0, neg_out, np.minimum(pos_out, 255))
-    if out.ndim == 0:
-        return int(out)
-    return out.astype(np.int64)
+    return np.where(q <= 0, neg_out, np.minimum(pos_out, 255))
 
 
 def lfsr_next(state: int) -> int:
@@ -262,18 +208,6 @@ def derive_lfsr_seed(seed: int, index: int) -> int:
     x ^= x >> 16
     s = x & LFSR_MASK
     return s if s else 0x1D87
-
-
-def spike_decision(pwl: int, state: int, compare_bits: int = 8):
-    """Compare a PWL activation against the LFSR and advance it.
-
-    A spike is issued when the activation strictly exceeds the low
-    `compare_bits` bits of the current LFSR state; one decision consumes
-    one LFSR step.
-    """
-    mask = (1 << compare_bits) - 1
-    spike = pwl > (state & mask)
-    return bool(spike), lfsr_next(state)
 
 
 @cache
@@ -415,11 +349,7 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     """
-    if qm.bits not in DATAPATH_BITS:
-        raise ValueError(
-            f"the quantized datapath defines b in [{DATAPATH_BITS.start}, "
-            f"{DATAPATH_BITS.stop - 1}], not {qm.bits}"
-        )
+    _check_bits(qm.bits)
     kmat, gamma_codes, exact = operands or datapath_operands(qm.w_codes, qm.gamma_codes)
     gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
     rasters, signs = np.asarray(rasters), np.asarray(signs)

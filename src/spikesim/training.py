@@ -15,14 +15,13 @@ import numpy as np
 
 from .glm import (
     GlmModel,
-    SpikeTrain,
     check_signs,
+    draw_rasters,
     encoded_chunks,
     first_spike,
     kernel_matrix,
     log_one_minus_sigmoid,
     log_sigmoid,
-    membrane_series,
     sigmoid,
     windowed_potentials,
     windowed_potentials_adjoint,
@@ -77,31 +76,12 @@ def write_metrics_csv(path, metrics):
             )
 
 
-def fts_log_prob(u, c: int, t: int) -> float:
-    """Log probability that neuron c fires first, exactly at step t.
-
-    u holds membrane potentials with shape (n_outputs, >= t), columns
-    being steps 1..t..; the event requires every competitor silent
-    through step t and the labeled neuron silent before t, spiking at t.
-    """
-    u = np.asarray(u, dtype=np.float64)
-    n_outputs = u.shape[0]
-    if not 0 <= c < n_outputs:
-        raise IndexError(f"label {c} out of range for {n_outputs} outputs")
-    if not 1 <= t <= u.shape[1]:
-        raise IndexError(f"step {t} out of range for {u.shape[1]} steps")
-    silent = log_one_minus_sigmoid(u[:, :t])
-    total = silent.sum() - silent[c].sum()      # competitors quiet through t
-    total += silent[c, : t - 1].sum()           # labeled quiet before t
-    total += log_sigmoid(u[c, t - 1])           # labeled fires at t
-    return float(total)
-
-
 def _log_prob_series(u_tm, labels):
-    """Vectorized fts_log_prob for every step.
+    """Log probability that the labeled neuron fires first, exactly at each step.
 
     u_tm: potentials, time-major (batch, T, n_outputs); labels: (batch,).
-    Returns (batch, T) of log p_t.
+    Returns (batch, T) of log p_t: every competitor silent through step t,
+    the labeled neuron silent before t and spiking at t.
     """
     silent = log_one_minus_sigmoid(u_tm)
     lab = np.asarray(labels).reshape(-1, 1, 1)
@@ -116,13 +96,6 @@ def _log_prob_series(u_tm, labels):
 def _logsumexp(x, axis):
     m = np.max(x, axis=axis, keepdims=True)
     return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))).squeeze(axis)
-
-
-def fts_objective(model: GlmModel, train: SpikeTrain, c: int) -> float:
-    """Log probability of a first spike at the labeled neuron at any step."""
-    u = membrane_series(model, train)  # (T, n_outputs)
-    ell = _log_prob_series(u[None], np.array([c]))[0]
-    return float(_logsumexp(ell, axis=0))
 
 
 def _batch_objective_and_gradient(model, rasters, signs, labels):
@@ -158,17 +131,6 @@ def _batch_objective_and_gradient(model, rasters, signs, labels):
     ).transpose(0, 2, 1).reshape(n_inputs * n_outputs, window)
     grad_w = (grad_k @ model.basis.astype(np.float64)).reshape(n_inputs, n_outputs, -1) / b
     return grad_w, grad_gamma, float(log_prob.mean())
-
-
-def fts_gradient(model: GlmModel, train: SpikeTrain, c: int):
-    """Exact gradient of fts_objective w.r.t. (weights, biases)."""
-    grad_w, grad_gamma, _ = _batch_objective_and_gradient(
-        model,
-        train.raster[None].astype(np.float64),
-        train.sign[None].astype(np.float64),
-        np.array([c]),
-    )
-    return grad_w, grad_gamma
 
 
 def evaluate_float(model, magnitudes, signs, labels, rng, limit=None) -> float:
@@ -226,13 +188,9 @@ def train(train_data, test_data, config: TrainConfig):
         n_batches = 0
         for start in range(0, n_samples, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch_mags = mags[idx]
-            rasters = (
-                rng.random((len(idx), n_inputs, config.presentation_time))
-                < batch_mags[:, :, None]
-            ).astype(np.float64)
+            rasters = draw_rasters(mags[idx], config.presentation_time, rng)
             grad_w, grad_gamma, mean_lp = _batch_objective_and_gradient(
-                model, rasters, signs[idx].astype(np.float64), labels[idx]
+                model, rasters, signs[idx], labels[idx]
             )
             if not (
                 np.isfinite(mean_lp)

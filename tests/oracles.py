@@ -58,7 +58,43 @@ def windowed_sums(raster, sign, kernels, dtype=np.float64) -> np.ndarray:
     return np.einsum("tjd,jid->ti", windows, signed)
 
 
-def quantized_potentials(qm, train):
+def draw_raster(mag, duration: int, rng) -> np.ndarray:
+    """One sample's Bernoulli spike raster (n_inputs, duration): channel j
+    spikes at each step with probability mag[j]."""
+    mag = np.asarray(mag)
+    return (rng.random((len(mag), duration)) < mag[:, None]).astype(np.uint8)
+
+
+def fts_log_prob(u, c: int, t: int) -> float:
+    """Log probability that neuron c fires first, exactly at step t.
+
+    u holds membrane potentials with shape (n_outputs, >= t), columns
+    being steps 1..t..; the event requires every competitor silent
+    through step t and the labeled neuron silent before t, spiking at t.
+    """
+    from spikesim.glm import log_one_minus_sigmoid, log_sigmoid
+
+    u = np.asarray(u, dtype=np.float64)
+    silent = log_one_minus_sigmoid(u[:, :t])
+    total = silent.sum() - silent[c].sum()      # competitors quiet through t
+    total += silent[c, : t - 1].sum()           # labeled quiet before t
+    total += log_sigmoid(u[c, t - 1])           # labeled fires at t
+    return float(total)
+
+
+def spike_decision(pwl: int, state: int):
+    """Compare a PWL activation against the low byte of the LFSR state and
+    advance the LFSR: (spike, next state)."""
+    from spikesim.quantize import lfsr_next
+
+    return pwl > (state & 0xFF), lfsr_next(state)
+
+
+def dequant_biases(qm) -> np.ndarray:
+    return qm.gamma_codes.astype(np.float64) * qm.gamma_step
+
+
+def quantized_potentials(qm, raster, sign):
     """Integer kernel sums and real membrane potentials for every step.
 
     Returns (kernel_sums, u_real): kernel_sums[t, i] is the signed sum of
@@ -68,9 +104,9 @@ def quantized_potentials(qm, train):
     from spikesim.glm import kernel_matrix, windowed_potentials
 
     sums = windowed_potentials(
-        train.raster[None], train.sign[None], kernel_matrix(qm.w_codes), qm.window
+        np.asarray(raster)[None], np.asarray(sign)[None], kernel_matrix(qm.w_codes), qm.window
     )[0]
-    return sums.astype(np.int64), sums * qm.w_step + qm.dequant_biases()
+    return sums.astype(np.int64), sums * qm.w_step + dequant_biases(qm)
 
 
 def saturating_sums_loop(raster, sign, w_codes):
@@ -107,7 +143,7 @@ def datapath_sums(rasters, signs, kmat, window, exact):
                            for t0 in range(0, duration, CHUNK_STEPS)], axis=1)
 
 
-def infer_fts_quantized_loop(qm, train, lfsr_seed):
+def infer_fts_quantized_loop(qm, raster, sign, lfsr_seed):
     """Per-step, per-neuron first-to-spike through the quantized datapath.
 
     Accumulator values from the line-by-line saturating loop; the 1.4.3
@@ -115,10 +151,10 @@ def infer_fts_quantized_loop(qm, train, lfsr_seed):
     in index order, the LFSR advancing one state per decision.
     Returns (predicted_class, decision_time or None).
     """
-    from spikesim.quantize import clip_to_fixed, pwl_sigmoid, spike_decision
+    from spikesim.quantize import clip_to_fixed, pwl_sigmoid
 
-    sums = saturating_sums_loop(train.raster, train.sign, qm.w_codes)
-    u_real = sums.astype(np.float64) * qm.w_step + qm.dequant_biases()[None, :]
+    sums = saturating_sums_loop(raster, sign, qm.w_codes)
+    u_real = sums.astype(np.float64) * qm.w_step + dequant_biases(qm)[None, :]
     state = lfsr_seed
     u_codes = None
     for t in range(u_real.shape[0]):
@@ -135,29 +171,27 @@ def infer_fts_quantized_loop(qm, train, lfsr_seed):
 
 
 def evaluate_quantized_loop(qm, magnitudes, signs, labels, seed):
-    """Quantized accuracy with one rate_encode and one loop inference per sample."""
-    from spikesim.glm import SpikeTrain, rate_encode
+    """Quantized accuracy with one draw_raster and one loop inference per sample."""
     from spikesim.quantize import derive_lfsr_seed
 
     rng = np.random.default_rng(seed)
     correct = 0
     for k in range(len(labels)):
-        enc = rate_encode(magnitudes[k], qm.presentation_time, rng)
-        train = SpikeTrain(raster=enc.raster, sign=signs[k])
-        predicted, _ = infer_fts_quantized_loop(qm, train, derive_lfsr_seed(seed, k))
+        raster = draw_raster(magnitudes[k], qm.presentation_time, rng)
+        predicted, _ = infer_fts_quantized_loop(qm, raster, signs[k], derive_lfsr_seed(seed, k))
         correct += predicted == labels[k]
     return correct / len(labels)
 
 
 def evaluate_float_loop(model, magnitudes, signs, labels, rng):
-    """Float accuracy with one rate_encode and one first-to-spike draw loop
+    """Float accuracy with one draw_raster and one first-to-spike draw loop
     per sample: the reference of training.evaluate_float, in distribution."""
-    from spikesim.glm import SpikeTrain, rate_encode, sigmoid
+    from spikesim.glm import sigmoid
 
     correct = 0
     for k in range(len(labels)):
-        enc = rate_encode(magnitudes[k], model.presentation_time, rng)
-        sums = windowed_sums(enc.raster, signs[k], model.kernels())
+        raster = draw_raster(magnitudes[k], model.presentation_time, rng)
+        sums = windowed_sums(raster, signs[k], model.kernels())
         u = sums + model.biases[None, :]
         predicted = int(np.argmax(u[-1]))
         for t in range(u.shape[0]):
@@ -177,11 +211,9 @@ def first_to_spike_loop(qm, rasters, signs, lfsr_seeds):
     Returns one (predicted_class, decision_time or 0 for the fallback,
     word lines read per executed step) per sample.
     """
-    from spikesim.glm import SpikeTrain
-
     out = []
     for raster, sign, seed in zip(rasters, signs, lfsr_seeds):
-        cls, t_d = infer_fts_quantized_loop(qm, SpikeTrain(raster, sign), int(seed))
+        cls, t_d = infer_fts_quantized_loop(qm, raster, sign, int(seed))
         windows = build_windows(raster, qm.window)
         steps = t_d or raster.shape[1]  # the fallback runs every step
         out.append((cls, t_d or 0, [int(windows[t].sum()) + 1 for t in range(steps)]))
@@ -190,14 +222,13 @@ def first_to_spike_loop(qm, rasters, signs, lfsr_seeds):
 
 def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
     """The decisions.csv and trace.csv rows `spikesim simulate` writes, as
-    strings, from one rate_encode and one first_to_spike_loop per sample."""
-    from spikesim.glm import rate_encode
+    strings, from one draw_raster and one first_to_spike_loop per sample."""
     from spikesim.quantize import derive_lfsr_seed
 
     rng = np.random.default_rng(seed)
     decisions, trace = [], []
     for k in range(len(labels)):
-        raster = rate_encode(magnitudes[k], qm.presentation_time, rng).raster
+        raster = draw_raster(magnitudes[k], qm.presentation_time, rng)
         [(cls, t_d, reads)] = first_to_spike_loop(
             qm, [raster], [signs[k]], [derive_lfsr_seed(seed, k)]
         )

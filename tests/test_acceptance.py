@@ -6,7 +6,6 @@ corpora) are marked `full` and enabled with --full.
 """
 
 import itertools
-import math
 import os
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from spikesim.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from spikesim.glm import GlmModel, SpikeTrain, encoded_chunks, rate_encode, sigmoid
+from spikesim.glm import GlmModel, encoded_chunks, sigmoid
 from spikesim.perf import (
     REFERENCE_EFFICIENCY,
     compute_report,
@@ -42,9 +41,15 @@ from spikesim.quantize import (
     pwl_sigmoid,
     quantize_model,
 )
-from spikesim.training import TrainConfig, evaluate_float, fts_gradient, fts_log_prob, fts_objective, train
+from spikesim.training import (
+    TrainConfig,
+    _batch_objective_and_gradient,
+    _log_prob_series,
+    evaluate_float,
+    train,
+)
 
-from oracles import datapath_sums
+from oracles import datapath_sums, draw_raster
 
 
 def report(criterion, ok, detail):
@@ -92,27 +97,24 @@ def test_criterion_03_pwl_fidelity():
     )
 
 
-def _fd_gradients(model, train_, c, h=1e-5):
-    grad_w = np.zeros_like(model.weights)
-    it = np.nditer(model.weights, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        model.weights[idx] += h
-        hi = fts_objective(model, train_, c)
-        model.weights[idx] -= 2 * h
-        lo = fts_objective(model, train_, c)
-        model.weights[idx] += h
-        grad_w[idx] = (hi - lo) / (2 * h)
-        it.iternext()
-    grad_g = np.zeros_like(model.biases)
-    for i in range(model.n_outputs):
-        model.biases[i] += h
-        hi = fts_objective(model, train_, c)
-        model.biases[i] -= 2 * h
-        lo = fts_objective(model, train_, c)
-        model.biases[i] += h
-        grad_g[i] = (hi - lo) / (2 * h)
-    return grad_w, grad_g
+def _fd_gradients(model, batch, h=1e-5):
+    """Central differences of the objective _batch_objective_and_gradient
+    returns, over every weight and bias."""
+    def objective():
+        return _batch_objective_and_gradient(model, *batch)[2]
+
+    grads = []
+    for params in (model.weights, model.biases):
+        grad = np.zeros_like(params)
+        for idx in np.ndindex(params.shape):
+            params[idx] += h
+            hi = objective()
+            params[idx] -= 2 * h
+            lo = objective()
+            params[idx] += h
+            grad[idx] = (hi - lo) / (2 * h)
+        grads.append(grad)
+    return grads
 
 
 def test_criterion_04_gradient_correctness():
@@ -129,13 +131,12 @@ def test_criterion_04_gradient_correctness():
             weights=rng.normal(size=(n_inputs, n_outputs, window)),
             biases=rng.normal(size=n_outputs),
         )
-        train_ = SpikeTrain(
-            raster=rng.integers(0, 2, size=(n_inputs, duration)),
-            sign=rng.choice([-1, 1], size=n_inputs),
-        )
-        c = int(rng.integers(n_outputs))
-        aw, ag = fts_gradient(model, train_, c)
-        fw, fg = _fd_gradients(model, train_, c)
+        # a batch of one train
+        batch = (rng.integers(0, 2, size=(1, n_inputs, duration)),
+                 rng.choice([-1, 1], size=(1, n_inputs)),
+                 np.array([rng.integers(n_outputs)]))
+        aw, ag, _ = _batch_objective_and_gradient(model, *batch)
+        fw, fg = _fd_gradients(model, batch)
         analytic = np.concatenate([aw.ravel(), ag.ravel()])
         fd = np.concatenate([fw.ravel(), fg.ravel()])
         rel = np.linalg.norm(analytic - fd) / max(
@@ -143,7 +144,8 @@ def test_criterion_04_gradient_correctness():
         )
         worst = max(worst, rel)
     ok = worst < 1e-4
-    report(4, ok, f"100 random instances: worst FD relative error {worst:.2e} (<1e-4)")
+    report(4, ok, f"100 random one-sample batches: worst FD relative error of the SGD "
+                  f"gradient {worst:.2e} (<1e-4)")
 
 
 def _pattern_enumeration_prob(u, c, t):
@@ -163,6 +165,14 @@ def _pattern_enumeration_prob(u, c, t):
     return total
 
 
+def _outcome_probs(u):
+    """exp(_log_prob_series) of potentials u (n_outputs, T) for every label:
+    (n_outputs, T), entry (c, t-1) the probability that c fires first at t."""
+    n_outputs = u.shape[0]
+    return np.exp(_log_prob_series(np.repeat(u.T[None], n_outputs, axis=0),
+                                   np.arange(n_outputs)))
+
+
 def test_criterion_05_probability_mass():
     rng = np.random.default_rng(505)
     worst_mass = 0.0
@@ -170,23 +180,18 @@ def test_criterion_05_probability_mass():
         for duration in (1, 2, 3, 4):
             for _ in range(20):
                 u = rng.normal(scale=2.5, size=(n_outputs, duration))
-                mass = sum(
-                    math.exp(fts_log_prob(u, c, t))
-                    for c in range(n_outputs)
-                    for t in range(1, duration + 1)
-                )
-                worst_mass = max(worst_mass, mass)
+                worst_mass = max(worst_mass, float(_outcome_probs(u).sum()))
     # spot-check the event semantics against pattern enumeration
     u = rng.normal(size=(2, 3))
+    probs = _outcome_probs(u)
     for c, t in ((0, 1), (1, 2), (0, 3)):
-        direct = math.exp(fts_log_prob(u, c, t))
         enumerated = _pattern_enumeration_prob(u, c, t)
-        assert direct == pytest.approx(enumerated, rel=1e-9)
+        assert probs[c, t - 1] == pytest.approx(enumerated, rel=1e-9)
     ok = worst_mass <= 1.0 + 1e-9
     report(
         5, ok,
-        f"first-spike outcome mass <= 1 for T<=4, outputs<=3 "
-        f"(max {worst_mass:.12f}); matches pattern enumeration",
+        f"first-spike outcome mass of the SGD log-probability series <= 1 for "
+        f"T<=4, outputs<=3 (max {worst_mass:.12f}); matches pattern enumeration",
     )
 
 
@@ -372,7 +377,7 @@ def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
         rng = np.random.default_rng(1)
         evaluator = []
         for k, (mag, sign) in enumerate(zip(test_ds.magnitudes(), test_ds.signs())):
-            raster = rate_encode(mag, qm.presentation_time, rng).raster
+            raster = draw_raster(mag, qm.presentation_time, rng)
             cls, t_d = first_to_spike_quantized(qm, raster[None], sign[None],
                                                 [derive_lfsr_seed(1, k)])
             evaluator.append([str(cls[0]), str(t_d[0] or -1)])

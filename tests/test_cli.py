@@ -8,6 +8,7 @@ import pytest
 from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_split_pair, main
 from spikesim.datasets import load_model, save_model
 from spikesim.glm import GlmModel
+from spikesim.perf import default_config, save_config
 from spikesim.quantize import QuantizedModel
 
 from oracles import simulate_rows_loop
@@ -305,6 +306,23 @@ class TestPerfCommand:
         bad.write_text('{"version": 99}')
         code = main(["perf", "--out", str(tmp_path / "p"), "--perf-config", str(bad)])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("path", ["avg_active_wordlines", "technologies.stt_ram",
+                                      "logic_by_bits.5"])
+    def test_config_missing_a_key_is_usage_error(self, tmp_path, capsys, path):
+        # each key compute_report reads; a precision of memory_by_bits
+        # needs its logic_by_bits entry
+        config = default_config()
+        *parents, key = path.split(".")
+        entry = config
+        for parent in parents:
+            entry = entry[parent]
+        del entry[key]
+        bad = tmp_path / "perf.json"
+        save_config(bad, config)
+        code = main(["perf", "--out", str(tmp_path / "p"), "--perf-config", str(bad)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"spikesim: usage error: perf config missing '{path}'\n"
 
 
 def _sha256(*chunks):

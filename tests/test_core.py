@@ -25,8 +25,10 @@ from spikesim.quantize import (
 from oracles import (
     build_windows,
     datapath_sums,
+    dequant_biases,
     first_to_spike_loop,
     saturating_sums_loop,
+    spike_decision,
     spike_window,
     unpack_memory,
 )
@@ -265,7 +267,7 @@ class TestCoreStep:
         assert np.all(decision_time > 0)
 
     def test_draws_match_per_neuron_spike_decisions(self):
-        from spikesim.quantize import clip_to_fixed, pwl_sigmoid, spike_decision
+        from spikesim.quantize import clip_to_fixed, pwl_sigmoid
 
         rng = np.random.default_rng(85)
         qm = random_qm(rng, n_inputs=4, n_outputs=7, window=3, duration=6)
@@ -273,7 +275,7 @@ class TestCoreStep:
         rasters, signs, seeds = random_batch(rng, qm, 30)
         predicted, decision_time, _ = first_to_spike_batch(image, qm, rasters, signs, seeds)
         u_codes = clip_to_fixed(core_sums(image, qm, rasters, signs) * qm.w_step
-                                + qm.dequant_biases())
+                                + dequant_biases(qm))
         pwl = pwl_sigmoid(u_codes)
         for k in range(30):
             lfsr = int(seeds[k])
@@ -319,7 +321,7 @@ class TestCoreStep:
         # step window + 1 reads every line of every input
         assert np.all(sums[0, window] == ACC_LIMIT)
         # saturated potential still clips to the top of the 1.4.3 range
-        assert np.all(clip_to_fixed(sums[0, window] * qm.w_step + qm.dequant_biases()) == 63)
+        assert np.all(clip_to_fixed(sums[0, window] * qm.w_step + dequant_biases(qm)) == 63)
         assert pwl_sigmoid(63) == 255
 
     def test_accumulators_match_integer_oracle(self):

@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikesim.datasets import Dataset
 from spikesim.glm import (
     ENCODE_CHUNK,
     EncodingError,
     GlmModel,
-    SpikeTrain,
+    check_magnitudes,
+    draw_rasters,
     encoded_chunks,
-    identity_basis,
     kernel_matrix,
-    membrane_series,
-    rate_encode,
     sigmoid,
     windowed_potentials,
 )
-from oracles import build_windows, windowed_sums
+from oracles import build_windows, draw_raster, windowed_sums
 
 
 def brute_force_matvec(basis, w):
@@ -44,45 +43,47 @@ def brute_force_potential(weights, biases, raster, sign, window, i, t):
 
 
 class TestRateEncode:
+    """Bernoulli rate encoding: draw_rasters on checked magnitudes."""
+
     def test_zero_magnitude_never_spikes(self):
         rng = np.random.default_rng(0)
-        train = rate_encode(np.zeros(3), 8, rng)
-        assert train.raster.sum() == 0
+        assert draw_rasters(np.zeros((2, 3)), 8, rng).sum() == 0
 
     def test_unit_magnitude_always_spikes(self):
         rng = np.random.default_rng(0)
-        train = rate_encode(np.ones(3), 8, rng)
-        assert train.raster.min() == 1
+        assert draw_rasters(np.ones((2, 3)), 8, rng).min() == 1
 
     def test_empirical_rate_matches_binomial_statistics(self):
         # 3-sigma band around p=0.5 for 10000 draws
         rng = np.random.default_rng(7)
-        train = rate_encode(np.array([0.5]), 10000, rng)
-        rate = train.raster.mean()
+        rate = draw_rasters(np.array([[0.5]]), 10000, rng).mean()
         sigma = math.sqrt(0.25 / 10000)
         assert abs(rate - 0.5) <= 3 * sigma
 
     def test_signs_follow_input_and_zero_maps_positive(self):
-        rng = np.random.default_rng(1)
-        train = rate_encode(np.array([-0.5, 0.0, 0.25]), 4, rng)
-        assert train.sign.tolist() == [-1, 1, 1]
+        x = np.array([[-0.5, 0.0, 0.25]])
+        ds = Dataset(features=x, labels=np.zeros(1), split="train", n_classes=1)
+        assert ds.signs().tolist() == [[-1, 1, 1]]
         # negative channels spike on magnitude
-        assert 0 < train.raster[0].mean() < 1 or train.duration < 8
+        assert check_magnitudes(x).tolist() == [[0.5, 0.0, 0.25]]
+        _, rasters = next(encoded_chunks(x, 4000, np.random.default_rng(1)))
+        assert 0.45 < rasters[0, 0].mean() < 0.55
 
     def test_rejects_out_of_range_and_non_finite(self):
-        rng = np.random.default_rng(2)
         with pytest.raises(EncodingError):
-            rate_encode(np.array([1.5]), 4, rng)
+            check_magnitudes(np.array([[1.5]]))
         with pytest.raises(EncodingError):
-            rate_encode(np.array([np.nan]), 4, rng)
+            check_magnitudes(np.array([[np.nan]]))
+        with pytest.raises(EncodingError):
+            check_magnitudes(np.array([[-1.5]]))
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=25, deadline=None)
     def test_same_seed_same_raster(self, seed):
-        x = np.array([0.3, 0.7, 0.5])
-        a = rate_encode(x, 16, np.random.default_rng(seed))
-        b = rate_encode(x, 16, np.random.default_rng(seed))
-        assert np.array_equal(a.raster, b.raster)
+        x = np.array([[0.3, 0.7, 0.5]])
+        a = next(encoded_chunks(x, 16, np.random.default_rng(seed)))[1]
+        b = next(encoded_chunks(x, 16, np.random.default_rng(seed)))[1]
+        assert np.array_equal(a, b)
 
 
 def basis_model(basis, weights):
@@ -100,12 +101,15 @@ class TestExpandKernel:
     """GlmModel.kernels expands each weight vector through the basis."""
 
     def test_identity_basis_is_identity_map(self):
+        # the default basis
         w = np.arange(1.0, 8.0)
-        alpha = basis_model(identity_basis(7), w[None, None]).kernels()
-        assert np.array_equal(alpha[0, 0], w)
+        model = GlmModel(n_inputs=1, n_outputs=1, presentation_time=7, window=7,
+                         weights=w[None, None], biases=np.zeros(1))
+        assert np.array_equal(model.basis, np.eye(7))
+        assert np.array_equal(model.kernels()[0, 0], w)
 
     def test_zero_weights_zero_kernel(self):
-        alpha = basis_model(identity_basis(5), np.zeros((1, 1, 5))).kernels()
+        alpha = basis_model(np.eye(5), np.zeros((1, 1, 5))).kernels()
         assert np.array_equal(alpha[0, 0], np.zeros(5))
 
     def test_random_binary_basis_matches_brute_force(self):
@@ -121,7 +125,7 @@ class TestExpandKernel:
         with pytest.raises(ValueError):
             GlmModel(n_inputs=1, n_outputs=1, presentation_time=3, window=3,
                      weights=np.zeros((1, 1, 4)), biases=np.zeros(1),
-                     basis=identity_basis(3))
+                     basis=np.eye(3))
 
 
 class TestSigmoid:
@@ -159,12 +163,19 @@ def small_model(rng, n_inputs=3, n_outputs=2, duration=6, window=4):
     )
 
 
+def potentials(model, raster, sign):
+    """One train's membrane potentials (T, n_outputs), as training and
+    evaluate_float compute them: windowed_potentials plus the bias."""
+    kmat = kernel_matrix(model.kernels())
+    return windowed_potentials(np.asarray(raster)[None], np.asarray(sign)[None], kmat,
+                               model.window)[0] + model.biases
+
+
 class TestMembranePotential:
     def test_all_zero_windows_gives_bias(self):
         rng = np.random.default_rng(4)
         model = small_model(rng)
-        train = SpikeTrain(raster=np.zeros((3, 6)), sign=np.ones(3))
-        u = membrane_series(model, train)
+        u = potentials(model, np.zeros((3, 6)), np.ones(3))
         assert np.array_equal(u, np.tile(model.biases, (6, 1)))
 
     def test_one_hot_window_picks_single_tap(self):
@@ -173,7 +184,7 @@ class TestMembranePotential:
         model.biases[:] = 0.0
         raster = np.zeros((3, 6))
         raster[2, 0] = 1  # channel 2 at step 1: delay tap 4 of step 5
-        u = membrane_series(model, SpikeTrain(raster=raster, sign=np.ones(3)))
+        u = potentials(model, raster, np.ones(3))
         assert u[4, 0] == pytest.approx(model.weights[2, 0, 3])
 
     def test_series_matches_triple_loop_oracle(self):
@@ -181,8 +192,7 @@ class TestMembranePotential:
         model = small_model(rng)
         raster = rng.integers(0, 2, size=(3, 6))
         sign = rng.choice([-1, 1], size=3)
-        train = SpikeTrain(raster=raster, sign=sign)
-        u = membrane_series(model, train)
+        u = potentials(model, raster, sign)
         for t in range(1, 7):
             for i in range(2):
                 want = brute_force_potential(
@@ -197,9 +207,9 @@ class TestMembranePotential:
         r1 = rng.integers(0, 2, size=(3, 6))
         r2 = (1 - r1) * rng.integers(0, 2, size=(3, 6))
         assert not np.any(r1 * r2)
-        u_join = membrane_series(model, SpikeTrain(raster=r1 | r2, sign=signs))
-        u1 = membrane_series(model, SpikeTrain(raster=r1, sign=signs))
-        u2 = membrane_series(model, SpikeTrain(raster=r2, sign=signs))
+        u_join = potentials(model, r1 | r2, signs)
+        u1 = potentials(model, r1, signs)
+        u2 = potentials(model, r2, signs)
         assert np.allclose(u_join + model.biases, u1 + u2, rtol=1e-12, atol=1e-12)
 
 
@@ -291,15 +301,6 @@ class TestPotentialKernel:
             assert np.array_equal(got[b].astype(np.int64), want)
             assert np.array_equal(got[b], want.astype(np.float64))
 
-    def test_membrane_series_adds_the_bias(self):
-        rng = np.random.default_rng(32)
-        model = kernel_case(rng, 3, 2, 5, 3)
-        train = SpikeTrain(raster=rng.integers(0, 2, size=(3, 5)),
-                           sign=rng.choice([-1, 1], size=3))
-        want = windowed_sums(train.raster, train.sign, model.kernels()) + model.biases
-        np.testing.assert_allclose(membrane_series(model, train), want,
-                                   rtol=1e-12, atol=1e-12)
-
 
 class TestEncodedChunks:
     def test_blocks_draw_what_per_sample_encoding_draws(self):
@@ -311,7 +312,7 @@ class TestEncodedChunks:
         rasters = np.concatenate([r for _, r in blocks])
         ref_rng = np.random.default_rng(9)
         for k in range(n):
-            assert np.array_equal(rasters[k], rate_encode(x[k], 4, ref_rng).raster)
+            assert np.array_equal(rasters[k], draw_raster(np.abs(x[k]), 4, ref_rng))
 
     def test_whole_split_is_validated_before_any_draw(self):
         rng = np.random.default_rng(41)

@@ -169,6 +169,18 @@ class TestReport:
         with pytest.raises(ValueError):
             load_config(bad_path)
 
+    def test_validation_names_the_first_missing_key(self):
+        config = default_config()
+        validate_config(config)
+        del config["technologies"]["sram"]["memory_by_bits"]["6"]["area_mm2"]
+        del config["overheads"]["routing"]
+        with pytest.raises(ValueError, match="missing 'overheads.routing'"):
+            validate_config(config)
+        config["overheads"]["routing"] = 0.1
+        with pytest.raises(ValueError,
+                           match=r"missing 'technologies\.sram\.memory_by_bits\.6\.area_mm2'"):
+            validate_config(config)
+
     def test_zero_overheads_strictly_improve_efficiency(self):
         config = default_config()
         base = {

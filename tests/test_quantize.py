@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesim import quantize
-from spikesim.glm import GlmModel, SpikeTrain, windowed_potentials
+from spikesim.glm import GlmModel, kernel_matrix, windowed_potentials
 from spikesim.quantize import (
-    FMT_1_4_3,
     LFSR_PERIOD,
-    FixedPointFormat,
+    U_MAX_CODE,
+    U_MIN_CODE,
     QuantizedModel,
     clip_to_fixed,
     derive_lfsr_seed,
@@ -21,10 +21,10 @@ from spikesim.quantize import (
     pwl_sigmoid,
     quantize_model,
     quantize_uniform,
-    spike_decision,
 )
 from oracles import (
     datapath_sums,
+    dequant_biases,
     evaluate_quantized_loop,
     first_to_spike_loop,
     infer_fts_quantized_loop,
@@ -46,49 +46,48 @@ def scalar_quantize(v, lo, hi, bits):
 
 class TestQuantizeUniform:
     def test_step_for_symmetric_unit_range(self):
-        codes, step = quantize_uniform(np.array([-1.0, 0.0, 1.0]), 5)
-        assert step == 0.125
+        # step 2 / 2**4 = 0.125
+        codes = quantize_uniform(np.array([-1.0, -0.125, 0.0, 1.0]), 5, -1.0, 1.0)
+        assert codes.tolist() == [-8, -1, 0, 8]
 
     def test_zero_maps_to_code_zero(self):
         for bits in range(2, 9):
-            codes, _ = quantize_uniform(np.array([-1.0, 0.0, 1.0]), bits)
+            codes = quantize_uniform(np.array([-1.0, 0.0, 1.0]), bits, -1.0, 1.0)
             assert codes[1] == 0
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(61)
         values = rng.normal(size=200) * 3
-        codes, step = quantize_uniform(values, 5)
         lo, hi = values.min(), values.max()
+        codes = quantize_uniform(values, 5, lo, hi)
         for v, c in zip(values, codes):
-            want, want_step = scalar_quantize(v, lo, hi, 5)
+            want, _ = scalar_quantize(v, lo, hi, 5)
             assert c == want
-            assert step == pytest.approx(want_step)
 
     def test_error_bound_inside_range(self):
         rng = np.random.default_rng(62)
         values = rng.uniform(-1, 1, size=500)
         values[0], values[1] = -1.0, 1.0
-        codes, step = quantize_uniform(values, 5)
+        codes = quantize_uniform(values, 5, -1.0, 1.0)
+        step = 2.0 / 2**4
         dequant = codes * step
         bound = 2**4 - 1
         unclipped = np.abs(values / step) <= bound + 0.5
         assert np.all(np.abs(values - dequant)[unclipped] <= step / 2 + 1e-12)
 
     def test_degenerate_range_flags_zero_step(self):
-        codes, step = quantize_uniform(np.full(4, 2.5), 6)
-        assert step == 0.0
-        assert np.all(codes == 0)
+        codes = quantize_uniform(np.full(4, 2.5), 6, 2.5, 2.5)
+        assert codes.dtype == np.int16 and np.all(codes == 0)
+        qm = quantize_model(GlmModel.zeros(3, 2, 4, 2), 6)
+        assert qm.w_step == qm.gamma_step == 0.0
+        assert not qm.w_codes.any() and not qm.gamma_codes.any()
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            quantize_uniform(np.array([np.inf]), 5)
-        with pytest.raises(ValueError):
-            quantize_uniform(np.array([1.0]), 0)
-
-    def test_one_bit_collapses_every_code(self):
-        codes, step = quantize_uniform(np.array([-1.0, 0.3, 1.0]), 1)
-        assert np.all(codes == 0)
-        assert step == 2.0
+            quantize_uniform(np.array([np.inf]), 5, -1.0, 1.0)
+        for bits in (0, 1, 9, 16):
+            with pytest.raises(ValueError, match="datapath"):
+                quantize_uniform(np.array([1.0]), bits, -1.0, 1.0)
 
 
 class TestClipToFixed:
@@ -96,35 +95,35 @@ class TestClipToFixed:
         assert clip_to_fixed(0.0) == 0
 
     def test_saturates_high_and_low(self):
-        assert clip_to_fixed(100.0) * FMT_1_4_3.step == 7.875
-        assert clip_to_fixed(-100.0) * FMT_1_4_3.step == -8.0
+        assert clip_to_fixed(100.0) / 8 == 7.875
+        assert clip_to_fixed(-100.0) / 8 == -8.0
 
     def test_rounding_oracle_value(self):
-        # -1.44 / 0.125 = -11.52, nearest is -12
-        assert clip_to_fixed(-1.44) * FMT_1_4_3.step == -1.5
+        # -1.44 * 8 = -11.52, nearest is -12
+        assert clip_to_fixed(-1.44) / 8 == -1.5
 
     def test_ties_round_away_from_zero(self):
-        assert clip_to_fixed(-1.4375) * FMT_1_4_3.step == -1.5
-        assert clip_to_fixed(1.4375) * FMT_1_4_3.step == 1.5
+        assert clip_to_fixed(-1.4375) / 8 == -1.5
+        assert clip_to_fixed(1.4375) / 8 == 1.5
 
     def test_format_range_derivation(self):
-        fmt = FMT_1_4_3
-        assert (fmt.min_value, fmt.max_value) == (-8.0, 7.875)
-        assert fmt.step == 0.125
-        assert fmt.width == 8
+        # 1.4.3: 8 bits, steps of 1/8 over [-8.0, +7.875]
+        assert (U_MIN_CODE / 8, U_MAX_CODE / 8) == (-8.0, 7.875)
+        assert clip_to_fixed([-8.0625, -8.0, 7.875, 7.9375]).tolist() == [
+            U_MIN_CODE, U_MIN_CODE, U_MAX_CODE, U_MAX_CODE]
 
     @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, u):
         once = clip_to_fixed(u)
-        again = clip_to_fixed(once * FMT_1_4_3.step)
+        again = clip_to_fixed(once / 8)
         assert once == again
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(63)
         us = rng.uniform(-12, 12, size=64)
         vec = clip_to_fixed(us)
-        assert [clip_to_fixed(float(u)) for u in us] == vec.tolist()
+        assert [int(clip_to_fixed(float(u))) for u in us] == vec.tolist()
 
 
 def pwl_float_oracle(code):
@@ -199,19 +198,34 @@ class TestLfsr:
         assert seeds == [derive_lfsr_seed(42, i) for i in range(1000)]
 
 
+def bias_only_model(gamma_code, duration):
+    """One output with one silent synapse: its potential is the bias code
+    in steps of 1/8."""
+    return coded_model(np.zeros((1, 1, 1), dtype=np.int16), np.array([gamma_code]),
+                       duration, g_range=(-8.0, 8.0))
+
+
 class TestSpikeDecision:
+    """The datapath's spike: the PWL output against the low LFSR byte."""
+
     def test_zero_activation_never_spikes(self):
-        state = 1
-        for _ in range(1000):
-            spike, state = spike_decision(0, state)
-            assert not spike
+        # bias code -127 is -15.875, which clips to -8.0, where the PWL gives 0
+        assert pwl_sigmoid(clip_to_fixed(-15.875)) == 0
+        seeds = lfsr_run(1, 1000)
+        _, decision_time = first_to_spike_quantized(
+            bias_only_model(-127, 4), np.ones((1000, 1, 4)), np.ones((1000, 1)), seeds)
+        assert np.all(decision_time == 0)
 
     def test_full_activation_spikes_unless_byte_is_255(self):
-        state = 1
-        for _ in range(2000):
-            low = state & 0xFF
-            spike, state = spike_decision(255, state)
-            assert spike == (low != 255)
+        # bias code 127 is +15.875, which clips to +7.875, where the PWL gives
+        # 255: the step-1 draw, the seed itself, fires unless its low byte is 255
+        assert pwl_sigmoid(clip_to_fixed(15.875)) == 255
+        seeds = lfsr_run(1, 2000)
+        _, decision_time = first_to_spike_quantized(
+            bias_only_model(127, 1), np.zeros((2000, 1, 1)), np.ones((2000, 1)), seeds)
+        low = seeds & 0xFF
+        assert np.any(low == 255)
+        assert np.array_equal(decision_time == 1, low != 255)
 
     def test_full_period_rate_close_to_uniform(self):
         # one full cycle of low bytes, reused for several activation levels
@@ -244,7 +258,7 @@ class TestQuantizedModel:
         assert qm.w_codes.shape == model.weights.shape
         assert np.abs(qm.w_codes).max() <= 15
         assert np.abs(qm.gamma_codes).max() <= 15
-        deq = qm.dequant_weights()
+        deq = qm.w_codes * qm.w_step
         assert deq.min() >= qm.w_min - qm.w_step
         assert deq.max() <= qm.w_max + qm.w_step
 
@@ -263,16 +277,10 @@ class TestQuantizedModel:
         model, qm = tiny_quantized_model(rng, bits=8)
         raster = rng.integers(0, 2, size=(3, 5))
         sign = rng.choice([-1, 1], size=3)
-        train = SpikeTrain(raster=raster, sign=sign)
-        kernel_sums, u_real = quantized_potentials(qm, train)
-        # reference: dequantized-weight model evaluated in float
-        ref_model = GlmModel(
-            n_inputs=3, n_outputs=2, presentation_time=5, window=3,
-            weights=qm.dequant_weights(), biases=qm.dequant_biases(),
-        )
-        from spikesim.glm import membrane_series
-
-        ref = membrane_series(ref_model, train)
+        kernel_sums, u_real = quantized_potentials(qm, raster, sign)
+        # reference: the dequantized kernels' float potentials plus the bias
+        kmat = kernel_matrix(qm.w_codes * qm.w_step)
+        ref = windowed_potentials(raster[None], sign[None], kmat, 3)[0] + dequant_biases(qm)
         assert np.allclose(u_real, ref, rtol=1e-10, atol=1e-12)
 
     def test_inference_is_deterministic_and_bounded(self):
@@ -285,6 +293,12 @@ class TestQuantizedModel:
         assert (p1.tolist(), t1.tolist()) == (p2.tolist(), t2.tolist())
         assert 0 <= p1[0] < 2
         assert 0 <= t1[0] <= 5  # 0 is the fallback
+
+    def test_rejects_precisions_the_datapath_lacks(self):
+        model, _ = tiny_quantized_model(np.random.default_rng(74))
+        for bits in (1, 9):
+            with pytest.raises(ValueError, match="datapath"):
+                quantize_model(model, bits)
 
 
 class TestLfsrTable:
@@ -336,7 +350,7 @@ class TestBiasQuantization:
         qm = quantize_model(self._model(biases, np.random.default_rng(bits)), bits)
         assert qm.gamma_step > 0
         # the extreme value clamps from code -2**(b-1) to -(2**(b-1) - 1)
-        err = np.abs(qm.dequant_biases() - biases).max()
+        err = np.abs(dequant_biases(qm) - biases).max()
         assert err <= qm.gamma_step * (1 + 1e-9)
         assert qm.gamma_min <= min(min(biases), 0.0)
         assert qm.gamma_max >= max(max(biases), 0.0)
@@ -346,8 +360,8 @@ class TestBiasQuantization:
         assert np.all(qm.gamma_codes == 0)
 
     def test_explicit_bounds_set_the_step(self):
-        codes, step = quantize_uniform(np.array([-3.0, -1.0]), 5, lo=-3.0, hi=0.0)
-        assert step == pytest.approx(3.0 / 16)
+        # step 3 / 16: -3.0 is code -16, clamped to -15; -1.0 is -5.33
+        codes = quantize_uniform(np.array([-3.0, -1.0]), 5, lo=-3.0, hi=0.0)
         assert codes.tolist() == [-15, -5]
 
 
@@ -362,14 +376,12 @@ class TestQuantizedDecisions:
             weights=rng.normal(size=(6, 4, 3)), biases=rng.normal(-1.0, 1.0, size=4),
         )
         qm = quantize_model(model, bits)
-        trains = [SpikeTrain(raster=rng.integers(0, 2, size=(6, 7)),
-                             sign=rng.choice([-1, 1], size=6)) for _ in range(12)]
+        rasters = rng.integers(0, 2, size=(12, 6, 7))
+        signs = rng.choice([-1, 1], size=(12, 6))
         seeds = [derive_lfsr_seed(bits, k) for k in range(12)]
-        predicted, decision_time = first_to_spike_quantized(
-            qm, np.stack([t.raster for t in trains]), np.stack([t.sign for t in trains]), seeds
-        )
-        for k, (train, seed) in enumerate(zip(trains, seeds)):
-            want = infer_fts_quantized_loop(qm, train, seed)
+        predicted, decision_time = first_to_spike_quantized(qm, rasters, signs, seeds)
+        for k, seed in enumerate(seeds):
+            want = infer_fts_quantized_loop(qm, rasters[k], signs[k], seed)
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
 
     def test_evaluate_matches_per_sample_loop(self):
@@ -406,7 +418,7 @@ class TestQuantizedDecisions:
         seeds = [derive_lfsr_seed(3, k) for k in range(30)]
         predicted, decision_time = first_to_spike_quantized(qm, rasters, signs, seeds)
         for k in range(30):
-            want = infer_fts_quantized_loop(qm, SpikeTrain(rasters[k], signs[k]), seeds[k])
+            want = infer_fts_quantized_loop(qm, rasters[k], signs[k], seeds[k])
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
         plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))
         assert np.any(plain[1] != decision_time)
@@ -542,8 +554,8 @@ class TestEarlyExit:
         w_step = 7.5625 / 121 * (1 - 1e-12)
         qm = coded_model(np.full((1, 1, 1), 121), np.array([-120]), 2,
                          w_range=(-64 * w_step, 64 * w_step), g_range=(-4.0, 4.0))
-        assert qm.w_step == w_step and qm.dequant_biases()[0] == -7.5
-        bias = qm.dequant_biases()
+        bias = dequant_biases(qm)
+        assert qm.w_step == w_step and bias[0] == -7.5
         assert clip_to_fixed(np.float32([121]) * w_step + bias)[0] == 1
         assert clip_to_fixed(np.float64([121]) * w_step + bias)[0] == 0
         starts = np.arange(1, LFSR_PERIOD + 1)

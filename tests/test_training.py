@@ -5,18 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikesim.glm import GlmModel, SpikeTrain, first_spike, membrane_series, sigmoid
+from spikesim.glm import GlmModel, first_spike, kernel_matrix, sigmoid, windowed_potentials
 from spikesim.training import (
     TrainConfig,
     TrainingDiverged,
     _batch_objective_and_gradient,
+    _log_prob_series,
     evaluate_float,
-    fts_gradient,
-    fts_log_prob,
-    fts_objective,
     train,
 )
-from oracles import batch_objective_and_gradient_windows, evaluate_float_loop
+from oracles import batch_objective_and_gradient_windows, evaluate_float_loop, fts_log_prob
 
 
 class ArrayData:
@@ -50,7 +48,13 @@ def product_form_log_prob(u, c, t):
     return math.log(p)
 
 
+def log_prob(u, c, t):
+    """_log_prob_series of potentials u (n_outputs, T) at label c, step t."""
+    return _log_prob_series(np.asarray(u).T[None], np.array([c]))[0, t - 1]
+
+
 def random_instance(rng, n_inputs=3, n_outputs=2, duration=4, window=3, scale=1.0):
+    """A random model and one signed spike train: (model, raster, sign)."""
     model = GlmModel(
         n_inputs=n_inputs,
         n_outputs=n_outputs,
@@ -61,17 +65,36 @@ def random_instance(rng, n_inputs=3, n_outputs=2, duration=4, window=3, scale=1.
     )
     raster = rng.integers(0, 2, size=(n_inputs, duration))
     sign = rng.choice([-1, 1], size=n_inputs)
-    return model, SpikeTrain(raster=raster, sign=sign)
+    return model, raster, sign
+
+
+def potentials(model, raster, sign):
+    """One train's potentials (T, n_outputs): windowed_potentials plus the bias."""
+    kmat = kernel_matrix(model.kernels())
+    return windowed_potentials(raster[None], sign[None], kmat, model.window)[0] + model.biases
+
+
+def objective(model, raster, sign, c):
+    """The training objective on a batch of one: the log probability that
+    neuron c fires first, at any step."""
+    return _batch_objective_and_gradient(model, raster[None], sign[None], np.array([c]))[2]
+
+
+def gradient(model, raster, sign, c):
+    """The objective's gradient on a batch of one: (grad_w, grad_gamma)."""
+    return _batch_objective_and_gradient(model, raster[None], sign[None], np.array([c]))[:2]
 
 
 class TestFtsLogProb:
+    """_log_prob_series, the per-step log probabilities SGD maximizes."""
+
     def test_two_neurons_flat_potentials(self):
         u = np.zeros((2, 1))
-        assert fts_log_prob(u, 0, 1) == pytest.approx(math.log(0.25), abs=1e-12)
+        assert log_prob(u, 0, 1) == pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_single_neuron_no_competition(self):
         u = np.zeros((1, 1))
-        assert fts_log_prob(u, 0, 1) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert log_prob(u, 0, 1) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_matches_product_oracle(self):
         rng = np.random.default_rng(11)
@@ -79,40 +102,37 @@ class TestFtsLogProb:
             u = rng.normal(scale=2.0, size=(3, 2))
             for c in range(3):
                 for t in (1, 2):
-                    assert fts_log_prob(u, c, t) == pytest.approx(
-                        product_form_log_prob(u, c, t), rel=1e-10
-                    )
+                    want = product_form_log_prob(u, c, t)
+                    assert log_prob(u, c, t) == pytest.approx(want, rel=1e-10)
+                    assert fts_log_prob(u, c, t) == pytest.approx(want, rel=1e-10)
 
     def test_stable_for_extreme_potentials(self):
         u = np.full((2, 3), -500.0)
-        assert np.isfinite(fts_log_prob(u, 0, 3))
+        assert np.isfinite(log_prob(u, 0, 3))
         u = np.full((2, 3), 500.0)
-        assert np.isfinite(fts_log_prob(u, 0, 1))
+        assert np.isfinite(log_prob(u, 0, 1))
 
     def test_rejects_bad_indices(self):
-        u = np.zeros((2, 2))
         with pytest.raises(IndexError):
-            fts_log_prob(u, 5, 1)
-        with pytest.raises(IndexError):
-            fts_log_prob(u, 0, 3)
+            _log_prob_series(np.zeros((1, 2, 2)), np.array([5]))
 
     def test_monotone_in_labeled_potential(self):
         rng = np.random.default_rng(12)
         u = rng.normal(size=(3, 3))
-        base = fts_log_prob(u, 1, 3)
+        base = log_prob(u, 1, 3)
         up = u.copy()
         up[1, 2] += 0.5
-        assert fts_log_prob(up, 1, 3) > base
+        assert log_prob(up, 1, 3) > base
 
     def test_decreasing_in_competitor_potentials(self):
         rng = np.random.default_rng(13)
         u = rng.normal(size=(3, 3))
-        base = fts_log_prob(u, 1, 3)
+        base = log_prob(u, 1, 3)
         for i in (0, 2):
             for tp in range(3):
                 bumped = u.copy()
                 bumped[i, tp] += 0.5
-                assert fts_log_prob(bumped, 1, 3) < base
+                assert log_prob(bumped, 1, 3) < base
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=40, deadline=None)
@@ -121,66 +141,60 @@ class TestFtsLogProb:
         n_outputs = int(rng.integers(1, 4))
         duration = int(rng.integers(1, 5))
         u = rng.normal(scale=3.0, size=(n_outputs, duration))
-        mass = sum(
-            math.exp(fts_log_prob(u, c, t))
-            for c in range(n_outputs)
-            for t in range(1, duration + 1)
-        )
-        assert mass <= 1.0 + 1e-9
+        series = _log_prob_series(np.repeat(u.T[None], n_outputs, axis=0),
+                                  np.arange(n_outputs))
+        assert np.exp(series).sum() <= 1.0 + 1e-9
 
 
 class TestFtsObjective:
     def test_single_step_equals_log_prob(self):
         rng = np.random.default_rng(21)
-        model, _ = random_instance(rng, duration=1, window=1)
-        raster = rng.integers(0, 2, size=(3, 1))
-        train_ = SpikeTrain(raster=raster, sign=np.ones(3, dtype=np.int8))
-        u = membrane_series(model, train_)
-        assert fts_objective(model, train_, 0) == pytest.approx(
+        model, _, _ = random_instance(rng, duration=1, window=1)
+        raster, sign = rng.integers(0, 2, size=(3, 1)), np.ones(3, dtype=np.int8)
+        u = potentials(model, raster, sign)
+        assert objective(model, raster, sign, 0) == pytest.approx(
             fts_log_prob(u.T, 0, 1), rel=1e-12
         )
 
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            model, train_ = random_instance(rng, n_outputs=2, duration=3, window=2)
-            u = membrane_series(model, train_).T  # (n_outputs, T)
+            model, raster, sign = random_instance(rng, n_outputs=2, duration=3, window=2)
+            u = potentials(model, raster, sign).T  # (n_outputs, T)
             for c in range(2):
                 total = sum(
                     math.exp(product_form_log_prob(u, c, t)) for t in (1, 2, 3)
                 )
-                assert fts_objective(model, train_, c) == pytest.approx(
+                assert objective(model, raster, sign, c) == pytest.approx(
                     math.log(total), rel=1e-10
                 )
 
     def test_suppressed_label_drives_objective_down(self):
         model = GlmModel.zeros(2, 2, 3, 2)
-        train_ = SpikeTrain(
-            raster=np.zeros((2, 3), dtype=np.uint8), sign=np.ones(2, dtype=np.int8)
-        )
-        base = fts_objective(model, train_, 0)
+        raster, sign = np.zeros((2, 3), dtype=np.uint8), np.ones(2, dtype=np.int8)
+        base = objective(model, raster, sign, 0)
         model.biases[0] = -40.0
-        assert fts_objective(model, train_, 0) < base - 20
+        assert objective(model, raster, sign, 0) < base - 20
 
 
-def finite_difference_gradients(model, train_, c, h=1e-5):
+def finite_difference_gradients(model, raster, sign, c, h=1e-5):
     grad_w = np.zeros_like(model.weights)
     it = np.nditer(model.weights, flags=["multi_index"])
     while not it.finished:
         idx = it.multi_index
         model.weights[idx] += h
-        hi = fts_objective(model, train_, c)
+        hi = objective(model, raster, sign, c)
         model.weights[idx] -= 2 * h
-        lo = fts_objective(model, train_, c)
+        lo = objective(model, raster, sign, c)
         model.weights[idx] += h
         grad_w[idx] = (hi - lo) / (2 * h)
         it.iternext()
     grad_gamma = np.zeros_like(model.biases)
     for i in range(model.n_outputs):
         model.biases[i] += h
-        hi = fts_objective(model, train_, c)
+        hi = objective(model, raster, sign, c)
         model.biases[i] -= 2 * h
-        lo = fts_objective(model, train_, c)
+        lo = objective(model, raster, sign, c)
         model.biases[i] += h
         grad_gamma[i] = (hi - lo) / (2 * h)
     return grad_w, grad_gamma
@@ -200,31 +214,28 @@ def relative_error(a, b):
 class TestFtsGradient:
     def test_zero_spike_train_has_zero_weight_gradient(self):
         rng = np.random.default_rng(31)
-        model, _ = random_instance(rng, n_outputs=2)
-        train_ = SpikeTrain(
-            raster=np.zeros((3, 4), dtype=np.uint8), sign=np.ones(3, dtype=np.int8)
-        )
-        grad_w, grad_gamma = fts_gradient(model, train_, 0)
+        model, _, _ = random_instance(rng, n_outputs=2)
+        grad_w, grad_gamma = gradient(model, np.zeros((3, 4), dtype=np.uint8),
+                                      np.ones(3, dtype=np.int8), 0)
         assert np.all(grad_w == 0)
         assert np.any(grad_gamma != 0)
 
     def test_matches_central_differences(self):
         rng = np.random.default_rng(32)
         for _ in range(10):
-            model, train_ = random_instance(rng)
+            model, raster, sign = random_instance(rng)
             c = int(rng.integers(model.n_outputs))
-            got = fts_gradient(model, train_, c)
-            want = finite_difference_gradients(model, train_, c)
+            got = gradient(model, raster, sign, c)
+            want = finite_difference_gradients(model, raster, sign, c)
             assert relative_error(got, want) < 1e-4
 
     def test_symmetric_competitors_get_identical_gradients(self):
         rng = np.random.default_rng(33)
-        model, _ = random_instance(rng, n_outputs=3)
+        model, _, _ = random_instance(rng, n_outputs=3)
         model.weights[:, 2, :] = model.weights[:, 1, :]
         model.biases[2] = model.biases[1]
         raster = rng.integers(0, 2, size=(3, 4))
-        train_ = SpikeTrain(raster=raster, sign=np.ones(3, dtype=np.int8))
-        grad_w, grad_gamma = fts_gradient(model, train_, 0)
+        grad_w, grad_gamma = gradient(model, raster, np.ones(3, dtype=np.int8), 0)
         assert np.allclose(grad_w[:, 1, :], grad_w[:, 2, :], rtol=1e-12)
         assert grad_gamma[1] == pytest.approx(grad_gamma[2], rel=1e-12)
 
@@ -272,10 +283,10 @@ def enumerate_decision_distribution(u):
     return probs
 
 
-def float_decisions(model, train_, rng, trials):
+def float_decisions(model, raster, sign, rng, trials):
     """glm.first_spike on `trials` independent spike draws over one train's
     float potentials, drawn as one block: (predicted, decision_time)."""
-    u = membrane_series(model, train_)
+    u = potentials(model, raster, sign)
     spikes = rng.random((trials,) + u.shape) < sigmoid(u)
     return first_spike(spikes, np.broadcast_to(u[-1], (trials, u.shape[1])))
 
@@ -284,10 +295,9 @@ class TestInferFloat:
     def test_huge_bias_decides_immediately(self):
         model = GlmModel.zeros(2, 2, 4, 2)
         model.biases[:] = [-50.0, 50.0]
-        train_ = SpikeTrain(
-            raster=np.zeros((2, 4), dtype=np.uint8), sign=np.ones(2, dtype=np.int8)
-        )
-        predicted, decision_time = float_decisions(model, train_, np.random.default_rng(0), 100)
+        predicted, decision_time = float_decisions(
+            model, np.zeros((2, 4), dtype=np.uint8), np.ones(2, dtype=np.int8),
+            np.random.default_rng(0), 100)
         assert np.all(predicted == 1)
         assert np.all(decision_time == 1)
 
@@ -295,21 +305,20 @@ class TestInferFloat:
         model = GlmModel.zeros(2, 2, 4, 2)
         model.biases[:] = -50.0
         model.biases[1] = -49.0  # highest final potential
-        train_ = SpikeTrain(
-            raster=np.zeros((2, 4), dtype=np.uint8), sign=np.ones(2, dtype=np.int8)
-        )
-        predicted, decision_time = float_decisions(model, train_, np.random.default_rng(0), 100)
+        predicted, decision_time = float_decisions(
+            model, np.zeros((2, 4), dtype=np.uint8), np.ones(2, dtype=np.int8),
+            np.random.default_rng(0), 100)
         assert np.all(predicted == 1)
         assert np.all(decision_time == 0)  # 0: the fallback
 
     def test_decision_distribution_matches_enumeration(self):
         rng = np.random.default_rng(41)
-        model, train_ = random_instance(rng, n_outputs=2, duration=3, window=2)
+        model, raster, sign = random_instance(rng, n_outputs=2, duration=3, window=2)
         model.biases -= 1.0  # keep some no-spike mass
-        expected = enumerate_decision_distribution(membrane_series(model, train_))
+        expected = enumerate_decision_distribution(potentials(model, raster, sign))
 
         trials = 100_000
-        predicted, decision_time = float_decisions(model, train_, rng, trials)
+        predicted, decision_time = float_decisions(model, raster, sign, rng, trials)
         outcomes, counts = np.unique(np.stack([predicted, decision_time]), axis=1,
                                      return_counts=True)
         counts = {(int(c), int(t) or None): int(n) for (c, t), n in zip(outcomes.T, counts)}
@@ -454,12 +463,12 @@ class TestEvaluateFloat:
         # magnitudes of 0 and 1 fix the raster, so a sample repeated n times
         # with label c scores the exact probability that c is decided
         rng = np.random.default_rng(61)
-        model, _ = random_instance(rng, n_outputs=2, duration=3, window=2)
+        model, _, _ = random_instance(rng, n_outputs=2, duration=3, window=2)
         model.biases -= 1.0  # keep some no-spike mass
         active = np.array([1.0, 0.0, 1.0])
         sign = np.array([1, -1, -1])
-        train_ = SpikeTrain(raster=np.repeat(active[:, None], 3, axis=1), sign=sign)
-        expected = enumerate_decision_distribution(membrane_series(model, train_))
+        raster = np.repeat(active[:, None], 3, axis=1)
+        expected = enumerate_decision_distribution(potentials(model, raster, sign))
         n = 20_000
         mags = np.broadcast_to(active, (n, 3))
         signs = np.broadcast_to(sign, (n, 3))
