@@ -104,7 +104,7 @@ def quantized_potentials(qm, raster, sign):
     from spikesim.glm import kernel_matrix, windowed_potentials
 
     sums = windowed_potentials(
-        np.asarray(raster)[None], np.asarray(sign)[None], kernel_matrix(qm.w_codes), qm.window
+        raster[None], sign[None], kernel_matrix(qm.w_codes), qm.window
     )[0]
     return sums.astype(np.int64), sums * qm.w_step + dequant_biases(qm)
 
