@@ -18,7 +18,7 @@ from .core import (
     latency_cdf,
     map_model_to_memory,
 )
-from .perf import PerfReport, compute_report, default_config, efficiency, energy_per_step, gsops, rollup
+from .perf import compute_report, default_config, efficiency, energy_per_step, gsops, rollup
 from .datasets import Dataset, ModelArtifact, load_digits, load_har, load_model, save_model
 
 __version__ = "0.1.0"

@@ -42,7 +42,6 @@ from .perf import (
     default_config,
     load_config,
     render_report,
-    report_to_dict,
     save_config,
 )
 from .quantize import (
@@ -335,7 +334,7 @@ def cmd_perf(args) -> int:
     _write_run_config(out_dir, config)
     save_config(out_dir / "perf_config.json", perf_config)
     with open(out_dir / "perf_report.json", "w") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     text = render_report(report)
     (out_dir / "perf_report.txt").write_text(text)

@@ -11,9 +11,13 @@ back-solved from the reference efficiency table and flagged calibrated.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 
 CONFIG_VERSION = 1
+
+#: the compared pair; every precision needs an entry under both
+TECHNOLOGIES = ("sram", "stt_ram")
 
 #: published design-point efficiencies, (GSOPS/W, GSOPS/W/mm^2) per
 #: technology and synapse precision; used for calibration and ratio checks
@@ -48,25 +52,6 @@ class StepEnergy:
         return self.memory_nj + self.logic_nj
 
 
-@dataclass(frozen=True)
-class PerfEntry:
-    technology: str
-    bits: int
-    gsops: float
-    power_mw: float
-    area_mm2: float
-    gsops_per_w: float
-    gsops_per_w_mm2: float
-
-
-@dataclass
-class PerfReport:
-    entries: list
-    area_efficiency_ratios: dict  # bits -> STT over SRAM GSOPS/W/mm^2
-    step_energy: StepEnergy
-    avg_active_wordlines: float
-
-
 def gsops(clock_mhz: float, synapses_per_wordline: int) -> float:
     """Synaptic throughput: one word-line read delivers one op per synapse."""
     if clock_mhz <= 0 or synapses_per_wordline <= 0:
@@ -75,7 +60,7 @@ def gsops(clock_mhz: float, synapses_per_wordline: int) -> float:
 
 
 def rollup(memory_power_mw, memory_area_mm2, logic_power_mw, logic_area_mm2,
-           routing_overhead=0.10, controller_overhead=0.20):
+           routing_overhead, controller_overhead):
     """Total core power/area: memory plus logic, scaled by the additive
     routing and controller overheads (applied identically to both)."""
     values = (memory_power_mw, memory_area_mm2, logic_power_mw, logic_area_mm2,
@@ -182,28 +167,19 @@ def _lookup(config: dict, path: str):
     return value
 
 
-def validate_config(config: dict):
-    """Check the version and every key compute_report reads."""
-    if config.get("version") != CONFIG_VERSION:
-        raise ValueError(f"unsupported perf config version {config.get('version')!r}")
-    for path in ("synapses_per_wordline", "overheads.routing", "overheads.controller",
-                 "technologies.stt_ram.read_energy_per_wordline_pj", "logic_by_bits",
-                 "avg_active_wordlines"):
-        _lookup(config, path)
-    for tech in config["technologies"]:
-        if _lookup(config, f"technologies.{tech}.clock_mhz") <= 0:
-            raise ValueError(f"{tech} clock must be positive")
-        for bits in _lookup(config, f"technologies.{tech}.memory_by_bits"):
-            for key in ("power_mw", "area_mm2"):
-                _lookup(config, f"technologies.{tech}.memory_by_bits.{bits}.{key}")
-                _lookup(config, f"logic_by_bits.{bits}.{key}")
+def _number(config: dict, path: str, positive: bool = False) -> float:
+    """The finite, non-negative (or positive) number at a dotted key path."""
+    value = _lookup(config, path)
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"perf config {path!r} must be a finite {kind} number, not {value!r}")
+    return value
 
 
 def load_config(path) -> dict:
     with open(path) as fh:
-        config = json.load(fh)
-    validate_config(config)
-    return config
+        return json.load(fh)
 
 
 def save_config(path, config: dict):
@@ -212,107 +188,88 @@ def save_config(path, config: dict):
         fh.write("\n")
 
 
-def compute_report(config: dict | None = None) -> PerfReport:
-    """Evaluate every (technology, precision) design point in the config."""
+def compute_report(config: dict | None = None) -> dict:
+    """The perf_report.json dict for both technologies at every precision.
+    This is the one reader of a perf config: a missing or non-numeric key
+    raises ValueError naming its dotted path."""
     if config is None:
         config = default_config()
-    validate_config(config)
-    overheads = config["overheads"]
-    synapses = config["synapses_per_wordline"]
+    version = _lookup(config, "version")
+    if version != CONFIG_VERSION:
+        raise ValueError(f"unsupported perf config version {version!r}")
+    synapses = _number(config, "synapses_per_wordline", positive=True)
+    routing = _number(config, "overheads.routing")
+    controller = _number(config, "overheads.controller")
+    clocks = {tech: _number(config, f"technologies.{tech}.clock_mhz", positive=True)
+              for tech in TECHNOLOGIES}
+    precisions = set()
+    for tech in TECHNOLOGIES:
+        path = f"technologies.{tech}.memory_by_bits"
+        table = _lookup(config, path)
+        if not (isinstance(table, dict) and table and all(str(b).isdigit() for b in table)):
+            raise ValueError(f"perf config {path!r} must map integer precisions to entries")
+        precisions |= {int(b) for b in table}
 
-    entries = []
-    by_key = {}
-    for tech, entry in config["technologies"].items():
-        rate = gsops(entry["clock_mhz"], synapses)
-        for bits_str, mem in entry["memory_by_bits"].items():
-            bits = int(bits_str)
-            logic = config["logic_by_bits"][bits_str]
-            power, area = rollup(
-                mem["power_mw"], mem["area_mm2"],
-                logic["power_mw"], logic["area_mm2"],
-                overheads["routing"], overheads["controller"],
-            )
+    entries, ratios = [], {}
+    for bits in sorted(precisions):
+        keys = ("power_mw", "area_mm2")
+        logic = [_number(config, f"logic_by_bits.{bits}.{key}") for key in keys]
+        for tech in TECHNOLOGIES:
+            prefix = f"technologies.{tech}.memory_by_bits.{bits}"
+            memory = [_number(config, f"{prefix}.{key}") for key in keys]
+            power, area = rollup(*memory, *logic, routing, controller)
+            rate = gsops(clocks[tech], synapses)
             per_w, per_w_mm2 = efficiency(rate, power, area)
-            entry = PerfEntry(tech, bits, rate, power, area, per_w, per_w_mm2)
-            entries.append(entry)
-            by_key[(tech, bits)] = entry
+            entries.append({"technology": tech, "bits": bits, "gsops": rate,
+                            "power_mw": power, "area_mm2": area,
+                            "gsops_per_w": per_w, "gsops_per_w_mm2": per_w_mm2})
+        sram, stt = entries[-2:]
+        ratios[str(bits)] = stt["gsops_per_w_mm2"] / sram["gsops_per_w_mm2"]
 
-    ratios = {}
-    for (tech, bits), entry in by_key.items():
-        if tech == "stt_ram" and ("sram", bits) in by_key:
-            ratios[bits] = entry.gsops_per_w_mm2 / by_key[("sram", bits)].gsops_per_w_mm2
-
-    stt = config["technologies"]["stt_ram"]
-    bits_8_logic = config["logic_by_bits"].get("8")
-    lines = config["avg_active_wordlines"]
-    # logic runs for one memory clock per word line read
-    logic_energy_nj = 0.0
-    if bits_8_logic is not None:
-        step_ns = lines * 1000.0 / stt["clock_mhz"]
-        logic_energy_nj = bits_8_logic["power_mw"] * step_ns * 1e-6
-    step_energy = energy_per_step(
-        lines, stt["read_energy_per_wordline_pj"], logic_energy_nj
+    # the neuron logic is 8-bit at every synapse precision, and it runs
+    # for one memory clock per word line read
+    lines = _number(config, "avg_active_wordlines")
+    step_ns = lines * 1000.0 / clocks["stt_ram"]
+    logic_nj = _number(config, "logic_by_bits.8.power_mw") * step_ns * 1e-6
+    step = energy_per_step(
+        lines, _number(config, "technologies.stt_ram.read_energy_per_wordline_pj"), logic_nj
     )
-
-    entries.sort(key=lambda e: (e.bits, e.technology))
-    return PerfReport(
-        entries=entries,
-        area_efficiency_ratios=ratios,
-        step_energy=step_energy,
-        avg_active_wordlines=lines,
-    )
-
-
-def report_to_dict(report: PerfReport) -> dict:
     return {
-        "entries": [asdict(e) for e in report.entries],
-        "area_efficiency_ratios": {
-            str(b): r for b, r in sorted(report.area_efficiency_ratios.items())
-        },
-        "step_energy_nj": {
-            "memory": report.step_energy.memory_nj,
-            "logic": report.step_energy.logic_nj,
-            "total": report.step_energy.total_nj,
-        },
-        "avg_active_wordlines": report.avg_active_wordlines,
+        "entries": entries,
+        "area_efficiency_ratios": ratios,
+        "step_energy_nj": {"memory": step.memory_nj, "logic": step.logic_nj,
+                           "total": step.total_nj},
+        "avg_active_wordlines": lines,
     }
 
 
-def render_report(report: PerfReport) -> str:
+def render_report(report: dict) -> str:
     """Aligned text table of the efficiency comparison plus ratio lines."""
-    by_key = {(e.technology, e.bits): e for e in report.entries}
-    bits = sorted({e.bits for e in report.entries})
-    lines = []
-    gsops_vals = {t: by_key[(t, bits[0])].gsops for t in ("sram", "stt_ram")
-                  if (t, bits[0]) in by_key}
-    if gsops_vals:
-        lines.append(
-            "Throughput: "
-            + ", ".join(f"{t.upper().replace('_', '-')} {g:g} GSOPS"
-                        for t, g in sorted(gsops_vals.items()))
-        )
-        lines.append("")
-    lines.append(f"{'Precision':>9} | {'GSOPS/W':^17} | {'GSOPS/W/mm^2':^17}")
-    lines.append(f"{'':>9} | {'SRAM':>7} {'STT-RAM':>8}  | {'SRAM':>7} {'STT-RAM':>8} ")
-    lines.append("-" * 59)
+    by_key = {(e["technology"], e["bits"]): e for e in report["entries"]}
+    bits = sorted({e["bits"] for e in report["entries"]})
+    lines = [
+        "Throughput: " + ", ".join(
+            f"{t.upper().replace('_', '-')} {by_key[(t, bits[0])]['gsops']:g} GSOPS"
+            for t in TECHNOLOGIES
+        ),
+        "",
+        f"{'Precision':>9} | {'GSOPS/W':^17} | {'GSOPS/W/mm^2':^17}",
+        f"{'':>9} | {'SRAM':>7} {'STT-RAM':>8}  | {'SRAM':>7} {'STT-RAM':>8} ",
+        "-" * 59,
+    ]
     for b in bits:
-        sram = by_key.get(("sram", b))
-        stt = by_key.get(("stt_ram", b))
+        sram, stt = by_key[("sram", b)], by_key[("stt_ram", b)]
         lines.append(
-            f"{b:>9} | {sram.gsops_per_w:>7.0f} {stt.gsops_per_w:>8.0f}  "
-            f"| {sram.gsops_per_w_mm2:>7.0f} {stt.gsops_per_w_mm2:>8.0f} "
+            f"{b:>9} | {sram['gsops_per_w']:>7.0f} {stt['gsops_per_w']:>8.0f}  "
+            f"| {sram['gsops_per_w_mm2']:>7.0f} {stt['gsops_per_w_mm2']:>8.0f} "
         )
     lines.append("")
-    for b in sorted(report.area_efficiency_ratios):
-        lines.append(
-            f"b={b}: STT-RAM is {report.area_efficiency_ratios[b]:.1f}x the "
-            f"SRAM design in GSOPS/W/mm^2"
-        )
-    se = report.step_energy
-    lines.append("")
-    lines.append(
-        f"Energy per step at {report.avg_active_wordlines:g} active word lines: "
-        f"{se.memory_nj:.3f} nJ memory + {se.logic_nj:.3f} nJ logic "
-        f"= {se.total_nj:.3f} nJ"
-    )
+    for b, ratio in report["area_efficiency_ratios"].items():
+        lines.append(f"b={b}: STT-RAM is {ratio:.1f}x the SRAM design in GSOPS/W/mm^2")
+    se = report["step_energy_nj"]
+    lines += [
+        "",
+        f"Energy per step at {report['avg_active_wordlines']:g} active word lines: "
+        f"{se['memory']:.3f} nJ memory + {se['logic']:.3f} nJ logic = {se['total']:.3f} nJ",
+    ]
     return "\n".join(lines) + "\n"

@@ -63,18 +63,18 @@ def test_criterion_01_gsops_exactness():
 
 
 def test_criterion_02_reference_table_reconstruction():
-    entries = {(e.technology, e.bits): e for e in compute_report().entries}
+    entries = {(e["technology"], e["bits"]): e for e in compute_report()["entries"]}
     worst = 0.0
     for bits, ref in REFERENCE_EFFICIENCY.items():
         for tech, (per_w, per_w_mm2) in ref.items():
             e = entries[(tech, bits)]
             worst = max(
                 worst,
-                abs(e.gsops_per_w - per_w) / per_w,
-                abs(e.gsops_per_w_mm2 - per_w_mm2) / per_w_mm2,
+                abs(e["gsops_per_w"] - per_w) / per_w,
+                abs(e["gsops_per_w_mm2"] - per_w_mm2) / per_w_mm2,
             )
-    ratios = compute_report().area_efficiency_ratios
-    ratios_ok = all(3.0 <= ratios[b] <= 4.1 for b in (5, 6, 7, 8))
+    ratios = compute_report()["area_efficiency_ratios"]
+    ratios_ok = all(3.0 <= ratios[str(b)] <= 4.1 for b in (5, 6, 7, 8))
     ok = worst <= 0.02 and ratios_ok
     report(
         2, ok,

@@ -93,6 +93,17 @@ class TestTrainCommand:
         assert code == EXIT_DATA
         assert "X_test.txt: no feature rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, tmp_path, capsys, lr):
+        out = tmp_path / "x"
+        code = main([
+            "train", "--dataset", "synthetic", "--out", str(out),
+            "--epochs", "1", "--T", "4", "--tau", "4", "--lr", lr,
+        ])
+        assert code == EXIT_USAGE
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not list(out.iterdir())
+
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--no-such-flag"])
         assert code == EXIT_USAGE
@@ -307,22 +318,79 @@ class TestPerfCommand:
         code = main(["perf", "--out", str(tmp_path / "p"), "--perf-config", str(bad)])
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("path", ["avg_active_wordlines", "technologies.stt_ram",
-                                      "logic_by_bits.5"])
-    def test_config_missing_a_key_is_usage_error(self, tmp_path, capsys, path):
-        # each key compute_report reads; a precision of memory_by_bits
-        # needs its logic_by_bits entry
+    # SHA-256 of the default config's outputs
+    PINNED = {
+        "perf_report.json": "89f193cb323cef5c9a0eb7a509c104ace8cc660732c4601755c5ced6027e640f",
+        "perf_report.txt": "54ce89208947d0ab51fa51d4f55069d63e4643b205e4a5b3e2953b21ee95ab1d",
+        "perf_config.json": "7e921d51b82644873f0ef62cc3f5e1b2dd696171e666f47d0971dbc49708e690",
+    }
+
+    def test_default_outputs_are_pinned(self, tmp_path):
+        out = tmp_path / "perf"
+        assert main(["perf", "--out", str(out)]) == EXIT_OK
+        for name, digest in self.PINNED.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
+
+    @staticmethod
+    def _run_with(tmp_path, edits):
+        """`perf` on the default config after `edits`, dotted key paths to
+        new values (None deletes the key); returns the exit code and the
+        output directory."""
         config = default_config()
-        *parents, key = path.split(".")
-        entry = config
-        for parent in parents:
-            entry = entry[parent]
-        del entry[key]
+        for path, value in edits.items():
+            *parents, key = path.split(".")
+            entry = config
+            for parent in parents:
+                entry = entry[parent]
+            if value is None:
+                del entry[key]
+            else:
+                entry[key] = value
         bad = tmp_path / "perf.json"
         save_config(bad, config)
-        code = main(["perf", "--out", str(tmp_path / "p"), "--perf-config", str(bad)])
+        out = tmp_path / "p"
+        return main(["perf", "--out", str(out), "--perf-config", str(bad)]), out
+
+    @pytest.mark.parametrize("path", [
+        "avg_active_wordlines", "technologies.stt_ram", "logic_by_bits.5",
+        "technologies.sram", "technologies.sram.memory_by_bits.7", "logic_by_bits.8",
+    ])
+    def test_config_missing_a_key_is_usage_error(self, tmp_path, capsys, path):
+        # each key compute_report reads: both technologies, every precision
+        # of either under both, its logic_by_bits entry and the 8-bit logic
+        code, out = self._run_with(tmp_path, {path: None})
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"spikesim: usage error: perf config missing '{path}'\n"
+        assert not list(out.glob("perf_report.*"))
+
+    def test_step_energy_needs_the_8_bit_logic(self, tmp_path, capsys):
+        # the neuron is 8-bit at every synapse precision, so a config
+        # without precision 8 still needs logic_by_bits.8 for the step energy
+        code, out = self._run_with(tmp_path, {
+            "logic_by_bits.8": None,
+            "technologies.sram.memory_by_bits.8": None,
+            "technologies.stt_ram.memory_by_bits.8": None,
+        })
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "spikesim: usage error: perf config missing 'logic_by_bits.8'\n"
+        )
+        assert not list(out.glob("perf_report.*"))
+
+    @pytest.mark.parametrize("path, value", [
+        ("technologies.stt_ram.clock_mhz", "250"),
+        ("overheads.routing", "0.1"),
+        ("technologies.sram.memory_by_bits.6.power_mw", float("nan")),
+        ("avg_active_wordlines", True),
+        ("technologies.stt_ram.memory_by_bits.5.area_mm2", -0.5),
+    ])
+    def test_config_value_not_a_number_is_usage_error(self, tmp_path, capsys, path, value):
+        code, out = self._run_with(tmp_path, {path: value})
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"spikesim: usage error: perf config '{path}' must be a ")
+        assert err.endswith(f" number, not {value!r}\n") and err.count("\n") == 1
+        assert not list(out.glob("perf_report.*"))
 
 
 def _sha256(*chunks):

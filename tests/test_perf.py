@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from spikesim.perf import (
     REFERENCE_EFFICIENCY,
-    PerfReport,
     compute_report,
     default_config,
     efficiency,
@@ -14,10 +13,8 @@ from spikesim.perf import (
     gsops,
     load_config,
     render_report,
-    report_to_dict,
     rollup,
     save_config,
-    validate_config,
 )
 
 
@@ -53,7 +50,7 @@ class TestRollup:
 
     def test_default_overheads_reproduce_total_power(self):
         # 63.3 mW of memory+logic becomes ~82.3 mW, i.e. ~311 GSOPS/W at 25.6 GSOPS
-        power, _ = rollup(53.5, 1.0, 9.8, 0.0)
+        power, _ = rollup(53.5, 1.0, 9.8, 0.0, 0.10, 0.20)
         assert power == pytest.approx(82.29, abs=0.01)
         assert 25.6 / (power / 1000.0) == pytest.approx(311.0, rel=0.02)
 
@@ -65,7 +62,7 @@ class TestRollup:
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            rollup(-1.0, 1.0, 0.0, 0.0)
+            rollup(-1.0, 1.0, 0.0, 0.0, 0.10, 0.20)
 
 
 class TestEfficiency:
@@ -101,30 +98,33 @@ class TestEnergyPerStep:
             energy_per_step(-1, 535.0)
 
 
+def _entries(report):
+    return {(e["technology"], e["bits"]): e for e in report["entries"]}
+
+
 class TestReport:
     def test_reconstructs_reference_table_within_two_percent(self):
-        report = compute_report()
-        by_key = {(e.technology, e.bits): e for e in report.entries}
+        by_key = _entries(compute_report())
         for bits, ref in REFERENCE_EFFICIENCY.items():
             for tech, (per_w, per_w_mm2) in ref.items():
                 entry = by_key[(tech, bits)]
-                assert entry.gsops_per_w == pytest.approx(per_w, rel=0.02)
-                assert entry.gsops_per_w_mm2 == pytest.approx(per_w_mm2, rel=0.02)
+                assert entry["gsops_per_w"] == pytest.approx(per_w, rel=0.02)
+                assert entry["gsops_per_w_mm2"] == pytest.approx(per_w_mm2, rel=0.02)
 
     def test_area_efficiency_ratios_in_published_band(self):
-        report = compute_report()
-        for bits, ratio in report.area_efficiency_ratios.items():
+        ratios = compute_report()["area_efficiency_ratios"]
+        assert sorted(ratios) == ["5", "6", "7", "8"]
+        for bits, ratio in ratios.items():
             assert 3.0 <= ratio <= 4.1
-        assert report.area_efficiency_ratios[8] == pytest.approx(3.9, abs=0.1)
-        assert report.area_efficiency_ratios[5] >= 3.0
+        assert ratios["8"] == pytest.approx(3.9, abs=0.1)
+        assert ratios["5"] >= 3.0
 
     def test_stt_beats_sram_at_every_precision(self):
-        report = compute_report()
-        by_key = {(e.technology, e.bits): e for e in report.entries}
+        by_key = _entries(compute_report())
         for bits in (5, 6, 7, 8):
             assert (
-                by_key[("stt_ram", bits)].gsops_per_w_mm2
-                > by_key[("sram", bits)].gsops_per_w_mm2
+                by_key[("stt_ram", bits)]["gsops_per_w_mm2"]
+                > by_key[("sram", bits)]["gsops_per_w_mm2"]
             )
 
     def test_published_power_anchor_survives_calibration(self):
@@ -143,9 +143,8 @@ class TestReport:
 
     def test_report_is_pure(self):
         config = default_config()
-        assert report_to_dict(compute_report(config)) == report_to_dict(
-            compute_report(config)
-        )
+        assert compute_report(config) == compute_report(config)
+        assert config == default_config()
 
     def test_render_includes_throughput_and_ratios(self):
         text = render_report(compute_report())
@@ -158,42 +157,39 @@ class TestReport:
         config = default_config()
         path = tmp_path / "perf.json"
         save_config(path, config)
-        loaded = load_config(path)
-        assert report_to_dict(compute_report(loaded)) == report_to_dict(
-            compute_report(config)
-        )
+        assert compute_report(load_config(path)) == compute_report(config)
         bad = dict(config)
         bad["version"] = 99
         bad_path = tmp_path / "bad.json"
         bad_path.write_text(json.dumps(bad))
-        with pytest.raises(ValueError):
-            load_config(bad_path)
+        with pytest.raises(ValueError, match="unsupported perf config version 99"):
+            compute_report(load_config(bad_path))
 
     def test_validation_names_the_first_missing_key(self):
         config = default_config()
-        validate_config(config)
         del config["technologies"]["sram"]["memory_by_bits"]["6"]["area_mm2"]
         del config["overheads"]["routing"]
         with pytest.raises(ValueError, match="missing 'overheads.routing'"):
-            validate_config(config)
+            compute_report(config)
         config["overheads"]["routing"] = 0.1
         with pytest.raises(ValueError,
                            match=r"missing 'technologies\.sram\.memory_by_bits\.6\.area_mm2'"):
-            validate_config(config)
+            compute_report(config)
+
+    @pytest.mark.parametrize("table", [5, {}, {"x": {}}])
+    def test_memory_by_bits_must_list_precisions(self, table):
+        config = default_config()
+        config["technologies"]["sram"]["memory_by_bits"] = table
+        with pytest.raises(ValueError, match=r"'technologies\.sram\.memory_by_bits' must map"):
+            compute_report(config)
 
     def test_zero_overheads_strictly_improve_efficiency(self):
         config = default_config()
-        base = {
-            (e.technology, e.bits): e.gsops_per_w_mm2
-            for e in compute_report(config).entries
-        }
+        base = _entries(compute_report(config))
         config["overheads"] = {"routing": 0.0, "controller": 0.0}
-        free = {
-            (e.technology, e.bits): e.gsops_per_w_mm2
-            for e in compute_report(config).entries
-        }
+        free = _entries(compute_report(config))
         for key in base:
-            assert free[key] > base[key]
+            assert free[key]["gsops_per_w_mm2"] > base[key]["gsops_per_w_mm2"]
 
 
 class TestTechParams:
