@@ -150,7 +150,6 @@ def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int |
 
 def cmd_train(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = RunConfig(
         command="train", dataset=args.dataset, data_dir=args.data_dir,
         out_dir=str(out_dir), seed=args.seed, epochs=args.epochs,
@@ -169,6 +168,7 @@ def cmd_train(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(out_dir, config)
     model, metrics = train(train_ds, test_ds, train_config)
     save_model(
@@ -186,7 +186,6 @@ def cmd_train(args) -> int:
 
 def cmd_quantize(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bits_list = _parse_bits(args.bits)
     config = RunConfig(
         command="quantize", dataset=args.dataset, data_dir=args.data_dir,
@@ -201,27 +200,26 @@ def cmd_quantize(args) -> int:
     model = artifact.model
     _, test_ds = _load_split_pair(args.dataset, args.data_dir, args.seed, args.limit)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(out_dir, config)
     mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
     float_acc = evaluate_float(
         model, mags, signs, labels, np.random.default_rng(args.seed)
     )
-    rows = []
-    for bits in bits_list:
-        qm = quantize_model(model, bits)
-        acc = evaluate_quantized(qm, mags, signs, labels, seed=args.seed)
+    qms = [quantize_model(model, bits) for bits in bits_list]
+    accs = evaluate_quantized(qms, mags, signs, labels, seed=args.seed)
+    for bits, qm, acc in zip(bits_list, qms, accs):
         save_model(
             out_dir / f"model_q{bits}.bin", qm,
             {"seed": args.seed, "bits": bits, "dataset": args.dataset,
              "source": str(args.model)},
         )
-        rows.append((bits, acc))
         print(f"b={bits}: accuracy={acc:.4f} (float baseline {float_acc:.4f})")
 
     with open(out_dir / "accuracy_vs_bits.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bits", "test_acc", "float_baseline"])
-        for bits, acc in rows:
+        for bits, acc in zip(bits_list, accs):
             writer.writerow([bits, f"{acc:.6f}", f"{float_acc:.6f}"])
     print(f"wrote {out_dir / 'accuracy_vs_bits.csv'}")
     return EXIT_OK
@@ -229,7 +227,6 @@ def cmd_quantize(args) -> int:
 
 def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = RunConfig(
         command="simulate", dataset=args.dataset, data_dir=args.data_dir,
         out_dir=str(out_dir), seed=args.seed, epochs=None,
@@ -251,6 +248,7 @@ def cmd_simulate(args) -> int:
     geom = CoreGeometry(n_inputs=qm.n_inputs, n_outputs=qm.n_outputs,
                         window=qm.window, bits=qm.bits)
     image = map_model_to_memory(qm, geom)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_image(out_dir / "core_image.bin", image)
 
     _write_run_config(out_dir, config)
@@ -319,7 +317,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_perf(args) -> int:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = RunConfig(
         command="perf", dataset=None, data_dir=None, out_dir=str(out_dir),
         seed=args.seed, epochs=None, presentation_time=None, window=None,
@@ -331,6 +328,7 @@ def cmd_perf(args) -> int:
     )
     report = compute_report(perf_config)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_run_config(out_dir, config)
     save_config(out_dir / "perf_config.json", perf_config)
     with open(out_dir / "perf_report.json", "w") as fh:

@@ -14,6 +14,7 @@ import io
 import json
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,12 +96,18 @@ def normalize_splits(train: Dataset, test: Dataset):
     return train, test
 
 
+@contextmanager
 def _open_maybe_gzip(path):
+    """The file opened once for reading, through gzip if it starts with the
+    gzip magic."""
     with open(path, "rb") as fh:
-        head = fh.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+        gzipped = fh.read(2) == b"\x1f\x8b"
+        fh.seek(0)
+        if gzipped:
+            with gzip.GzipFile(fileobj=fh, mode="rb") as gz:
+                yield gz
+        else:
+            yield fh
 
 
 def _read_exact(fh, n, path, what):

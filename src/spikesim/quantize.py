@@ -214,12 +214,26 @@ def derive_lfsr_seed(seed: int, index: int) -> int:
 def _lfsr_table():
     """The LFSR's states in sequence order from state 1, and each state's
     position in it (-1 for the unreachable state 0).  Built once per process.
+
+    State k is sum_i b[k + i] << i over the output bits b, which obey
+    b[n + 16] = b[n] ^ b[n + 2] ^ b[n + 3] ^ b[n + 5].  Over GF(2) the
+    recurrence holds at every power-of-two stride s as well, b[n + 16s] =
+    b[n] ^ b[n + 2s] ^ b[n + 3s] ^ b[n + 5s], so a known prefix of 16s bits
+    or more extends by 11s bits in one vector step.
     """
-    sequence = np.empty(LFSR_PERIOD, dtype=np.uint16)
-    state = 1
-    for k in range(LFSR_PERIOD):
-        sequence[k] = state
-        state = lfsr_next(state)
+    n_bits = LFSR_PERIOD + 15
+    bits = np.zeros(n_bits, dtype=np.uint8)
+    bits[0] = 1  # state 1
+    known = 16
+    while known < n_bits:
+        s = 1 << ((known // 16).bit_length() - 1)
+        stop = min(known + 11 * s, n_bits)
+        m = np.arange(known, stop) - 16 * s
+        bits[known:stop] = bits[m] ^ bits[m + 2 * s] ^ bits[m + 3 * s] ^ bits[m + 5 * s]
+        known = stop
+    sequence = np.zeros(LFSR_PERIOD, dtype=np.uint16)
+    for i in range(16):
+        sequence |= bits[i : i + LFSR_PERIOD].astype(np.uint16) << i
     position = np.full(LFSR_MASK + 1, -1, dtype=np.int32)
     position[sequence] = np.arange(LFSR_PERIOD, dtype=np.int32)
     sequence.flags.writeable = False
@@ -379,22 +393,32 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     return predicted, decision_time
 
 
-def evaluate_quantized(qm, magnitudes, signs, labels, seed, limit=None) -> float:
-    """Accuracy of quantized first-to-spike inference with fresh encodings.
+def evaluate_quantized(qms, magnitudes, signs, labels, seed, limit=None) -> list[float]:
+    """Accuracies of quantized first-to-spike inference, one per model in
+    qms, all scored on one fresh encoding of the split.
 
-    The rng draws only the rasters, so they are drawn and scored in blocks
-    of samples; sample k decides on LFSR seed derive_lfsr_seed(seed, k).
+    The rng draws only the rasters, so they are drawn in blocks of samples,
+    each block once for the whole list; every model decides it with the
+    same LFSR seeds, derive_lfsr_seed(seed, k) for sample k.  The models
+    must share presentation_time and n_inputs.
     """
+    if not qms:
+        raise ValueError("evaluate_quantized needs at least one model")
+    duration, n_inputs = qms[0].presentation_time, qms[0].n_inputs
+    if any(qm.presentation_time != duration or qm.n_inputs != n_inputs for qm in qms):
+        raise ValueError("the models of one sweep must share presentation_time and n_inputs")
     n = len(labels) if limit is None else min(limit, len(labels))
     rng = np.random.default_rng(seed)
     signs = check_signs(signs[:n])
-    operands = datapath_operands(qm.w_codes, qm.gamma_codes)
-    correct = 0
-    for start, rasters in encoded_chunks(magnitudes[:n], qm.presentation_time, rng):
+    operands = [datapath_operands(qm.w_codes, qm.gamma_codes) for qm in qms]
+    correct = [0] * len(qms)
+    for start, rasters in encoded_chunks(magnitudes[:n], duration, rng):
         stop = start + len(rasters)
         seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
-        predicted, _ = first_to_spike_quantized(
-            qm, rasters, signs[start:stop], seeds, operands
-        )
-        correct += int(np.count_nonzero(predicted == np.asarray(labels[start:stop])))
-    return correct / n if n else 0.0
+        block_signs, truth = signs[start:stop], np.asarray(labels[start:stop])
+        for m, (qm, qm_operands) in enumerate(zip(qms, operands)):
+            predicted, _ = first_to_spike_quantized(
+                qm, rasters, block_signs, seeds, qm_operands
+            )
+            correct[m] += int(np.count_nonzero(predicted == truth))
+    return [c / n if n else 0.0 for c in correct]

@@ -465,11 +465,11 @@ def test_full_digits_pipeline(tmp_path):
     print(f"\nfull digits float accuracy: {float_acc:.4f} (target ~0.935)")
     assert float_acc >= 0.925
 
-    accs = {}
-    for bits in (5, 6, 7, 8):
-        qm = quantize_model(model, bits)
-        accs[bits] = evaluate_quantized(qm, mags, signs, labels, seed=3, limit=2000)
-        print(f"b={bits} quantized accuracy: {accs[bits]:.4f}")
+    sweep = (5, 6, 7, 8)
+    qms = [quantize_model(model, bits) for bits in sweep]
+    accs = dict(zip(sweep, evaluate_quantized(qms, mags, signs, labels, seed=3, limit=2000)))
+    for bits, acc in accs.items():
+        print(f"b={bits} quantized accuracy: {acc:.4f}")
     assert accs[5] >= float_acc - 0.02
 
     qm = quantize_model(model, 8)

@@ -102,7 +102,7 @@ class TestTrainCommand:
         ])
         assert code == EXIT_USAGE
         assert "learning_rate must be finite" in capsys.readouterr().err
-        assert not list(out.iterdir())
+        assert not out.exists()
 
     def test_bad_flag_is_usage_error(self, tmp_path, capsys):
         code = main(["train", "--no-such-flag"])
@@ -391,6 +391,23 @@ class TestPerfCommand:
         assert err.startswith(f"spikesim: usage error: perf config '{path}' must be a ")
         assert err.endswith(f" number, not {value!r}\n") and err.count("\n") == 1
         assert not list(out.glob("perf_report.*"))
+
+
+@pytest.mark.parametrize("command", ["train", "quantize", "simulate", "perf"])
+def test_rejected_command_creates_no_output_directory(trained_run, tmp_path, command):
+    # each command checks its arguments before it creates --out
+    out = tmp_path / "out"
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text('{"version": 99}')
+    model = str(trained_run / "model_float.bin")
+    argv = {
+        "train": ["train", "--dataset", "synthetic", "--epochs", "1", "--lr", "nan"],
+        "quantize": ["quantize", "--dataset", "synthetic", "--model", model, "--bits", "9"],
+        "simulate": ["simulate", "--dataset", "synthetic", "--model", model],
+        "perf": ["perf", "--perf-config", str(bad_config)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
 
 
 def _sha256(*chunks):

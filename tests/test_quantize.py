@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikesim import quantize
+from spikesim import glm, quantize
 from spikesim.glm import GlmModel, kernel_matrix, windowed_potentials
 from spikesim.quantize import (
     LFSR_PERIOD,
@@ -301,6 +301,17 @@ class TestQuantizedModel:
 
 
 class TestLfsrTable:
+    def test_table_is_the_walk_from_state_1(self):
+        # the builder itself, not the process's cached table
+        sequence, position = quantize._lfsr_table.__wrapped__()
+        walk, state = np.empty(LFSR_PERIOD, dtype=np.uint16), 1
+        for k in range(LFSR_PERIOD):
+            walk[k] = state
+            state = lfsr_next(state)
+        assert np.array_equal(sequence, walk)
+        assert np.array_equal(position[walk], np.arange(LFSR_PERIOD))
+        assert position[0] == -1
+
     def test_full_table_walks_the_iterated_sequence(self):
         run = lfsr_run(0xACE1, LFSR_PERIOD + 1)
         state = 0xACE1
@@ -384,18 +395,11 @@ class TestQuantizedDecisions:
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
 
     def test_evaluate_matches_per_sample_loop(self):
-        rng = np.random.default_rng(110)
-        model = GlmModel(
-            n_inputs=5, n_outputs=3, presentation_time=6, window=4,
-            weights=rng.normal(size=(5, 3, 4)), biases=rng.normal(-1.0, 0.5, size=3),
-        )
-        x = rng.uniform(-1.0, 1.0, size=(150, 5))  # more than one block
-        labels = rng.integers(0, 3, size=150)
-        signs = np.where(x < 0, -1, 1)
+        model, mags, signs, labels = sweep_case()
         for bits in (5, 8):
             qm = quantize_model(model, bits)
-            got = evaluate_quantized(qm, np.abs(x), signs, labels, seed=bits)
-            want = evaluate_quantized_loop(qm, np.abs(x), signs, labels, seed=bits)
+            [got] = evaluate_quantized([qm], mags, signs, labels, seed=bits)
+            want = evaluate_quantized_loop(qm, mags, signs, labels, seed=bits)
             assert got == want
 
     def test_saturating_model_matches_per_neuron_loop(self, monkeypatch):
@@ -433,6 +437,64 @@ class TestQuantizedDecisions:
         )
         with pytest.raises(ValueError, match="datapath"):
             first_to_spike_quantized(qm, np.ones((1, 2, 3)), np.ones((1, 2)), [0x1234])
+
+
+def sweep_case(n_inputs=5, duration=6):
+    """A float model and a split of more than one encoding block:
+    (model, magnitudes, signs, labels)."""
+    rng = np.random.default_rng(110)
+    model = GlmModel(
+        n_inputs=n_inputs, n_outputs=3, presentation_time=duration, window=4,
+        weights=rng.normal(size=(n_inputs, 3, 4)), biases=rng.normal(-1.0, 0.5, size=3),
+    )
+    x = rng.uniform(-1.0, 1.0, size=(150, n_inputs))
+    labels = rng.integers(0, 3, size=150)
+    return model, np.abs(x), np.where(x < 0, -1, 1), labels
+
+
+class TestEvaluateSweep:
+    """evaluate_quantized scores every model of a sweep on one encoding."""
+
+    def test_each_entry_matches_per_sample_loop(self):
+        model, mags, signs, labels = sweep_case()
+        qms = [quantize_model(model, 5), quantize_model(model, 8)]
+        got = evaluate_quantized(qms, mags, signs, labels, seed=3)
+        assert got == [evaluate_quantized_loop(qm, mags, signs, labels, seed=3) for qm in qms]
+
+    @pytest.mark.parametrize("limit", [None, 70])
+    def test_sweep_equals_one_call_per_model(self, limit):
+        model, mags, signs, labels = sweep_case()
+        qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
+        got = evaluate_quantized(qms, mags, signs, labels, seed=4, limit=limit)
+        want = [evaluate_quantized([qm], mags, signs, labels, seed=4, limit=limit)[0]
+                for qm in qms]
+        assert got == want
+
+    def test_each_block_is_drawn_once_per_sweep(self, monkeypatch):
+        model, mags, signs, labels = sweep_case()
+        draws = []
+        draw_rasters = glm.draw_rasters
+
+        def counted(mag, duration, rng):
+            draws.append(len(mag))
+            return draw_rasters(mag, duration, rng)
+
+        monkeypatch.setattr(glm, "draw_rasters", counted)
+        qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
+        evaluate_quantized(qms, mags, signs, labels, seed=5)
+        assert len(draws) == math.ceil(len(labels) / glm.ENCODE_CHUNK)
+        assert sum(draws) == len(labels)
+
+    def test_rejects_empty_and_mixed_sweeps(self):
+        model, mags, signs, labels = sweep_case()
+        q5 = quantize_model(model, 5)
+        longer = quantize_model(sweep_case(duration=8)[0], 5)
+        wider = quantize_model(sweep_case(n_inputs=6)[0], 5)
+        with pytest.raises(ValueError, match="at least one model"):
+            evaluate_quantized([], mags, signs, labels, seed=6)
+        for qms in ([q5, longer], [q5, wider]):
+            with pytest.raises(ValueError, match="share presentation_time and n_inputs"):
+                evaluate_quantized(qms, mags, signs, labels, seed=6)
 
 
 def coded_model(w_codes, gamma_codes, duration, bits=8, w_range=(-1.0, 1.0),
