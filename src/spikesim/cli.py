@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,28 +67,30 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    dataset: str | None
-    data_dir: str | None
-    out_dir: str
-    seed: int
-    epochs: int | None
-    presentation_time: int | None
-    window: int | None
-    bits: list | None
-    limit: int | None
-    model_path: str | None
-    perf_config_path: str | None
-    learning_rate: float | None = None
-    batch_size: int | None = None
+# run_config.json field -> the parsed argument it records; a command
+# without that argument records null
+_RUN_CONFIG_FIELDS = {
+    "command": "command", "dataset": "dataset", "data_dir": "data_dir",
+    "seed": "seed", "epochs": "epochs", "presentation_time": "T",
+    "window": "tau", "bits": "bits", "limit": "limit", "model_path": "model",
+    "perf_config_path": "perf_config", "learning_rate": "lr",
+    "batch_size": "batch_size",
+}
 
 
-def _write_run_config(out_dir: Path, config: RunConfig):
+def _create_out(args) -> Path:
+    """Create --out and write run_config.json into it.  Each command calls
+    this after its last argument check, so a rejected command leaves no
+    output directory behind."""
+    out_dir = Path(args.out)
+    config = {field: getattr(args, dest, None)
+              for field, dest in _RUN_CONFIG_FIELDS.items()}
+    config["out_dir"] = str(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "run_config.json", "w") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
+        json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return out_dir
 
 
 _DIGIT_NAMES = {
@@ -98,12 +99,12 @@ _DIGIT_NAMES = {
 }
 
 
-def _find_file(data_dir: Path, stem: str) -> Path:
-    for variant in (stem, stem + ".gz", stem.replace("-idx", ".idx")):
-        candidate = data_dir / variant
-        if candidate.exists():
-            return candidate
-    raise DataFormatError(f"could not find {stem}[.gz] under {data_dir}")
+def _find(root: Path, *names: str) -> Path:
+    """The first of root/name that exists."""
+    for name in names:
+        if (root / name).exists():
+            return root / name
+    raise DataFormatError(f"could not find {' or '.join(names)} under {root}")
 
 
 def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int | None):
@@ -111,65 +112,60 @@ def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int |
         # one task: the test split reuses the train split's class prototypes
         train_ds = make_synthetic(256, seed=seed, split="train")
         test_ds = make_synthetic(64, seed=seed, sample_seed=seed + 1, split="test")
+    elif data_dir is None:
+        raise UsageError(f"--data-dir is required for the {dataset} dataset")
     elif dataset == "digits":
-        if data_dir is None:
-            raise UsageError("--data-dir is required for the digits dataset")
         root = Path(data_dir)
-        pairs = {}
-        for split, (img_stem, lab_stem) in _DIGIT_NAMES.items():
-            pairs[split] = load_digits(
-                _find_file(root, img_stem), _find_file(root, lab_stem), split
-            )
-        train_ds, test_ds = pairs["train"], pairs["test"]
+        train_ds, test_ds = (
+            load_digits(*(_find(root, stem, stem + ".gz", stem.replace("-idx", ".idx"))
+                          for stem in stems), split)
+            for split, stems in _DIGIT_NAMES.items()
+        )
     elif dataset == "har":
-        if data_dir is None:
-            raise UsageError("--data-dir is required for the har dataset")
         root = Path(data_dir)
-
-        def har_file(split, prefix):
-            for candidate in (root / f"{prefix}_{split}.txt",
-                              root / split / f"{prefix}_{split}.txt"):
-                if candidate.exists():
-                    return candidate
-            raise DataFormatError(f"could not find {prefix}_{split}.txt under {root}")
-
-        train_ds = load_har(har_file("train", "X"), har_file("train", "y"), "train")
-        test_ds = load_har(har_file("test", "X"), har_file("test", "y"), "test")
+        train_ds, test_ds = (
+            load_har(*(_find(root, f"{prefix}_{split}.txt", f"{split}/{prefix}_{split}.txt")
+                       for prefix in ("X", "y")), split)
+            for split in ("train", "test")
+        )
         normalize_splits(train_ds, test_ds)
     else:
         raise UsageError(f"unknown dataset {dataset!r}")
 
-    if limit is not None:
-        if limit < 1:
-            raise UsageError("--limit must be >= 1")
-        for ds in (train_ds, test_ds):
-            ds.features = ds.features[:limit]
-            ds.labels = ds.labels[:limit]
+    for ds in (train_ds, test_ds):
+        ds.features, ds.labels = ds.features[:limit], ds.labels[:limit]
+        if ds.n_samples == 0:
+            raise DataFormatError(f"the {ds.split} split has no samples")
     return train_ds, test_ds
 
 
+def _model_and_test_split(args, kind: str):
+    """The --model artifact's model, checked to be a `kind` model that takes
+    as many inputs as the test split has features, and that split."""
+    artifact = load_model(args.model)
+    if artifact.kind != kind:
+        wanted = "float" if kind == "glm" else kind
+        raise UsageError(f"{args.model} holds a {artifact.kind} model; "
+                         f"{args.command} needs a {wanted} artifact")
+    _, test_ds = _load_split_pair(args.dataset, args.data_dir, args.seed, args.limit)
+    if test_ds.n_features != artifact.model.n_inputs:
+        raise UsageError(
+            f"model expects {artifact.model.n_inputs} inputs but dataset has "
+            f"{test_ds.n_features} features"
+        )
+    return artifact.model, test_ds
+
+
 def cmd_train(args) -> int:
-    out_dir = Path(args.out)
-    config = RunConfig(
-        command="train", dataset=args.dataset, data_dir=args.data_dir,
-        out_dir=str(out_dir), seed=args.seed, epochs=args.epochs,
-        presentation_time=args.T, window=args.tau, bits=None, limit=args.limit,
-        model_path=None, perf_config_path=None,
-        learning_rate=args.lr, batch_size=args.batch_size,
-    )
-    train_ds, test_ds = _load_split_pair(args.dataset, args.data_dir, args.seed,
-                                         args.limit)
     train_config = TrainConfig(
         presentation_time=args.T, window=args.tau, epochs=args.epochs,
         learning_rate=args.lr, batch_size=args.batch_size, seed=args.seed,
     )
-    try:
-        train_config.validate()
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    train_config.validate()
+    train_ds, test_ds = _load_split_pair(args.dataset, args.data_dir, args.seed,
+                                         args.limit)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out_dir, config)
+    out_dir = _create_out(args)
     model, metrics = train(train_ds, test_ds, train_config)
     save_model(
         out_dir / "model_float.bin", model,
@@ -185,30 +181,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    out_dir = Path(args.out)
-    bits_list = _parse_bits(args.bits)
-    config = RunConfig(
-        command="quantize", dataset=args.dataset, data_dir=args.data_dir,
-        out_dir=str(out_dir), seed=args.seed, epochs=None,
-        presentation_time=None, window=None, bits=bits_list, limit=args.limit,
-        model_path=args.model, perf_config_path=None,
-    )
-    artifact = load_model(args.model)
-    if artifact.kind != "glm":
-        raise UsageError(f"{args.model} holds a {artifact.kind} model; "
-                         "quantize needs a float artifact")
-    model = artifact.model
-    _, test_ds = _load_split_pair(args.dataset, args.data_dir, args.seed, args.limit)
+    model, test_ds = _model_and_test_split(args, "glm")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out_dir, config)
+    out_dir = _create_out(args)
     mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
     float_acc = evaluate_float(
         model, mags, signs, labels, np.random.default_rng(args.seed)
     )
-    qms = [quantize_model(model, bits) for bits in bits_list]
+    qms = [quantize_model(model, bits) for bits in args.bits]
     accs = evaluate_quantized(qms, mags, signs, labels, seed=args.seed)
-    for bits, qm, acc in zip(bits_list, qms, accs):
+    for bits, qm, acc in zip(args.bits, qms, accs):
         save_model(
             out_dir / f"model_q{bits}.bin", qm,
             {"seed": args.seed, "bits": bits, "dataset": args.dataset,
@@ -219,39 +201,20 @@ def cmd_quantize(args) -> int:
     with open(out_dir / "accuracy_vs_bits.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bits", "test_acc", "float_baseline"])
-        for bits, acc in zip(bits_list, accs):
+        for bits, acc in zip(args.bits, accs):
             writer.writerow([bits, f"{acc:.6f}", f"{float_acc:.6f}"])
     print(f"wrote {out_dir / 'accuracy_vs_bits.csv'}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    config = RunConfig(
-        command="simulate", dataset=args.dataset, data_dir=args.data_dir,
-        out_dir=str(out_dir), seed=args.seed, epochs=None,
-        presentation_time=None, window=None, bits=None, limit=args.limit,
-        model_path=args.model, perf_config_path=None,
-    )
-    artifact = load_model(args.model)
-    if artifact.kind != "quantized":
-        raise UsageError(f"{args.model} holds a {artifact.kind} model; "
-                         "simulate needs a quantized artifact")
-    qm = artifact.model
-    _, test_ds = _load_split_pair(args.dataset, args.data_dir, args.seed, args.limit)
-    if test_ds.n_features != qm.n_inputs:
-        raise UsageError(
-            f"model expects {qm.n_inputs} inputs but dataset has "
-            f"{test_ds.n_features} features"
-        )
-
+    qm, test_ds = _model_and_test_split(args, "quantized")
     geom = CoreGeometry(n_inputs=qm.n_inputs, n_outputs=qm.n_outputs,
                         window=qm.window, bits=qm.bits)
     image = map_model_to_memory(qm, geom)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_image(out_dir / "core_image.bin", image)
 
-    _write_run_config(out_dir, config)
+    out_dir = _create_out(args)
+    save_image(out_dir / "core_image.bin", image)
     mags, labels = test_ds.magnitudes(), test_ds.labels
     signs = check_signs(test_ds.signs())
     rng = np.random.default_rng(args.seed)
@@ -316,20 +279,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    out_dir = Path(args.out)
-    config = RunConfig(
-        command="perf", dataset=None, data_dir=None, out_dir=str(out_dir),
-        seed=args.seed, epochs=None, presentation_time=None, window=None,
-        bits=None, limit=None, model_path=None,
-        perf_config_path=args.perf_config,
-    )
     perf_config = (
         load_config(args.perf_config) if args.perf_config else default_config()
     )
     report = compute_report(perf_config)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_run_config(out_dir, config)
+    out_dir = _create_out(args)
     save_config(out_dir / "perf_config.json", perf_config)
     with open(out_dir / "perf_report.json", "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
@@ -341,14 +296,29 @@ def cmd_perf(args) -> int:
     return EXIT_OK
 
 
-def _parse_bits(text: str):
+def _int_at_least(lo: int):
+    """An argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {lo}, not {text!r}")
+        return value
+    return parse
+
+
+def _bits(text: str) -> list:
+    """An argparse type: comma-separated precisions of the datapath."""
     try:
         bits = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise UsageError(f"--bits expects integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expects integers, not {text!r}") from None
     lo, hi = DATAPATH_BITS.start, DATAPATH_BITS.stop - 1
     if not bits or any(b not in DATAPATH_BITS for b in bits):
-        raise UsageError(f"--bits values must be in [{lo}, {hi}]")
+        raise argparse.ArgumentTypeError(f"values must be in [{lo}, {hi}]")
     return bits
 
 
@@ -371,10 +341,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--dataset", choices=("digits", "har", "synthetic"),
                            default="synthetic")
             p.add_argument("--data-dir", default=None)
-            p.add_argument("--limit", type=int, default=None,
+            p.add_argument("--limit", type=_int_at_least(1), default=None,
                            help="cap both splits at N samples")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
 
     p_train = sub.add_parser("train", help="train a float model")
     add_common(p_train)
@@ -389,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quant = sub.add_parser("quantize", help="sweep synapse precisions")
     add_common(p_quant)
     p_quant.add_argument("--model", required=True, help="float model artifact")
-    p_quant.add_argument("--bits", default="5,6,7,8",
+    p_quant.add_argument("--bits", type=_bits, default="5,6,7,8",
                          help="comma-separated precisions to evaluate")
     p_quant.set_defaults(func=cmd_quantize)
 
@@ -411,16 +381,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"spikesim: usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (DataFormatError, ArtifactError, FileNotFoundError) as exc:
         print(f"spikesim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:
         print(f"spikesim: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:
+    except ValueError as exc:  # UsageError among them
         print(f"spikesim: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,6 +11,7 @@ from spikesim.glm import GlmModel
 from spikesim.perf import default_config, save_config
 from spikesim.quantize import QuantizedModel
 
+from corpora import write_digit_corpus
 from oracles import simulate_rows_loop
 
 
@@ -393,21 +394,110 @@ class TestPerfCommand:
         assert not list(out.glob("perf_report.*"))
 
 
-@pytest.mark.parametrize("command", ["train", "quantize", "simulate", "perf"])
-def test_rejected_command_creates_no_output_directory(trained_run, tmp_path, command):
+@pytest.fixture(scope="module")
+def digits_run(tmp_path_factory):
+    """A 25-feature IDX corpus, a float model trained on it and its 8-bit
+    quantization."""
+    root = tmp_path_factory.mktemp("digits_run")
+    data = write_digit_corpus(root / "data", n_train=24, n_test=12)
+    common = ["--dataset", "digits", "--data-dir", str(data), "--seed", "2"]
+    assert main(["train", *common, "--out", str(root / "t"), "--epochs", "1",
+                 "--T", "4", "--tau", "4"]) == EXIT_OK
+    assert main(["quantize", *common, "--out", str(root / "q"), "--bits", "8",
+                 "--model", str(root / "t" / "model_float.bin")]) == EXIT_OK
+    return data, root / "t" / "model_float.bin", root / "q" / "model_q8.bin"
+
+
+@pytest.mark.parametrize("command", [
+    "train", "quantize", "simulate", "perf",
+    "train --seed -1", "quantize --seed -1", "simulate --seed -1", "perf --seed -1",
+])
+def test_rejected_command_creates_no_output_directory(trained_run, digits_run, tmp_path,
+                                                      capsys, command):
     # each command checks its arguments before it creates --out
     out = tmp_path / "out"
     bad_config = tmp_path / "bad.json"
     bad_config.write_text('{"version": 99}')
     model = str(trained_run / "model_float.bin")
+    data, digits_float, digits_q8 = (str(p) for p in digits_run)
+    digits = ["--dataset", "digits", "--data-dir", data, "--seed", "-1"]
     argv = {
         "train": ["train", "--dataset", "synthetic", "--epochs", "1", "--lr", "nan"],
         "quantize": ["quantize", "--dataset", "synthetic", "--model", model, "--bits", "9"],
         "simulate": ["simulate", "--dataset", "synthetic", "--model", model],
         "perf": ["perf", "--perf-config", str(bad_config)],
+        "train --seed -1": ["train", *digits, "--epochs", "1", "--T", "4", "--tau", "4"],
+        "quantize --seed -1": ["quantize", *digits, "--model", digits_float],
+        "simulate --seed -1": ["simulate", *digits, "--model", digits_q8],
+        "perf --seed -1": ["perf", "--seed", "-1"],
     }[command]
     assert main([*argv, "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
+    if "--seed" in command:
+        assert capsys.readouterr().err.endswith(
+            "spikesim: usage error: argument --seed: must be an integer >= 0, not '-1'\n")
+
+
+@pytest.mark.parametrize("command", ["train", "quantize", "simulate"])
+def test_empty_test_split_is_data_error(digits_run, tmp_path, capsys, command):
+    data = write_digit_corpus(tmp_path / "data", n_train=12, n_test=0)
+    _, digits_float, digits_q8 = digits_run
+    extra = {
+        "train": ["--epochs", "1", "--T", "4", "--tau", "4"],
+        "quantize": ["--model", str(digits_float)],
+        "simulate": ["--model", str(digits_q8)],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--dataset", "digits", "--data-dir", str(data),
+                 "--out", str(out), *extra]) == EXIT_DATA
+    assert capsys.readouterr().err == "spikesim: data error: the test split has no samples\n"
+    assert not out.exists()
+
+
+def test_quantize_rejects_a_model_of_another_input_count(trained_run, digits_run,
+                                                         tmp_path, capsys):
+    # a 16-input model on 25-feature data, as simulate rejects it
+    out = tmp_path / "out"
+    assert main([
+        "quantize", "--dataset", "digits", "--data-dir", str(digits_run[0]),
+        "--out", str(out), "--model", str(trained_run / "model_float.bin"),
+    ]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "spikesim: usage error: model expects 16 inputs but dataset has 25 features\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "quantize", "simulate", "perf"])
+def test_run_config_records_every_argument(digits_run, tmp_path, command):
+    # every field of run_config.json, null where the command lacks the flag
+    data, digits_float, digits_q8 = (str(p) for p in digits_run)
+    perf_config = tmp_path / "perf.json"
+    save_config(perf_config, default_config())
+    digits = ["--dataset", "digits", "--data-dir", data]
+    argv, recorded = {
+        "train": (["train", *digits, "--seed", "9", "--limit", "12", "--epochs", "2",
+                   "--T", "5", "--tau", "3", "--lr", "0.1", "--batch-size", "4"],
+                  {"seed": 9, "limit": 12, "epochs": 2, "presentation_time": 5,
+                   "window": 3, "learning_rate": 0.1, "batch_size": 4}),
+        "quantize": (["quantize", *digits, "--seed", "4", "--limit", "10",
+                      "--model", digits_float, "--bits", "7,3"],
+                     {"seed": 4, "limit": 10, "model_path": digits_float, "bits": [7, 3]}),
+        "simulate": (["simulate", *digits, "--seed", "2", "--limit", "9",
+                      "--model", digits_q8],
+                     {"seed": 2, "limit": 9, "model_path": digits_q8}),
+        "perf": (["perf", "--seed", "6", "--perf-config", str(perf_config)],
+                 {"seed": 6, "perf_config_path": str(perf_config)}),
+    }[command]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", f"{out}/"]) == EXIT_OK
+    expected = dict.fromkeys(
+        ["dataset", "data_dir", "epochs", "presentation_time", "window", "bits",
+         "limit", "model_path", "perf_config_path", "learning_rate", "batch_size"])
+    if command != "perf":
+        expected.update(dataset="digits", data_dir=data)
+    expected.update(recorded, command=command, out_dir=str(out))
+    assert len(expected) == 14
+    assert json.loads((out / "run_config.json").read_text()) == expected
 
 
 def _sha256(*chunks):
