@@ -6,7 +6,6 @@ from .training import TrainConfig, train
 from .quantize import (
     QuantizedModel,
     clip_to_fixed,
-    lfsr_next,
     pwl_sigmoid,
     quantize_model,
     quantize_uniform,

@@ -83,16 +83,18 @@ class CoreGeometry:
 
 @dataclass
 class CoreMemoryImage:
-    """Binary device array: one row of word_width bits per word line."""
+    """Binary device array: one row of word_width bits per word line, packed
+    eight to a byte, most significant first, the last byte zero-padded.
+    These are the bytes core_image.bin stores after its header."""
 
     geometry: CoreGeometry
-    bits: np.ndarray  # (device_rows, word_width) of {0, 1}
+    rows: np.ndarray  # (device_rows, ceil(word_width / 8)) uint8
 
     def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        expect = (self.geometry.device_rows, self.geometry.word_width)
-        if self.bits.shape != expect:
-            raise ValueError(f"image shape {self.bits.shape} != {expect}")
+        self.rows = np.asarray(self.rows, dtype=np.uint8)
+        expect = (self.geometry.device_rows, (self.geometry.word_width + 7) // 8)
+        if self.rows.shape != expect:
+            raise ValueError(f"image shape {self.rows.shape} != {expect}")
         self._operands = {}
 
     def model_operands(self, n_inputs: int, n_outputs: int, window: int):
@@ -112,24 +114,25 @@ def _fields(codes, bits: int) -> np.ndarray:
 
 
 def _encode_rows(fields: np.ndarray, bits: int) -> np.ndarray:
-    """Bit rows of b-bit fields (n_rows, n_outputs): each field's bits, most
-    significant first.  The fields are unpacked whole, left-aligned in their
-    bytes, and the pad bits below them dropped."""
+    """Packed rows of b-bit fields (n_rows, n_outputs): each field's bits,
+    most significant first.  At b=8 the fields are the bytes; below it they
+    are unpacked whole, left-aligned in their bytes, and packed again
+    without the pad bits below them."""
+    if bits == 8:
+        return fields
     n_rows, n_outputs = fields.shape
     unpacked = np.unpackbits(fields << (8 - bits), axis=1)
-    if bits == 8:
-        return unpacked
-    return unpacked.reshape(n_rows, n_outputs, 8)[:, :, :bits].reshape(n_rows, -1)
+    return np.packbits(unpacked.reshape(n_rows, n_outputs, 8)[:, :, :bits]
+                       .reshape(n_rows, -1), axis=1)
 
 
-def _decode_rows(rows: np.ndarray, bits: int) -> np.ndarray:
-    """Inverse of _encode_rows over _fields: bit rows back to signed int16
-    codes.  Each row is packed into bytes, and field k is read from the
-    16-bit word that starts at the byte holding its first bit."""
-    n_rows, width = rows.shape
-    words = np.zeros((n_rows, (width + 7) // 8 + 1), dtype=np.uint16)
-    words[:, :-1] = np.packbits(rows, axis=1)
-    start = np.arange(0, width, bits)
+def _decode_rows(rows: np.ndarray, bits: int, n_fields: int) -> np.ndarray:
+    """Inverse of _encode_rows over _fields: the first n_fields codes of
+    packed rows as signed int16.  Field k is read from the 16-bit word that
+    starts at the byte holding its first bit."""
+    words = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.uint16)
+    words[:, :-1] = rows
+    start = np.arange(n_fields) * bits
     shift = (16 - bits - start % 8).astype(np.uint16)
     fields = ((words[:, start // 8] << 8) | words[:, start // 8 + 1]) >> shift
     mag = (fields & ((1 << (bits - 1)) - 1)).astype(np.int16)
@@ -164,46 +167,31 @@ def map_model_to_memory(qm: QuantizedModel, geom: CoreGeometry) -> CoreMemoryIma
     lines[: qm.n_inputs, : qm.window, : qm.n_outputs] = _fields(
         qm.w_codes.transpose(0, 2, 1), geom.bits)
     fields[geom.gamma_line, : qm.n_outputs] = _fields(qm.gamma_codes, geom.bits)
-    return CoreMemoryImage(geometry=geom, bits=_encode_rows(fields, geom.bits))
+    return CoreMemoryImage(geometry=geom, rows=_encode_rows(fields, geom.bits))
 
 
 def unpack_model(image: CoreMemoryImage, n_inputs: int, n_outputs: int, window: int):
     """Recover the (w_codes, gamma_codes) of a mapped model, code for code,
-    decoding the word lines up to the bias line in the model's output columns."""
+    decoding the word lines up to the bias line in the bytes that hold the
+    model's output columns."""
     geom = image.geometry
-    codes = _decode_rows(image.bits[: geom.n_wordlines, : n_outputs * geom.bits], geom.bits)
+    rows = image.rows[: geom.n_wordlines, : (n_outputs * geom.bits + 7) // 8]
+    codes = _decode_rows(rows, geom.bits, n_outputs)
     lines = codes[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, n_outputs)
     w_codes = lines[:n_inputs, :window].transpose(0, 2, 1)
     return np.ascontiguousarray(w_codes), codes[geom.gamma_line]
 
 
 def save_image(path, image: CoreMemoryImage):
+    """Write core_image.bin: the magic, six little-endian uint32 (version,
+    n_inputs, n_outputs, window, bits, 0), then the packed rows."""
     geom = image.geometry
     header = _IMAGE_MAGIC + struct.pack(
         "<6I", _IMAGE_VERSION, geom.n_inputs, geom.n_outputs, geom.window, geom.bits, 0
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.packbits(image.bits, axis=1).tobytes())
-
-
-def load_image(path) -> CoreMemoryImage:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_IMAGE_MAGIC))
-        if magic != _IMAGE_MAGIC:
-            raise ValueError("not a core memory image file")
-        version, n_inputs, n_outputs, window, bits, _ = struct.unpack("<6I", fh.read(24))
-        if version != _IMAGE_VERSION:
-            raise ValueError(f"unsupported image version {version}")
-        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window, bits=bits)
-        raw = fh.read()
-    packed_width = (geom.word_width + 7) // 8
-    expect = geom.device_rows * packed_width
-    if len(raw) != expect:
-        raise ValueError(f"image payload is {len(raw)} bytes, expected {expect}")
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(geom.device_rows, packed_width)
-    bits = np.unpackbits(packed, axis=1)[:, : geom.word_width]
-    return CoreMemoryImage(geometry=geom, bits=bits)
+        fh.write(image.rows.tobytes())
 
 
 def _wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:

@@ -124,8 +124,15 @@ class QuantizedModel:
             raise ValueError(f"weight codes exceed {self.bits}-bit sign-magnitude")
         if np.abs(self.gamma_codes).max(initial=0) > bound:
             raise ValueError(f"bias codes exceed {self.bits}-bit sign-magnitude")
-        if self.w_codes.shape[2] != self.window:
-            raise ValueError("w_codes tap dimension must equal window")
+        if self.w_codes.ndim != 3 or self.w_codes.shape[2] != self.window:
+            raise ValueError(f"w_codes of shape {self.w_codes.shape} is not "
+                             f"(n_inputs, n_outputs, window {self.window})")
+        if self.gamma_codes.shape != (self.n_outputs,):
+            raise ValueError(f"{self.gamma_codes.size} bias codes for {self.n_outputs} "
+                             "outputs; need one per output")
+        if not 1 <= self.window <= self.presentation_time:
+            raise ValueError(f"window {self.window} with presentation_time "
+                             f"{self.presentation_time}; need 1 <= window <= presentation_time")
 
     @property
     def n_inputs(self) -> int:
@@ -188,18 +195,6 @@ def pwl_sigmoid(code):
     neg_out = numer >> k
     pos_out = 256 - ((numer + (np.int64(1) << k) - 1) >> k)
     return np.where(q <= 0, neg_out, np.minimum(pos_out, 255))
-
-
-def lfsr_next(state: int) -> int:
-    """One shift of the 16-bit Fibonacci LFSR with taps (16, 14, 13, 11).
-
-    The feedback polynomial x^16 + x^14 + x^13 + x^11 + 1 is maximal
-    length, so any nonzero state walks all 65535 nonzero states.
-    """
-    if not 0 < state <= LFSR_MASK:
-        raise ValueError("LFSR state must be a nonzero 16-bit value")
-    bit = (state ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1
-    return (state >> 1) | (bit << 15)
 
 
 def derive_lfsr_seed(seed: int, index: int) -> int:

@@ -1,5 +1,7 @@
 """Brute-force references for the vectorized datapath, used only by tests."""
 
+import struct
+
 import numpy as np
 
 
@@ -20,6 +22,12 @@ def spike_window(history, t: int, window: int) -> np.ndarray:
     return out
 
 
+def device_bits(image) -> np.ndarray:
+    """A core image's device array one bit per element: (device_rows,
+    word_width) of {0, 1}, unpacked from its packed rows."""
+    return np.unpackbits(image.rows, axis=1, count=image.geometry.word_width)
+
+
 def unpack_memory(image):
     """Decode every used word line of a core image: (kernel_codes, gamma_codes).
 
@@ -28,10 +36,29 @@ def unpack_memory(image):
     """
     geom = image.geometry
     n_lines = geom.n_wordlines
-    fields = image.bits[:n_lines].reshape(n_lines, geom.n_outputs, geom.bits).astype(np.int64)
-    magnitude = fields[:, :, 1:] @ 2 ** np.arange(geom.bits - 2, -1, -1)
+    fields = device_bits(image)[:n_lines].reshape(n_lines, geom.n_outputs, geom.bits)
+    magnitude = fields[:, :, 1:].astype(np.int64) @ 2 ** np.arange(geom.bits - 2, -1, -1)
     codes = np.where(fields[:, :, 0] == 1, -magnitude, magnitude)
     return codes[: geom.n_kernel_lines], codes[geom.gamma_line]
+
+
+def load_image(path):
+    """Read a core_image.bin back into a CoreMemoryImage: the 7-byte magic
+    SPKIMG\\0, six little-endian uint32 (version 1, n_inputs, n_outputs,
+    window, bits, 0), then each device row's bits packed eight to a byte,
+    most significant first."""
+    from spikesim.core import CoreGeometry, CoreMemoryImage
+
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if data[:7] != b"SPKIMG\x00":
+        raise ValueError("not a core memory image file")
+    version, n_inputs, n_outputs, window, bits, _ = struct.unpack("<6I", data[7:31])
+    if version != 1:
+        raise ValueError(f"unsupported image version {version}")
+    geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window, bits=bits)
+    rows = np.frombuffer(data[31:], dtype=np.uint8).reshape(geom.device_rows, -1)
+    return CoreMemoryImage(geometry=geom, rows=rows)  # which checks the row width
 
 
 def build_windows(raster: np.ndarray, window: int) -> np.ndarray:
@@ -82,11 +109,21 @@ def fts_log_prob(u, c: int, t: int) -> float:
     return float(total)
 
 
+def lfsr_next(state: int) -> int:
+    """One shift of the 16-bit Fibonacci LFSR with taps (16, 14, 13, 11).
+
+    The feedback polynomial x^16 + x^14 + x^13 + x^11 + 1 is maximal
+    length, so any nonzero state walks all 65535 nonzero states.
+    """
+    if not 0 < state <= 0xFFFF:
+        raise ValueError("LFSR state must be a nonzero 16-bit value")
+    bit = (state ^ (state >> 2) ^ (state >> 3) ^ (state >> 5)) & 1
+    return (state >> 1) | (bit << 15)
+
+
 def spike_decision(pwl: int, state: int):
     """Compare a PWL activation against the low byte of the LFSR state and
     advance the LFSR: (spike, next state)."""
-    from spikesim.quantize import lfsr_next
-
     return pwl > (state & 0xFF), lfsr_next(state)
 
 

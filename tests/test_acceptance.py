@@ -37,7 +37,6 @@ from spikesim.quantize import (
     derive_lfsr_seed,
     evaluate_quantized,
     first_to_spike_quantized,
-    lfsr_next,
     pwl_sigmoid,
     quantize_model,
 )
@@ -49,7 +48,7 @@ from spikesim.training import (
     train,
 )
 
-from oracles import datapath_sums, draw_raster
+from oracles import datapath_sums, draw_raster, lfsr_next
 
 
 def report(criterion, ok, detail):

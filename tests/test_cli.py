@@ -282,6 +282,31 @@ class TestSimulateCommand:
         assert code == EXIT_USAGE
         assert not (tmp_path / "s" / "decisions.csv").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("gamma_codes", np.zeros(6), "6 bias codes for 4 outputs"),
+        ("presentation_time", 2, "window 3 with presentation_time 2"),
+        ("w_codes", np.zeros((16, 4)), "w_codes of shape (16, 4)"),
+    ], ids=["six_biases_for_four_outputs", "window_past_T", "two_dim_kernels"])
+    def test_misshapen_artifact_is_usage_error(self, tmp_path, capsys, field, value,
+                                               message):
+        # no float model has this shape: load_model refuses the artifact
+        # before --out exists, naming the mismatch
+        qm = QuantizedModel(
+            bits=8, w_codes=np.zeros((16, 4, 3)), gamma_codes=np.zeros(4),
+            w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
+            presentation_time=4, window=3,
+        )
+        setattr(qm, field, value)
+        artifact = tmp_path / "model_q8.bin"
+        save_model(artifact, qm, {"bits": 8})
+        code = main([
+            "simulate", "--dataset", "synthetic", "--out", str(tmp_path / "s"),
+            "--model", str(artifact),
+        ])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_float_artifact_rejected(self, trained_run, tmp_path):
         code = main([
             "simulate", "--dataset", "synthetic", "--out", str(tmp_path / "s"),
@@ -522,11 +547,13 @@ class TestPinnedOutputs:
             "decisions.csv": "4738682e36f3dd86bfa3f0a5471dc5d810267cf960a68304e45c4daad3553ff1",
             "trace.csv": "f3f1e8ac62b2f87cad85f8ea3c21b6061fffc60c64e29567f855c60b184bc6aa",
             "latency_cdf.csv": "d2f8ff1b692d1ebc32413d77d0b10eb60ebebd7cb087ec1323728a7491901a0a",
+            "core_image.bin": "caee3045d344310b0421a46c1fc4db64979d64799f3b3573441d3347defb490c",
         },
         8: {
             "decisions.csv": "fdbedc69f1fb7a69b85c67402772a28f372d69c8b3fff2c8282b171420c9be57",
             "trace.csv": "5a41cfb95ea3a3b4099b5f1de47fc430aaf34411182b18e9cf64a9fcb0f9b5b1",
             "latency_cdf.csv": "540f8ae03fe37f9cd3111b47e85c15f8b97d47bb13bd55b48ab4ce5aa13f3f5a",
+            "core_image.bin": "b27b687976f06dc63667a7f5eac4dd20b5cdceb1699e49d002244dca1e0a6b3e",
         },
     }
 

@@ -6,7 +6,6 @@ from spikesim.core import (
     CoreGeometry,
     first_to_spike_batch,
     latency_cdf,
-    load_image,
     map_model_to_memory,
     save_image,
     unpack_model,
@@ -26,7 +25,9 @@ from oracles import (
     build_windows,
     datapath_sums,
     dequant_biases,
+    device_bits,
     first_to_spike_loop,
+    load_image,
     saturating_sums_loop,
     spike_decision,
     spike_window,
@@ -87,7 +88,8 @@ class TestMemoryMapping:
         image = map_model_to_memory(qm, CoreGeometry())
         kernel, gamma = unpack_memory(image)
         assert kernel.shape == (1792, 256)
-        assert image.bits.shape == (2048, 2048)
+        assert image.rows.shape == (2048, 256)
+        assert device_bits(image).shape == (2048, 2048)
         # every kernel line carries data for this dense model
         assert np.array_equal(gamma, qm.gamma_codes)
 
@@ -100,7 +102,7 @@ class TestMemoryMapping:
             presentation_time=4, window=3,
         )
         image = map_model_to_memory(qm, CoreGeometry(n_inputs=2, n_outputs=2, window=3))
-        assert image.bits.sum() == 0
+        assert not image.rows.any()
 
     def test_pack_unpack_roundtrip_code_for_code(self):
         rng = np.random.default_rng(82)
@@ -133,7 +135,7 @@ class TestMemoryMapping:
                     field = [int(code < 0)] + [(abs(code) >> k) & 1
                                                for k in range(bits - 2, -1, -1)]
                     want[line, i * bits : (i + 1) * bits] = field
-            assert np.array_equal(image.bits, want)
+            assert np.array_equal(device_bits(image), want)
 
     def test_rejects_oversized_or_mismatched_model(self):
         rng = np.random.default_rng(83)
@@ -154,7 +156,7 @@ class TestMemoryMapping:
         save_image(path, image)
         loaded = load_image(path)
         assert loaded.geometry == geom
-        assert np.array_equal(loaded.bits, image.bits)
+        assert np.array_equal(loaded.rows, image.rows)
 
     def test_image_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.img"

@@ -16,7 +16,6 @@ from spikesim.quantize import (
     derive_lfsr_seed,
     evaluate_quantized,
     first_to_spike_quantized,
-    lfsr_next,
     lfsr_run,
     pwl_sigmoid,
     quantize_model,
@@ -28,6 +27,7 @@ from oracles import (
     evaluate_quantized_loop,
     first_to_spike_loop,
     infer_fts_quantized_loop,
+    lfsr_next,
     quantized_potentials,
     saturating_sums_loop,
 )
@@ -598,9 +598,11 @@ class TestEarlyExit:
 
     @pytest.mark.parametrize("window,duration", [(3, 1), (1, 1), (5, 3)])
     def test_short_trains_and_windows_longer_than_the_train(self, window, duration):
+        # the model presents for at least its window; the trains stop earlier
         rng = np.random.default_rng(144 + window + duration)
         qm = coded_model(rng.integers(-127, 128, size=(4, 3, window)),
-                         rng.integers(-127, 0, size=3), duration, g_range=(-8.0, 8.0))
+                         rng.integers(-127, 0, size=3), max(window, duration),
+                         g_range=(-8.0, 8.0))
         rasters = (rng.random((25, 4, duration)) < 0.6).astype(np.uint8)
         signs = rng.choice([-1, 1], size=(25, 4))
         seeds = [derive_lfsr_seed(9, k) for k in range(25)]
