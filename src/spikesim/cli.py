@@ -131,6 +131,9 @@ def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int |
         normalize_splits(train_ds, test_ds)
     else:
         raise UsageError(f"unknown dataset {dataset!r}")
+    if train_ds.n_features != test_ds.n_features:
+        raise DataFormatError(f"the train split has {train_ds.n_features} features "
+                              f"but the test split has {test_ds.n_features}")
 
     for ds in (train_ds, test_ds):
         ds.features, ds.labels = ds.features[:limit], ds.labels[:limit]

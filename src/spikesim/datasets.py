@@ -16,6 +16,7 @@ import struct
 import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -127,10 +128,7 @@ def _read_idx_header(fh, path, expected_magic, n_dims):
             f"{path}: bad magic 0x{magic:08x} at offset 0, "
             f"expected 0x{expected_magic:08x}"
         )
-    dims = struct.unpack(
-        f">{n_dims}I", _read_exact(fh, 4 * n_dims, path, "dimensions")
-    )
-    return dims
+    return struct.unpack(f">{n_dims}I", _read_exact(fh, 4 * n_dims, path, "dimensions"))
 
 
 def load_idx_images(path) -> np.ndarray:
@@ -315,111 +313,82 @@ class ModelArtifact:
     provenance: dict
 
 
-def _artifact_fields(model):
-    if isinstance(model, GlmModel):
-        ints = {
-            "n_inputs": model.n_inputs,
-            "n_outputs": model.n_outputs,
-            "presentation_time": model.presentation_time,
-            "window": model.window,
-        }
-        arrays = {
-            "weights": np.ascontiguousarray(model.weights, dtype="<f8"),
-            "biases": np.ascontiguousarray(model.biases, dtype="<f8"),
-            "basis": np.ascontiguousarray(model.basis, dtype="u1"),
-        }
-        return "glm", ints, arrays
-    if isinstance(model, QuantizedModel):
-        ints = {
-            "bits": model.bits,
-            "presentation_time": model.presentation_time,
-            "window": model.window,
-        }
-        arrays = {
-            "w_codes": np.ascontiguousarray(model.w_codes, dtype="<i2"),
-            "gamma_codes": np.ascontiguousarray(model.gamma_codes, dtype="<i2"),
-            "scales": np.array(
-                [model.w_min, model.w_max, model.gamma_min, model.gamma_max],
-                dtype="<f8",
-            ),
-        }
-        return "quantized", ints, arrays
-    raise ArtifactError(f"cannot serialize {type(model).__name__}")
+# artifact kind -> (model class, header ints, payload arrays and their dtypes
+# in payload order); `scales` holds the four bounds named in _SCALES
+_KINDS = {
+    "glm": (GlmModel, ("n_inputs", "n_outputs", "presentation_time", "window"),
+            {"weights": "<f8", "biases": "<f8", "basis": "|u1"}),
+    "quantized": (QuantizedModel, ("bits", "presentation_time", "window"),
+                  {"w_codes": "<i2", "gamma_codes": "<i2", "scales": "<f8"}),
+}
+_SCALES = ("w_min", "w_max", "gamma_min", "gamma_max")
 
 
 def save_model(path, model, provenance: dict | None = None):
     """Write a model artifact: header, little-endian payload, checksum."""
-    kind, ints, arrays = _artifact_fields(model)
-    manifest = {}
-    payload = bytearray()
-    for name, arr in arrays.items():
-        data = arr.tobytes()
-        manifest[name] = {
-            "dtype": arr.dtype.str,
-            "shape": list(arr.shape),
-            "offset": len(payload),
-            "nbytes": len(data),
-        }
-        payload.extend(data)
-    header = json.dumps(
-        {"kind": kind, "ints": ints, "fields": manifest,
-         "provenance": provenance or {}},
-        sort_keys=True,
-    ).encode()
-    blob = (
-        _ARTIFACT_MAGIC
-        + struct.pack("<II", _ARTIFACT_VERSION, len(header))
-        + header
-        + bytes(payload)
-    )
-    with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(struct.pack("<I", zlib.crc32(blob)))
+    kind = next((k for k, row in _KINDS.items() if isinstance(model, row[0])), None)
+    if kind is None:
+        raise ArtifactError(f"cannot serialize {type(model).__name__}")
+    _, ints, dtypes = _KINDS[kind]
+    manifest, payload = {}, bytearray()
+    for name, dtype in dtypes.items():
+        arr = np.ascontiguousarray([getattr(model, s) for s in _SCALES] if name == "scales"
+                                   else getattr(model, name), dtype=dtype)
+        manifest[name] = {"dtype": dtype, "shape": list(arr.shape),
+                          "offset": len(payload), "nbytes": arr.nbytes}
+        payload += arr.tobytes()
+    header = json.dumps({"kind": kind, "ints": {n: getattr(model, n) for n in ints},
+                         "fields": manifest, "provenance": provenance or {}},
+                        sort_keys=True).encode()
+    blob = (_ARTIFACT_MAGIC + struct.pack("<II", _ARTIFACT_VERSION, len(header))
+            + header + bytes(payload))
+    Path(path).write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+
+
+def _header_entry(path, header, *keys):
+    """header[keys[0]][keys[1]]..., or an ArtifactError naming what it lacks."""
+    for depth, key in enumerate(keys):
+        if not isinstance(header, dict) or key not in header:
+            raise ArtifactError(f"{path}: header has no {'.'.join(keys[:depth + 1])}")
+        header = header[key]
+    return header
 
 
 def load_model(path) -> ModelArtifact:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a model artifact against _KINDS: ArtifactError if it cannot be,
+    the model class's own ValueError if the model it holds is inconsistent."""
+    blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != _ARTIFACT_MAGIC:
         raise ArtifactError(f"{path}: not a model artifact")
-    body, crc_bytes = blob[:-4], blob[-4:]
-    if zlib.crc32(body) != struct.unpack("<I", crc_bytes)[0]:
+    if zlib.crc32(blob[:-4]) != struct.unpack("<I", blob[-4:])[0]:
         raise ArtifactError(f"{path}: checksum mismatch, file is corrupted")
-    version, header_len = struct.unpack("<II", body[4:12])
+    version, header_len = struct.unpack("<II", blob[4:12])
     if version != _ARTIFACT_VERSION:
         raise ArtifactError(f"{path}: unsupported artifact version {version}")
-    header = json.loads(body[12 : 12 + header_len].decode())
-    payload = body[12 + header_len :]
-
-    arrays = {}
-    for name, field in header["fields"].items():
-        start, nbytes = field["offset"], field["nbytes"]
-        arrays[name] = np.frombuffer(payload[start : start + nbytes],
-                                     dtype=field["dtype"]).reshape(field["shape"])
-
-    ints = header["ints"]
-    if header["kind"] == "glm":
-        model = GlmModel(
-            n_inputs=ints["n_inputs"],
-            n_outputs=ints["n_outputs"],
-            presentation_time=ints["presentation_time"],
-            window=ints["window"],
-            weights=arrays["weights"].astype(np.float64),
-            biases=arrays["biases"].astype(np.float64),
-            basis=arrays["basis"].astype(np.uint8),
-        )
-    elif header["kind"] == "quantized":
-        scales = arrays["scales"].astype(np.float64)
-        model = QuantizedModel(
-            bits=ints["bits"],
-            w_codes=arrays["w_codes"].astype(np.int16),
-            gamma_codes=arrays["gamma_codes"].astype(np.int16),
-            w_min=float(scales[0]), w_max=float(scales[1]),
-            gamma_min=float(scales[2]), gamma_max=float(scales[3]),
-            presentation_time=ints["presentation_time"],
-            window=ints["window"],
-        )
-    else:
-        raise ArtifactError(f"{path}: unknown artifact kind {header['kind']!r}")
-    return ModelArtifact(kind=header["kind"], model=model,
-                         provenance=header["provenance"])
+    header, payload = blob[12 : 12 + header_len], memoryview(blob)[12 + header_len : -4]
+    try:
+        header = json.loads(header)
+    except ValueError:
+        raise ArtifactError(f"{path}: header is not JSON") from None
+    kind = _header_entry(path, header, "kind")
+    if type(kind) is not str or kind not in _KINDS:
+        raise ArtifactError(f"{path}: unknown artifact kind {kind!r}")
+    cls, ints, dtypes = _KINDS[kind]
+    fields = {name: _header_entry(path, header, "ints", name) for name in ints}
+    if any(type(value) is not int for value in fields.values()):
+        raise ArtifactError(f"{path}: header ints {fields} are not all integers")
+    for name, dtype in dtypes.items():
+        found, shape, at, nbytes = (_header_entry(path, header, "fields", name, key)
+                                    for key in ("dtype", "shape", "offset", "nbytes"))
+        if found != dtype:
+            raise ArtifactError(f"{path}: field {name} is stored as {found!r}, not {dtype!r}")
+        try:  # unlike a slice's start, frombuffer's offset cannot be negative
+            fields[name] = np.frombuffer(payload[: at + nbytes], dtype,
+                                         offset=at).reshape(shape).copy()
+            if name == "scales":
+                fields.update(zip(_SCALES, fields.pop(name).reshape(4).tolist()))
+        except (TypeError, ValueError):
+            raise ArtifactError(f"{path}: cannot read field {name} of shape {shape} "
+                                "from the payload") from None
+    return ModelArtifact(kind=kind, model=cls(**fields),
+                         provenance=_header_entry(path, header, "provenance"))

@@ -5,24 +5,27 @@ import numpy as np
 from spikesim.datasets import write_idx_images, write_idx_labels
 
 
-def write_digit_corpus(root, n_train, n_test, side=5, seed=0):
-    """IDX train/t10k image and label files of side x side random pixels,
-    labels cycling through the 10 classes."""
+def write_digit_corpus(root, n_train, n_test, side=5, seed=0, test_side=None):
+    """IDX train/t10k image and label files of side x side random pixels
+    (test_side x test_side in t10k, if given), labels cycling through the
+    10 classes."""
     rng = np.random.default_rng(seed)
     root.mkdir(parents=True, exist_ok=True)
-    for prefix, n in (("train", n_train), ("t10k", n_test)):
-        pixels = rng.integers(0, 256, size=(n, side * side), dtype=np.uint8)
-        write_idx_images(root / f"{prefix}-images-idx3-ubyte", pixels, side, side)
+    for prefix, n, s in (("train", n_train, side), ("t10k", n_test, test_side or side)):
+        pixels = rng.integers(0, 256, size=(n, s * s), dtype=np.uint8)
+        write_idx_images(root / f"{prefix}-images-idx3-ubyte", pixels, s, s)
         write_idx_labels(root / f"{prefix}-labels-idx1-ubyte", np.arange(n) % 10)
     return root
 
 
-def write_har_corpus(root, n_train, n_test, n_features=12, seed=0):
-    """X_{split}.txt rows of signed features and y_{split}.txt labels 1..6."""
+def write_har_corpus(root, n_train, n_test, n_features=12, seed=0, test_features=None):
+    """X_{split}.txt rows of signed features (test_features of them in the
+    test split, if given) and y_{split}.txt labels 1..6."""
     rng = np.random.default_rng(seed)
     root.mkdir(parents=True, exist_ok=True)
-    for split, n in (("train", n_train), ("test", n_test)):
-        rows = rng.uniform(-1.0, 1.0, size=(n, n_features))
+    for split, n, width in (("train", n_train, n_features),
+                            ("test", n_test, test_features or n_features)):
+        rows = rng.uniform(-1.0, 1.0, size=(n, width))
         (root / f"X_{split}.txt").write_text(
             "".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in rows))
         (root / f"y_{split}.txt").write_text(

@@ -146,6 +146,20 @@ def quantized_potentials(qm, raster, sign):
     return sums.astype(np.int64), sums * qm.w_step + dequant_biases(qm)
 
 
+def kernel_sums_loop(qm, raster, sign, t):
+    """Triple-loop integer evaluation of the windowed code sum at step t."""
+    sums = []
+    for i in range(qm.n_outputs):
+        acc = 0
+        for j in range(qm.n_inputs):
+            for d in range(1, qm.window + 1):
+                s = t - d
+                if s >= 1 and raster[j, s - 1]:
+                    acc += int(sign[j]) * int(qm.w_codes[j, i, d - 1])
+        sums.append(acc)
+    return np.array(sums, dtype=np.int64)
+
+
 def saturating_sums_loop(raster, sign, w_codes):
     """Every step's 18-bit accumulator values (duration, n_outputs): one
     clamped add per word line, input-major then tap order, for all steps

@@ -48,7 +48,7 @@ from spikesim.training import (
     train,
 )
 
-from oracles import datapath_sums, draw_raster, lfsr_next
+from oracles import datapath_sums, draw_raster, kernel_sums_loop, lfsr_next
 
 
 def report(criterion, ok, detail):
@@ -194,19 +194,6 @@ def test_criterion_05_probability_mass():
     )
 
 
-def _oracle_kernel_sums(qm, raster, sign, t):
-    sums = []
-    for i in range(qm.n_outputs):
-        acc = 0
-        for j in range(qm.n_inputs):
-            for d in range(1, qm.window + 1):
-                step = t - d
-                if step >= 1 and raster[j, step - 1]:
-                    acc += int(sign[j]) * int(qm.w_codes[j, i, d - 1])
-        sums.append(acc)
-    return np.array(sums, dtype=np.int64)
-
-
 def test_criterion_06_core_oracle_equivalence():
     rng = np.random.default_rng(606)
     checked = 0
@@ -230,7 +217,7 @@ def test_criterion_06_core_oracle_equivalence():
         kmat, _, exact = image.model_operands(n_inputs, n_outputs, window)
         sums = datapath_sums(raster[None], sign[None], kmat, window, exact)[0]
         for t in range(1, duration + 1):
-            want = _oracle_kernel_sums(qm, raster, sign, t)
+            want = kernel_sums_loop(qm, raster, sign, t)
             assert np.array_equal(sums[t - 1], want), "integer mismatch"
             checked += n_outputs
     report(6, True, f"1000 random 8-bit instances: accumulators of the core's "

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from spikesim.glm import GlmModel
 from spikesim.perf import default_config, save_config
 from spikesim.quantize import QuantizedModel
 
-from corpora import write_digit_corpus
+from corpora import write_digit_corpus, write_har_corpus
 from oracles import simulate_rows_loop
 
 
@@ -307,6 +309,65 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    UNREADABLE = {
+        "no_fields": "header has no fields",
+        "glm_without_n_outputs": "header has no ints.n_outputs",
+        "empty_payload": "cannot read field w_codes of shape [16, 4, 3] from the payload",
+        "weights_as_f4": "field weights is stored as '<f4', not '<f8'",
+        "biases_at_negative_offset": "cannot read field biases of shape [4] from the payload",
+        "header_not_json": "header is not JSON",
+        "unhashable_kind": "unknown artifact kind ['glm']",
+        "glm_window_as_text": "header ints {'n_inputs': 16, 'n_outputs': 4, "
+                              "'presentation_time': 4, 'window': '3'} are not all integers",
+    }
+
+    @pytest.mark.parametrize("case", UNREADABLE)
+    def test_unreadable_artifact_is_data_error(self, tmp_path, capsys, case):
+        # a valid magic, version and CRC32 around a header or payload that
+        # cannot be read against its kind's fields: load_model refuses it
+        # before --out exists, naming the file
+        if case in ("no_fields", "empty_payload"):
+            model = QuantizedModel(
+                bits=8, w_codes=np.zeros((16, 4, 3)), gamma_codes=np.zeros(4),
+                w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
+                presentation_time=4, window=3,
+            )
+        else:
+            model = GlmModel(n_inputs=16, n_outputs=4, presentation_time=4, window=3,
+                             weights=np.zeros((16, 4, 3)), biases=np.zeros(4))
+        artifact = tmp_path / "model.bin"
+        save_model(artifact, model)
+        blob = artifact.read_bytes()
+        (size,) = struct.unpack("<I", blob[8:12])
+        header, payload = json.loads(blob[12 : 12 + size]), blob[12 + size : -4]
+        if case == "no_fields":
+            del header["fields"]
+        elif case == "glm_without_n_outputs":
+            del header["ints"]["n_outputs"]
+        elif case == "empty_payload":
+            payload = b""
+        elif case == "weights_as_f4":
+            header["fields"]["weights"]["dtype"] = "<f4"
+        elif case == "biases_at_negative_offset":
+            header["fields"]["biases"]["offset"] = -40  # a slice would read near the end
+        elif case == "unhashable_kind":
+            header["kind"] = ["glm"]
+        elif case == "glm_window_as_text":
+            header["ints"]["window"] = "3"
+        text = json.dumps(header, sort_keys=True).encode()
+        if case == "header_not_json":
+            text = text[:-1]
+        body = blob[:4] + struct.pack("<II", 1, len(text)) + text + payload
+        artifact.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        code = main([
+            "simulate", "--dataset", "synthetic", "--out", str(tmp_path / "s"),
+            "--model", str(artifact),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"spikesim: data error: {artifact}: {self.UNREADABLE[case]}\n")
+        assert not (tmp_path / "s").exists()
+
     def test_float_artifact_rejected(self, trained_run, tmp_path):
         code = main([
             "simulate", "--dataset", "synthetic", "--out", str(tmp_path / "s"),
@@ -479,6 +540,33 @@ def test_empty_test_split_is_data_error(digits_run, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, dataset", [
+    ("train", "digits"), ("train", "har"), ("quantize", "digits"), ("simulate", "digits"),
+])
+def test_splits_of_different_widths_are_data_error(digits_run, tmp_path, capsys,
+                                                   command, dataset):
+    # a 5x5 train IDX with a 4x4 t10k IDX, or 12 HAR features with 11
+    if dataset == "digits":
+        data = write_digit_corpus(tmp_path / "data", n_train=12, n_test=6, test_side=4)
+        widths = (25, 16)
+    else:
+        data = write_har_corpus(tmp_path / "data", n_train=20, n_test=10, test_features=11)
+        widths = (12, 11)
+    _, digits_float, digits_q8 = digits_run
+    extra = {
+        "train": ["--epochs", "1", "--T", "4", "--tau", "4"],
+        "quantize": ["--model", str(digits_float)],
+        "simulate": ["--model", str(digits_q8)],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, "--dataset", dataset, "--data-dir", str(data),
+                 "--out", str(out), *extra]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"spikesim: data error: the train split has {widths[0]} features "
+        f"but the test split has {widths[1]}\n")
+    assert not out.exists()
+
+
 def test_quantize_rejects_a_model_of_another_input_count(trained_run, digits_run,
                                                          tmp_path, capsys):
     # a 16-input model on 25-feature data, as simulate rejects it
@@ -536,6 +624,7 @@ class TestPinnedOutputs:
     """A hand-built float artifact through `quantize` and `simulate`: the
     outputs the datapath must keep, as SHA-256 digests of the bytes."""
 
+    FLOAT = "678054ec4f38bb1e052747a4e47d55f8d867645f4059cfaa82522660414fd2fb"
     CODES = {  # w_codes, gamma_codes, then w_min, w_max, gamma_min, gamma_max
         5: "8ec1dac4963b3518d3c8b8cf923540eb9498712deee07d8722380be7569295d4",
         6: "a7f5a1d71d6fd1e85a6debc9da574165b706d373e027ccc3dca7ca5a2f627fd7",
@@ -569,6 +658,7 @@ class TestPinnedOutputs:
             biases=rng.normal(-5.0, 0.3, size=4),
         )
         save_model(tmp_path / "model_float.bin", model, {"seed": 2024})
+        assert _sha256((tmp_path / "model_float.bin").read_bytes()) == self.FLOAT
         quant = tmp_path / "q"
         assert main([
             "quantize", "--dataset", "synthetic", "--out", str(quant), "--seed", "3",

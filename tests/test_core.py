@@ -27,6 +27,7 @@ from oracles import (
     dequant_biases,
     device_bits,
     first_to_spike_loop,
+    kernel_sums_loop,
     load_image,
     saturating_sums_loop,
     spike_decision,
@@ -47,20 +48,6 @@ def random_qm(rng, bits=8, n_inputs=4, n_outputs=5, window=3, duration=6,
         presentation_time=duration,
         window=window,
     )
-
-
-def oracle_kernel_sums(qm, raster, sign, t):
-    """Triple-loop integer evaluation of the windowed code sum at step t."""
-    sums = []
-    for i in range(qm.n_outputs):
-        acc = 0
-        for j in range(qm.n_inputs):
-            for d in range(1, qm.window + 1):
-                s = t - d
-                if s >= 1 and raster[j, s - 1]:
-                    acc += int(sign[j]) * int(qm.w_codes[j, i, d - 1])
-        sums.append(acc)
-    return np.array(sums, dtype=np.int64)
 
 
 class TestGeometry:
@@ -344,7 +331,7 @@ class TestCoreStep:
             sign = rng.choice([-1, 1], size=qm.n_inputs)
             sums = core_sums(image, qm, raster[None], sign[None])[0]
             for t in range(1, 6):
-                assert np.array_equal(sums[t - 1], oracle_kernel_sums(qm, raster, sign, t))
+                assert np.array_equal(sums[t - 1], kernel_sums_loop(qm, raster, sign, t))
 
 
 class TestRunFirstToSpike:
@@ -428,7 +415,7 @@ class TestRunFirstToSpike:
         assert reads[0].tolist() == [3 * min(2, t - 1) + 1 for t in range(1, 7)]
         sums = core_sums(image, qm, rasters, signs)[0]
         for t in range(1, 7):
-            assert np.array_equal(sums[t - 1], oracle_kernel_sums(qm, rasters[0], signs[0], t))
+            assert np.array_equal(sums[t - 1], kernel_sums_loop(qm, rasters[0], signs[0], t))
 
     def test_core_agrees_with_quantized_inference_at_every_precision(self):
         # the core and the evaluator run one datapath: b-bit codes, 18-bit

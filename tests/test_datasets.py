@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -245,25 +246,44 @@ def build_models(rng):
     return model, quantize_model(model, 5)
 
 
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 class TestArtifacts:
     def test_float_model_roundtrip(self, tmp_path):
+        # the identity basis, and three taps on two binary basis vectors
         rng = np.random.default_rng(2)
-        model, _ = build_models(rng)
-        path = tmp_path / "model.bin"
-        save_model(path, model, {"seed": 42, "epochs": 10})
-        artifact = load_model(path)
-        assert artifact.kind == "glm"
-        assert artifact.provenance == {"seed": 42, "epochs": 10}
-        assert np.array_equal(artifact.model.weights, model.weights)
-        assert np.array_equal(artifact.model.biases, model.biases)
-        assert np.array_equal(artifact.model.basis, model.basis)
-        assert artifact.model.presentation_time == 6
+        binary_basis = GlmModel(
+            n_inputs=3, n_outputs=4, presentation_time=6, window=3,
+            weights=rng.normal(size=(3, 4, 2)), biases=rng.normal(size=4),
+            basis=np.array([[1, 0], [1, 0], [0, 1]]),
+        )
+        for model, digest in [
+            (build_models(np.random.default_rng(2))[0],
+             "ae6b8ae6673f9c361c9050028093d5a93bb0ed652d5f1e87bcf4e030ce638310"),
+            (binary_basis,
+             "f42e4f975f06e72557035745df762d3ec4af605048aaf2e8037dd69a02a0f1c6"),
+        ]:
+            path = tmp_path / "model.bin"
+            save_model(path, model, {"seed": 42, "epochs": 10})
+            assert sha256_of(path) == digest
+            artifact = load_model(path)
+            assert artifact.kind == "glm"
+            assert artifact.provenance == {"seed": 42, "epochs": 10}
+            assert np.array_equal(artifact.model.weights, model.weights)
+            assert np.array_equal(artifact.model.biases, model.biases)
+            assert np.array_equal(artifact.model.basis, model.basis)
+            assert artifact.model.window == model.window
+            assert artifact.model.presentation_time == 6
 
     def test_quantized_model_roundtrip_preserves_every_code(self, tmp_path):
         rng = np.random.default_rng(3)
         _, qm = build_models(rng)
         path = tmp_path / "model_q.bin"
         save_model(path, qm, {"bits": 5})
+        assert sha256_of(path) == (
+            "595b56593ef3f1fecbf7777fcdefbaa71629c5759c9d43aaaa4e565bec60c82e")
         loaded = load_model(path).model
         assert isinstance(loaded, QuantizedModel)
         assert np.array_equal(loaded.w_codes, qm.w_codes)
