@@ -11,7 +11,6 @@ from .quantize import (
     quantize_uniform,
 )
 from .core import (
-    CoreGeometry,
     CoreMemoryImage,
     first_to_spike_batch,
     latency_cdf,

@@ -18,13 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    CoreGeometry,
-    first_to_spike_batch,
-    latency_cdf,
-    map_model_to_memory,
-    save_image,
-)
+from .core import first_to_spike_batch, latency_cdf, map_model_to_memory, save_image
 from .datasets import (
     ArtifactError,
     DataFormatError,
@@ -212,9 +206,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_simulate(args) -> int:
     qm, test_ds = _model_and_test_split(args, "quantized")
-    geom = CoreGeometry(n_inputs=qm.n_inputs, n_outputs=qm.n_outputs,
-                        window=qm.window, bits=qm.bits)
-    image = map_model_to_memory(qm, geom)
+    image = map_model_to_memory(qm)
 
     out_dir = _create_out(args)
     save_image(out_dir / "core_image.bin", image)
@@ -239,7 +231,7 @@ def cmd_simulate(args) -> int:
             stop = start + len(rasters)
             seeds = [derive_lfsr_seed(args.seed, k) for k in range(start, stop)]
             predicted, decision_time, reads = first_to_spike_batch(
-                image, qm, rasters, signs[start:stop], seeds
+                image, rasters, signs[start:stop], seeds
             )
             decisions += decision_time.tolist()
             correct += (predicted == labels[start:stop]).tolist()

@@ -10,25 +10,22 @@ accumulator, clips the scaled potential to the 1.4.3 fixed-point format,
 applies the PWL sigmoid and draws one spike decision per output neuron
 from the shared LFSR.  Inference stops at the first output spike.
 
-first_to_spike_batch runs a block of samples at once through
-quantize.first_to_spike_quantized, the datapath the quantized evaluator
-scores, on the codes decoded from the array, and counts the word lines each
-step reads.
+map_model_to_memory sizes the array from the model it packs, and the image
+holds that model.  first_to_spike_batch runs a block of samples at once
+through quantize.first_to_spike_quantized, the datapath the quantized
+evaluator scores, on the codes decoded from the array, and counts the word
+lines each step reads.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .quantize import (
-    DATAPATH_BITS,
-    QuantizedModel,
-    datapath_operands,
-    first_to_spike_quantized,
-)
+from .quantize import QuantizedModel, datapath_operands, first_to_spike_quantized
 
 _IMAGE_MAGIC = b"SPKIMG\x00"
 _IMAGE_VERSION = 1
@@ -43,22 +40,18 @@ def _next_pow2(n: int) -> int:
 
 @dataclass(frozen=True)
 class CoreGeometry:
-    """Physical core dimensions.  The default maps a 256x256 network with
-    a 7-tap window and 8-bit synapses onto a 2048x2048 device array."""
+    """Physical dimensions of a mapped model's device array.  A 256x256
+    network with a 7-tap window and 8-bit synapses fills a 2048x2048
+    array."""
 
-    n_inputs: int = 256
-    n_outputs: int = 256
-    window: int = 7
-    bits: int = 8
+    n_inputs: int
+    n_outputs: int
+    window: int
+    bits: int
 
-    def __post_init__(self):
-        if min(self.n_inputs, self.n_outputs, self.window) < 1:
-            raise ValueError("geometry dimensions must be positive")
-        if self.bits not in DATAPATH_BITS:
-            raise ValueError(
-                f"bits must be in [{DATAPATH_BITS.start}, {DATAPATH_BITS.stop - 1}], "
-                f"not {self.bits}"
-            )
+    @classmethod
+    def of(cls, qm: QuantizedModel) -> CoreGeometry:
+        return cls(qm.n_inputs, qm.n_outputs, qm.window, qm.bits)
 
     @property
     def word_width(self) -> int:
@@ -83,27 +76,23 @@ class CoreGeometry:
 
 @dataclass
 class CoreMemoryImage:
-    """Binary device array: one row of word_width bits per word line, packed
-    eight to a byte, most significant first, the last byte zero-padded.
-    These are the bytes core_image.bin stores after its header."""
+    """A quantized model's binary device array: one row of word_width bits
+    per word line, packed eight to a byte, most significant first, the last
+    byte zero-padded.  These are the bytes core_image.bin stores after its
+    header."""
 
-    geometry: CoreGeometry
+    model: QuantizedModel
     rows: np.ndarray  # (device_rows, ceil(word_width / 8)) uint8
 
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.uint8)
-        expect = (self.geometry.device_rows, (self.geometry.word_width + 7) // 8)
-        if self.rows.shape != expect:
-            raise ValueError(f"image shape {self.rows.shape} != {expect}")
-        self._operands = {}
+    @property
+    def geometry(self) -> CoreGeometry:
+        return CoreGeometry.of(self.model)
 
-    def model_operands(self, n_inputs: int, n_outputs: int, window: int):
-        """Cached quantize.datapath_operands of the mapped model region's
-        codes, decoded from the array (see unpack_model)."""
-        key = (n_inputs, n_outputs, window)
-        if key not in self._operands:
-            self._operands[key] = datapath_operands(*unpack_model(self, *key))
-        return self._operands[key]
+    @cached_property
+    def operands(self):
+        """quantize.datapath_operands of the codes decoded from the array
+        (see unpack_model)."""
+        return datapath_operands(*unpack_model(self))
 
 
 def _fields(codes, bits: int) -> np.ndarray:
@@ -140,46 +129,28 @@ def _decode_rows(rows: np.ndarray, bits: int, n_fields: int) -> np.ndarray:
     return mag * (1 - 2 * negative)
 
 
-def _check_fits(qm: QuantizedModel, geom: CoreGeometry):
-    """Raise ValueError unless qm's codes fit geom's array: the same synapse
-    width and no more inputs, outputs or taps."""
-    if qm.bits != geom.bits:
-        raise ValueError(f"model is {qm.bits}-bit but geometry holds {geom.bits}-bit synapses")
-    if qm.n_inputs > geom.n_inputs or qm.n_outputs > geom.n_outputs:
-        raise ValueError(
-            f"model {qm.n_inputs}x{qm.n_outputs} exceeds geometry "
-            f"{geom.n_inputs}x{geom.n_outputs}"
-        )
-    if qm.window > geom.window:
-        raise ValueError(f"model window {qm.window} exceeds geometry window {geom.window}")
-
-
-def map_model_to_memory(qm: QuantizedModel, geom: CoreGeometry) -> CoreMemoryImage:
-    """Pack a quantized model into the device array.
+def map_model_to_memory(qm: QuantizedModel) -> CoreMemoryImage:
+    """Pack a quantized model into its device array.
 
     Word line j*window + d holds tap d's codes of input j for all
-    outputs; the bias line comes last.  The packing is bijective over
-    the model region, so unpack_model recovers every code exactly.
+    outputs; the bias line comes last.  The packing is bijective, so
+    unpack_model recovers every code exactly.
     """
-    _check_fits(qm, geom)
+    geom = CoreGeometry.of(qm)
     fields = np.zeros((geom.device_rows, geom.n_outputs), dtype=np.uint8)
-    lines = fields[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, geom.n_outputs)
-    lines[: qm.n_inputs, : qm.window, : qm.n_outputs] = _fields(
-        qm.w_codes.transpose(0, 2, 1), geom.bits)
-    fields[geom.gamma_line, : qm.n_outputs] = _fields(qm.gamma_codes, geom.bits)
-    return CoreMemoryImage(geometry=geom, rows=_encode_rows(fields, geom.bits))
+    lines = _fields(qm.w_codes.transpose(0, 2, 1), geom.bits)  # (n_inputs, window, n_outputs)
+    fields[: geom.n_kernel_lines] = lines.reshape(-1, geom.n_outputs)
+    fields[geom.gamma_line] = _fields(qm.gamma_codes, geom.bits)
+    return CoreMemoryImage(model=qm, rows=_encode_rows(fields, geom.bits))
 
 
-def unpack_model(image: CoreMemoryImage, n_inputs: int, n_outputs: int, window: int):
+def unpack_model(image: CoreMemoryImage):
     """Recover the (w_codes, gamma_codes) of a mapped model, code for code,
-    decoding the word lines up to the bias line in the bytes that hold the
-    model's output columns."""
+    decoding every word line up to the bias line."""
     geom = image.geometry
-    rows = image.rows[: geom.n_wordlines, : (n_outputs * geom.bits + 7) // 8]
-    codes = _decode_rows(rows, geom.bits, n_outputs)
-    lines = codes[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, n_outputs)
-    w_codes = lines[:n_inputs, :window].transpose(0, 2, 1)
-    return np.ascontiguousarray(w_codes), codes[geom.gamma_line]
+    codes = _decode_rows(image.rows[: geom.n_wordlines], geom.bits, geom.n_outputs)
+    lines = codes[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, geom.n_outputs)
+    return np.ascontiguousarray(lines.transpose(0, 2, 1)), codes[geom.gamma_line]
 
 
 def save_image(path, image: CoreMemoryImage):
@@ -207,30 +178,25 @@ def _wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
     return 1 + latched[:, t] - latched[:, np.maximum(t - window, 0)]
 
 
-def first_to_spike_batch(image: CoreMemoryImage, qm: QuantizedModel, rasters,
-                         signs, lfsr_seeds):
+def first_to_spike_batch(image: CoreMemoryImage, rasters, signs, lfsr_seeds):
     """First-to-spike decisions of a batch of samples on the core.
 
     rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
     +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  The samples
-    decide through quantize.first_to_spike_quantized on the codes decoded
-    from the device array, which must hold qm (see map_model_to_memory):
-    a model wider than the image, or of another synapse width, is a
-    ValueError.
+    decide through quantize.first_to_spike_quantized on the model the image
+    was mapped from, with the codes decoded from its device array.
 
     Returns (predicted, decision_time, reads): decision_time is 0 for the
     no-spike fallback, and reads[k, t-1] is the number of word lines step
     t of sample k reads, bias line included.  Only steps up to the
     decision (all T for the fallback) execute on the core.
     """
-    _check_fits(qm, image.geometry)
+    qm = image.model
     rasters = np.asarray(rasters)
     if rasters.shape[1] != qm.n_inputs:
         raise ValueError("spike train width does not match the mapped model")
     predicted, decision_time = first_to_spike_quantized(
-        qm, rasters, signs, lfsr_seeds,
-        image.model_operands(qm.n_inputs, qm.n_outputs, qm.window),
-    )
+        qm, rasters, signs, lfsr_seeds, image.operands)
     return predicted, decision_time, _wordline_reads(rasters, qm.window)
 
 

@@ -117,6 +117,7 @@ class QuantizedModel:
     window: int
 
     def __post_init__(self):
+        _check_bits(self.bits)
         self.w_codes = np.asarray(self.w_codes, dtype=np.int16)
         self.gamma_codes = np.asarray(self.gamma_codes, dtype=np.int16)
         bound = 2 ** (self.bits - 1) - 1
@@ -127,12 +128,20 @@ class QuantizedModel:
         if self.w_codes.ndim != 3 or self.w_codes.shape[2] != self.window:
             raise ValueError(f"w_codes of shape {self.w_codes.shape} is not "
                              f"(n_inputs, n_outputs, window {self.window})")
+        if min(self.n_inputs, self.n_outputs) < 1:
+            raise ValueError(f"a {self.n_inputs}x{self.n_outputs} model; need at least "
+                             "one input and one output")
         if self.gamma_codes.shape != (self.n_outputs,):
             raise ValueError(f"{self.gamma_codes.size} bias codes for {self.n_outputs} "
                              "outputs; need one per output")
         if not 1 <= self.window <= self.presentation_time:
             raise ValueError(f"window {self.window} with presentation_time "
                              f"{self.presentation_time}; need 1 <= window <= presentation_time")
+        for name in ("w", "gamma"):
+            lo, hi = getattr(self, f"{name}_min"), getattr(self, f"{name}_max")
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ValueError(f"{name}_min {lo} and {name}_max {hi}; need finite "
+                                 f"{name}_min <= {name}_max")
 
     @property
     def n_inputs(self) -> int:
@@ -358,7 +367,6 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     """
-    _check_bits(qm.bits)
     kmat, gamma_codes, exact = operands or datapath_operands(qm.w_codes, qm.gamma_codes)
     gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
     rasters, signs = np.asarray(rasters), np.asarray(signs)
@@ -388,7 +396,7 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     return predicted, decision_time
 
 
-def evaluate_quantized(qms, magnitudes, signs, labels, seed, limit=None) -> list[float]:
+def evaluate_quantized(qms, magnitudes, signs, labels, seed) -> list[float]:
     """Accuracies of quantized first-to-spike inference, one per model in
     qms, all scored on one fresh encoding of the split.
 
@@ -402,12 +410,11 @@ def evaluate_quantized(qms, magnitudes, signs, labels, seed, limit=None) -> list
     duration, n_inputs = qms[0].presentation_time, qms[0].n_inputs
     if any(qm.presentation_time != duration or qm.n_inputs != n_inputs for qm in qms):
         raise ValueError("the models of one sweep must share presentation_time and n_inputs")
-    n = len(labels) if limit is None else min(limit, len(labels))
     rng = np.random.default_rng(seed)
-    signs = check_signs(signs[:n])
+    signs = check_signs(signs)
     operands = [datapath_operands(qm.w_codes, qm.gamma_codes) for qm in qms]
     correct = [0] * len(qms)
-    for start, rasters in encoded_chunks(magnitudes[:n], duration, rng):
+    for start, rasters in encoded_chunks(magnitudes, duration, rng):
         stop = start + len(rasters)
         seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
         block_signs, truth = signs[start:stop], np.asarray(labels[start:stop])
@@ -416,4 +423,4 @@ def evaluate_quantized(qms, magnitudes, signs, labels, seed, limit=None) -> list
                 qm, rasters, block_signs, seeds, qm_operands
             )
             correct[m] += int(np.count_nonzero(predicted == truth))
-    return [c / n if n else 0.0 for c in correct]
+    return [c / len(labels) if len(labels) else 0.0 for c in correct]

@@ -43,11 +43,11 @@ def unpack_memory(image):
 
 
 def load_image(path):
-    """Read a core_image.bin back into a CoreMemoryImage: the 7-byte magic
+    """Read a core_image.bin back as (geometry, rows): the 7-byte magic
     SPKIMG\\0, six little-endian uint32 (version 1, n_inputs, n_outputs,
     window, bits, 0), then each device row's bits packed eight to a byte,
     most significant first."""
-    from spikesim.core import CoreGeometry, CoreMemoryImage
+    from spikesim.core import CoreGeometry
 
     with open(path, "rb") as fh:
         data = fh.read()
@@ -57,8 +57,10 @@ def load_image(path):
     if version != 1:
         raise ValueError(f"unsupported image version {version}")
     geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window, bits=bits)
-    rows = np.frombuffer(data[31:], dtype=np.uint8).reshape(geom.device_rows, -1)
-    return CoreMemoryImage(geometry=geom, rows=rows)  # which checks the row width
+    rows = np.frombuffer(data[31:], dtype=np.uint8)
+    if rows.size != geom.device_rows * ((geom.word_width + 7) // 8):
+        raise ValueError(f"{rows.size} bytes of rows for a {geom} array")
+    return geom, rows.reshape(geom.device_rows, -1)
 
 
 def build_windows(raster: np.ndarray, window: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spikesim.cli import EXIT_OK, _load_split_pair, main
-from spikesim.core import CoreGeometry, first_to_spike_batch, latency_cdf, map_model_to_memory
+from spikesim.core import first_to_spike_batch, latency_cdf, map_model_to_memory
 from spikesim.datasets import (
     Dataset,
     load_digits,
@@ -209,12 +209,11 @@ def test_criterion_06_core_oracle_equivalence():
             w_min=-1.0, w_max=1.0, gamma_min=-0.5, gamma_max=0.5,
             presentation_time=duration, window=window,
         )
-        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         raster = rng.integers(0, 2, size=(n_inputs, duration)).astype(np.uint8)
         sign = rng.choice([-1, 1], size=n_inputs)
         # the sums simulate runs: the datapath over the codes read from the array
-        kmat, _, exact = image.model_operands(n_inputs, n_outputs, window)
+        kmat, _, exact = image.operands
         sums = datapath_sums(raster[None], sign[None], kmat, window, exact)[0]
         for t in range(1, duration + 1):
             want = kernel_sums_loop(qm, raster, sign, t)
@@ -453,21 +452,20 @@ def test_full_digits_pipeline(tmp_path):
 
     sweep = (5, 6, 7, 8)
     qms = [quantize_model(model, bits) for bits in sweep]
-    accs = dict(zip(sweep, evaluate_quantized(qms, mags, signs, labels, seed=3, limit=2000)))
+    head = mags[:2000], signs[:2000], labels[:2000]
+    accs = dict(zip(sweep, evaluate_quantized(qms, *head, seed=3)))
     for bits, acc in accs.items():
         print(f"b={bits} quantized accuracy: {acc:.4f}")
     assert accs[5] >= float_acc - 0.02
 
     qm = quantize_model(model, 8)
-    geom = CoreGeometry(n_inputs=qm.n_inputs, n_outputs=qm.n_outputs,
-                        window=qm.window, bits=qm.bits)
-    image = map_model_to_memory(qm, geom)
+    image = map_model_to_memory(qm)
     rng = np.random.default_rng(4)
     predicted, decision_time = [], []
     for start, rasters in encoded_chunks(mags[:2000], qm.presentation_time, rng):
         stop = start + len(rasters)
         seeds = [derive_lfsr_seed(4, k) for k in range(start, stop)]
-        batch = first_to_spike_batch(image, qm, rasters, signs[start:stop], seeds)
+        batch = first_to_spike_batch(image, rasters, signs[start:stop], seeds)
         predicted.append(batch[0])
         decision_time.append(batch[1])
     decision_time = np.concatenate(decision_time)

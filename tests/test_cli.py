@@ -269,12 +269,14 @@ class TestSimulateCommand:
                 assert list(csv.reader(fh))[1:] == trace
 
     def test_nine_bit_artifact_is_usage_error(self, tmp_path):
-        # the core geometry, like --bits, accepts only the datapath's 2..8
+        # a quantized model, like --bits, accepts only the datapath's 2..8:
+        # load_model refuses the artifact before --out exists
         qm = QuantizedModel(
-            bits=9, w_codes=np.full((16, 4, 4), 200), gamma_codes=np.zeros(4),
+            bits=8, w_codes=np.full((16, 4, 4), 100), gamma_codes=np.zeros(4),
             w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
             presentation_time=6, window=4,
         )
+        qm.bits = 9
         artifact = tmp_path / "model_q9.bin"
         save_model(artifact, qm, {"bits": 9})
         code = main([
@@ -282,13 +284,17 @@ class TestSimulateCommand:
             "--model", str(artifact),
         ])
         assert code == EXIT_USAGE
-        assert not (tmp_path / "s" / "decisions.csv").exists()
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("field, value, message", [
         ("gamma_codes", np.zeros(6), "6 bias codes for 4 outputs"),
         ("presentation_time", 2, "window 3 with presentation_time 2"),
         ("w_codes", np.zeros((16, 4)), "w_codes of shape (16, 4)"),
-    ], ids=["six_biases_for_four_outputs", "window_past_T", "two_dim_kernels"])
+        ("w_max", np.nan, "w_min -1.0 and w_max nan"),
+        ("gamma_min", -np.inf, "gamma_min -inf and gamma_max 1.0"),
+        ("w_max", -2.0, "w_min -1.0 and w_max -2.0; need finite w_min <= w_max"),
+    ], ids=["six_biases_for_four_outputs", "window_past_T", "two_dim_kernels",
+            "nan_w_max", "minus_inf_gamma_min", "w_min_above_w_max"])
     def test_misshapen_artifact_is_usage_error(self, tmp_path, capsys, field, value,
                                                message):
         # no float model has this shape: load_model refuses the artifact

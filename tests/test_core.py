@@ -52,7 +52,8 @@ def random_qm(rng, bits=8, n_inputs=4, n_outputs=5, window=3, duration=6,
 
 class TestGeometry:
     def test_default_core_dimensions(self):
-        geom = CoreGeometry()
+        # the benchmark's 256x256 core: 7 taps of 8-bit synapses
+        geom = CoreGeometry(n_inputs=256, n_outputs=256, window=7, bits=8)
         assert geom.word_width == 2048
         assert geom.n_kernel_lines == 1792
         assert geom.n_wordlines == 1793
@@ -60,19 +61,20 @@ class TestGeometry:
         assert geom.gamma_line == 1792
 
     def test_rejects_degenerate_geometry(self):
-        with pytest.raises(ValueError):
-            CoreGeometry(n_inputs=0)
-        with pytest.raises(ValueError):
-            CoreGeometry(bits=1)
-        with pytest.raises(ValueError):
-            CoreGeometry(bits=9)  # outside the quantized datapath's 2..8
+        # a geometry comes from its model, which has at least one input and
+        # one output, and synapses of the quantized datapath's 2..8 bits
+        rng = np.random.default_rng(80)
+        for change, message in [({"n_inputs": 0}, "0x5 model"), ({"n_outputs": 0}, "4x0 model"),
+                                ({"bits": 1}, "datapath"), ({"bits": 9}, "datapath")]:
+            with pytest.raises(ValueError, match=message):
+                random_qm(rng, **change)
 
 
 class TestMemoryMapping:
     def test_full_size_model_uses_1793_lines(self):
         rng = np.random.default_rng(81)
         qm = random_qm(rng, n_inputs=256, n_outputs=256, window=7, duration=8)
-        image = map_model_to_memory(qm, CoreGeometry())
+        image = map_model_to_memory(qm)
         kernel, gamma = unpack_memory(image)
         assert kernel.shape == (1792, 256)
         assert image.rows.shape == (2048, 256)
@@ -88,22 +90,21 @@ class TestMemoryMapping:
             w_min=-1, w_max=1, gamma_min=-1, gamma_max=1,
             presentation_time=4, window=3,
         )
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=2, n_outputs=2, window=3))
+        image = map_model_to_memory(qm)
         assert not image.rows.any()
 
     def test_pack_unpack_roundtrip_code_for_code(self):
         rng = np.random.default_rng(82)
         for bits in DATAPATH_BITS:
             qm = random_qm(rng, bits=bits)
-            geom = CoreGeometry(n_inputs=6, n_outputs=8, window=4, bits=bits)
-            image = map_model_to_memory(qm, geom)
-            w_codes, gamma_codes = unpack_model(image, 4, 5, 3)
+            image = map_model_to_memory(qm)
+            w_codes, gamma_codes = unpack_model(image)
             assert np.array_equal(w_codes, qm.w_codes)
             assert np.array_equal(gamma_codes, qm.gamma_codes)
 
     def test_bit_layout_is_sign_then_magnitude_msb_first(self):
-        # every code of every precision, bit by bit, in a geometry wider than
-        # the model: kernel line j * window + d, then the bias line
+        # every code of every precision, bit by bit: kernel line
+        # j * window + d, then the bias line
         for bits in DATAPATH_BITS:
             bound = 2 ** (bits - 1) - 1
             codes = np.arange(-bound, bound + 1)
@@ -112,10 +113,10 @@ class TestMemoryMapping:
                 gamma_codes=codes[::-1], w_min=-1, w_max=1, gamma_min=-1, gamma_max=1,
                 presentation_time=4, window=2,
             )
-            geom = CoreGeometry(n_inputs=4, n_outputs=len(codes) + 1, window=3, bits=bits)
-            image = map_model_to_memory(qm, geom)
+            image = map_model_to_memory(qm)
+            geom = image.geometry
             want = np.zeros((geom.device_rows, geom.word_width), dtype=np.uint8)
-            rows = {j * 3 + d: qm.w_codes[j, :, d] for j in range(3) for d in range(2)}
+            rows = {j * 2 + d: qm.w_codes[j, :, d] for j in range(3) for d in range(2)}
             rows[geom.gamma_line] = qm.gamma_codes
             for line, row in rows.items():
                 for i, code in enumerate(row.tolist()):
@@ -124,26 +125,15 @@ class TestMemoryMapping:
                     want[line, i * bits : (i + 1) * bits] = field
             assert np.array_equal(device_bits(image), want)
 
-    def test_rejects_oversized_or_mismatched_model(self):
-        rng = np.random.default_rng(83)
-        qm = random_qm(rng, n_inputs=4, n_outputs=5, window=3)
-        with pytest.raises(ValueError):
-            map_model_to_memory(qm, CoreGeometry(n_inputs=2, n_outputs=5, window=3))
-        with pytest.raises(ValueError):
-            map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=5, window=2))
-        with pytest.raises(ValueError):
-            map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=5, window=3, bits=5))
-
     def test_image_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(84)
         qm = random_qm(rng)
-        geom = CoreGeometry(n_inputs=4, n_outputs=5, window=3)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         path = tmp_path / "core.img"
         save_image(path, image)
-        loaded = load_image(path)
-        assert loaded.geometry == geom
-        assert np.array_equal(loaded.rows, image.rows)
+        geom, rows = load_image(path)
+        assert geom == image.geometry
+        assert np.array_equal(rows, image.rows)
 
     def test_image_file_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.img"
@@ -170,11 +160,11 @@ class TestSpikeWindow:
         assert spike_window(history, 8, 7).tolist() == [1] * 7
 
 
-def core_sums(image, qm, rasters, signs):
+def core_sums(image, rasters, signs):
     """The 18-bit accumulator values first_to_spike_batch's datapath sums
     from the codes it decodes from the array: (batch, T, n_outputs)."""
-    kmat, _, exact = image.model_operands(qm.n_inputs, qm.n_outputs, qm.window)
-    return datapath_sums(rasters, signs, kmat, qm.window, exact)
+    kmat, _, exact = image.operands
+    return datapath_sums(rasters, signs, kmat, image.model.window, exact)
 
 
 class TestGatherActiveWordlines:
@@ -184,49 +174,46 @@ class TestGatherActiveWordlines:
     def test_pattern_1010010_reads_lines_1_3_6(self):
         rng = np.random.default_rng(92)
         qm = random_qm(rng, n_inputs=4, n_outputs=4, window=7, duration=8)
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=4, window=7))
+        image = map_model_to_memory(qm)
         rasters = np.zeros((1, 4, 8), dtype=np.uint8)
         rasters[0, 0, [6, 4, 1]] = 1  # steps 7, 5 and 2: taps 1, 3 and 6 of step 8
         signs = np.ones((1, 4), dtype=np.int64)
-        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [0x0101])
+        _, _, reads = first_to_spike_batch(image, rasters, signs, [0x0101])
         assert reads[0, 7] == 4
-        sums = core_sums(image, qm, rasters, signs)
+        sums = core_sums(image, rasters, signs)
         assert np.array_equal(sums[0, 7], qm.w_codes[0][:, [0, 2, 5]].sum(axis=1))
 
     def test_silent_windows_read_only_gamma(self):
         rng = np.random.default_rng(93)
         qm = random_qm(rng, n_inputs=4, n_outputs=4, window=7, duration=8)
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=4, window=7))
+        image = map_model_to_memory(qm)
         rasters = np.zeros((3, 4, 8), dtype=np.uint8)
         signs = np.ones((3, 4), dtype=np.int64)
-        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [1, 2, 3])
+        _, _, reads = first_to_spike_batch(image, rasters, signs, [1, 2, 3])
         assert np.all(reads == 1)
-        assert np.all(core_sums(image, qm, rasters, signs) == 0)
+        assert np.all(core_sums(image, rasters, signs) == 0)
 
     def test_count_is_popcount_plus_one_and_strictly_increasing(self, monkeypatch):
         # with the limit lowered so that most steps saturate, each step's
         # sum is the clamped add of the lines it reads, one line at a time
-        # in strictly increasing address j * window + d, here in a geometry
-        # two taps wider than the model
+        # in strictly increasing address j * window + d
         monkeypatch.setattr(quantize, "ACC_LIMIT", 300)
         rng = np.random.default_rng(85)
         qm = random_qm(rng, n_inputs=6, n_outputs=4, window=5, duration=8)
-        geom = CoreGeometry(n_inputs=6, n_outputs=4, window=7)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         rasters, signs, seeds = random_batch(rng, qm, 20)
-        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, seeds)
-        sums = core_sums(image, qm, rasters, signs)
-        lines = unpack_memory(image)[0][:, :4]
+        _, _, reads = first_to_spike_batch(image, rasters, signs, seeds)
+        sums = core_sums(image, rasters, signs)
+        lines = unpack_memory(image)[0]
         saturated = 0
         for k in range(20):
             windows = build_windows(rasters[k], qm.window)
             for t in range(8):
-                addrs = [j * geom.window + d for j in range(6) for d in range(5)
-                         if windows[t, j, d]]
+                addrs = [j * 5 + d for j in range(6) for d in range(5) if windows[t, j, d]]
                 assert reads[k, t] == len(addrs) + 1
                 acc = np.zeros(4, dtype=np.int64)
                 for a in addrs:
-                    acc = np.clip(acc + signs[k, a // geom.window] * lines[a], -300, 300)
+                    acc = np.clip(acc + signs[k, a // 5] * lines[a], -300, 300)
                 assert np.array_equal(sums[k, t], acc)
                 saturated += int(np.any(np.abs(acc) == 300))
         assert saturated > 20
@@ -245,10 +232,10 @@ class TestCoreStep:
             w_min=-1, w_max=1, gamma_min=-1, gamma_max=1,
             presentation_time=40, window=3,
         )
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=2, n_outputs=1, window=3))
+        image = map_model_to_memory(qm)
         n = 2000
         _, decision_time, _ = first_to_spike_batch(
-            image, qm, np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
+            image, np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
             [derive_lfsr_seed(0, k) for k in range(n)],
         )
         assert abs(np.mean(decision_time == 1) - 0.5) < 0.05
@@ -260,10 +247,10 @@ class TestCoreStep:
 
         rng = np.random.default_rng(85)
         qm = random_qm(rng, n_inputs=4, n_outputs=7, window=3, duration=6)
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=4, n_outputs=7, window=3))
+        image = map_model_to_memory(qm)
         rasters, signs, seeds = random_batch(rng, qm, 30)
-        predicted, decision_time, _ = first_to_spike_batch(image, qm, rasters, signs, seeds)
-        u_codes = clip_to_fixed(core_sums(image, qm, rasters, signs) * qm.w_step
+        predicted, decision_time, _ = first_to_spike_batch(image, rasters, signs, seeds)
+        u_codes = clip_to_fixed(core_sums(image, rasters, signs) * qm.w_step
                                 + dequant_biases(qm))
         pwl = pwl_sigmoid(u_codes)
         for k in range(30):
@@ -282,14 +269,14 @@ class TestCoreStep:
     def test_single_active_line_matches_scalar_recomputation(self):
         rng = np.random.default_rng(86)
         qm = random_qm(rng, n_inputs=3, n_outputs=4, window=2, duration=4)
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=3, n_outputs=4, window=2))
+        image = map_model_to_memory(qm)
         # spike on input 1 at step 1; at step 2 only line (j=1, d=1) is active
         rasters = np.zeros((1, 3, 4), dtype=np.uint8)
         rasters[0, 1, 0] = 1
         signs = np.ones((1, 3), dtype=np.int64)
-        sums = core_sums(image, qm, rasters, signs)
+        sums = core_sums(image, rasters, signs)
         assert np.array_equal(sums[0, 1], qm.w_codes[1, :, 0])
-        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [1])
+        _, _, reads = first_to_spike_batch(image, rasters, signs, [1])
         assert reads[0].tolist() == [1, 2, 2, 1]
 
     def test_saturation_clamps_instead_of_wrapping(self):
@@ -303,10 +290,9 @@ class TestCoreStep:
             w_min=-1, w_max=1, gamma_min=-1, gamma_max=1,
             presentation_time=window + 2, window=window,
         )
-        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=2, window=window)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         rasters = np.ones((1, n_inputs, window + 2), dtype=np.uint8)
-        sums = core_sums(image, qm, rasters, np.ones((1, n_inputs), dtype=np.int64))
+        sums = core_sums(image, rasters, np.ones((1, n_inputs), dtype=np.int64))
         # step window + 1 reads every line of every input
         assert np.all(sums[0, window] == ACC_LIMIT)
         # saturated potential still clips to the top of the 1.4.3 range
@@ -323,13 +309,10 @@ class TestCoreStep:
                 window=int(rng.integers(1, 4)),
                 duration=5,
             )
-            geom = CoreGeometry(
-                n_inputs=qm.n_inputs, n_outputs=qm.n_outputs, window=qm.window
-            )
-            image = map_model_to_memory(qm, geom)
+            image = map_model_to_memory(qm)
             raster = rng.integers(0, 2, size=(qm.n_inputs, 5)).astype(np.uint8)
             sign = rng.choice([-1, 1], size=qm.n_inputs)
-            sums = core_sums(image, qm, raster[None], sign[None])[0]
+            sums = core_sums(image, raster[None], sign[None])[0]
             for t in range(1, 6):
                 assert np.array_equal(sums[t - 1], kernel_sums_loop(qm, raster, sign, t))
 
@@ -345,10 +328,9 @@ class TestRunFirstToSpike:
             w_min=-1, w_max=1, gamma_min=-8, gamma_max=8,
             presentation_time=6, window=2,
         )
-        geom = CoreGeometry(n_inputs=2, n_outputs=3, window=2)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         predicted, decision_time, reads = first_to_spike_batch(
-            image, qm, np.zeros((1, 2, 6), dtype=np.uint8), np.ones((1, 2)), [0x0101]
+            image, np.zeros((1, 2, 6), dtype=np.uint8), np.ones((1, 2)), [0x0101]
         )
         # gamma_step = 16/128, so neuron 1 sits at +15.875 -> clip 7.875 -> pwl 255
         assert (predicted[0], decision_time[0]) == (1, 1)
@@ -363,10 +345,9 @@ class TestRunFirstToSpike:
             w_min=-1, w_max=1, gamma_min=-8, gamma_max=8,
             presentation_time=5, window=2,
         )
-        geom = CoreGeometry(n_inputs=2, n_outputs=3, window=2)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         predicted, decision_time, reads = first_to_spike_batch(
-            image, qm, np.zeros((1, 2, 5), dtype=np.uint8), np.ones((1, 2)), [0x0101]
+            image, np.zeros((1, 2, 5), dtype=np.uint8), np.ones((1, 2)), [0x0101]
         )
         assert decision_time[0] == 0  # the fallback
         assert predicted[0] == 1  # least negative potential
@@ -376,11 +357,10 @@ class TestRunFirstToSpike:
         rng = np.random.default_rng(88)
         qm = random_qm(rng, n_inputs=5, n_outputs=4, window=3, duration=6,
                        g_range=(-6.0, -5.0))  # negative biases: few early spikes
-        geom = CoreGeometry(n_inputs=5, n_outputs=4, window=3)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         raster = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
         _, decision_time, reads = first_to_spike_batch(
-            image, qm, raster[None], np.ones((1, 5)), [0x5A5A]
+            image, raster[None], np.ones((1, 5)), [0x5A5A]
         )
         windows = build_windows(raster, 3)
         assert reads[0].tolist() == [int(windows[t].sum()) + 1 for t in range(6)]
@@ -392,28 +372,26 @@ class TestRunFirstToSpike:
     def test_identical_inputs_identical_outputs(self):
         rng = np.random.default_rng(89)
         qm = random_qm(rng, n_inputs=4, n_outputs=4, window=3, duration=6)
-        geom = CoreGeometry(n_inputs=4, n_outputs=4, window=3)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
         # one sample twice in a batch, then alone
         rasters, signs = np.stack([raster, raster]), np.ones((2, 4))
-        twice = first_to_spike_batch(image, qm, rasters, signs, [0x1111, 0x1111])
-        alone = first_to_spike_batch(image, qm, rasters[:1], signs[:1], [0x1111])
+        twice = first_to_spike_batch(image, rasters, signs, [0x1111, 0x1111])
+        alone = first_to_spike_batch(image, rasters[:1], signs[:1], [0x1111])
         for both, one in zip(twice, alone):
             assert np.array_equal(both, np.concatenate([one, one]))
 
-    def test_short_window_model_in_wide_geometry_reads_only_its_taps(self):
-        # a 2-tap model mapped into a 7-tap geometry must not touch the
-        # unmapped tap lines even when older spikes exist
+    def test_short_window_model_reads_only_its_taps(self):
+        # a 2-tap model reads no spike older than its window, even when
+        # older spikes exist
         rng = np.random.default_rng(91)
         qm = random_qm(rng, n_inputs=3, n_outputs=2, window=2, duration=6)
-        geom = CoreGeometry(n_inputs=3, n_outputs=2, window=7)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         rasters = np.ones((1, 3, 6), dtype=np.uint8)
         signs = np.ones((1, 3), dtype=np.int64)
-        _, _, reads = first_to_spike_batch(image, qm, rasters, signs, [0x2222])
+        _, _, reads = first_to_spike_batch(image, rasters, signs, [0x2222])
         assert reads[0].tolist() == [3 * min(2, t - 1) + 1 for t in range(1, 7)]
-        sums = core_sums(image, qm, rasters, signs)[0]
+        sums = core_sums(image, rasters, signs)[0]
         for t in range(1, 7):
             assert np.array_equal(sums[t - 1], kernel_sums_loop(qm, rasters[0], signs[0], t))
 
@@ -425,12 +403,11 @@ class TestRunFirstToSpike:
             for trial in range(25):
                 qm = random_qm(rng, bits=bits, n_inputs=4, n_outputs=5, window=3,
                                duration=6)
-                geom = CoreGeometry(n_inputs=4, n_outputs=5, window=3, bits=bits)
-                image = map_model_to_memory(qm, geom)
+                image = map_model_to_memory(qm)
                 raster = rng.integers(0, 2, size=(1, 4, 6)).astype(np.uint8)
                 sign = rng.choice([-1, 1], size=(1, 4))
                 seeds = [derive_lfsr_seed(bits, trial)]
-                core = first_to_spike_batch(image, qm, raster, sign, seeds)[:2]
+                core = first_to_spike_batch(image, raster, sign, seeds)[:2]
                 evaluator = first_to_spike_quantized(qm, raster, sign, seeds)
                 assert np.array_equal(core, evaluator)
         # a model that saturates: 300 inputs of 127 codes, the last 50 negated
@@ -441,24 +418,24 @@ class TestRunFirstToSpike:
         )
         kmat, gamma_codes, exact = datapath_operands(qm.w_codes, qm.gamma_codes)
         assert not exact
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=300, n_outputs=3, window=7))
+        image = map_model_to_memory(qm)
         rasters = (rng.random((10, 300, 10)) < 0.9).astype(np.uint8)
         signs = np.tile(np.where(np.arange(300) < 250, 1, -1), (10, 1))
         seeds = [derive_lfsr_seed(9, k) for k in range(10)]
         saturated = first_to_spike_quantized(qm, rasters, signs, seeds)
-        core = first_to_spike_batch(image, qm, rasters, signs, seeds)[:2]
+        core = first_to_spike_batch(image, rasters, signs, seeds)[:2]
         assert np.array_equal(core, saturated)
         # the saturation decides: plain sums would change some decision steps
         plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))[1]
         assert np.any(saturated[1] != plain)
 
 
-def assert_batch_matches_loop(image, qm, rasters, signs, seeds):
-    """first_to_spike_batch == the per-neuron loop on qm's own codes on
-    class, decision step, fallback and reads per executed step.  Returns
-    the decision steps."""
-    predicted, decision_time, reads = first_to_spike_batch(image, qm, rasters, signs, seeds)
-    want = first_to_spike_loop(qm, rasters, signs, seeds)
+def assert_batch_matches_loop(image, rasters, signs, seeds):
+    """first_to_spike_batch == the per-neuron loop on the mapped model's own
+    codes on class, decision step, fallback and reads per executed step.
+    Returns the decision steps."""
+    predicted, decision_time, reads = first_to_spike_batch(image, rasters, signs, seeds)
+    want = first_to_spike_loop(image.model, rasters, signs, seeds)
     assert predicted.tolist() == [w[0] for w in want]
     assert decision_time.tolist() == [w[1] for w in want]
     for k, (_, t_d, want_reads) in enumerate(want):
@@ -485,27 +462,25 @@ class TestFirstToSpikeBatch:
                 n_outputs=int(rng.integers(1, 7)), window=window,
                 duration=int(rng.integers(window, 9)), g_range=(-6.0, 1.0),
             )
-            # geometries at least as wide as the model in every dimension
-            geom = CoreGeometry(
-                n_inputs=qm.n_inputs + int(rng.integers(0, 3)),
-                n_outputs=qm.n_outputs + int(rng.integers(0, 3)),
-                window=window + int(rng.integers(0, 3)), bits=bits,
-            )
-            image = map_model_to_memory(qm, geom)
+            # three draws left unused, so that the rng stream draws the
+            # models and batches this seed was chosen for
+            for _ in range(3):
+                rng.integers(0, 3)
+            image = map_model_to_memory(qm)
             batch = int(rng.integers(1, 10))
             rasters, signs, seeds = random_batch(rng, qm, batch, rng.uniform(0.1, 0.9))
-            decision_time = assert_batch_matches_loop(image, qm, rasters, signs, seeds)
+            decision_time = assert_batch_matches_loop(image, rasters, signs, seeds)
             decided_late += int(np.count_nonzero(decision_time > 1))
         assert decided_late > 0  # the windows, not only the biases, decided some
 
     def test_batch_of_one_and_narrow_model_window(self):
-        # a 2-tap model in a 7-tap geometry, one sample at a time
+        # a 2-tap model, one sample at a time
         rng = np.random.default_rng(131)
         qm = random_qm(rng, n_inputs=5, n_outputs=4, window=2, duration=8,
                        g_range=(-8.0, 0.5))
-        image = map_model_to_memory(qm, CoreGeometry(n_inputs=5, n_outputs=4, window=7))
+        image = map_model_to_memory(qm)
         for _ in range(20):
-            assert_batch_matches_loop(image, qm, *random_batch(rng, qm, 1, 0.8))
+            assert_batch_matches_loop(image, *random_batch(rng, qm, 1, 0.8))
 
     def test_fallback_samples(self):
         # biases in [-8, -7.125] give PWL 0 at every step: every sample runs
@@ -519,9 +494,8 @@ class TestFirstToSpikeBatch:
             qm.gamma_codes = -rng.integers(int(0.9 * bound) + 1, bound + 1, size=6)
             qm.gamma_max = 4 * 2 ** (bits - 1) / bound
             qm.gamma_min = -qm.gamma_max
-            geom = CoreGeometry(n_inputs=4, n_outputs=6, window=3, bits=bits)
-            image = map_model_to_memory(qm, geom)
-            decision_time = assert_batch_matches_loop(image, qm, *random_batch(rng, qm, 12))
+            image = map_model_to_memory(qm)
+            decision_time = assert_batch_matches_loop(image, *random_batch(rng, qm, 12))
             assert np.all(decision_time == 0)
 
     @pytest.mark.parametrize("n_inputs,n_outputs,window,duration", [
@@ -537,28 +511,20 @@ class TestFirstToSpikeBatch:
         qm = random_qm(rng, n_inputs=n_inputs, n_outputs=n_outputs, window=window,
                        duration=duration, g_range=(-8.0, 8.0))
         qm.gamma_codes = -rng.integers(32, 65, size=n_outputs)  # biases -4..-8
-        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         block = quantize.BLOCK_ELEMENTS // (
             quantize.CHUNK_STEPS * max(window * n_outputs, n_inputs))
         decision_time = assert_batch_matches_loop(
-            image, qm, *random_batch(rng, qm, 2 * block + 3, 0.3)
+            image, *random_batch(rng, qm, 2 * block + 3, 0.3)
         )
         assert len(set(decision_time.tolist())) > 2
 
-    @pytest.mark.parametrize("change", [
-        {"bits": 5},        # another synapse width: the fields would misalign
-        {"window": 4},      # a tap more: it would read the next input's first line
-        {"n_inputs": 5},    # an input more than the array holds
-        {"n_outputs": 6},   # an output more than a word line holds
-    ])
-    def test_rejects_a_model_the_image_does_not_hold(self, change):
+    def test_rejects_a_spike_train_of_another_width(self):
         rng = np.random.default_rng(135)
-        image = map_model_to_memory(random_qm(rng), CoreGeometry(n_inputs=4, n_outputs=5,
-                                                                 window=3))
-        qm = random_qm(rng, **change)
-        with pytest.raises(ValueError, match="geometry"):
-            first_to_spike_batch(image, qm, *random_batch(rng, qm, 2))
+        image = map_model_to_memory(random_qm(rng))
+        rasters, signs, seeds = random_batch(rng, random_qm(rng, n_inputs=5), 2)
+        with pytest.raises(ValueError, match="spike train width"):
+            first_to_spike_batch(image, rasters, signs, seeds)
 
     @pytest.mark.parametrize("small_codes", [False, True])
     def test_saturating_steps(self, small_codes):
@@ -577,12 +543,11 @@ class TestFirstToSpikeBatch:
             w_min=-0.004, w_max=0.004, gamma_min=-1.0, gamma_max=1.0,
             presentation_time=duration, window=window,
         )
-        geom = CoreGeometry(n_inputs=n_inputs, n_outputs=3, window=window)
-        image = map_model_to_memory(qm, geom)
+        image = map_model_to_memory(qm)
         rasters = np.ones((4, n_inputs, duration), dtype=np.uint8)
         signs = np.ones((4, n_inputs), dtype=np.int64)
         signs[:, 150:] = -1
-        kmat, _, exact = image.model_operands(n_inputs, 3, window)
+        kmat, _, exact = image.operands
         assert exact == small_codes
         sums = datapath_sums(rasters, signs, kmat, window, exact)
         plain = np.einsum("j,jid->i", signs[0], codes)  # every line of every input
@@ -590,7 +555,7 @@ class TestFirstToSpikeBatch:
         if not small_codes:
             assert np.all(sums[0, -1] != plain)
             assert np.all(sums[0, -1] == ACC_LIMIT - 50 * window * 127)
-        assert_batch_matches_loop(image, qm, rasters, signs,
+        assert_batch_matches_loop(image, rasters, signs,
                                   [0x1D87, 0xACE1, 0x0101, 0x5A5A])
 
     def test_saturating_steps_at_the_lower_limit(self):

@@ -428,15 +428,15 @@ class TestQuantizedDecisions:
 
     @pytest.mark.parametrize("bits", [1, 9, 16])
     def test_undefined_precisions_are_rejected(self, bits):
+        # a model of a precision the datapath lacks cannot be built
         bound = 2 ** (bits - 1) - 1
-        qm = QuantizedModel(
-            bits=bits, w_codes=np.full((2, 2, 2), bound, dtype=np.int16),
-            gamma_codes=np.zeros(2, dtype=np.int16),
-            w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
-            presentation_time=3, window=2,
-        )
         with pytest.raises(ValueError, match="datapath"):
-            first_to_spike_quantized(qm, np.ones((1, 2, 3)), np.ones((1, 2)), [0x1234])
+            QuantizedModel(
+                bits=bits, w_codes=np.full((2, 2, 2), bound, dtype=np.int16),
+                gamma_codes=np.zeros(2, dtype=np.int16),
+                w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=1.0,
+                presentation_time=3, window=2,
+            )
 
 
 def sweep_case(n_inputs=5, duration=6):
@@ -465,9 +465,9 @@ class TestEvaluateSweep:
     def test_sweep_equals_one_call_per_model(self, limit):
         model, mags, signs, labels = sweep_case()
         qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
-        got = evaluate_quantized(qms, mags, signs, labels, seed=4, limit=limit)
-        want = [evaluate_quantized([qm], mags, signs, labels, seed=4, limit=limit)[0]
-                for qm in qms]
+        split = mags[:limit], signs[:limit], labels[:limit]
+        got = evaluate_quantized(qms, *split, seed=4)
+        want = [evaluate_quantized([qm], *split, seed=4)[0] for qm in qms]
         assert got == want
 
     def test_each_block_is_drawn_once_per_sweep(self, monkeypatch):
