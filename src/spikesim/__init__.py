@@ -12,7 +12,6 @@ from .quantize import (
 )
 from .core import (
     CoreMemoryImage,
-    first_to_spike_batch,
     latency_cdf,
     map_model_to_memory,
 )

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import first_to_spike_batch, latency_cdf, map_model_to_memory, save_image
+from .core import latency_cdf, map_model_to_memory, save_image, wordline_reads
 from .datasets import (
     ArtifactError,
     DataFormatError,
@@ -29,7 +29,6 @@ from .datasets import (
     normalize_splits,
     save_model,
 )
-from .glm import check_signs, encoded_chunks
 from .perf import (
     compute_report,
     default_config,
@@ -37,19 +36,8 @@ from .perf import (
     render_report,
     save_config,
 )
-from .quantize import (
-    DATAPATH_BITS,
-    derive_lfsr_seed,
-    evaluate_quantized,
-    quantize_model,
-)
-from .training import (
-    TrainConfig,
-    TrainingDiverged,
-    evaluate_float,
-    train,
-    write_metrics_csv,
-)
+from .quantize import DATAPATH_BITS, decide_blocks, quantize_model
+from .training import TrainConfig, TrainingDiverged, train, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,12 +169,17 @@ def cmd_quantize(args) -> int:
     model, test_ds = _model_and_test_split(args, "glm")
 
     out_dir = _create_out(args)
-    mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
-    float_acc = evaluate_float(
-        model, mags, signs, labels, np.random.default_rng(args.seed)
-    )
+    labels = test_ds.labels
     qms = [quantize_model(model, bits) for bits in args.bits]
-    accs = evaluate_quantized(qms, mags, signs, labels, seed=args.seed)
+    # the float baseline and every width decide the same rasters
+    correct = np.zeros(1 + len(qms), dtype=np.int64)
+    for start, rasters, decisions in decide_blocks(
+        test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(args.seed),
+        args.seed, qms, model,
+    ):
+        truth = labels[start : start + len(rasters)]
+        correct += [np.count_nonzero(predicted == truth) for predicted, _ in decisions]
+    float_acc, *accs = correct / len(labels)
     for bits, qm, acc in zip(args.bits, qms, accs):
         save_model(
             out_dir / f"model_q{bits}.bin", qm,
@@ -210,9 +203,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = _create_out(args)
     save_image(out_dir / "core_image.bin", image)
-    mags, labels = test_ds.magnitudes(), test_ds.labels
-    signs = check_signs(test_ds.signs())
-    rng = np.random.default_rng(args.seed)
+    labels = test_ds.labels
 
     decisions, correct = [], []
     with open(out_dir / "decisions.csv", "w", newline="") as dec_fh, open(
@@ -227,12 +218,12 @@ def cmd_simulate(args) -> int:
         trace_writer.writerow(
             ["sample_id", "step", "wordlines_read", "decided", "class", "t_d"]
         )
-        for start, rasters in encoded_chunks(mags, qm.presentation_time, rng):
+        for start, rasters, [(predicted, decision_time)] in decide_blocks(
+            test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(args.seed),
+            args.seed, [qm], operands=[image.operands],
+        ):
             stop = start + len(rasters)
-            seeds = [derive_lfsr_seed(args.seed, k) for k in range(start, stop)]
-            predicted, decision_time, reads = first_to_spike_batch(
-                image, rasters, signs[start:stop], seeds
-            )
+            reads = wordline_reads(rasters, qm.window)
             decisions += decision_time.tolist()
             correct += (predicted == labels[start:stop]).tolist()
             dec_rows, trace_rows = [], []

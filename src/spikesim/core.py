@@ -11,10 +11,9 @@ applies the PWL sigmoid and draws one spike decision per output neuron
 from the shared LFSR.  Inference stops at the first output spike.
 
 map_model_to_memory sizes the array from the model it packs, and the image
-holds that model.  first_to_spike_batch runs a block of samples at once
-through quantize.first_to_spike_quantized, the datapath the quantized
-evaluator scores, on the codes decoded from the array, and counts the word
-lines each step reads.
+holds that model.  The core decides through quantize.first_to_spike_quantized,
+the one quantized datapath, on the image's operands, the codes decoded from
+the array; wordline_reads counts the word lines each step reads.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .quantize import QuantizedModel, datapath_operands, first_to_spike_quantized
+from .quantize import QuantizedModel, datapath_operands
 
 _IMAGE_MAGIC = b"SPKIMG\x00"
 _IMAGE_VERSION = 1
@@ -165,11 +164,13 @@ def save_image(path, image: CoreMemoryImage):
         fh.write(image.rows.tobytes())
 
 
-def _wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
-    """Word lines each step reads, the bias line included: (batch, T).
+def wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
+    """Word lines each step of a batch reads on the core, the bias line
+    included: reads[k, t-1] for step t of sample k, shape (batch, T).
 
     Step t reads one line per spike latched 1..min(window, t - 1) steps
-    before it, plus the bias line.
+    before it, plus the bias line.  Only steps up to the decision (all T
+    for the fallback) execute.
     """
     spikes = rasters.sum(axis=1, dtype=np.int64)  # (batch, T) spikes per step
     latched = np.zeros((spikes.shape[0], spikes.shape[1] + 1), dtype=np.int64)
@@ -178,33 +179,11 @@ def _wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
     return 1 + latched[:, t] - latched[:, np.maximum(t - window, 0)]
 
 
-def first_to_spike_batch(image: CoreMemoryImage, rasters, signs, lfsr_seeds):
-    """First-to-spike decisions of a batch of samples on the core.
-
-    rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
-    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  The samples
-    decide through quantize.first_to_spike_quantized on the model the image
-    was mapped from, with the codes decoded from its device array.
-
-    Returns (predicted, decision_time, reads): decision_time is 0 for the
-    no-spike fallback, and reads[k, t-1] is the number of word lines step
-    t of sample k reads, bias line included.  Only steps up to the
-    decision (all T for the fallback) execute on the core.
-    """
-    qm = image.model
-    rasters = np.asarray(rasters)
-    if rasters.shape[1] != qm.n_inputs:
-        raise ValueError("spike train width does not match the mapped model")
-    predicted, decision_time = first_to_spike_quantized(
-        qm, rasters, signs, lfsr_seeds, image.operands)
-    return predicted, decision_time, _wordline_reads(rasters, qm.window)
-
-
 def latency_cdf(decision_time, horizon: int):
     """Cumulative fraction of samples decided by each step.
 
     decision_time holds one decision step per sample, 0 for the no-spike
-    fallback, as first_to_spike_batch returns it.  Returns (cdf,
+    fallback, as quantize.first_to_spike_quantized returns it.  Returns (cdf,
     no_spike_fraction) where cdf[t-1] is the fraction with a first spike at
     step <= t.  cdf[-1] + no_spike_fraction == 1.
     """

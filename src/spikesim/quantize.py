@@ -7,7 +7,9 @@ and first_to_spike_quantized, the one routine that decides every quantized
 sample: b-bit synapse codes summed in an 18-bit saturating accumulator,
 then one fixed-width neuron (1.4.3 clip, PWL, 8-bit LFSR compare) whatever
 b is.  Everything here is integer-exact so a software run reproduces the
-digital datapath bit for bit.
+digital datapath bit for bit.  decide_blocks is the one scoring loop: it
+draws a split's rasters a block at a time and decides each block with a
+float model and any quantized models.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .glm import (
     encoded_chunks,
     first_spike,
     kernel_matrix,
+    sigmoid,
     signed_inputs,
+    windowed_potentials,
 )
 
 LFSR_MASK = 0xFFFF
@@ -366,12 +370,23 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     BLOCK_ELEMENTS.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
+    Raises ValueError when the spike trains are not qm.n_inputs wide, or
+    when there is not one sign per input and one seed per sample.
     """
     kmat, gamma_codes, exact = operands or datapath_operands(qm.w_codes, qm.gamma_codes)
     gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
     rasters, signs = np.asarray(rasters), np.asarray(signs)
     seeds = np.asarray(lfsr_seeds)
     batch, n_inputs, duration = rasters.shape
+    if n_inputs != qm.n_inputs:
+        raise ValueError(f"spike train width {n_inputs} does not match the model's "
+                         f"{qm.n_inputs} inputs")
+    if signs.shape != (batch, n_inputs):
+        raise ValueError(f"signs of shape {signs.shape} for spike trains of shape "
+                         f"{rasters.shape}; need (batch, n_inputs) = {(batch, n_inputs)}")
+    if seeds.shape != (batch,):
+        raise ValueError(f"{seeds.size} LFSR seeds for a batch of {batch}; need one "
+                         "per sample")
     n_outputs = qm.n_outputs
     predicted = np.empty(batch, dtype=np.int64)
     decision_time = np.empty(batch, dtype=np.int64)
@@ -396,31 +411,43 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     return predicted, decision_time
 
 
-def evaluate_quantized(qms, magnitudes, signs, labels, seed) -> list[float]:
-    """Accuracies of quantized first-to-spike inference, one per model in
-    qms, all scored on one fresh encoding of the split.
+def decide_blocks(magnitudes, signs, rng, seed=0, qms=(), model=None, operands=None):
+    """First-to-spike decisions of a split by every model given, block by
+    block, all on one encoding of it.
 
-    The rng draws only the rasters, so they are drawn in blocks of samples,
-    each block once for the whole list; every model decides it with the
-    same LFSR seeds, derive_lfsr_seed(seed, k) for sample k.  The models
-    must share presentation_time and n_inputs.
+    For each glm.encoded_chunks block the rng draws the rasters once.  When
+    a float model is given, it then draws that model's spike uniforms, one
+    per step and output, which spike where they fall below sigmoid of the
+    windowed potentials; glm.first_spike decides.  Every model in qms
+    decides the same rasters through first_to_spike_quantized, with LFSR
+    seed derive_lfsr_seed(seed, k) for sample k, on its operands (its own
+    codes' datapath_operands by default).  With no float model the rng
+    draws the rasters only.  The models must share presentation_time and
+    n_inputs.
+
+    Yields (start, rasters, decisions) per block: decisions holds one
+    (predicted, decision_time) per model, the float model's first.
     """
-    if not qms:
-        raise ValueError("evaluate_quantized needs at least one model")
-    duration, n_inputs = qms[0].presentation_time, qms[0].n_inputs
-    if any(qm.presentation_time != duration or qm.n_inputs != n_inputs for qm in qms):
+    models = ([model] if model is not None else []) + list(qms)
+    if not models:
+        raise ValueError("decide_blocks needs at least one model")
+    duration, n_inputs = models[0].presentation_time, models[0].n_inputs
+    if any(m.presentation_time != duration or m.n_inputs != n_inputs for m in models):
         raise ValueError("the models of one sweep must share presentation_time and n_inputs")
-    rng = np.random.default_rng(seed)
     signs = check_signs(signs)
-    operands = [datapath_operands(qm.w_codes, qm.gamma_codes) for qm in qms]
-    correct = [0] * len(qms)
+    if operands is None:
+        operands = [datapath_operands(qm.w_codes, qm.gamma_codes) for qm in qms]
+    if model is not None:
+        kmat = kernel_matrix(model.kernels())
     for start, rasters in encoded_chunks(magnitudes, duration, rng):
         stop = start + len(rasters)
+        block_signs, decisions = signs[start:stop], []
+        if model is not None:
+            u = windowed_potentials(rasters, block_signs, kmat, model.window)
+            u += model.biases
+            decisions.append(first_spike(rng.random(u.shape) < sigmoid(u), u[:, -1]))
         seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
-        block_signs, truth = signs[start:stop], np.asarray(labels[start:stop])
-        for m, (qm, qm_operands) in enumerate(zip(qms, operands)):
-            predicted, _ = first_to_spike_quantized(
-                qm, rasters, block_signs, seeds, qm_operands
-            )
-            correct[m] += int(np.count_nonzero(predicted == truth))
-    return [c / len(labels) if len(labels) else 0.0 for c in correct]
+        for qm, qm_operands in zip(qms, operands):
+            decisions.append(
+                first_to_spike_quantized(qm, rasters, block_signs, seeds, qm_operands))
+        yield start, rasters, decisions

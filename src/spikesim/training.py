@@ -15,10 +15,7 @@ import numpy as np
 
 from .glm import (
     GlmModel,
-    check_signs,
     draw_rasters,
-    encoded_chunks,
-    first_spike,
     kernel_matrix,
     log_one_minus_sigmoid,
     log_sigmoid,
@@ -26,6 +23,7 @@ from .glm import (
     windowed_potentials,
     windowed_potentials_adjoint,
 )
+from .quantize import decide_blocks
 
 
 #: train samples scored for each epoch's train accuracy; the test split is
@@ -133,24 +131,14 @@ def _batch_objective_and_gradient(model, rasters, signs, labels):
     return grad_w, grad_gamma, float(log_prob.mean())
 
 
-def evaluate_float(model, magnitudes, signs, labels, rng, limit=None) -> float:
-    """Accuracy of stochastic first-to-spike inference with fresh encodings.
-
-    Samples are scored in glm.encoded_chunks blocks: a block's rasters,
-    then one uniform per step and output, spiking where it falls below
-    sigmoid(potential), and glm.first_spike decides on those spikes.
-    """
-    n = len(labels) if limit is None else min(limit, len(labels))
-    signs = check_signs(signs[:n])
-    kmat = kernel_matrix(model.kernels())
-    correct = 0
-    for start, rasters in encoded_chunks(magnitudes[:n], model.presentation_time, rng):
-        stop = start + len(rasters)
-        u = windowed_potentials(rasters, signs[start:stop], kmat, model.window)
-        u += model.biases
-        predicted, _ = first_spike(rng.random(u.shape) < sigmoid(u), u[:, -1])
-        correct += int(np.count_nonzero(predicted == np.asarray(labels[start:stop])))
-    return correct / n if n else 0.0
+def evaluate_float(model, magnitudes, signs, labels, rng) -> float:
+    """Accuracy of stochastic first-to-spike inference with fresh encodings:
+    the float model's decisions in quantize.decide_blocks."""
+    labels = np.asarray(labels)
+    blocks = decide_blocks(magnitudes, signs, rng, model=model)
+    correct = sum(int(np.count_nonzero(predicted == labels[start : start + len(predicted)]))
+                  for start, _, [(predicted, _)] in blocks)
+    return correct / len(labels) if len(labels) else 0.0
 
 
 def train(train_data, test_data, config: TrainConfig):
@@ -206,9 +194,8 @@ def train(train_data, test_data, config: TrainConfig):
             epoch_loss += -mean_lp
             n_batches += 1
 
-        train_acc = evaluate_float(
-            model, mags, signs, labels, score_rng, limit=TRAIN_EVAL_CAP
-        )
+        train_acc = evaluate_float(model, mags[:TRAIN_EVAL_CAP], signs[:TRAIN_EVAL_CAP],
+                                   labels[:TRAIN_EVAL_CAP], score_rng)
         test_acc = evaluate_float(model, test_mags, test_signs, test_labels, score_rng)
         metrics.append(
             EpochMetrics(epoch, train_acc, test_acc, epoch_loss / max(n_batches, 1))

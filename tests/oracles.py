@@ -223,17 +223,19 @@ def infer_fts_quantized_loop(qm, raster, sign, lfsr_seed):
     return int(np.argmax(u_codes)), None
 
 
-def evaluate_quantized_loop(qm, magnitudes, signs, labels, seed):
-    """Quantized accuracy with one draw_raster and one loop inference per sample."""
+def quantized_decisions_loop(qm, magnitudes, signs, seed):
+    """(predicted, decision_time or 0) of every sample, with one draw_raster
+    from default_rng(seed) and one loop inference per sample: the reference
+    of a quantized model's decisions in quantize.decide_blocks."""
     from spikesim.quantize import derive_lfsr_seed
 
     rng = np.random.default_rng(seed)
-    correct = 0
-    for k in range(len(labels)):
+    out = []
+    for k in range(len(magnitudes)):
         raster = draw_raster(magnitudes[k], qm.presentation_time, rng)
-        predicted, _ = infer_fts_quantized_loop(qm, raster, signs[k], derive_lfsr_seed(seed, k))
-        correct += predicted == labels[k]
-    return correct / len(labels)
+        cls, t_d = infer_fts_quantized_loop(qm, raster, signs[k], derive_lfsr_seed(seed, k))
+        out.append((cls, t_d or 0))
+    return out
 
 
 def evaluate_float_loop(model, magnitudes, signs, labels, rng):
@@ -259,7 +261,8 @@ def evaluate_float_loop(model, magnitudes, signs, labels, rng):
 def first_to_spike_loop(qm, rasters, signs, lfsr_seeds):
     """infer_fts_quantized_loop per sample on qm's own codes, with the word
     lines each executed step reads: its window popcount plus the bias line.
-    The reference of core.first_to_spike_batch, which reads the array.
+    The reference of the core, which decides on the codes decoded from the
+    array and counts reads with core.wordline_reads.
 
     Returns one (predicted_class, decision_time or 0 for the fallback,
     word lines read per executed step) per sample.

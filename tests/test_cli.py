@@ -9,9 +9,16 @@ import pytest
 
 from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_split_pair, main
 from spikesim.datasets import load_model, save_model
-from spikesim.glm import GlmModel
+from spikesim.glm import (
+    GlmModel,
+    draw_rasters,
+    first_spike,
+    kernel_matrix,
+    sigmoid,
+    windowed_potentials,
+)
 from spikesim.perf import default_config, save_config
-from spikesim.quantize import QuantizedModel
+from spikesim.quantize import QuantizedModel, derive_lfsr_seed, first_to_spike_quantized
 
 from corpora import write_digit_corpus, write_har_corpus
 from oracles import simulate_rows_loop
@@ -26,6 +33,24 @@ def trained_run(tmp_path_factory):
     ])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def multi_block_run(tmp_path_factory):
+    """A 150-sample IDX test split, three encoding blocks, a hand-built float
+    model of its 25 inputs and that model's 5..8-bit sweep at seed 6:
+    (data dir, float artifact, quantize dir)."""
+    root = tmp_path_factory.mktemp("multi_block_run")
+    data = write_digit_corpus(root / "data", n_train=10, n_test=150)
+    rng = np.random.default_rng(66)
+    model = GlmModel(n_inputs=25, n_outputs=10, presentation_time=6, window=4,
+                     weights=rng.normal(0.0, 1.0, size=(25, 10, 4)),
+                     biases=rng.normal(-4.0, 0.5, size=10))
+    save_model(root / "model_float.bin", model, {"seed": 66})
+    assert main(["quantize", "--dataset", "digits", "--data-dir", str(data),
+                 "--seed", "6", "--out", str(root / "q"), "--bits", "5,6,7,8",
+                 "--model", str(root / "model_float.bin")]) == EXIT_OK
+    return data, root / "model_float.bin", root / "q"
 
 
 class TestTrainCommand:
@@ -162,6 +187,32 @@ class TestQuantizeCommand:
             assert float_acc >= 0.8, seed  # the premise: the model did learn the task
             assert acc[8] >= acc[5] - 0.05, (seed, acc)
 
+    def test_float_baseline_and_sweep_decide_the_same_rasters(self, multi_block_run):
+        # per block: its rasters, then the float model's spike uniforms, and
+        # every width decides those rasters with the LFSR seeds of seed 6
+        data, float_path, quant = multi_block_run
+        _, test_ds = _load_split_pair("digits", str(data), 6, None)
+        mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
+        model = load_model(float_path).model
+        qms = [load_model(quant / f"model_q{bits}.bin").model for bits in (5, 6, 7, 8)]
+        rng = np.random.default_rng(6)
+        correct = np.zeros(5, dtype=np.int64)
+        for start in range(0, 150, 64):
+            stop = min(start + 64, 150)
+            rasters = draw_rasters(mags[start:stop], 6, rng)
+            u = windowed_potentials(rasters, signs[start:stop],
+                                    kernel_matrix(model.kernels()), 4) + model.biases
+            uniforms = rng.random((stop - start, 6, 10))
+            decided = [first_spike(uniforms < sigmoid(u), u[:, -1])[0]]
+            seeds = [derive_lfsr_seed(6, k) for k in range(start, stop)]
+            decided += [first_to_spike_quantized(qm, rasters, signs[start:stop], seeds)[0]
+                        for qm in qms]
+            correct += [np.count_nonzero(d == labels[start:stop]) for d in decided]
+        float_acc, *accs = correct / 150
+        rows = (quant / "accuracy_vs_bits.csv").read_text().splitlines()
+        assert rows[1:] == [f"{bits},{acc:.6f},{float_acc:.6f}"
+                            for bits, acc in zip((5, 6, 7, 8), accs)]
+
     def test_missing_model_is_data_error(self, tmp_path):
         code = main([
             "quantize", "--dataset", "synthetic", "--out", str(tmp_path / "q"),
@@ -267,6 +318,24 @@ class TestSimulateCommand:
                 assert list(csv.reader(fh))[1:] == decisions
             with open(out / "trace.csv", newline="") as fh:
                 assert list(csv.reader(fh))[1:] == trace
+
+    @pytest.mark.parametrize("bits", [5, 8])
+    def test_rows_match_the_step_loop_on_a_split_of_several_blocks(self, multi_block_run,
+                                                                   tmp_path, bits):
+        # the rng draws the rasters only: the stream the benchmark replays
+        data, _, quant = multi_block_run
+        model = quant / f"model_q{bits}.bin"
+        assert main(["simulate", "--dataset", "digits", "--data-dir", str(data),
+                     "--seed", "9", "--out", str(tmp_path), "--model", str(model)]) == EXIT_OK
+        _, test_ds = _load_split_pair("digits", str(data), 9, None)
+        decisions, trace = simulate_rows_loop(
+            load_model(model).model, test_ds.magnitudes(), test_ds.signs(),
+            test_ds.labels, seed=9,
+        )
+        with open(tmp_path / "decisions.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == decisions
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == trace
 
     def test_nine_bit_artifact_is_usage_error(self, tmp_path):
         # a quantized model, like --bits, accepts only the datapath's 2..8:

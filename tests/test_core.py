@@ -4,11 +4,11 @@ import pytest
 from spikesim import quantize
 from spikesim.core import (
     CoreGeometry,
-    first_to_spike_batch,
     latency_cdf,
     map_model_to_memory,
     save_image,
     unpack_model,
+    wordline_reads,
 )
 from spikesim.glm import kernel_matrix
 from spikesim.quantize import (
@@ -161,15 +161,15 @@ class TestSpikeWindow:
 
 
 def core_sums(image, rasters, signs):
-    """The 18-bit accumulator values first_to_spike_batch's datapath sums
-    from the codes it decodes from the array: (batch, T, n_outputs)."""
+    """The 18-bit accumulator values the core's datapath sums from the codes
+    it decodes from the array: (batch, T, n_outputs)."""
     kmat, _, exact = image.operands
     return datapath_sums(rasters, signs, kmat, image.model.window, exact)
 
 
 class TestGatherActiveWordlines:
-    """The word lines a step reads: reads counts them, and the accumulator
-    sums the codes on them."""
+    """The word lines a step reads: wordline_reads counts them, and the
+    accumulator sums the codes on them."""
 
     def test_pattern_1010010_reads_lines_1_3_6(self):
         rng = np.random.default_rng(92)
@@ -178,7 +178,7 @@ class TestGatherActiveWordlines:
         rasters = np.zeros((1, 4, 8), dtype=np.uint8)
         rasters[0, 0, [6, 4, 1]] = 1  # steps 7, 5 and 2: taps 1, 3 and 6 of step 8
         signs = np.ones((1, 4), dtype=np.int64)
-        _, _, reads = first_to_spike_batch(image, rasters, signs, [0x0101])
+        reads = wordline_reads(rasters, qm.window)
         assert reads[0, 7] == 4
         sums = core_sums(image, rasters, signs)
         assert np.array_equal(sums[0, 7], qm.w_codes[0][:, [0, 2, 5]].sum(axis=1))
@@ -189,7 +189,7 @@ class TestGatherActiveWordlines:
         image = map_model_to_memory(qm)
         rasters = np.zeros((3, 4, 8), dtype=np.uint8)
         signs = np.ones((3, 4), dtype=np.int64)
-        _, _, reads = first_to_spike_batch(image, rasters, signs, [1, 2, 3])
+        reads = wordline_reads(rasters, qm.window)
         assert np.all(reads == 1)
         assert np.all(core_sums(image, rasters, signs) == 0)
 
@@ -202,7 +202,7 @@ class TestGatherActiveWordlines:
         qm = random_qm(rng, n_inputs=6, n_outputs=4, window=5, duration=8)
         image = map_model_to_memory(qm)
         rasters, signs, seeds = random_batch(rng, qm, 20)
-        _, _, reads = first_to_spike_batch(image, rasters, signs, seeds)
+        reads = wordline_reads(rasters, qm.window)
         sums = core_sums(image, rasters, signs)
         lines = unpack_memory(image)[0]
         saturated = 0
@@ -220,7 +220,7 @@ class TestGatherActiveWordlines:
 
 
 class TestCoreStep:
-    """One step of first_to_spike_batch: the sum, the clip and the draws."""
+    """One step of the core: the sum, the clip and the draws."""
 
     def test_zero_image_spikes_at_half_rate(self):
         # one neuron at potential 0: PWL 128 against a uniform byte, so half
@@ -234,9 +234,9 @@ class TestCoreStep:
         )
         image = map_model_to_memory(qm)
         n = 2000
-        _, decision_time, _ = first_to_spike_batch(
-            image, np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
-            [derive_lfsr_seed(0, k) for k in range(n)],
+        _, decision_time = first_to_spike_quantized(
+            image.model, np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
+            [derive_lfsr_seed(0, k) for k in range(n)], image.operands,
         )
         assert abs(np.mean(decision_time == 1) - 0.5) < 0.05
         assert abs(np.mean(decision_time == 2) - 0.25) < 0.05
@@ -249,7 +249,8 @@ class TestCoreStep:
         qm = random_qm(rng, n_inputs=4, n_outputs=7, window=3, duration=6)
         image = map_model_to_memory(qm)
         rasters, signs, seeds = random_batch(rng, qm, 30)
-        predicted, decision_time, _ = first_to_spike_batch(image, rasters, signs, seeds)
+        predicted, decision_time = first_to_spike_quantized(
+            image.model, rasters, signs, seeds, image.operands)
         u_codes = clip_to_fixed(core_sums(image, rasters, signs) * qm.w_step
                                 + dequant_biases(qm))
         pwl = pwl_sigmoid(u_codes)
@@ -276,7 +277,7 @@ class TestCoreStep:
         signs = np.ones((1, 3), dtype=np.int64)
         sums = core_sums(image, rasters, signs)
         assert np.array_equal(sums[0, 1], qm.w_codes[1, :, 0])
-        _, _, reads = first_to_spike_batch(image, rasters, signs, [1])
+        reads = wordline_reads(rasters, qm.window)
         assert reads[0].tolist() == [1, 2, 2, 1]
 
     def test_saturation_clamps_instead_of_wrapping(self):
@@ -318,7 +319,7 @@ class TestCoreStep:
 
 
 class TestRunFirstToSpike:
-    """Whole samples through first_to_spike_batch: decisions and reads."""
+    """Whole samples through the core: decisions and reads."""
 
     def test_dominant_bias_decides_at_step_one(self):
         qm = QuantizedModel(
@@ -329,9 +330,10 @@ class TestRunFirstToSpike:
             presentation_time=6, window=2,
         )
         image = map_model_to_memory(qm)
-        predicted, decision_time, reads = first_to_spike_batch(
-            image, np.zeros((1, 2, 6), dtype=np.uint8), np.ones((1, 2)), [0x0101]
-        )
+        rasters = np.zeros((1, 2, 6), dtype=np.uint8)
+        predicted, decision_time = first_to_spike_quantized(
+            image.model, rasters, np.ones((1, 2)), [0x0101], image.operands)
+        reads = wordline_reads(rasters, qm.window)
         # gamma_step = 16/128, so neuron 1 sits at +15.875 -> clip 7.875 -> pwl 255
         assert (predicted[0], decision_time[0]) == (1, 1)
         assert reads[0, 0] == 1  # step 1 reads the bias line alone
@@ -346,9 +348,10 @@ class TestRunFirstToSpike:
             presentation_time=5, window=2,
         )
         image = map_model_to_memory(qm)
-        predicted, decision_time, reads = first_to_spike_batch(
-            image, np.zeros((1, 2, 5), dtype=np.uint8), np.ones((1, 2)), [0x0101]
-        )
+        rasters = np.zeros((1, 2, 5), dtype=np.uint8)
+        predicted, decision_time = first_to_spike_quantized(
+            image.model, rasters, np.ones((1, 2)), [0x0101], image.operands)
+        reads = wordline_reads(rasters, qm.window)
         assert decision_time[0] == 0  # the fallback
         assert predicted[0] == 1  # least negative potential
         assert reads[0].tolist() == [1] * 5  # every step of the presentation
@@ -359,9 +362,9 @@ class TestRunFirstToSpike:
                        g_range=(-6.0, -5.0))  # negative biases: few early spikes
         image = map_model_to_memory(qm)
         raster = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
-        _, decision_time, reads = first_to_spike_batch(
-            image, raster[None], np.ones((1, 5)), [0x5A5A]
-        )
+        _, decision_time = first_to_spike_quantized(
+            image.model, raster[None], np.ones((1, 5)), [0x5A5A], image.operands)
+        reads = wordline_reads(raster[None], qm.window)
         windows = build_windows(raster, 3)
         assert reads[0].tolist() == [int(windows[t].sum()) + 1 for t in range(6)]
         executed = reads[0, : decision_time[0] or 6].sum()
@@ -376,8 +379,8 @@ class TestRunFirstToSpike:
         raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
         # one sample twice in a batch, then alone
         rasters, signs = np.stack([raster, raster]), np.ones((2, 4))
-        twice = first_to_spike_batch(image, rasters, signs, [0x1111, 0x1111])
-        alone = first_to_spike_batch(image, rasters[:1], signs[:1], [0x1111])
+        twice = first_to_spike_quantized(qm, rasters, signs, [0x1111] * 2, image.operands)
+        alone = first_to_spike_quantized(qm, rasters[:1], signs[:1], [0x1111], image.operands)
         for both, one in zip(twice, alone):
             assert np.array_equal(both, np.concatenate([one, one]))
 
@@ -389,7 +392,7 @@ class TestRunFirstToSpike:
         image = map_model_to_memory(qm)
         rasters = np.ones((1, 3, 6), dtype=np.uint8)
         signs = np.ones((1, 3), dtype=np.int64)
-        _, _, reads = first_to_spike_batch(image, rasters, signs, [0x2222])
+        reads = wordline_reads(rasters, qm.window)
         assert reads[0].tolist() == [3 * min(2, t - 1) + 1 for t in range(1, 7)]
         sums = core_sums(image, rasters, signs)[0]
         for t in range(1, 7):
@@ -407,7 +410,8 @@ class TestRunFirstToSpike:
                 raster = rng.integers(0, 2, size=(1, 4, 6)).astype(np.uint8)
                 sign = rng.choice([-1, 1], size=(1, 4))
                 seeds = [derive_lfsr_seed(bits, trial)]
-                core = first_to_spike_batch(image, raster, sign, seeds)[:2]
+                core = first_to_spike_quantized(image.model, raster, sign, seeds,
+                                                image.operands)
                 evaluator = first_to_spike_quantized(qm, raster, sign, seeds)
                 assert np.array_equal(core, evaluator)
         # a model that saturates: 300 inputs of 127 codes, the last 50 negated
@@ -423,7 +427,7 @@ class TestRunFirstToSpike:
         signs = np.tile(np.where(np.arange(300) < 250, 1, -1), (10, 1))
         seeds = [derive_lfsr_seed(9, k) for k in range(10)]
         saturated = first_to_spike_quantized(qm, rasters, signs, seeds)
-        core = first_to_spike_batch(image, rasters, signs, seeds)[:2]
+        core = first_to_spike_quantized(image.model, rasters, signs, seeds, image.operands)
         assert np.array_equal(core, saturated)
         # the saturation decides: plain sums would change some decision steps
         plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))[1]
@@ -431,10 +435,12 @@ class TestRunFirstToSpike:
 
 
 def assert_batch_matches_loop(image, rasters, signs, seeds):
-    """first_to_spike_batch == the per-neuron loop on the mapped model's own
-    codes on class, decision step, fallback and reads per executed step.
-    Returns the decision steps."""
-    predicted, decision_time, reads = first_to_spike_batch(image, rasters, signs, seeds)
+    """The core == the per-neuron loop on the mapped model's own codes on
+    class, decision step, fallback and reads per executed step.  Returns the
+    decision steps."""
+    predicted, decision_time = first_to_spike_quantized(
+        image.model, rasters, signs, seeds, image.operands)
+    reads = wordline_reads(rasters, image.model.window)
     want = first_to_spike_loop(image.model, rasters, signs, seeds)
     assert predicted.tolist() == [w[0] for w in want]
     assert decision_time.tolist() == [w[1] for w in want]
@@ -523,8 +529,9 @@ class TestFirstToSpikeBatch:
         rng = np.random.default_rng(135)
         image = map_model_to_memory(random_qm(rng))
         rasters, signs, seeds = random_batch(rng, random_qm(rng, n_inputs=5), 2)
-        with pytest.raises(ValueError, match="spike train width"):
-            first_to_spike_batch(image, rasters, signs, seeds)
+        with pytest.raises(ValueError, match="spike train width 5 does not match the "
+                                             "model's 4 inputs"):
+            first_to_spike_quantized(image.model, rasters, signs, seeds, image.operands)
 
     @pytest.mark.parametrize("small_codes", [False, True])
     def test_saturating_steps(self, small_codes):

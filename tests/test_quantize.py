@@ -13,8 +13,8 @@ from spikesim.quantize import (
     U_MIN_CODE,
     QuantizedModel,
     clip_to_fixed,
+    decide_blocks,
     derive_lfsr_seed,
-    evaluate_quantized,
     first_to_spike_quantized,
     lfsr_run,
     pwl_sigmoid,
@@ -24,10 +24,10 @@ from spikesim.quantize import (
 from oracles import (
     datapath_sums,
     dequant_biases,
-    evaluate_quantized_loop,
     first_to_spike_loop,
     infer_fts_quantized_loop,
     lfsr_next,
+    quantized_decisions_loop,
     quantized_potentials,
     saturating_sums_loop,
 )
@@ -395,12 +395,22 @@ class TestQuantizedDecisions:
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
 
     def test_evaluate_matches_per_sample_loop(self):
-        model, mags, signs, labels = sweep_case()
+        model, mags, signs, _ = sweep_case()
         for bits in (5, 8):
             qm = quantize_model(model, bits)
-            [got] = evaluate_quantized([qm], mags, signs, labels, seed=bits)
-            want = evaluate_quantized_loop(qm, mags, signs, labels, seed=bits)
-            assert got == want
+            [got] = decided(mags, signs, bits, [qm])
+            assert got == quantized_decisions_loop(qm, mags, signs, seed=bits)
+
+    @pytest.mark.parametrize("signs_shape, n_seeds, message", [
+        ((3, 4), 3, r"signs of shape \(3, 4\) .* need \(batch, n_inputs\) = \(3, 5\)"),
+        ((3, 5), 2, "2 LFSR seeds for a batch of 3"),
+    ])
+    def test_rejects_signs_and_seeds_that_do_not_fit_the_batch(self, signs_shape, n_seeds,
+                                                               message):
+        qm = quantize_model(sweep_case()[0], 8)  # 5 inputs
+        rasters = np.ones((3, 5, 6), dtype=np.uint8)
+        with pytest.raises(ValueError, match=message):
+            first_to_spike_quantized(qm, rasters, np.ones(signs_shape), [1, 2, 3][:n_seeds])
 
     def test_saturating_model_matches_per_neuron_loop(self, monkeypatch):
         # with the accumulator limit lowered to 600, a small model saturates
@@ -452,23 +462,36 @@ def sweep_case(n_inputs=5, duration=6):
     return model, np.abs(x), np.where(x < 0, -1, 1), labels
 
 
+def decided(mags, signs, seed, qms, model=None):
+    """Each model's (predicted, decision_time) of every sample in
+    decide_blocks from default_rng(seed), the float model's first."""
+    per_model = [[] for _ in range(len(qms) + (model is not None))]
+    rng = np.random.default_rng(seed)
+    for _, _, decisions in decide_blocks(mags, signs, rng, seed, qms, model):
+        for out, (predicted, decision_time) in zip(per_model, decisions):
+            out += zip(predicted.tolist(), decision_time.tolist())
+    return per_model
+
+
 class TestEvaluateSweep:
-    """evaluate_quantized scores every model of a sweep on one encoding."""
+    """decide_blocks decides every model of a sweep on one encoding."""
 
     def test_each_entry_matches_per_sample_loop(self):
-        model, mags, signs, labels = sweep_case()
+        model, mags, signs, _ = sweep_case()
         qms = [quantize_model(model, 5), quantize_model(model, 8)]
-        got = evaluate_quantized(qms, mags, signs, labels, seed=3)
-        assert got == [evaluate_quantized_loop(qm, mags, signs, labels, seed=3) for qm in qms]
+        want = [quantized_decisions_loop(qm, mags, signs, seed=3) for qm in qms]
+        assert decided(mags, signs, 3, qms) == want
 
     @pytest.mark.parametrize("limit", [None, 70])
     def test_sweep_equals_one_call_per_model(self, limit):
-        model, mags, signs, labels = sweep_case()
+        # the float model draws its uniforms after each block's rasters, and
+        # the quantized models draw nothing from the rng: the float
+        # decisions are the same with or without the sweep
+        model, mags, signs, _ = sweep_case()
         qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
-        split = mags[:limit], signs[:limit], labels[:limit]
-        got = evaluate_quantized(qms, *split, seed=4)
-        want = [evaluate_quantized([qm], *split, seed=4)[0] for qm in qms]
-        assert got == want
+        split = mags[:limit], signs[:limit]
+        assert decided(*split, 4, qms) == [decided(*split, 4, [qm])[0] for qm in qms]
+        assert decided(*split, 4, qms, model)[0] == decided(*split, 4, (), model)[0]
 
     def test_each_block_is_drawn_once_per_sweep(self, monkeypatch):
         model, mags, signs, labels = sweep_case()
@@ -481,20 +504,22 @@ class TestEvaluateSweep:
 
         monkeypatch.setattr(glm, "draw_rasters", counted)
         qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
-        evaluate_quantized(qms, mags, signs, labels, seed=5)
+        decided(mags, signs, 5, qms, model)
         assert len(draws) == math.ceil(len(labels) / glm.ENCODE_CHUNK)
         assert sum(draws) == len(labels)
 
     def test_rejects_empty_and_mixed_sweeps(self):
-        model, mags, signs, labels = sweep_case()
+        model, mags, signs, _ = sweep_case()
         q5 = quantize_model(model, 5)
-        longer = quantize_model(sweep_case(duration=8)[0], 5)
-        wider = quantize_model(sweep_case(n_inputs=6)[0], 5)
+        longer = sweep_case(duration=8)[0]
+        wider = sweep_case(n_inputs=6)[0]
         with pytest.raises(ValueError, match="at least one model"):
-            evaluate_quantized([], mags, signs, labels, seed=6)
-        for qms in ([q5, longer], [q5, wider]):
+            decided(mags, signs, 6, [])
+        for qms, float_model in (([q5, quantize_model(longer, 5)], None),
+                                 ([q5, quantize_model(wider, 5)], None),
+                                 ([q5], longer), ([q5], wider)):
             with pytest.raises(ValueError, match="share presentation_time and n_inputs"):
-                evaluate_quantized(qms, mags, signs, labels, seed=6)
+                decided(mags, signs, 6, qms, float_model)
 
 
 def coded_model(w_codes, gamma_codes, duration, bits=8, w_range=(-1.0, 1.0),
