@@ -3,20 +3,20 @@
 
 Each side runs from a clean copy of its tree: a git revision, or for
 ``--change worktree`` the working tree's tracked and untracked files that
-git does not ignore.  Each pair runs
+git does not ignore.  Each of the 10 pairs runs
 
-    python3 perfbench/run.py --workload all --seed S --seconds N
+    python3 perfbench/run.py --workload all --seed 1 --seconds N
 
-once in each copy, the parent first in odd pairs and the change first in
-even pairs.  The output JSON holds every run and, for each end-to-end metric
-of each workload, both sides' median and quartiles and the number of pairs
-the change won, by the metric's ``better`` in BENCHMARK.json; a tie wins for
-neither.  The copies are removed when the runs end.
+once in each copy, N being BENCHMARK.json's run_seconds, the parent first in
+odd pairs and the change first in even pairs.  The output JSON holds every
+run and, for each end-to-end metric of each workload, both sides' median and
+quartiles and the number of pairs the change won, by the metric's ``better``
+in BENCHMARK.json; a tie wins for neither.  The copies are removed when the runs end.
 
 Usage (from the repository root):
 
     python3 scripts/bench_pairs.py --parent HEAD --change worktree \\
-        --pairs 10 --seed 1 --seconds 35 --out BENCH_<label>.json
+        --out BENCH_<label>.json
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKTREE = "worktree"
+PAIRS, SEED = 10, 1
 
 
 def _git(*args, env=None) -> str:
@@ -67,10 +68,10 @@ def src_tree(rev: str) -> str:
         return _git("write-tree", "--prefix=src/", env=env)
 
 
-def run_once(copy: Path, seed: int, seconds: float) -> dict:
+def run_once(copy: Path, seconds) -> dict:
     """One benchmark run in `copy`: the JSON object its last line prints."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(SEED),
          "--seconds", str(seconds)],
         cwd=copy, capture_output=True, text=True,
     )
@@ -82,8 +83,8 @@ def run_once(copy: Path, seed: int, seconds: float) -> dict:
 
 def summarize(runs, better) -> dict:
     """Per metric of the runs: its unit and `better`, each side's median and
-    quartiles (numpy.percentile, linear), and change_wins, the pairs in which the change's
-    value is strictly better.  `better` maps an end-to-end metric name, such
+    quartiles (numpy.percentile, linear), and change_wins, the pairs in which
+    the change's value is strictly better.  `better` maps an end-to-end metric name, such
     as quantize.samples_per_s, to "higher" or "lower"; a run's metrics are
     keyed <workload>.<metric>."""
     summary = {}
@@ -120,29 +121,27 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--change", required=True,
                     help=f"git revision of the change, or {WORKTREE!r}")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--out", required=True, help="the JSON file to write")
     args = ap.parse_args(argv)
     worktree = args.change == WORKTREE
     ids = {"parent_sha": _git("rev-parse", args.parent),
            "change_sha": None if worktree else _git("rev-parse", args.change),
            "change_src_tree": src_tree(args.change)}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     work = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         copies = {"parent": work / "parent", "change": work / "change"}
         export(args.parent, copies["parent"])
         export(args.change, copies["change"])
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            run = {"seed": args.seed, "first": order[0]}
+            run = {"seed": SEED, "first": order[0]}
             for side in order:
-                run[side] = run_once(copies[side], args.seed, args.seconds)
-                print(f"pair {i + 1}/{args.pairs}: {side} done", file=sys.stderr)
+                run[side] = run_once(copies[side], seconds)
+                print(f"pair {i + 1}/{PAIRS}: {side} done", file=sys.stderr)
             runs.append(run)
     finally:
         shutil.rmtree(work)
@@ -153,13 +152,13 @@ def main(argv=None) -> int:
                 + (" change_sha is null because the change is the working tree; the "
                    "measured src/ tree is change_src_tree." if worktree else ""),
         "machine": _machine(),
-        "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "
-                   f"--seconds {args.seconds:g}",
+        "command": f"python3 perfbench/run.py --workload all --seed {SEED} "
+                   f"--seconds {seconds}",
         **ids,
         "numpy": numpy.__version__,
         "cpu_count": os.cpu_count(),
         "blas_threads": 1,  # perfbench/run.py pins OPENBLAS_NUM_THREADS=1
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "alternating: parent first in odd pairs, change first in even pairs",
         "summary": summarize(runs, better),
         "runs": runs,

@@ -36,7 +36,7 @@ from .perf import (
     render_report,
     save_config,
 )
-from .quantize import DATAPATH_BITS, decide_blocks, quantize_model
+from .quantize import DATAPATH_BITS, accuracies, decide_blocks, quantize_model
 from .training import TrainConfig, TrainingDiverged, train, write_metrics_csv
 
 EXIT_OK = 0
@@ -169,17 +169,10 @@ def cmd_quantize(args) -> int:
     model, test_ds = _model_and_test_split(args, "glm")
 
     out_dir = _create_out(args)
-    labels = test_ds.labels
     qms = [quantize_model(model, bits) for bits in args.bits]
     # the float baseline and every width decide the same rasters
-    correct = np.zeros(1 + len(qms), dtype=np.int64)
-    for start, rasters, decisions in decide_blocks(
-        test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(args.seed),
-        args.seed, qms, model,
-    ):
-        truth = labels[start : start + len(rasters)]
-        correct += [np.count_nonzero(predicted == truth) for predicted, _ in decisions]
-    float_acc, *accs = correct / len(labels)
+    float_acc, *accs = accuracies(test_ds.labels, test_ds.magnitudes(), test_ds.signs(),
+                                  np.random.default_rng(args.seed), args.seed, qms, model)
     for bits, qm, acc in zip(args.bits, qms, accs):
         save_model(
             out_dir / f"model_q{bits}.bin", qm,

@@ -9,7 +9,7 @@ then one fixed-width neuron (1.4.3 clip, PWL, 8-bit LFSR compare) whatever
 b is.  Everything here is integer-exact so a software run reproduces the
 digital datapath bit for bit.  decide_blocks is the one scoring loop: it
 draws a split's rasters a block at a time and decides each block with a
-float model and any quantized models.
+float model and any quantized models; accuracies counts what it decides.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     return predicted, decision_time
 
 
-def decide_blocks(magnitudes, signs, rng, seed=0, qms=(), model=None, operands=None):
+def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None, operands=None):
     """First-to-spike decisions of a split by every model given, block by
     block, all on one encoding of it.
 
@@ -446,8 +446,20 @@ def decide_blocks(magnitudes, signs, rng, seed=0, qms=(), model=None, operands=N
             u = windowed_potentials(rasters, block_signs, kmat, model.window)
             u += model.biases
             decisions.append(first_spike(rng.random(u.shape) < sigmoid(u), u[:, -1]))
-        seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
-        for qm, qm_operands in zip(qms, operands):
-            decisions.append(
-                first_to_spike_quantized(qm, rasters, block_signs, seeds, qm_operands))
+        if qms:
+            seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
+            for qm, qm_operands in zip(qms, operands):
+                decisions.append(
+                    first_to_spike_quantized(qm, rasters, block_signs, seeds, qm_operands))
         yield start, rasters, decisions
+
+
+def accuracies(labels, magnitudes, signs, rng, seed, qms=(), model=None) -> np.ndarray:
+    """The accuracy on labels of every model decide_blocks decides, the
+    float model's first; all zero on an empty split."""
+    labels = np.asarray(labels)
+    correct = np.zeros(len(qms) + (model is not None), dtype=np.int64)
+    for start, rasters, decisions in decide_blocks(magnitudes, signs, rng, seed, qms, model):
+        truth = labels[start : start + len(rasters)]
+        correct += [np.count_nonzero(predicted == truth) for predicted, _ in decisions]
+    return correct / max(len(labels), 1)

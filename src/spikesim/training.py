@@ -23,7 +23,7 @@ from .glm import (
     windowed_potentials,
     windowed_potentials_adjoint,
 )
-from .quantize import decide_blocks
+from .quantize import accuracies
 
 
 #: train samples scored for each epoch's train accuracy; the test split is
@@ -133,12 +133,8 @@ def _batch_objective_and_gradient(model, rasters, signs, labels):
 
 def evaluate_float(model, magnitudes, signs, labels, rng) -> float:
     """Accuracy of stochastic first-to-spike inference with fresh encodings:
-    the float model's decisions in quantize.decide_blocks."""
-    labels = np.asarray(labels)
-    blocks = decide_blocks(magnitudes, signs, rng, model=model)
-    correct = sum(int(np.count_nonzero(predicted == labels[start : start + len(predicted)]))
-                  for start, _, [(predicted, _)] in blocks)
-    return correct / len(labels) if len(labels) else 0.0
+    the float model's in quantize.accuracies."""
+    return float(accuracies(labels, magnitudes, signs, rng, 0, model=model)[0])
 
 
 def train(train_data, test_data, config: TrainConfig):
