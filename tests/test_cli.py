@@ -1,8 +1,12 @@
 import csv
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -754,3 +758,49 @@ class TestPinnedOutputs:
             ]) == EXIT_OK
             for name, digest in files.items():
                 assert _sha256((out / name).read_bytes()) == digest, (bits, name)
+
+
+class TestPinnedTraining:
+    """`train`'s outputs as SHA-256 digests: the README quick start, and a
+    signed HAR corpus of 20 train samples in minibatches of 8, so the last
+    batch is ragged."""
+
+    PINNED = {
+        "quick_start": ("5df60f4548628f9cc91ee34d99cc1dc4d72259f0cc29a507a7643254f6977b8b",
+                        "6fcd33bd5613b8a84ec0bb12ce40ee523aecfe57dbb3b5377528a6b86e70ca0c"),
+        "har": ("749f8ca7955e565c2eafc7ba6234ce914b0cd475190ab1028bb219b4b8c46f92",
+                "9d784a29c5494c50548f0ee4cb9aa1dd6be92b2294ccccd631278c263c0d95a3"),
+    }
+
+    @staticmethod
+    def runs(root):
+        har = write_har_corpus(root / "har_data", n_train=20, n_test=10)
+        return {
+            "quick_start": ["--dataset", "synthetic", "--epochs", "30", "--lr", "0.2",
+                            "--T", "8", "--tau", "8", "--seed", "1"],
+            "har": ["--dataset", "har", "--data-dir", str(har), "--epochs", "3",
+                    "--T", "6", "--tau", "3", "--batch-size", "8", "--seed", "1"],
+        }
+
+    @staticmethod
+    def outputs(out):
+        return [(out / name).read_bytes() for name in ("model_float.bin", "metrics.csv")]
+
+    def test_train_outputs_are_pinned(self, tmp_path):
+        for name, args in self.runs(tmp_path).items():
+            out = tmp_path / name
+            assert main(["train", "--out", str(out), *args]) == EXIT_OK
+            assert tuple(map(_sha256, self.outputs(out))) == self.PINNED[name], name
+
+    def test_blas_thread_count_does_not_move_the_pins(self, tmp_path):
+        # fresh processes, since OpenBLAS reads its thread count at load
+        src = Path(__file__).resolve().parent.parent / "src"
+        for name, args in self.runs(tmp_path).items():
+            got = {}
+            for threads in ("1", "2"):
+                out = tmp_path / f"{name}_{threads}"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+                subprocess.run([sys.executable, "-m", "spikesim.cli", "train", "--out", str(out),
+                                *args], env=env, check=True, capture_output=True)
+                got[threads] = self.outputs(out)
+            assert got["1"] == got["2"], name
