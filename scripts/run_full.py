@@ -7,10 +7,10 @@ into the same 8-bit neuron), runs the 8-bit model on the core simulator and
 prints one summary next to the paper's reference points:
 
   digits  T=8, tau=8 on the 60k/10k IDX corpus; float test accuracy ~0.935.
-          About 40 minutes on one core of a 2-core Xeon server with one BLAS
-          thread: an epoch takes about 12 s, 1875 SGD minibatches of 32 at
-          about 6 ms each, then scoring of 2000 train and all 10k test
-          samples in blocks of 64 at about 0.11 ms a sample.
+          About 25 minutes on one core of a 2-core Xeon server with one BLAS
+          thread: an epoch takes about 8 s, 1875 SGD minibatches of 32 at
+          about 3.5 ms each, then scoring of 2000 train and all 10k test
+          samples in blocks of 64 at about 0.08 ms a sample.
   har     T=16, tau=16 on the ~7k/3k feature corpus; float ~0.945.
 
 On both, 5-bit synapses should land within 2 points of float; quantize

@@ -152,14 +152,13 @@ class GlmModel:
 
     @classmethod
     def zeros(cls, n_inputs, n_outputs, presentation_time, window):
-        return cls(
-            n_inputs=n_inputs,
-            n_outputs=n_outputs,
-            presentation_time=presentation_time,
-            window=window,
-            weights=np.zeros((n_inputs, n_outputs, window)),
-            biases=np.zeros(n_outputs),
-        )
+        """All-zero parameters, the weights stored in kernel_matrix layout:
+        they are the transposed view of a contiguous (n_inputs, window,
+        n_outputs) array, so weights.transpose(0, 2, 1).reshape(n_inputs,
+        -1) is the kernel matrix itself, not a copy."""
+        return cls(n_inputs, n_outputs, presentation_time, window,
+                   weights=np.zeros((n_inputs, window, n_outputs)).transpose(0, 2, 1),
+                   biases=np.zeros(n_outputs))
 
     def kernels(self) -> np.ndarray:
         """Expanded kernels basis @ weights, shape (n_inputs, n_outputs, window).
@@ -198,9 +197,8 @@ def windowed_potentials(rasters, signs, kmat: np.ndarray, window: int) -> np.nda
     """
     batch, _, duration = np.shape(rasters)
     u = np.zeros((batch, duration, kmat.shape[1] // window), dtype=kmat.dtype)
-    if duration > 1:
-        add_tap_contributions(u, signed_inputs(rasters, signs, 0, duration - 1, kmat.dtype),
-                              kmat, window, 0)
+    add_tap_contributions(u, signed_inputs(rasters, signs, 0, duration - 1, kmat.dtype),
+                          kmat, window, 0)
     return u
 
 
@@ -222,24 +220,22 @@ def add_tap_contributions(u, inputs, kmat: np.ndarray, window: int, first: int):
         u[:, first + d : stop, :] += taps[:, : stop - first - d, d - 1, :]
 
 
-def windowed_potentials_adjoint(rasters, signs, d_u, window: int) -> np.ndarray:
-    """The adjoint of windowed_potentials in its kernel operand.
+def windowed_potentials_adjoint(inputs, d_u, window: int) -> np.ndarray:
+    """The adjoint of add_tap_contributions from step 0 in its kernel operand.
 
-    d_u is (batch, T, n_outputs), shaped like the potentials.  Returns the
-    gradient of sum(d_u * u) with respect to kmat, shape (n_inputs,
-    window * n_outputs): entry (j, (d-1) * n_outputs + i) is
-    sum_b sum_t signs[b, j] rasters[b, j, t-d] d_u[b, t, i] over t-d >= 0.
-    One GEMM of windowed_potentials' signed input rows against d_u shifted
-    back by each tap gives every entry.
+    inputs is (batch, T - 1, n_inputs), the signed spikes of steps 0 .. T - 2
+    that windowed_potentials pushes, and d_u (batch, T, n_outputs) is shaped
+    like the potentials.  Returns the gradient of sum(d_u * u) with respect
+    to kmat, shape (n_inputs, window * n_outputs): entry (j, (d-1) *
+    n_outputs + i) is sum_b sum_t inputs[b, t-d, j] d_u[b, t, i] over
+    t-d >= 0.  One GEMM of the input rows against d_u shifted back by each
+    tap gives every entry.
     """
-    batch, duration, n_outputs = np.shape(d_u)
-    if duration < 2:
-        return np.zeros((np.shape(rasters)[1], window * n_outputs))
+    batch, duration, n_outputs = d_u.shape
     shifted = np.zeros((batch, duration - 1, window, n_outputs))
     for d in range(1, min(window, duration - 1) + 1):
         shifted[:, : duration - d, d - 1, :] = d_u[:, d:, :]
-    x = signed_inputs(rasters, signs, 0, duration - 1).reshape(-1, np.shape(rasters)[1])
-    return x.T @ shifted.reshape(-1, window * n_outputs)
+    return inputs.reshape(-1, inputs.shape[2]).T @ shifted.reshape(-1, window * n_outputs)
 
 
 def signed_inputs(rasters, signs, first: int, stop: int, dtype=np.float64) -> np.ndarray:

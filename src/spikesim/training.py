@@ -15,12 +15,12 @@ import numpy as np
 
 from .glm import (
     GlmModel,
+    add_tap_contributions,
     draw_rasters,
-    kernel_matrix,
     log_one_minus_sigmoid,
     log_sigmoid,
     sigmoid,
-    windowed_potentials,
+    signed_inputs,
     windowed_potentials_adjoint,
 )
 from .quantize import accuracies
@@ -96,20 +96,25 @@ def _logsumexp(x, axis):
     return (m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))).squeeze(axis)
 
 
-def _batch_objective_and_gradient(model, rasters, signs, labels):
+def _batch_objective_and_gradient(kmat, biases, rasters, signs, labels):
     """Mean objective and its exact gradient over a minibatch.
 
-    rasters: (batch, n_inputs, T), signs: (batch, n_inputs), labels: (batch,).
-    Returns (grad_w, grad_gamma, mean_log_prob).  The potentials come from
-    glm.windowed_potentials and the kernel gradient from its adjoint; the
-    reduction order over the batch is fixed, so results are bit-reproducible
-    at a fixed BLAS thread count.
+    kmat is the glm.kernel_matrix of the kernels, (n_inputs, window *
+    n_outputs), and biases (n_outputs,); rasters: (batch, n_inputs, T),
+    signs: (batch, n_inputs), labels: (batch,).  Returns (grad_kmat,
+    grad_gamma, mean_log_prob), grad_kmat in kmat's layout.  The signed
+    input rows are built once, for the potentials (add_tap_contributions,
+    as glm.windowed_potentials runs it) and for the kernel gradient (its
+    adjoint); the reduction order over the batch is fixed, so results are
+    bit-reproducible at a fixed BLAS thread count.
     """
-    b, n_inputs, duration = rasters.shape
-    n_outputs, window = model.n_outputs, model.window
+    b, _, duration = rasters.shape
+    window = kmat.shape[1] // len(biases)
 
-    u = windowed_potentials(rasters, signs, kernel_matrix(model.kernels()), window)
-    u += model.biases
+    inputs = signed_inputs(rasters, signs, 0, duration - 1)
+    u = np.zeros((b, duration, len(biases)))
+    add_tap_contributions(u, inputs, kmat, window, 0)
+    u += biases
 
     ell = _log_prob_series(u, labels)              # (b, T)
     log_prob = _logsumexp(ell, axis=1)             # (b,)
@@ -117,18 +122,12 @@ def _batch_objective_and_gradient(model, rasters, signs, labels):
     tail = np.cumsum(step_weight[:, ::-1], axis=1)[:, ::-1]
 
     d_u = -sigmoid(u) * tail[:, :, None]
-    d_u[np.arange(b)[:, None], np.arange(duration)[None, :], labels[:, None]] += (
-        step_weight
-    )
+    d_u[np.arange(b)[:, None], np.arange(duration)[None, :], labels[:, None]] += step_weight
 
     grad_gamma = d_u.sum(axis=(0, 1)) / b
-    # kernels[j, i] = basis @ weights[j, i], so the weight gradient is the
-    # kernel gradient (n_inputs * n_outputs, window) times basis
-    grad_k = windowed_potentials_adjoint(rasters, signs, d_u, window).reshape(
-        n_inputs, window, n_outputs
-    ).transpose(0, 2, 1).reshape(n_inputs * n_outputs, window)
-    grad_w = (grad_k @ model.basis.astype(np.float64)).reshape(n_inputs, n_outputs, -1) / b
-    return grad_w, grad_gamma, float(log_prob.mean())
+    grad_kmat = windowed_potentials_adjoint(inputs, d_u, window)
+    grad_kmat /= b
+    return grad_kmat, grad_gamma, float(log_prob.mean())
 
 
 def evaluate_float(model, magnitudes, signs, labels, rng) -> float:
@@ -157,9 +156,10 @@ def train(train_data, test_data, config: TrainConfig):
     n_samples, n_inputs = mags.shape
     n_outputs = int(train_data.n_classes)
 
-    model = GlmModel.zeros(
-        n_inputs, n_outputs, config.presentation_time, config.window
-    )
+    model = GlmModel.zeros(n_inputs, n_outputs, config.presentation_time, config.window)
+    # the identity basis makes the weights the kernels: SGD updates them in
+    # place through this view, the potential GEMM's operand
+    kmat = model.weights.transpose(0, 2, 1).reshape(n_inputs, -1)
 
     test_mags = test_data.magnitudes()
     test_signs = test_data.signs()
@@ -173,19 +173,17 @@ def train(train_data, test_data, config: TrainConfig):
         for start in range(0, n_samples, config.batch_size):
             idx = order[start : start + config.batch_size]
             rasters = draw_rasters(mags[idx], config.presentation_time, rng)
-            grad_w, grad_gamma, mean_lp = _batch_objective_and_gradient(
-                model, rasters, signs[idx], labels[idx]
+            grad_kmat, grad_gamma, mean_lp = _batch_objective_and_gradient(
+                kmat, model.biases, rasters, signs[idx], labels[idx]
             )
-            if not (
-                np.isfinite(mean_lp)
-                and np.isfinite(grad_w).all()
-                and np.isfinite(grad_gamma).all()
-            ):
+            if not (np.isfinite(mean_lp) and np.isfinite(grad_kmat).all()
+                    and np.isfinite(grad_gamma).all()):
                 raise TrainingDiverged(
                     f"non-finite objective/gradient at epoch {epoch}, "
                     f"batch starting at {start} (log prob {mean_lp})"
                 )
-            model.weights += config.learning_rate * grad_w
+            grad_kmat *= config.learning_rate
+            kmat += grad_kmat
             model.biases += config.learning_rate * grad_gamma
             epoch_loss += -mean_lp
             n_batches += 1

@@ -298,10 +298,27 @@ def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
     return decisions, trace
 
 
+def model_objective_and_gradient(model, rasters, signs, labels):
+    """training._batch_objective_and_gradient on the model's kernel matrix,
+    with the kernel gradient carried through the basis: kernels[j, i] =
+    basis @ weights[j, i], so the weight gradient is the kernel gradient
+    (n_inputs, n_outputs, window) times the basis, for any binary basis.
+    Returns (grad_w, grad_gamma, mean_log_prob), grad_w shaped like the
+    model's weights."""
+    from spikesim.glm import kernel_matrix
+    from spikesim.training import _batch_objective_and_gradient
+
+    grad_kmat, grad_gamma, mean_lp = _batch_objective_and_gradient(
+        kernel_matrix(model.kernels()), model.biases, np.asarray(rasters), signs,
+        np.asarray(labels))
+    grad_k = grad_kmat.reshape(model.n_inputs, model.window, model.n_outputs)
+    return grad_k.transpose(0, 2, 1) @ model.basis.astype(np.float64), grad_gamma, mean_lp
+
+
 def batch_objective_and_gradient_windows(model, rasters, signs, labels):
-    """training._batch_objective_and_gradient over the window tensor
-    (batch, T, n_inputs, window), projected through the basis: the
-    gradient's reference.  Returns (grad_w, grad_gamma, mean_log_prob)."""
+    """model_objective_and_gradient over the window tensor (batch, T,
+    n_inputs, window), projected through the basis: the gradient's
+    reference.  Returns (grad_w, grad_gamma, mean_log_prob)."""
     from spikesim.glm import sigmoid
     from spikesim.training import _log_prob_series, _logsumexp
 

@@ -97,14 +97,14 @@ def test_criterion_03_pwl_fidelity():
     )
 
 
-def _fd_gradients(model, batch, h=1e-5):
+def _fd_gradients(kmat, biases, batch, h=1e-5):
     """Central differences of the objective _batch_objective_and_gradient
-    returns, over every weight and bias."""
+    returns, over every kernel entry and bias."""
     def objective():
-        return _batch_objective_and_gradient(model, *batch)[2]
+        return _batch_objective_and_gradient(kmat, biases, *batch)[2]
 
     grads = []
-    for params in (model.weights, model.biases):
+    for params in (kmat, biases):
         grad = np.zeros_like(params)
         for idx in np.ndindex(params.shape):
             params[idx] += h
@@ -125,18 +125,14 @@ def test_criterion_04_gradient_correctness():
         n_outputs = int(rng.integers(1, 5))
         duration = int(rng.integers(1, 6))
         window = int(rng.integers(1, duration + 1))
-        model = GlmModel(
-            n_inputs=n_inputs, n_outputs=n_outputs,
-            presentation_time=duration, window=window,
-            weights=rng.normal(size=(n_inputs, n_outputs, window)),
-            biases=rng.normal(size=n_outputs),
-        )
+        kmat = kernel_matrix(rng.normal(size=(n_inputs, n_outputs, window)))
+        biases = rng.normal(size=n_outputs)
         # a batch of one train
         batch = (rng.integers(0, 2, size=(1, n_inputs, duration)),
                  rng.choice([-1, 1], size=(1, n_inputs)),
                  np.array([rng.integers(n_outputs)]))
-        aw, ag, _ = _batch_objective_and_gradient(model, *batch)
-        fw, fg = _fd_gradients(model, batch)
+        aw, ag, _ = _batch_objective_and_gradient(kmat, biases, *batch)
+        fw, fg = _fd_gradients(kmat, biases, batch)
         analytic = np.concatenate([aw.ravel(), ag.ravel()])
         fd = np.concatenate([fw.ravel(), fg.ravel()])
         rel = np.linalg.norm(analytic - fd) / max(

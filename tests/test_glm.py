@@ -15,7 +15,9 @@ from spikesim.glm import (
     encoded_chunks,
     kernel_matrix,
     sigmoid,
+    signed_inputs,
     windowed_potentials,
+    windowed_potentials_adjoint,
 )
 from oracles import build_windows, draw_raster, windowed_sums
 
@@ -107,6 +109,13 @@ class TestExpandKernel:
                          weights=w[None, None], biases=np.zeros(1))
         assert np.array_equal(model.basis, np.eye(7))
         assert np.array_equal(model.kernels()[0, 0], w)
+
+    def test_zero_model_weights_are_a_view_of_the_kernel_matrix(self):
+        # train updates the kernel matrix in place through this view
+        model = GlmModel.zeros(3, 2, 5, 4)
+        kmat = model.weights.transpose(0, 2, 1).reshape(3, -1)
+        kmat += np.arange(kmat.size).reshape(kmat.shape)
+        assert np.array_equal(kernel_matrix(model.kernels()), kmat)
 
     def test_zero_weights_zero_kernel(self):
         alpha = basis_model(np.eye(5), np.zeros((1, 1, 5))).kernels()
@@ -300,6 +309,24 @@ class TestPotentialKernel:
             want = windowed_sums(rasters[b], signs[b], codes, dtype=np.int64)
             assert np.array_equal(got[b].astype(np.int64), want)
             assert np.array_equal(got[b], want.astype(np.float64))
+
+
+    @pytest.mark.parametrize("duration,window,batch", [(6, 6, 2), (7, 1, 3), (8, 3, 5), (1, 1, 2)])
+    def test_adjoint_takes_the_signed_input_rows(self, duration, window, batch):
+        # sum(d_u * u) is linear in kmat, so entry e of the adjoint is its
+        # value at the unit kmat of e
+        rng = np.random.default_rng(duration * 100 + window * 10 + batch + 1)
+        rasters = rng.integers(0, 2, size=(batch, 4, duration)).astype(np.uint8)
+        signs = rng.choice([-1, 1], size=(batch, 4))
+        d_u = rng.normal(size=(batch, duration, 3))
+        got = windowed_potentials_adjoint(signed_inputs(rasters, signs, 0, duration - 1),
+                                          d_u, window)
+        assert got.shape == (4, window * 3)
+        for idx in np.ndindex(got.shape):
+            unit = np.zeros(got.shape)
+            unit[idx] = 1.0
+            want = np.sum(d_u * windowed_potentials(rasters, signs, unit, window))
+            assert got[idx] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestEncodedChunks:

@@ -14,7 +14,12 @@ from spikesim.training import (
     evaluate_float,
     train,
 )
-from oracles import batch_objective_and_gradient_windows, evaluate_float_loop, fts_log_prob
+from oracles import (
+    batch_objective_and_gradient_windows,
+    evaluate_float_loop,
+    fts_log_prob,
+    model_objective_and_gradient,
+)
 
 
 class ArrayData:
@@ -77,12 +82,12 @@ def potentials(model, raster, sign):
 def objective(model, raster, sign, c):
     """The training objective on a batch of one: the log probability that
     neuron c fires first, at any step."""
-    return _batch_objective_and_gradient(model, raster[None], sign[None], np.array([c]))[2]
+    return model_objective_and_gradient(model, raster[None], sign[None], np.array([c]))[2]
 
 
 def gradient(model, raster, sign, c):
     """The objective's gradient on a batch of one: (grad_w, grad_gamma)."""
-    return _batch_objective_and_gradient(model, raster[None], sign[None], np.array([c]))[:2]
+    return model_objective_and_gradient(model, raster[None], sign[None], np.array([c]))[:2]
 
 
 class TestFtsLogProb:
@@ -259,7 +264,7 @@ class TestFtsGradient:
             rasters = (rng.random((batch, n_inputs, duration)) < 0.5).astype(np.float64)
             signs = rng.choice([-1.0, 1.0], size=(batch, n_inputs))
             labels = rng.integers(0, n_outputs, size=batch)
-            got = _batch_objective_and_gradient(model, rasters, signs, labels)
+            got = model_objective_and_gradient(model, rasters, signs, labels)
             want = batch_objective_and_gradient_windows(model, rasters, signs, labels)
             for g, w in zip(got[:2], want[:2]):
                 assert g.shape == w.shape
@@ -400,6 +405,7 @@ class TestTrain:
         model, metrics = train(data, data, config)
 
         want = GlmModel.zeros(4, 2, 4, 3)
+        kmat = want.weights.transpose(0, 2, 1).reshape(4, -1)  # a view, as in train
         mags, signs, labels = data.magnitudes(), data.signs(), data.labels
         sgd = np.random.default_rng(5)
         score = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
@@ -408,10 +414,10 @@ class TestTrain:
             for start in range(0, 20, 8):
                 idx = order[start : start + 8]
                 rasters = (sgd.random((len(idx), 4, 4)) < mags[idx][:, :, None]).astype(float)
-                grad_w, grad_gamma, _ = _batch_objective_and_gradient(
-                    want, rasters, signs[idx].astype(float), labels[idx]
+                grad_kmat, grad_gamma, _ = _batch_objective_and_gradient(
+                    kmat, want.biases, rasters, signs[idx].astype(float), labels[idx]
                 )
-                want.weights += 0.1 * grad_w
+                kmat += 0.1 * grad_kmat
                 want.biases += 0.1 * grad_gamma
             assert m.train_accuracy == evaluate_float(want, mags, signs, labels, score)
             assert m.test_accuracy == evaluate_float(want, mags, signs, labels, score)
