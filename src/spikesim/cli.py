@@ -63,12 +63,16 @@ _RUN_CONFIG_FIELDS = {
 def _create_out(args) -> Path:
     """Create --out and write run_config.json into it.  Each command calls
     this after its last argument check, so a rejected command leaves no
-    output directory behind."""
+    output directory behind.  A path that cannot be a directory, such as
+    an existing file, is a usage error."""
     out_dir = Path(args.out)
     config = {field: getattr(args, dest, None)
               for field, dest in _RUN_CONFIG_FIELDS.items()}
     config["out_dir"] = str(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create --out {out_dir}: {exc.strerror}") from None
     with open(out_dir / "run_config.json", "w") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -298,6 +302,8 @@ def _bits(text: str) -> list:
     lo, hi = DATAPATH_BITS.start, DATAPATH_BITS.stop - 1
     if not bits or any(b not in DATAPATH_BITS for b in bits):
         raise argparse.ArgumentTypeError(f"values must be in [{lo}, {hi}]")
+    if len(set(bits)) < len(bits):
+        raise argparse.ArgumentTypeError(f"lists a precision more than once: {text!r}")
     return bits
 
 

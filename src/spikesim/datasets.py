@@ -314,7 +314,8 @@ class ModelArtifact:
 
 
 # artifact kind -> (model class, header ints, payload arrays and their dtypes
-# in payload order); `scales` holds the four bounds named in _SCALES
+# in payload order); `scales` holds the four bounds named in _SCALES, and a
+# glm's `basis` is always the window's identity: its weights are its kernels
 _KINDS = {
     "glm": (GlmModel, ("n_inputs", "n_outputs", "presentation_time", "window"),
             {"weights": "<f8", "biases": "<f8", "basis": "|u1"}),
@@ -332,8 +333,9 @@ def save_model(path, model, provenance: dict | None = None):
     _, ints, dtypes = _KINDS[kind]
     manifest, payload = {}, bytearray()
     for name, dtype in dtypes.items():
-        arr = np.ascontiguousarray([getattr(model, s) for s in _SCALES] if name == "scales"
-                                   else getattr(model, name), dtype=dtype)
+        value = ([getattr(model, s) for s in _SCALES] if name == "scales"
+                 else np.eye(model.window) if name == "basis" else getattr(model, name))
+        arr = np.ascontiguousarray(value, dtype=dtype)
         manifest[name] = {"dtype": dtype, "shape": list(arr.shape),
                           "offset": len(payload), "nbytes": arr.nbytes}
         payload += arr.tobytes()
@@ -355,8 +357,9 @@ def _header_entry(path, header, *keys):
 
 
 def load_model(path) -> ModelArtifact:
-    """Read a model artifact against _KINDS: ArtifactError if it cannot be,
-    the model class's own ValueError if the model it holds is inconsistent."""
+    """Read a model artifact against _KINDS: ArtifactError if it cannot be
+    or holds a basis other than the identity, the model class's own
+    ValueError if the model it holds is inconsistent."""
     blob = Path(path).read_bytes()
     if len(blob) < 16 or blob[:4] != _ARTIFACT_MAGIC:
         raise ArtifactError(f"{path}: not a model artifact")
@@ -390,5 +393,10 @@ def load_model(path) -> ModelArtifact:
         except (TypeError, ValueError):
             raise ArtifactError(f"{path}: cannot read field {name} of shape {shape} "
                                 "from the payload") from None
+    if kind == "glm":
+        basis, window = fields.pop("basis"), fields["window"]
+        if basis.shape != (window, window) or not np.array_equal(basis, np.eye(window)):
+            raise ArtifactError(f"{path}: basis is not the identity of the {window}-step "
+                                "window; only expanded kernels are supported")
     return ModelArtifact(kind=kind, model=cls(**fields),
                          provenance=_header_entry(path, header, "provenance"))

@@ -107,11 +107,10 @@ def first_spike(spikes, final):
 
 @dataclass
 class GlmModel:
-    """GLM network parameters: per-(input, output) kernel weights and biases.
+    """GLM network parameters: per-(input, output) kernels and biases.
 
-    weights has shape (n_inputs, n_outputs, n_basis); with the identity
-    basis (the default) n_basis == window and weights[j, i, d] multiplies
-    the input spike d+1 steps in the past.
+    weights has shape (n_inputs, n_outputs, window): weights[j, i, d]
+    multiplies the input spike d+1 steps in the past.
     """
 
     n_inputs: int
@@ -120,28 +119,14 @@ class GlmModel:
     window: int
     weights: np.ndarray
     biases: np.ndarray
-    basis: np.ndarray = None  # (window, n_basis) binary
 
     def __post_init__(self):
-        if self.basis is None:
-            self.basis = np.eye(self.window, dtype=np.uint8)
-        self.basis = np.asarray(self.basis, dtype=np.uint8)
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
-        self.validate()
-
-    def validate(self):
-        tau, k = self.basis.shape
-        if tau != self.window:
-            raise ValueError("basis rows must equal the window length")
-        if k > self.window:
-            raise ValueError("cannot have more basis vectors than taps")
-        if not np.isin(self.basis, (0, 1)).all():
-            raise ValueError("basis must be binary")
-        if self.weights.shape != (self.n_inputs, self.n_outputs, k):
+        if self.weights.shape != (self.n_inputs, self.n_outputs, self.window):
             raise ValueError(
                 f"weights shape {self.weights.shape} does not match "
-                f"({self.n_inputs}, {self.n_outputs}, {k})"
+                f"({self.n_inputs}, {self.n_outputs}, {self.window})"
             )
         if self.biases.shape != (self.n_outputs,):
             raise ValueError("biases must have one entry per output")
@@ -159,14 +144,6 @@ class GlmModel:
         return cls(n_inputs, n_outputs, presentation_time, window,
                    weights=np.zeros((n_inputs, window, n_outputs)).transpose(0, 2, 1),
                    biases=np.zeros(n_outputs))
-
-    def kernels(self) -> np.ndarray:
-        """Expanded kernels basis @ weights, shape (n_inputs, n_outputs, window).
-
-        One GEMM; with the identity basis every kernel is its weights exactly.
-        """
-        flat = self.weights.reshape(-1, self.basis.shape[1]) @ self.basis.T.astype(np.float64)
-        return flat.reshape(self.n_inputs, self.n_outputs, self.window)
 
 
 def kernel_matrix(kernels) -> np.ndarray:

@@ -45,12 +45,6 @@ ACC_LIMIT = 2**17 - 1
 #: 3 and 4 were fastest on the benchmark's core-256 simulate, within noise
 CHUNK_STEPS = 4
 
-#: element budget of one sub-block of first_to_spike_quantized, counted as
-#: samples * CHUNK_STEPS * max(window * n_outputs, n_inputs); bounds a
-#: chunk's potential GEMM: its input rows and its tap tensor.  A block of
-#: glm.ENCODE_CHUNK samples of the 256x256x7 core runs as one sub-block.
-BLOCK_ELEMENTS = 2**19
-
 
 def round_ties_away(x):
     """Round to nearest integer, ties away from zero."""
@@ -165,7 +159,7 @@ class QuantizedModel:
 
 
 def quantize_model(model: GlmModel, bits: int) -> QuantizedModel:
-    """Post-training quantization of a trained model's expanded kernels.
+    """Post-training quantization of a trained model's kernels, its weights.
 
     Kernels and biases are each quantized over their range widened to
     include zero, so the symmetric code grid covers every value (the
@@ -173,12 +167,11 @@ def quantize_model(model: GlmModel, bits: int) -> QuantizedModel:
     or all equal, keep their values to within one step instead of
     collapsing.
     """
-    kernels = model.kernels()
-    w_min, w_max = _zero_inclusive_range(kernels)
+    w_min, w_max = _zero_inclusive_range(model.weights)
     gamma_min, gamma_max = _zero_inclusive_range(model.biases)
     return QuantizedModel(
         bits=bits,
-        w_codes=quantize_uniform(kernels, bits, w_min, w_max),
+        w_codes=quantize_uniform(model.weights, bits, w_min, w_max),
         gamma_codes=quantize_uniform(model.biases, bits, gamma_min, gamma_max),
         w_min=w_min,
         w_max=w_max,
@@ -366,8 +359,9 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
 
     The steps run CHUNK_STEPS at a time, and a sample stops at the chunk in
     which it decides: no step after it is summed, clipped or drawn.  The
-    fallback runs all T steps.  Samples run in sub-blocks of at most
-    BLOCK_ELEMENTS.
+    fallback runs all T steps.  The whole batch runs as one block, so its
+    size bounds the memory of a chunk's GEMM operands; decide_blocks passes
+    at most glm.ENCODE_CHUNK samples.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     Raises ValueError when the spike trains are not qm.n_inputs wide, or
@@ -390,24 +384,22 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     n_outputs = qm.n_outputs
     predicted = np.empty(batch, dtype=np.int64)
     decision_time = np.empty(batch, dtype=np.int64)
-    block = max(1, BLOCK_ELEMENTS // (CHUNK_STEPS * max(qm.window * n_outputs, n_inputs)))
-    for lo in range(0, batch, block):
-        live = np.arange(lo, min(lo + block, batch))  # samples still undecided
-        acc = _Accumulator(rasters[live], signs[live], kmat, qm.window, exact)
-        for t0 in range(0, duration, CHUNK_STEPS):
-            t1 = min(t0 + CHUNK_STEPS, duration)
-            u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
-            draws = lfsr_run(seeds[live], (t1 - t0) * n_outputs, t0 * n_outputs)
-            spikes = pwl_sigmoid(u_codes) > (draws.reshape(u_codes.shape) & 0xFF)
-            chosen, when = first_spike(spikes, u_codes[:, -1])
-            done = (when > 0) | (t1 == duration)  # the fallback decides at T
-            predicted[live[done]] = chosen[done]
-            decision_time[live[done]] = np.where(when[done] > 0, when[done] + t0, 0)
-            if done.all():
-                break
-            if done.any():
-                live = live[~done]
-                acc.keep(~done)
+    live = np.arange(batch)  # samples still undecided
+    acc = _Accumulator(rasters, signs, kmat, qm.window, exact)
+    for t0 in range(0, duration, CHUNK_STEPS):
+        t1 = min(t0 + CHUNK_STEPS, duration)
+        u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
+        draws = lfsr_run(seeds[live], (t1 - t0) * n_outputs, t0 * n_outputs)
+        spikes = pwl_sigmoid(u_codes) > (draws.reshape(u_codes.shape) & 0xFF)
+        chosen, when = first_spike(spikes, u_codes[:, -1])
+        done = (when > 0) | (t1 == duration)  # the fallback decides at T
+        predicted[live[done]] = chosen[done]
+        decision_time[live[done]] = np.where(when[done] > 0, when[done] + t0, 0)
+        if done.all():
+            break
+        if done.any():
+            live = live[~done]
+            acc.keep(~done)
     return predicted, decision_time
 
 
@@ -438,7 +430,7 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None, operands=Non
     if operands is None:
         operands = [datapath_operands(qm.w_codes, qm.gamma_codes) for qm in qms]
     if model is not None:
-        kmat = kernel_matrix(model.kernels())
+        kmat = kernel_matrix(model.weights)
     for start, rasters in encoded_chunks(magnitudes, duration, rng):
         stop = start + len(rasters)
         block_signs, decisions = signs[start:stop], []

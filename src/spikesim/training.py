@@ -157,8 +157,8 @@ def train(train_data, test_data, config: TrainConfig):
     n_outputs = int(train_data.n_classes)
 
     model = GlmModel.zeros(n_inputs, n_outputs, config.presentation_time, config.window)
-    # the identity basis makes the weights the kernels: SGD updates them in
-    # place through this view, the potential GEMM's operand
+    # the weights are the kernels: SGD updates them in place through this
+    # view, the potential GEMM's operand
     kmat = model.weights.transpose(0, 2, 1).reshape(n_inputs, -1)
 
     test_mags = test_data.magnitudes()

@@ -246,7 +246,7 @@ def evaluate_float_loop(model, magnitudes, signs, labels, rng):
     correct = 0
     for k in range(len(labels)):
         raster = draw_raster(magnitudes[k], model.presentation_time, rng)
-        sums = windowed_sums(raster, signs[k], model.kernels())
+        sums = windowed_sums(raster, signs[k], model.weights)
         u = sums + model.biases[None, :]
         predicted = int(np.argmax(u[-1]))
         for t in range(u.shape[0]):
@@ -300,37 +300,32 @@ def simulate_rows_loop(qm, magnitudes, signs, labels, seed):
 
 def model_objective_and_gradient(model, rasters, signs, labels):
     """training._batch_objective_and_gradient on the model's kernel matrix,
-    with the kernel gradient carried through the basis: kernels[j, i] =
-    basis @ weights[j, i], so the weight gradient is the kernel gradient
-    (n_inputs, n_outputs, window) times the basis, for any binary basis.
-    Returns (grad_w, grad_gamma, mean_log_prob), grad_w shaped like the
-    model's weights."""
+    with the kernel gradient laid out like the model's weights.  Returns
+    (grad_w, grad_gamma, mean_log_prob)."""
     from spikesim.glm import kernel_matrix
     from spikesim.training import _batch_objective_and_gradient
 
     grad_kmat, grad_gamma, mean_lp = _batch_objective_and_gradient(
-        kernel_matrix(model.kernels()), model.biases, np.asarray(rasters), signs,
+        kernel_matrix(model.weights), model.biases, np.asarray(rasters), signs,
         np.asarray(labels))
-    grad_k = grad_kmat.reshape(model.n_inputs, model.window, model.n_outputs)
-    return grad_k.transpose(0, 2, 1) @ model.basis.astype(np.float64), grad_gamma, mean_lp
+    grad_w = grad_kmat.reshape(model.n_inputs, model.window, model.n_outputs)
+    return grad_w.transpose(0, 2, 1), grad_gamma, mean_lp
 
 
 def batch_objective_and_gradient_windows(model, rasters, signs, labels):
     """model_objective_and_gradient over the window tensor (batch, T,
-    n_inputs, window), projected through the basis: the gradient's
-    reference.  Returns (grad_w, grad_gamma, mean_log_prob)."""
+    n_inputs, window): the gradient's reference.  Returns (grad_w,
+    grad_gamma, mean_log_prob)."""
     from spikesim.glm import sigmoid
     from spikesim.training import _log_prob_series, _logsumexp
 
     b, n_inputs, duration = rasters.shape
-    n_outputs = model.n_outputs
-    n_basis = model.basis.shape[1]
-    windows = np.stack([build_windows(r, model.window) for r in rasters]).astype(np.float64)
+    n_outputs, window = model.n_outputs, model.window
+    windows = np.stack([build_windows(r, window) for r in rasters]).astype(np.float64)
     windows *= signs[:, None, :, None]
-    projected = windows @ model.basis.astype(np.float64)
 
-    flat = projected.reshape(b * duration, n_inputs * n_basis)
-    w_mat = model.weights.transpose(0, 2, 1).reshape(n_inputs * n_basis, n_outputs)
+    flat = windows.reshape(b * duration, n_inputs * window)
+    w_mat = model.weights.transpose(0, 2, 1).reshape(n_inputs * window, n_outputs)
     u = (flat @ w_mat).reshape(b, duration, n_outputs) + model.biases
 
     ell = _log_prob_series(u, labels)
@@ -342,5 +337,5 @@ def batch_objective_and_gradient_windows(model, rasters, signs, labels):
 
     grad_gamma = d_u.sum(axis=(0, 1)) / b
     grad_flat = flat.T @ d_u.reshape(b * duration, n_outputs) / b
-    grad_w = grad_flat.reshape(n_inputs, n_basis, n_outputs).transpose(0, 2, 1)
+    grad_w = grad_flat.reshape(n_inputs, window, n_outputs).transpose(0, 2, 1)
     return grad_w, grad_gamma, float(log_prob.mean())

@@ -374,7 +374,7 @@ def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
     # rasters.  Reported, not gated
     float_model = load_model(t / "model_float.bin").model
     qms = [load_model(q / f"model_q{bits}.bin").model for bits in sorted(accs)]
-    kmat, redraw = kernel_matrix(float_model.kernels()), np.random.default_rng(2)
+    kmat, redraw = kernel_matrix(float_model.weights), np.random.default_rng(2)
     differ, floor = np.zeros(len(qms), dtype=np.int64), 0
     for start, rasters, [(float_cls, _), *quantized] in decide_blocks(
         test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(1), 1, qms, float_model

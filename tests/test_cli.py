@@ -161,7 +161,7 @@ class TestQuantizeCommand:
 
     def test_bits_outside_the_datapath_are_usage_errors(self, trained_run, tmp_path):
         # the b-bit datapath is defined for b in 2..8 only
-        for bits in ("8,9", "1,2", "16"):
+        for bits in ("8,9", "1,2", "16", "5,5", "8,5,8"):
             out = tmp_path / f"quant_{bits.replace(',', '_')}"
             code = main([
                 "quantize", "--dataset", "synthetic", "--out", str(out),
@@ -205,7 +205,7 @@ class TestQuantizeCommand:
             stop = min(start + 64, 150)
             rasters = draw_rasters(mags[start:stop], 6, rng)
             u = windowed_potentials(rasters, signs[start:stop],
-                                    kernel_matrix(model.kernels()), 4) + model.biases
+                                    kernel_matrix(model.weights), 4) + model.biases
             uniforms = rng.random((stop - start, 6, 10))
             decided = [first_spike(uniforms < sigmoid(u), u[:, -1])[0]]
             seeds = [derive_lfsr_seed(6, k) for k in range(start, stop)]
@@ -601,6 +601,21 @@ def test_rejected_command_creates_no_output_directory(trained_run, digits_run, t
     if "--seed" in command:
         assert capsys.readouterr().err.endswith(
             "spikesim: usage error: argument --seed: must be an integer >= 0, not '-1'\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["perf", "--out", "F"], "cannot create --out F: File exists"),
+    (["train", "--epochs", "1", "--out", "F/sub"], "cannot create --out F/sub: Not a directory"),
+])
+def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, argv, message):
+    # in a fresh process, so that an escaping exception would print its traceback
+    (tmp_path / "F").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    run = subprocess.run([sys.executable, "-m", "spikesim.cli", *argv], cwd=tmp_path,
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_USAGE
+    assert run.stderr == f"spikesim: usage error: {message}\n"
+    assert (tmp_path / "F").read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["train", "quantize", "simulate"])

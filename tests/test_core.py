@@ -10,10 +10,9 @@ from spikesim.core import (
     unpack_model,
     wordline_reads,
 )
-from spikesim.glm import kernel_matrix
+from spikesim.glm import ENCODE_CHUNK, kernel_matrix
 from spikesim.quantize import (
     ACC_LIMIT,
-    BLOCK_ELEMENTS,
     DATAPATH_BITS,
     QuantizedModel,
     datapath_operands,
@@ -505,23 +504,18 @@ class TestFirstToSpikeBatch:
             assert np.all(decision_time == 0)
 
     @pytest.mark.parametrize("n_inputs,n_outputs,window,duration", [
-        (6, 64, 7, 16),   # the tap tensor sets the sub-block size
-        (600, 2, 2, 8),   # the input rows set it
+        (6, 64, 7, 16),   # a wide tap tensor
+        (600, 2, 2, 8),   # wide input rows
     ])
-    def test_batch_across_sub_blocks(self, n_inputs, n_outputs, window, duration,
-                                     monkeypatch):
-        # a budget an eighth of the datapath's keeps the loop oracle's batch
-        # small: each sub-block runs the chunk loop on its own
-        monkeypatch.setattr(quantize, "BLOCK_ELEMENTS", BLOCK_ELEMENTS // 8)
+    def test_batch_across_sub_blocks(self, n_inputs, n_outputs, window, duration):
+        # a batch of more samples than decide_blocks passes runs as one block
         rng = np.random.default_rng(133)
         qm = random_qm(rng, n_inputs=n_inputs, n_outputs=n_outputs, window=window,
                        duration=duration, g_range=(-8.0, 8.0))
         qm.gamma_codes = -rng.integers(32, 65, size=n_outputs)  # biases -4..-8
         image = map_model_to_memory(qm)
-        block = quantize.BLOCK_ELEMENTS // (
-            quantize.CHUNK_STEPS * max(window * n_outputs, n_inputs))
         decision_time = assert_batch_matches_loop(
-            image, *random_batch(rng, qm, 2 * block + 3, 0.3)
+            image, *random_batch(rng, qm, 2 * ENCODE_CHUNK + 3, 0.3)
         )
         assert len(set(decision_time.tolist())) > 2
 

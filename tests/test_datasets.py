@@ -1,10 +1,13 @@
 import gzip
 import hashlib
+import re
 import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from spikesim.cli import EXIT_DATA, main
 from spikesim.datasets import (
     ArtifactError,
     DataFormatError,
@@ -252,30 +255,38 @@ def sha256_of(path):
 
 class TestArtifacts:
     def test_float_model_roundtrip(self, tmp_path):
-        # the identity basis, and three taps on two binary basis vectors
-        rng = np.random.default_rng(2)
-        binary_basis = GlmModel(
-            n_inputs=3, n_outputs=4, presentation_time=6, window=3,
-            weights=rng.normal(size=(3, 4, 2)), biases=rng.normal(size=4),
-            basis=np.array([[1, 0], [1, 0], [0, 1]]),
-        )
-        for model, digest in [
-            (build_models(np.random.default_rng(2))[0],
-             "ae6b8ae6673f9c361c9050028093d5a93bb0ed652d5f1e87bcf4e030ce638310"),
-            (binary_basis,
-             "f42e4f975f06e72557035745df762d3ec4af605048aaf2e8037dd69a02a0f1c6"),
-        ]:
-            path = tmp_path / "model.bin"
-            save_model(path, model, {"seed": 42, "epochs": 10})
-            assert sha256_of(path) == digest
-            artifact = load_model(path)
-            assert artifact.kind == "glm"
-            assert artifact.provenance == {"seed": 42, "epochs": 10}
-            assert np.array_equal(artifact.model.weights, model.weights)
-            assert np.array_equal(artifact.model.biases, model.biases)
-            assert np.array_equal(artifact.model.basis, model.basis)
-            assert artifact.model.window == model.window
-            assert artifact.model.presentation_time == 6
+        # the bytes hold the window's identity basis after the biases
+        model, _ = build_models(np.random.default_rng(2))
+        path = tmp_path / "model.bin"
+        save_model(path, model, {"seed": 42, "epochs": 10})
+        assert sha256_of(path) == (
+            "ae6b8ae6673f9c361c9050028093d5a93bb0ed652d5f1e87bcf4e030ce638310")
+        assert path.read_bytes()[-8:-4] == bytes([1, 0, 0, 1])
+        artifact = load_model(path)
+        assert artifact.kind == "glm"
+        assert artifact.provenance == {"seed": 42, "epochs": 10}
+        assert np.array_equal(artifact.model.weights, model.weights)
+        assert np.array_equal(artifact.model.biases, model.biases)
+        assert artifact.model.window == model.window
+        assert artifact.model.presentation_time == 6
+
+    def test_basis_other_than_the_identity_is_rejected(self, tmp_path, capsys):
+        # a float model's weights are its kernels: a binary basis [[1, 1],
+        # [0, 1]] in place of the 2-tap identity, under a valid CRC32
+        model, _ = build_models(np.random.default_rng(2))
+        path = tmp_path / "model.bin"
+        save_model(path, model)
+        body = path.read_bytes()[:-8] + bytes([1, 1, 0, 1])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        message = (f"{path}: basis is not the identity of the 2-step window; "
+                   "only expanded kernels are supported")
+        with pytest.raises(ArtifactError, match=re.escape(message)):
+            load_model(path)
+        out = tmp_path / "q"
+        assert main(["quantize", "--dataset", "synthetic", "--out", str(out),
+                     "--model", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"spikesim: data error: {message}\n"
+        assert not out.exists()
 
     def test_quantized_model_roundtrip_preserves_every_code(self, tmp_path):
         rng = np.random.default_rng(3)

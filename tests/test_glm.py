@@ -22,16 +22,6 @@ from spikesim.glm import (
 from oracles import build_windows, draw_raster, windowed_sums
 
 
-def brute_force_matvec(basis, w):
-    out = []
-    for row in basis:
-        acc = 0.0
-        for a, b in zip(row, w):
-            acc += float(a) * float(b)
-        out.append(acc)
-    return np.array(out)
-
-
 def brute_force_potential(weights, biases, raster, sign, window, i, t):
     """Triple-loop evaluation of the membrane potential at step t (1-based)."""
     n_inputs = raster.shape[0]
@@ -88,53 +78,26 @@ class TestRateEncode:
         assert np.array_equal(a, b)
 
 
-def basis_model(basis, weights):
-    """A model whose kernels expand weights (n_inputs, n_outputs, n_basis)
-    through basis, with as many steps as taps."""
-    basis, weights = np.asarray(basis), np.asarray(weights, dtype=np.float64)
-    return GlmModel(
-        n_inputs=weights.shape[0], n_outputs=weights.shape[1],
-        presentation_time=basis.shape[0], window=basis.shape[0],
-        weights=weights, biases=np.zeros(weights.shape[1]), basis=basis,
-    )
-
-
 class TestExpandKernel:
-    """GlmModel.kernels expands each weight vector through the basis."""
-
-    def test_identity_basis_is_identity_map(self):
-        # the default basis
-        w = np.arange(1.0, 8.0)
-        model = GlmModel(n_inputs=1, n_outputs=1, presentation_time=7, window=7,
-                         weights=w[None, None], biases=np.zeros(1))
-        assert np.array_equal(model.basis, np.eye(7))
-        assert np.array_equal(model.kernels()[0, 0], w)
+    """A float model's weights are its kernels, one per (input, output) pair
+    and tap; kernel_matrix lays them out as the potential GEMM's operand."""
 
     def test_zero_model_weights_are_a_view_of_the_kernel_matrix(self):
         # train updates the kernel matrix in place through this view
         model = GlmModel.zeros(3, 2, 5, 4)
         kmat = model.weights.transpose(0, 2, 1).reshape(3, -1)
         kmat += np.arange(kmat.size).reshape(kmat.shape)
-        assert np.array_equal(kernel_matrix(model.kernels()), kmat)
+        assert np.array_equal(kernel_matrix(model.weights), kmat)
 
     def test_zero_weights_zero_kernel(self):
-        alpha = basis_model(np.eye(5), np.zeros((1, 1, 5))).kernels()
-        assert np.array_equal(alpha[0, 0], np.zeros(5))
-
-    def test_random_binary_basis_matches_brute_force(self):
-        rng = np.random.default_rng(3)
-        basis = rng.integers(0, 2, size=(4, 2))
-        w = rng.normal(size=(3, 2, 2))
-        alpha = basis_model(basis, w).kernels()
-        for j in range(3):
-            for i in range(2):
-                assert np.allclose(alpha[j, i], brute_force_matvec(basis, w[j, i]))
+        model = GlmModel(n_inputs=1, n_outputs=1, presentation_time=5, window=5,
+                         weights=np.zeros((1, 1, 5)), biases=np.zeros(1))
+        assert np.array_equal(kernel_matrix(model.weights), np.zeros((1, 5)))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             GlmModel(n_inputs=1, n_outputs=1, presentation_time=3, window=3,
-                     weights=np.zeros((1, 1, 4)), biases=np.zeros(1),
-                     basis=np.eye(3))
+                     weights=np.zeros((1, 1, 4)), biases=np.zeros(1))
 
 
 class TestSigmoid:
@@ -175,7 +138,7 @@ def small_model(rng, n_inputs=3, n_outputs=2, duration=6, window=4):
 def potentials(model, raster, sign):
     """One train's membrane potentials (T, n_outputs), as training and
     evaluate_float compute them: windowed_potentials plus the bias."""
-    kmat = kernel_matrix(model.kernels())
+    kmat = kernel_matrix(model.weights)
     return windowed_potentials(np.asarray(raster)[None], np.asarray(sign)[None], kmat,
                                model.window)[0] + model.biases
 
@@ -258,15 +221,13 @@ class TestWindows:
             )
 
 
-def kernel_case(rng, n_inputs, n_outputs, duration, window, basis=None):
-    """Random signed trains and float kernels expanded through `basis`."""
-    n_basis = window if basis is None else basis.shape[1]
-    model = GlmModel(
+def kernel_case(rng, n_inputs, n_outputs, duration, window):
+    """A model of random float kernels and biases."""
+    return GlmModel(
         n_inputs=n_inputs, n_outputs=n_outputs, presentation_time=duration,
-        window=window, weights=rng.normal(size=(n_inputs, n_outputs, n_basis)),
-        biases=rng.normal(size=n_outputs), basis=basis,
+        window=window, weights=rng.normal(size=(n_inputs, n_outputs, window)),
+        biases=rng.normal(size=n_outputs),
     )
-    return model
 
 
 class TestPotentialKernel:
@@ -281,21 +242,10 @@ class TestPotentialKernel:
         model = kernel_case(rng, 5, 3, duration, window)
         rasters = rng.integers(0, 2, size=(batch, 5, duration)).astype(np.uint8)
         signs = rng.choice([-1, 1], size=(batch, 5))
-        got = windowed_potentials(rasters, signs, kernel_matrix(model.kernels()), window)
+        got = windowed_potentials(rasters, signs, kernel_matrix(model.weights), window)
         assert got.shape == (batch, duration, 3)
         for b in range(batch):
-            want = windowed_sums(rasters[b], signs[b], model.kernels())
-            np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=1e-12)
-
-    def test_non_identity_basis(self):
-        rng = np.random.default_rng(31)
-        basis = np.array([[1, 0], [1, 1], [0, 1], [0, 1]], dtype=np.uint8)
-        model = kernel_case(rng, 4, 2, 6, 4, basis=basis)
-        rasters = rng.integers(0, 2, size=(3, 4, 6)).astype(np.uint8)
-        signs = rng.choice([-1, 1], size=(3, 4))
-        got = windowed_potentials(rasters, signs, kernel_matrix(model.kernels()), 4)
-        for b in range(3):
-            want = windowed_sums(rasters[b], signs[b], model.kernels())
+            want = windowed_sums(rasters[b], signs[b], model.weights)
             np.testing.assert_allclose(got[b], want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("duration,window,batch", [(5, 5, 1), (6, 1, 3), (16, 7, 4)])

@@ -17,3 +17,17 @@ def test_readme_names_exactly_the_package_root_exports():
                 if isinstance(node, ast.ImportFrom) and node.level == 1
                 for alias in node.names]
     assert sorted(documented) == sorted(imported)
+
+
+def test_readme_lists_exactly_the_artifact_fields():
+    # every kind's header ints, then its payload fields with their dtypes,
+    # in the order of datasets._KINDS
+    from spikesim.datasets import _KINDS
+
+    readme = " ".join((ROOT / "README.md").read_text().split())
+    paragraph = re.search(r"One table per kind lists (.*?)\. `save_model`", readme)
+    assert paragraph, "README has no 'One table per kind lists ...' sentence"
+    documented = {kind: (ints.split(", "), fields.split(", ")) for kind, ints, fields
+                  in re.findall(r"`(\w+)` has `([^`]*)` and `([^`]*)`", paragraph.group(1))}
+    assert documented == {kind: (list(ints), [f"{name} {dtype}" for name, dtype in fields.items()])
+                          for kind, (_, ints, fields) in _KINDS.items()}

@@ -75,7 +75,7 @@ def random_instance(rng, n_inputs=3, n_outputs=2, duration=4, window=3, scale=1.
 
 def potentials(model, raster, sign):
     """One train's potentials (T, n_outputs): windowed_potentials plus the bias."""
-    kmat = kernel_matrix(model.kernels())
+    kmat = kernel_matrix(model.weights)
     return windowed_potentials(raster[None], sign[None], kmat, model.window)[0] + model.biases
 
 
@@ -246,19 +246,16 @@ class TestFtsGradient:
 
     def test_minibatch_matches_the_window_tensor_oracle(self):
         # the kernel GEMM and its adjoint against the (batch, T, n_in, window)
-        # window tensor projected through the basis, identity or not
+        # window tensor
         rng = np.random.default_rng(34)
-        for trial in range(40):
+        for _ in range(40):
             duration = int(rng.integers(1, 9))
             window = int(rng.integers(1, duration + 1))
-            n_basis = window if trial % 2 else int(rng.integers(1, window + 1))
-            basis = (np.eye(window, dtype=np.uint8) if trial % 2
-                     else rng.integers(0, 2, size=(window, n_basis)))
             n_inputs, n_outputs = int(rng.integers(1, 9)), int(rng.integers(1, 5))
             model = GlmModel(
                 n_inputs=n_inputs, n_outputs=n_outputs, presentation_time=duration,
-                window=window, weights=rng.normal(size=(n_inputs, n_outputs, n_basis)),
-                biases=rng.normal(size=n_outputs), basis=basis,
+                window=window, weights=rng.normal(size=(n_inputs, n_outputs, window)),
+                biases=rng.normal(size=n_outputs),
             )
             batch = int(rng.integers(1, 6))
             rasters = (rng.random((batch, n_inputs, duration)) < 0.5).astype(np.float64)
