@@ -11,7 +11,9 @@ once in each copy, N being BENCHMARK.json's run_seconds, the parent first in
 odd pairs and the change first in even pairs.  The output JSON holds every
 run and, for each end-to-end metric of each workload, both sides' median and
 quartiles and the number of pairs the change won, by the metric's ``better``
-in BENCHMARK.json; a tie wins for neither.  The copies are removed when the runs end.
+in BENCHMARK.json; a tie wins for neither.  Next to that summary it holds
+each side's total attempted and failed operations.  The copies are removed
+when the runs end.
 
 Usage (from the repository root):
 
@@ -105,6 +107,12 @@ def summarize(runs, better) -> dict:
     return summary
 
 
+def operation_totals(runs) -> dict:
+    """Each side's attempted and failed operations, summed over the runs."""
+    return {side: {key: sum(run[side][key] for run in runs) for key in ("attempted", "failed")}
+            for side in ("parent", "change")}
+
+
 def _machine() -> str:
     model = platform.processor()
     try:
@@ -161,6 +169,7 @@ def main(argv=None) -> int:
         "pairs": PAIRS,
         "order": "alternating: parent first in odd pairs, change first in even pairs",
         "summary": summarize(runs, better),
+        "operations": operation_totals(runs),
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import latency_cdf, map_model_to_memory, save_image, wordline_reads
+from .core import latency_cdf, map_model_to_memory, save_image, unpack_model, wordline_reads
 from .datasets import (
     ArtifactError,
     DataFormatError,
@@ -217,7 +217,7 @@ def cmd_simulate(args) -> int:
         )
         for start, rasters, [(predicted, decision_time)] in decide_blocks(
             test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(args.seed),
-            args.seed, [qm], operands=[image.operands],
+            args.seed, [unpack_model(image)],
         ):
             stop = start + len(rasters)
             reads = wordline_reads(rasters, qm.window)

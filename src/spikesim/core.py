@@ -12,86 +12,35 @@ from the shared LFSR.  Inference stops at the first output spike.
 
 map_model_to_memory sizes the array from the model it packs, and the image
 holds that model.  The core decides through quantize.first_to_spike_quantized,
-the one quantized datapath, on the image's operands, the codes decoded from
-the array; wordline_reads counts the word lines each step reads.
+the one quantized datapath, on unpack_model of its image, the model whose
+codes are decoded from the array; wordline_reads counts the word lines each
+step reads.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quantize import QuantizedModel, datapath_operands
+from .quantize import QuantizedModel
 
 _IMAGE_MAGIC = b"SPKIMG\x00"
 _IMAGE_VERSION = 1
 
 
-def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
-
-
-@dataclass(frozen=True)
-class CoreGeometry:
-    """Physical dimensions of a mapped model's device array.  A 256x256
-    network with a 7-tap window and 8-bit synapses fills a 2048x2048
-    array."""
-
-    n_inputs: int
-    n_outputs: int
-    window: int
-    bits: int
-
-    @classmethod
-    def of(cls, qm: QuantizedModel) -> CoreGeometry:
-        return cls(qm.n_inputs, qm.n_outputs, qm.window, qm.bits)
-
-    @property
-    def word_width(self) -> int:
-        return self.n_outputs * self.bits
-
-    @property
-    def n_kernel_lines(self) -> int:
-        return self.n_inputs * self.window
-
-    @property
-    def gamma_line(self) -> int:
-        return self.n_kernel_lines
-
-    @property
-    def n_wordlines(self) -> int:
-        return self.n_kernel_lines + 1
-
-    @property
-    def device_rows(self) -> int:
-        return _next_pow2(self.n_wordlines)
-
-
 @dataclass
 class CoreMemoryImage:
-    """A quantized model's binary device array: one row of word_width bits
-    per word line, packed eight to a byte, most significant first, the last
-    byte zero-padded.  These are the bytes core_image.bin stores after its
+    """A quantized model's binary device array: one row of n_outputs * bits
+    bits per word line, packed eight to a byte, most significant first, the
+    last byte zero-padded.  It has as many rows as the least power of two
+    above the bias line's address n_inputs * window: 2048 for a 256-input,
+    7-tap model.  These are the bytes core_image.bin stores after its
     header."""
 
     model: QuantizedModel
-    rows: np.ndarray  # (device_rows, ceil(word_width / 8)) uint8
-
-    @property
-    def geometry(self) -> CoreGeometry:
-        return CoreGeometry.of(self.model)
-
-    @cached_property
-    def operands(self):
-        """quantize.datapath_operands of the codes decoded from the array
-        (see unpack_model)."""
-        return datapath_operands(*unpack_model(self))
+    rows: np.ndarray  # (device_rows, ceil(n_outputs * bits / 8)) uint8
 
 
 def _fields(codes, bits: int) -> np.ndarray:
@@ -116,13 +65,14 @@ def _encode_rows(fields: np.ndarray, bits: int) -> np.ndarray:
 
 def _decode_rows(rows: np.ndarray, bits: int, n_fields: int) -> np.ndarray:
     """Inverse of _encode_rows over _fields: the first n_fields codes of
-    packed rows as signed int16.  Field k is read from the 16-bit word that
-    starts at the byte holding its first bit."""
+    packed rows as row-major int16 (take, where an index along axis 1
+    would return them column-major).  Field k is read from the 16-bit word
+    that starts at the byte holding its first bit."""
     words = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.uint16)
     words[:, :-1] = rows
     start = np.arange(n_fields) * bits
     shift = (16 - bits - start % 8).astype(np.uint16)
-    fields = ((words[:, start // 8] << 8) | words[:, start // 8 + 1]) >> shift
+    fields = (words.take(start // 8, axis=1) << 8 | words.take(start // 8 + 1, axis=1)) >> shift
     mag = (fields & ((1 << (bits - 1)) - 1)).astype(np.int16)
     negative = ((fields >> (bits - 1)) & 1).astype(np.int16)
     return mag * (1 - 2 * negative)
@@ -135,29 +85,32 @@ def map_model_to_memory(qm: QuantizedModel) -> CoreMemoryImage:
     outputs; the bias line comes last.  The packing is bijective, so
     unpack_model recovers every code exactly.
     """
-    geom = CoreGeometry.of(qm)
-    fields = np.zeros((geom.device_rows, geom.n_outputs), dtype=np.uint8)
-    lines = _fields(qm.w_codes.transpose(0, 2, 1), geom.bits)  # (n_inputs, window, n_outputs)
-    fields[: geom.n_kernel_lines] = lines.reshape(-1, geom.n_outputs)
-    fields[geom.gamma_line] = _fields(qm.gamma_codes, geom.bits)
-    return CoreMemoryImage(model=qm, rows=_encode_rows(fields, geom.bits))
+    n_lines = qm.n_inputs * qm.window
+    fields = np.zeros((1 << n_lines.bit_length(), qm.n_outputs), dtype=np.uint8)
+    lines = _fields(qm.w_codes.transpose(0, 2, 1), qm.bits)  # (n_inputs, window, n_outputs)
+    fields[:n_lines] = lines.reshape(n_lines, qm.n_outputs)
+    fields[n_lines] = _fields(qm.gamma_codes, qm.bits)
+    return CoreMemoryImage(model=qm, rows=_encode_rows(fields, qm.bits))
 
 
-def unpack_model(image: CoreMemoryImage):
-    """Recover the (w_codes, gamma_codes) of a mapped model, code for code,
-    decoding every word line up to the bias line."""
-    geom = image.geometry
-    codes = _decode_rows(image.rows[: geom.n_wordlines], geom.bits, geom.n_outputs)
-    lines = codes[: geom.n_kernel_lines].reshape(geom.n_inputs, geom.window, geom.n_outputs)
-    return np.ascontiguousarray(lines.transpose(0, 2, 1)), codes[geom.gamma_line]
+def unpack_model(image: CoreMemoryImage) -> QuantizedModel:
+    """The model the array holds: image.model with the codes decoded from
+    word lines 0 .. n_inputs * window, the bias line last.  w_codes is the
+    transposed view of the decoded lines, so neither this function nor
+    kernel_matrix makes a transpose copy of them."""
+    qm = image.model
+    n_lines = qm.n_inputs * qm.window
+    codes = _decode_rows(image.rows[: n_lines + 1], qm.bits, qm.n_outputs)
+    lines = codes[:n_lines].reshape(qm.n_inputs, qm.window, qm.n_outputs)
+    return replace(qm, w_codes=lines.transpose(0, 2, 1), gamma_codes=codes[n_lines])
 
 
 def save_image(path, image: CoreMemoryImage):
     """Write core_image.bin: the magic, six little-endian uint32 (version,
     n_inputs, n_outputs, window, bits, 0), then the packed rows."""
-    geom = image.geometry
+    qm = image.model
     header = _IMAGE_MAGIC + struct.pack(
-        "<6I", _IMAGE_VERSION, geom.n_inputs, geom.n_outputs, geom.window, geom.bits, 0
+        "<6I", _IMAGE_VERSION, qm.n_inputs, qm.n_outputs, qm.window, qm.bits, 0
     )
     with open(path, "wb") as fh:
         fh.write(header)

@@ -116,13 +116,15 @@ class QuantizedModel:
 
     def __post_init__(self):
         _check_bits(self.bits)
-        self.w_codes = np.asarray(self.w_codes, dtype=np.int16)
-        self.gamma_codes = np.asarray(self.gamma_codes, dtype=np.int16)
         bound = 2 ** (self.bits - 1) - 1
-        if np.abs(self.w_codes).max(initial=0) > bound:
-            raise ValueError(f"weight codes exceed {self.bits}-bit sign-magnitude")
-        if np.abs(self.gamma_codes).max(initial=0) > bound:
-            raise ValueError(f"bias codes exceed {self.bits}-bit sign-magnitude")
+        for name, what in (("w_codes", "weight"), ("gamma_codes", "bias")):
+            # on the values as given: an int16 cast would wrap or truncate them
+            codes = np.asarray(getattr(self, name))
+            whole = np.issubdtype(codes.dtype, np.integer) or (np.round(codes) == codes).all()
+            if codes.size and not (whole and -bound <= codes.min() and codes.max() <= bound):
+                raise ValueError(f"{what} codes are not whole {self.bits}-bit "
+                                 "sign-magnitude codes")
+            setattr(self, name, codes.astype(np.int16, copy=False))
         if self.w_codes.ndim != 3 or self.w_codes.shape[2] != self.window:
             raise ValueError(f"w_codes of shape {self.w_codes.shape} is not "
                              f"(n_inputs, n_outputs, window {self.window})")
@@ -257,8 +259,8 @@ def lfsr_run(states, n: int, skip: int = 0) -> np.ndarray:
     return sequence[(start[..., None] + np.arange(n)) % LFSR_PERIOD]
 
 
-def datapath_operands(w_codes, gamma_codes):
-    """The operands first_to_spike_quantized sums: (kmat, gamma_codes, exact).
+def datapath_operands(w_codes):
+    """The operands first_to_spike_quantized sums: (kmat, exact).
 
     kmat is the glm.kernel_matrix of the kernel codes (n_inputs, n_outputs,
     window) in float32.  exact is True when no neuron's code magnitudes sum
@@ -270,12 +272,12 @@ def datapath_operands(w_codes, gamma_codes):
     larger in magnitude than the step's |code| bound.  A step whose bound is
     at most ACC_LIMIT (below 2**24) therefore sums exactly in any order.  A
     step above it is summed again in int64, and its float32 bound cannot
-    round down to ACC_LIMIT or below: it sums non-negative terms.
+    round down to ACC_LIMIT or below: it sums non-negative terms.  So does
+    each neuron's |code| sum over kmat, which decides exact.
     """
-    magnitudes = np.abs(w_codes).sum(axis=0, dtype=np.int64).sum(axis=1)
-    exact = bool(magnitudes.max(initial=0) <= ACC_LIMIT)
     kmat = kernel_matrix(w_codes).astype(np.float32)
-    return kmat, np.asarray(gamma_codes, dtype=np.int64), exact
+    magnitudes = np.abs(kmat).sum(axis=0).reshape(np.shape(w_codes)[2], -1).sum(axis=0)
+    return kmat, bool(magnitudes.max(initial=0) <= ACC_LIMIT)
 
 
 class _Accumulator:
@@ -347,7 +349,8 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
 
     rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
     +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  operands are
-    the datapath_operands of the codes to sum, qm's own by default.  At each
+    the datapath_operands of qm.w_codes, built here unless given (once per
+    model by decide_blocks); the bias codes are qm's.  At each
     step the codes of the lines the spike windows select sum in the 18-bit
     saturating accumulator; the potential, that sum in weight steps plus
     the dequantized bias (both in float64), clips to 1.4.3, goes through the
@@ -367,8 +370,8 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     Raises ValueError when the spike trains are not qm.n_inputs wide, or
     when there is not one sign per input and one seed per sample.
     """
-    kmat, gamma_codes, exact = operands or datapath_operands(qm.w_codes, qm.gamma_codes)
-    gamma_real = gamma_codes.astype(np.float64) * qm.gamma_step
+    kmat, exact = operands or datapath_operands(qm.w_codes)
+    gamma_real = qm.gamma_codes.astype(np.float64) * qm.gamma_step
     rasters, signs = np.asarray(rasters), np.asarray(signs)
     seeds = np.asarray(lfsr_seeds)
     batch, n_inputs, duration = rasters.shape
@@ -403,7 +406,7 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     return predicted, decision_time
 
 
-def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None, operands=None):
+def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     """First-to-spike decisions of a split by every model given, block by
     block, all on one encoding of it.
 
@@ -412,10 +415,11 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None, operands=Non
     per step and output, which spike where they fall below sigmoid of the
     windowed potentials; glm.first_spike decides.  Every model in qms
     decides the same rasters through first_to_spike_quantized, with LFSR
-    seed derive_lfsr_seed(seed, k) for sample k, on its operands (its own
-    codes' datapath_operands by default).  With no float model the rng
-    draws the rasters only.  The models must share presentation_time and
-    n_inputs.
+    seed derive_lfsr_seed(seed, k) for sample k, on the datapath_operands
+    of its codes, built once.  simulate passes the core.unpack_model of its
+    device array, so it decides on the codes it reads back.  With no float
+    model the rng draws the rasters only.  The models must share
+    presentation_time and n_inputs.
 
     Yields (start, rasters, decisions) per block: decisions holds one
     (predicted, decision_time) per model, the float model's first.
@@ -427,8 +431,7 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None, operands=Non
     if any(m.presentation_time != duration or m.n_inputs != n_inputs for m in models):
         raise ValueError("the models of one sweep must share presentation_time and n_inputs")
     signs = check_signs(signs)
-    if operands is None:
-        operands = [datapath_operands(qm.w_codes, qm.gamma_codes) for qm in qms]
+    operands = [datapath_operands(qm.w_codes) for qm in qms]
     if model is not None:
         kmat = kernel_matrix(model.weights)
     for start, rasters in encoded_chunks(magnitudes, duration, rng):

@@ -24,31 +24,32 @@ def spike_window(history, t: int, window: int) -> np.ndarray:
 
 def device_bits(image) -> np.ndarray:
     """A core image's device array one bit per element: (device_rows,
-    word_width) of {0, 1}, unpacked from its packed rows."""
-    return np.unpackbits(image.rows, axis=1, count=image.geometry.word_width)
+    n_outputs * bits) of {0, 1}, unpacked from its packed rows."""
+    return np.unpackbits(image.rows, axis=1, count=image.model.n_outputs * image.model.bits)
 
 
 def unpack_memory(image):
-    """Decode every used word line of a core image: (kernel_codes, gamma_codes).
+    """Decode every used word line of a core image: (kernel_codes, gamma_codes),
+    the n_inputs * window kernel lines and the bias line after them.
 
     Each synapse field is a sign bit (1 = negative) then its magnitude bits,
     most significant first.
     """
-    geom = image.geometry
-    n_lines = geom.n_wordlines
-    fields = device_bits(image)[:n_lines].reshape(n_lines, geom.n_outputs, geom.bits)
-    magnitude = fields[:, :, 1:].astype(np.int64) @ 2 ** np.arange(geom.bits - 2, -1, -1)
+    qm = image.model
+    n_lines = qm.n_inputs * qm.window + 1
+    fields = device_bits(image)[:n_lines].reshape(n_lines, qm.n_outputs, qm.bits)
+    magnitude = fields[:, :, 1:].astype(np.int64) @ 2 ** np.arange(qm.bits - 2, -1, -1)
     codes = np.where(fields[:, :, 0] == 1, -magnitude, magnitude)
-    return codes[: geom.n_kernel_lines], codes[geom.gamma_line]
+    return codes[:-1], codes[-1]
 
 
 def load_image(path):
-    """Read a core_image.bin back as (geometry, rows): the 7-byte magic
+    """Read a core_image.bin back as (header, rows): the 7-byte magic
     SPKIMG\\0, six little-endian uint32 (version 1, n_inputs, n_outputs,
     window, bits, 0), then each device row's bits packed eight to a byte,
-    most significant first."""
-    from spikesim.core import CoreGeometry
-
+    most significant first.  header holds the four sizes by name; there are
+    as many rows as the least power of two that holds the kernel lines and
+    the bias line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:7] != b"SPKIMG\x00":
@@ -56,11 +57,14 @@ def load_image(path):
     version, n_inputs, n_outputs, window, bits, _ = struct.unpack("<6I", data[7:31])
     if version != 1:
         raise ValueError(f"unsupported image version {version}")
-    geom = CoreGeometry(n_inputs=n_inputs, n_outputs=n_outputs, window=window, bits=bits)
+    header = {"n_inputs": n_inputs, "n_outputs": n_outputs, "window": window, "bits": bits}
+    n_rows = 1
+    while n_rows < n_inputs * window + 1:
+        n_rows *= 2
     rows = np.frombuffer(data[31:], dtype=np.uint8)
-    if rows.size != geom.device_rows * ((geom.word_width + 7) // 8):
-        raise ValueError(f"{rows.size} bytes of rows for a {geom} array")
-    return geom, rows.reshape(geom.device_rows, -1)
+    if rows.size != n_rows * ((n_outputs * bits + 7) // 8):
+        raise ValueError(f"{rows.size} bytes of rows for a {n_rows}-row array of {header}")
+    return header, rows.reshape(n_rows, -1)
 
 
 def build_windows(raster: np.ndarray, window: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spikesim.cli import EXIT_OK, _load_split_pair, main
-from spikesim.core import latency_cdf, map_model_to_memory
+from spikesim.core import latency_cdf, map_model_to_memory, unpack_model
 from spikesim.datasets import (
     Dataset,
     load_digits,
@@ -35,6 +35,7 @@ from spikesim.quantize import (
     LFSR_PERIOD,
     QuantizedModel,
     accuracies,
+    datapath_operands,
     decide_blocks,
     derive_lfsr_seed,
     first_to_spike_quantized,
@@ -210,7 +211,7 @@ def test_criterion_06_core_oracle_equivalence():
         raster = rng.integers(0, 2, size=(n_inputs, duration)).astype(np.uint8)
         sign = rng.choice([-1, 1], size=n_inputs)
         # the sums simulate runs: the datapath over the codes read from the array
-        kmat, _, exact = image.operands
+        kmat, exact = datapath_operands(unpack_model(image).w_codes)
         sums = datapath_sums(raster[None], sign[None], kmat, window, exact)[0]
         for t in range(1, duration + 1):
             want = kernel_sums_loop(qm, raster, sign, t)
@@ -478,10 +479,9 @@ def test_full_digits_pipeline(tmp_path):
     assert accs[0] >= paired_float - 0.02
 
     qm = qms[-1]
-    image = map_model_to_memory(qm)
+    core = unpack_model(map_model_to_memory(qm))
     blocks = [d for _, _, [d] in decide_blocks(mags[:2000], signs[:2000],
-                                               np.random.default_rng(4), 4, [qm],
-                                               operands=[image.operands])]
+                                               np.random.default_rng(4), 4, [core])]
     predicted, decision_time = (np.concatenate(arrays) for arrays in zip(*blocks))
     correct = predicted == labels[: len(decision_time)]
     cdf, _ = latency_cdf(decision_time, qm.presentation_time)

@@ -40,3 +40,11 @@ def test_medians_quartiles_and_wins_respect_better():
 def test_reproduces_a_committed_summary_from_its_runs():
     point = json.loads((ROOT / "BENCH_pr15.json").read_text())
     assert bench_pairs.summarize(point["runs"], BETTER) == point["summary"]
+
+
+def test_totals_each_sides_operations_over_the_runs():
+    runs = json.loads((ROOT / "BENCH_pr18.json").read_text())["runs"]
+    assert bench_pairs.operation_totals(runs) == {
+        "parent": {"attempted": 27162, "failed": 0},
+        "change": {"attempted": 26968, "failed": 0},
+    }

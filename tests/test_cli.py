@@ -6,12 +6,14 @@ import struct
 import subprocess
 import sys
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_split_pair, main
+from spikesim.core import map_model_to_memory, unpack_model
 from spikesim.datasets import load_model, save_model
 from spikesim.glm import (
     GlmModel,
@@ -340,6 +342,44 @@ class TestSimulateCommand:
             assert list(csv.reader(fh))[1:] == decisions
         with open(tmp_path / "trace.csv", newline="") as fh:
             assert list(csv.reader(fh))[1:] == trace
+
+    def test_decides_on_the_codes_read_back_from_its_array(self, multi_block_run, tmp_path,
+                                                            monkeypatch):
+        # an array whose bytes are not the artifact's codes: the busiest
+        # input's tap-1 line is negated and two bias codes swap places
+        data, _, quant = multi_block_run
+        model = quant / "model_q8.bin"
+        _, test_ds = _load_split_pair("digits", str(data), 9, None)
+        busiest = int(np.argmax(test_ds.magnitudes().sum(axis=0)))
+        images = []
+
+        def tampered(qm):
+            image = map_model_to_memory(qm)
+            w_codes, gamma_codes = qm.w_codes.copy(), qm.gamma_codes.copy()
+            w_codes[busiest, :, 0] *= -1
+            gamma_codes[[0, 1]] = gamma_codes[[1, 0]]
+            forged = map_model_to_memory(replace(qm, w_codes=w_codes, gamma_codes=gamma_codes))
+            lines = [busiest * qm.window, qm.n_inputs * qm.window]  # tap 1, the bias
+            image.rows[lines] = forged.rows[lines]
+            images.append(image)
+            return image
+
+        argv = ["simulate", "--dataset", "digits", "--data-dir", str(data), "--seed", "9",
+                "--model", str(model)]
+        assert main(argv + ["--out", str(tmp_path / "plain")]) == EXIT_OK
+        monkeypatch.setattr("spikesim.cli.map_model_to_memory", tampered)
+        assert main(argv + ["--out", str(tmp_path / "tampered")]) == EXIT_OK
+        decisions, trace = simulate_rows_loop(
+            unpack_model(images[0]), test_ds.magnitudes(), test_ds.signs(), test_ds.labels,
+            seed=9,
+        )
+        with open(tmp_path / "tampered" / "decisions.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == decisions
+        with open(tmp_path / "tampered" / "trace.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == trace
+        for name in ("decisions.csv", "trace.csv"):
+            assert ((tmp_path / "tampered" / name).read_bytes()
+                    != (tmp_path / "plain" / name).read_bytes())
 
     def test_nine_bit_artifact_is_usage_error(self, tmp_path):
         # a quantized model, like --bits, accepts only the datapath's 2..8:

@@ -3,7 +3,6 @@ import pytest
 
 from spikesim import quantize
 from spikesim.core import (
-    CoreGeometry,
     latency_cdf,
     map_model_to_memory,
     save_image,
@@ -49,15 +48,33 @@ def random_qm(rng, bits=8, n_inputs=4, n_outputs=5, window=3, duration=6,
     )
 
 
+def byte_codes(row):
+    """The codes of one 8-bit device row: a sign-magnitude byte each."""
+    row = row.astype(np.int64)
+    return np.where(row & 0x80, -(row & 0x7F), row & 0x7F)
+
+
 class TestGeometry:
     def test_default_core_dimensions(self):
-        # the benchmark's 256x256 core: 7 taps of 8-bit synapses
-        geom = CoreGeometry(n_inputs=256, n_outputs=256, window=7, bits=8)
-        assert geom.word_width == 2048
-        assert geom.n_kernel_lines == 1792
-        assert geom.n_wordlines == 1793
-        assert geom.device_rows == 2048
-        assert geom.gamma_line == 1792
+        # the benchmark's 256x256 core: 7 taps of 8-bit synapses on 1792
+        # kernel lines, the bias on line 1792, in a 2048-row array of
+        # 2048-bit rows
+        qm = random_qm(np.random.default_rng(79), n_inputs=256, n_outputs=256, window=7,
+                       duration=8)
+        image = map_model_to_memory(qm)
+        assert image.rows.shape == (2048, 256)
+        assert np.array_equal(byte_codes(image.rows[1792]), qm.gamma_codes)
+
+    @pytest.mark.parametrize("n_inputs,rows", [(2047, 2048), (2048, 4096)])
+    def test_rows_are_the_power_of_two_above_the_bias_line(self, n_inputs, rows):
+        # 2047 kernel lines and the bias line fill 2048 rows; 2048 kernel
+        # lines put the bias line on row 2048, the first of a 4096-row array
+        qm = random_qm(np.random.default_rng(78), n_inputs=n_inputs, n_outputs=3, window=1,
+                       duration=1)
+        image = map_model_to_memory(qm)
+        assert image.rows.shape == (rows, 3)
+        assert np.array_equal(byte_codes(image.rows[n_inputs]), qm.gamma_codes)
+        assert not image.rows[n_inputs + 1 :].any()
 
     def test_rejects_degenerate_geometry(self):
         # a geometry comes from its model, which has at least one input and
@@ -97,9 +114,11 @@ class TestMemoryMapping:
         for bits in DATAPATH_BITS:
             qm = random_qm(rng, bits=bits)
             image = map_model_to_memory(qm)
-            w_codes, gamma_codes = unpack_model(image)
-            assert np.array_equal(w_codes, qm.w_codes)
-            assert np.array_equal(gamma_codes, qm.gamma_codes)
+            unpacked = unpack_model(image)
+            assert np.array_equal(unpacked.w_codes, qm.w_codes)
+            assert np.array_equal(unpacked.gamma_codes, qm.gamma_codes)
+            # the kernel codes are a view of the decoded word lines
+            assert unpacked.w_codes.transpose(0, 2, 1).flags.c_contiguous
 
     def test_bit_layout_is_sign_then_magnitude_msb_first(self):
         # every code of every precision, bit by bit: kernel line
@@ -113,10 +132,9 @@ class TestMemoryMapping:
                 presentation_time=4, window=2,
             )
             image = map_model_to_memory(qm)
-            geom = image.geometry
-            want = np.zeros((geom.device_rows, geom.word_width), dtype=np.uint8)
+            want = np.zeros((8, len(codes) * bits), dtype=np.uint8)
             rows = {j * 2 + d: qm.w_codes[j, :, d] for j in range(3) for d in range(2)}
-            rows[geom.gamma_line] = qm.gamma_codes
+            rows[6] = qm.gamma_codes
             for line, row in rows.items():
                 for i, code in enumerate(row.tolist()):
                     field = [int(code < 0)] + [(abs(code) >> k) & 1
@@ -130,8 +148,8 @@ class TestMemoryMapping:
         image = map_model_to_memory(qm)
         path = tmp_path / "core.img"
         save_image(path, image)
-        geom, rows = load_image(path)
-        assert geom == image.geometry
+        header, rows = load_image(path)
+        assert header == {"n_inputs": 4, "n_outputs": 5, "window": 3, "bits": 8}
         assert np.array_equal(rows, image.rows)
 
     def test_image_file_rejects_garbage(self, tmp_path):
@@ -162,7 +180,7 @@ class TestSpikeWindow:
 def core_sums(image, rasters, signs):
     """The 18-bit accumulator values the core's datapath sums from the codes
     it decodes from the array: (batch, T, n_outputs)."""
-    kmat, _, exact = image.operands
+    kmat, exact = datapath_operands(unpack_model(image).w_codes)
     return datapath_sums(rasters, signs, kmat, image.model.window, exact)
 
 
@@ -234,8 +252,8 @@ class TestCoreStep:
         image = map_model_to_memory(qm)
         n = 2000
         _, decision_time = first_to_spike_quantized(
-            image.model, np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
-            [derive_lfsr_seed(0, k) for k in range(n)], image.operands,
+            unpack_model(image), np.zeros((n, 2, 40), dtype=np.uint8), np.ones((n, 2)),
+            [derive_lfsr_seed(0, k) for k in range(n)],
         )
         assert abs(np.mean(decision_time == 1) - 0.5) < 0.05
         assert abs(np.mean(decision_time == 2) - 0.25) < 0.05
@@ -249,7 +267,7 @@ class TestCoreStep:
         image = map_model_to_memory(qm)
         rasters, signs, seeds = random_batch(rng, qm, 30)
         predicted, decision_time = first_to_spike_quantized(
-            image.model, rasters, signs, seeds, image.operands)
+            unpack_model(image), rasters, signs, seeds)
         u_codes = clip_to_fixed(core_sums(image, rasters, signs) * qm.w_step
                                 + dequant_biases(qm))
         pwl = pwl_sigmoid(u_codes)
@@ -331,7 +349,7 @@ class TestRunFirstToSpike:
         image = map_model_to_memory(qm)
         rasters = np.zeros((1, 2, 6), dtype=np.uint8)
         predicted, decision_time = first_to_spike_quantized(
-            image.model, rasters, np.ones((1, 2)), [0x0101], image.operands)
+            unpack_model(image), rasters, np.ones((1, 2)), [0x0101])
         reads = wordline_reads(rasters, qm.window)
         # gamma_step = 16/128, so neuron 1 sits at +15.875 -> clip 7.875 -> pwl 255
         assert (predicted[0], decision_time[0]) == (1, 1)
@@ -349,7 +367,7 @@ class TestRunFirstToSpike:
         image = map_model_to_memory(qm)
         rasters = np.zeros((1, 2, 5), dtype=np.uint8)
         predicted, decision_time = first_to_spike_quantized(
-            image.model, rasters, np.ones((1, 2)), [0x0101], image.operands)
+            unpack_model(image), rasters, np.ones((1, 2)), [0x0101])
         reads = wordline_reads(rasters, qm.window)
         assert decision_time[0] == 0  # the fallback
         assert predicted[0] == 1  # least negative potential
@@ -362,7 +380,7 @@ class TestRunFirstToSpike:
         image = map_model_to_memory(qm)
         raster = rng.integers(0, 2, size=(5, 6)).astype(np.uint8)
         _, decision_time = first_to_spike_quantized(
-            image.model, raster[None], np.ones((1, 5)), [0x5A5A], image.operands)
+            unpack_model(image), raster[None], np.ones((1, 5)), [0x5A5A])
         reads = wordline_reads(raster[None], qm.window)
         windows = build_windows(raster, 3)
         assert reads[0].tolist() == [int(windows[t].sum()) + 1 for t in range(6)]
@@ -378,8 +396,9 @@ class TestRunFirstToSpike:
         raster = rng.integers(0, 2, size=(4, 6)).astype(np.uint8)
         # one sample twice in a batch, then alone
         rasters, signs = np.stack([raster, raster]), np.ones((2, 4))
-        twice = first_to_spike_quantized(qm, rasters, signs, [0x1111] * 2, image.operands)
-        alone = first_to_spike_quantized(qm, rasters[:1], signs[:1], [0x1111], image.operands)
+        core = unpack_model(image)
+        twice = first_to_spike_quantized(core, rasters, signs, [0x1111] * 2)
+        alone = first_to_spike_quantized(core, rasters[:1], signs[:1], [0x1111])
         for both, one in zip(twice, alone):
             assert np.array_equal(both, np.concatenate([one, one]))
 
@@ -409,8 +428,7 @@ class TestRunFirstToSpike:
                 raster = rng.integers(0, 2, size=(1, 4, 6)).astype(np.uint8)
                 sign = rng.choice([-1, 1], size=(1, 4))
                 seeds = [derive_lfsr_seed(bits, trial)]
-                core = first_to_spike_quantized(image.model, raster, sign, seeds,
-                                                image.operands)
+                core = first_to_spike_quantized(unpack_model(image), raster, sign, seeds)
                 evaluator = first_to_spike_quantized(qm, raster, sign, seeds)
                 assert np.array_equal(core, evaluator)
         # a model that saturates: 300 inputs of 127 codes, the last 50 negated
@@ -419,17 +437,17 @@ class TestRunFirstToSpike:
             w_min=-0.008, w_max=0.008, gamma_min=-8.0, gamma_max=8.0,
             presentation_time=10, window=7,
         )
-        kmat, gamma_codes, exact = datapath_operands(qm.w_codes, qm.gamma_codes)
+        kmat, exact = datapath_operands(qm.w_codes)
         assert not exact
         image = map_model_to_memory(qm)
         rasters = (rng.random((10, 300, 10)) < 0.9).astype(np.uint8)
         signs = np.tile(np.where(np.arange(300) < 250, 1, -1), (10, 1))
         seeds = [derive_lfsr_seed(9, k) for k in range(10)]
         saturated = first_to_spike_quantized(qm, rasters, signs, seeds)
-        core = first_to_spike_quantized(image.model, rasters, signs, seeds, image.operands)
+        core = first_to_spike_quantized(unpack_model(image), rasters, signs, seeds)
         assert np.array_equal(core, saturated)
         # the saturation decides: plain sums would change some decision steps
-        plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))[1]
+        plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, True))[1]
         assert np.any(saturated[1] != plain)
 
 
@@ -438,7 +456,7 @@ def assert_batch_matches_loop(image, rasters, signs, seeds):
     class, decision step, fallback and reads per executed step.  Returns the
     decision steps."""
     predicted, decision_time = first_to_spike_quantized(
-        image.model, rasters, signs, seeds, image.operands)
+        unpack_model(image), rasters, signs, seeds)
     reads = wordline_reads(rasters, image.model.window)
     want = first_to_spike_loop(image.model, rasters, signs, seeds)
     assert predicted.tolist() == [w[0] for w in want]
@@ -525,7 +543,7 @@ class TestFirstToSpikeBatch:
         rasters, signs, seeds = random_batch(rng, random_qm(rng, n_inputs=5), 2)
         with pytest.raises(ValueError, match="spike train width 5 does not match the "
                                              "model's 4 inputs"):
-            first_to_spike_quantized(image.model, rasters, signs, seeds, image.operands)
+            first_to_spike_quantized(unpack_model(image), rasters, signs, seeds)
 
     @pytest.mark.parametrize("small_codes", [False, True])
     def test_saturating_steps(self, small_codes):
@@ -548,7 +566,7 @@ class TestFirstToSpikeBatch:
         rasters = np.ones((4, n_inputs, duration), dtype=np.uint8)
         signs = np.ones((4, n_inputs), dtype=np.int64)
         signs[:, 150:] = -1
-        kmat, _, exact = image.operands
+        kmat, exact = datapath_operands(unpack_model(image).w_codes)
         assert exact == small_codes
         sums = datapath_sums(rasters, signs, kmat, window, exact)
         plain = np.einsum("j,jid->i", signs[0], codes)  # every line of every input

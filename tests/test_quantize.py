@@ -262,14 +262,24 @@ class TestQuantizedModel:
         assert deq.max() <= qm.w_max + qm.w_step
 
     def test_code_bound_enforced(self):
-        with pytest.raises(ValueError):
-            QuantizedModel(
-                bits=5,
-                w_codes=np.full((1, 1, 1), 16, dtype=np.int16),
-                gamma_codes=np.zeros(1, dtype=np.int16),
-                w_min=-1.0, w_max=1.0, gamma_min=0.0, gamma_max=0.0,
-                presentation_time=2, window=1,
-            )
+        for bits, w_codes, gamma_codes, what in [
+            (5, np.full((1, 1, 1), 16, dtype=np.int16), np.zeros(1), "weight"),
+            # values that an int16 cast would wrap or truncate into range:
+            # 65541 to 5, 65636 to 100, 2.7 to 2 and -1.9 to -1
+            (8, np.full((2, 2, 1), 65541), np.zeros(2), "weight"),
+            (8, np.zeros((2, 2, 1)), np.array([0, 65636]), "bias"),
+            (8, np.full((2, 2, 1), 2.7), np.zeros(2), "weight"),
+            (8, np.zeros((2, 2, 1)), np.array([-1.9, 0]), "bias"),
+            (8, np.full((2, 2, 1), np.nan), np.zeros(2), "weight"),
+            # -32768 in int16, whose magnitude wraps to itself
+            (8, np.zeros((2, 2, 1)), np.array([-32768, 0], dtype=np.int16), "bias"),
+        ]:
+            with pytest.raises(ValueError, match=f"{what} codes are not whole {bits}-bit"):
+                QuantizedModel(
+                    bits=bits, w_codes=w_codes, gamma_codes=gamma_codes,
+                    w_min=-1.0, w_max=1.0, gamma_min=0.0, gamma_max=0.0,
+                    presentation_time=2, window=1,
+                )
 
     def test_potentials_match_dequantized_reference(self):
         rng = np.random.default_rng(72)
@@ -424,7 +434,7 @@ class TestQuantizedDecisions:
             w_min=-0.2, w_max=0.2, gamma_min=-8.0, gamma_max=8.0,
             presentation_time=8, window=4,
         )
-        kmat, gamma_codes, exact = quantize.datapath_operands(qm.w_codes, qm.gamma_codes)
+        kmat, exact = quantize.datapath_operands(qm.w_codes)
         assert not exact
         rasters = (rng.random((30, 12, 8)) < 0.8).astype(np.uint8)
         signs = np.where(np.arange(12) < 9, 1, -1) * np.ones((30, 1), dtype=np.int64)
@@ -433,7 +443,7 @@ class TestQuantizedDecisions:
         for k in range(30):
             want = infer_fts_quantized_loop(qm, rasters[k], signs[k], seeds[k])
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
-        plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, gamma_codes, True))
+        plain = first_to_spike_quantized(qm, rasters, signs, seeds, (kmat, True))
         assert np.any(plain[1] != decision_time)
 
     @pytest.mark.parametrize("bits", [1, 9, 16])
@@ -650,7 +660,7 @@ class TestEarlyExit:
         step2 = lfsr_run(starts, 2)[:, 1] & 0xFF
         seed = int(starts[(step2 >= 128) & (step2 < 136)][0])
         rasters, signs = np.array([[[1, 0]]]), np.array([[1]])
-        kmat = quantize.datapath_operands(qm.w_codes, qm.gamma_codes)[0]
+        kmat = quantize.datapath_operands(qm.w_codes)[0]
         assert kmat.dtype == np.float32
         assert assert_matches_loop(qm, rasters, signs, [seed]).tolist() == [0]
 
@@ -661,9 +671,18 @@ class TestOperandPrecision:
 
     def test_small_models_sum_in_float32(self):
         rng = np.random.default_rng(150)
-        kmat, _, exact = quantize.datapath_operands(
-            rng.integers(-127, 128, size=(256, 256, 7)), np.zeros(256))
+        kmat, exact = quantize.datapath_operands(rng.integers(-127, 128, size=(256, 256, 7)))
         assert kmat.dtype == np.float32 and exact
+
+    def test_exact_up_to_a_code_sum_of_acc_limit(self):
+        # per neuron over its inputs and taps, 1032 codes of 127 and one 7
+        # sum to ACC_LIMIT; a code of -1 more is past it
+        flat = np.zeros(1800, dtype=np.int16)
+        flat[:1032], flat[1032] = 127, 7
+        codes = np.stack([flat.reshape(600, 3), flat[::-1].reshape(600, 3)], axis=1)
+        assert quantize.datapath_operands(codes)[1]
+        codes[0, 1, 0] = -1
+        assert not quantize.datapath_operands(codes)[1]
 
     def test_sums_past_two_to_the_24_match_the_integer_oracle(self):
         # neuron 0's |code| sum is 127 * (8 * 16779 - 3), odd and above
@@ -682,7 +701,7 @@ class TestOperandPrecision:
         rasters[1] = 1
         signs = rng.choice([-1, 1], size=(2, n_inputs))
         signs[1] = 1
-        kmat, _, exact = quantize.datapath_operands(codes, np.zeros(2))
+        kmat, exact = quantize.datapath_operands(codes)
         assert kmat.dtype == np.float32 and not exact
         plain = windowed_potentials(rasters[1:], signs[1:], kmat, 8)
         assert int(plain[0, -1, 0]) != full
