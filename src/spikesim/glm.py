@@ -3,7 +3,10 @@
 A two-layer network: input channels deliver Bernoulli-encoded spike trains,
 each output neuron computes a membrane potential as a windowed linear
 combination of recent input spikes plus a bias, and spikes stochastically
-with probability sigmoid(potential).
+with probability sigmoid(potential).  add_tap_contributions is the one
+potential kernel: training runs it over every step of a minibatch, and
+quantize's first-to-spike loop a chunk of steps at a time, for the float
+model and the quantized datapath alike.
 """
 
 from __future__ import annotations
@@ -146,37 +149,17 @@ class GlmModel:
                    biases=np.zeros(n_outputs))
 
 
-def kernel_matrix(kernels) -> np.ndarray:
+def kernel_matrix(kernels, dtype=np.float64) -> np.ndarray:
     """Kernels (n_inputs, n_outputs, window) as the potential GEMM's operand.
 
-    Returns K of shape (n_inputs, window * n_outputs) in float64 with
-    K[j, d * n_outputs + i] = kernels[j, i, d].  Integer codes come through
-    exactly, so the GEMM over them sums integers.
+    Returns K of shape (n_inputs, window * n_outputs) in dtype with
+    K[j, d * n_outputs + i] = kernels[j, i, d], converted to dtype once.
+    Integer codes come through exactly, so the GEMM over them sums integers.
     """
     kernels = np.asarray(kernels)
     n_inputs, n_outputs, window = kernels.shape
     return np.ascontiguousarray(
-        kernels.transpose(0, 2, 1).reshape(n_inputs, window * n_outputs),
-        dtype=np.float64,
-    )
-
-
-def windowed_potentials(rasters, signs, kmat: np.ndarray, window: int) -> np.ndarray:
-    """Kernel sums of a batch of spike trains, without the bias.
-
-    rasters is (batch, n_inputs, T), signs (batch, n_inputs) and kmat the
-    kernel_matrix of the kernels K.  Returns u of shape (batch, T, n_outputs),
-    in kmat's dtype, with u[b, t, i] = sum_d sum_j signs[b, j] rasters[b, j,
-    t-d] K[j, i, d-1] over taps d = 1..window and t-d >= 0 (0-based steps):
-    add_tap_contributions of every step's spikes at once.  Over integer
-    codes the sums are exact integers below 2**24 in float32 and below
-    2**53 in float64.
-    """
-    batch, _, duration = np.shape(rasters)
-    u = np.zeros((batch, duration, kmat.shape[1] // window), dtype=kmat.dtype)
-    add_tap_contributions(u, signed_inputs(rasters, signs, 0, duration - 1, kmat.dtype),
-                          kmat, window, 0)
-    return u
+        kernels.transpose(0, 2, 1).reshape(n_inputs, window * n_outputs), dtype=dtype)
 
 
 def add_tap_contributions(u, inputs, kmat: np.ndarray, window: int, first: int):
@@ -201,7 +184,7 @@ def windowed_potentials_adjoint(inputs, d_u, window: int) -> np.ndarray:
     """The adjoint of add_tap_contributions from step 0 in its kernel operand.
 
     inputs is (batch, T - 1, n_inputs), the signed spikes of steps 0 .. T - 2
-    that windowed_potentials pushes, and d_u (batch, T, n_outputs) is shaped
+    that add_tap_contributions pushes from step 0, and d_u (batch, T, n_outputs) is shaped
     like the potentials.  Returns the gradient of sum(d_u * u) with respect
     to kmat, shape (n_inputs, window * n_outputs): entry (j, (d-1) *
     n_outputs + i) is sum_b sum_t inputs[b, t-d, j] d_u[b, t, i] over

@@ -3,13 +3,14 @@
 Covers the post-training uniform quantizer for weights and biases, the
 signed fixed-point clip applied to membrane potentials, the shift/add
 piecewise-linear sigmoid, the 16-bit LFSR used to sample output spikes,
-and first_to_spike_quantized, the one routine that decides every quantized
-sample: b-bit synapse codes summed in an 18-bit saturating accumulator,
-then one fixed-width neuron (1.4.3 clip, PWL, 8-bit LFSR compare) whatever
-b is.  Everything here is integer-exact so a software run reproduces the
-digital datapath bit for bit.  decide_blocks is the one scoring loop: it
-draws a split's rasters a block at a time and decides each block with a
-float model and any quantized models; accuracies counts what it decides.
+and _first_to_spike, the one chunked, early-exit loop that decides every
+sample.  first_to_spike_quantized runs it on b-bit synapse codes summed in
+an 18-bit saturating accumulator, with one fixed-width neuron (1.4.3 clip,
+PWL, 8-bit LFSR compare) whatever b is, integer-exact so that a software
+run reproduces the digital datapath bit for bit; the float model runs it
+with a sigmoid neuron.  decide_blocks is the one scoring loop: it draws a
+split's rasters a block at a time and decides each block with a float
+model and any quantized models; accuracies counts what it decides.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .glm import (
     kernel_matrix,
     sigmoid,
     signed_inputs,
-    windowed_potentials,
 )
 
 LFSR_MASK = 0xFFFF
@@ -41,8 +41,9 @@ DATAPATH_BITS = range(2, 9)
 #: symmetric saturation bound of the 18-bit signed accumulator
 ACC_LIMIT = 2**17 - 1
 
-#: steps first_to_spike_quantized computes between two decision checks;
-#: 3 and 4 were fastest on the benchmark's core-256 simulate, within noise
+#: steps the first-to-spike loop sums between two decision checks, for the
+#: quantized datapath and float scoring alike; 3 and 4 were fastest on the
+#: benchmark's core-256 simulate, within noise
 CHUNK_STEPS = 4
 
 
@@ -275,19 +276,20 @@ def datapath_operands(w_codes):
     round down to ACC_LIMIT or below: it sums non-negative terms.  So does
     each neuron's |code| sum over kmat, which decides exact.
     """
-    kmat = kernel_matrix(w_codes).astype(np.float32)
+    kmat = kernel_matrix(w_codes, np.float32)
     magnitudes = np.abs(kmat).sum(axis=0).reshape(np.shape(w_codes)[2], -1).sum(axis=0)
     return kmat, bool(magnitudes.max(initial=0) <= ACC_LIMIT)
 
 
 class _Accumulator:
-    """The 18-bit accumulator of a block of samples, run a chunk of steps at
-    a time, with running potential buffers of shape (batch, T, n_outputs).
+    """The kernel sums of a block of samples, float or the 18-bit
+    accumulator's over codes, run a chunk of steps at a time with running
+    potential buffers of shape (batch, T, n_outputs).
 
     sums(t0, t1) adds the taps of the spikes of steps t0 - 1 .. t1 - 2 and
-    returns steps t0 .. t1 - 1's accumulator values, which no later spike
+    returns steps t0 .. t1 - 1's sums in float64, which no later spike
     reaches; keep(mask) drops the samples that need no more steps.  The sums
-    are plain, unless the model could saturate (exact False).  Then a second
+    are plain, unless the codes could saturate (exact False).  Then a second
     buffer over |codes| bounds each step's running sums, and the steps above
     ACC_LIMIT are summed again, one clamped add per line position in address
     order (input-major, then tap), all of a chunk's such steps together.
@@ -343,58 +345,24 @@ class _Accumulator:
         return acc
 
 
-def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
-                             operands=None):
-    """First-to-spike decisions of a batch through the quantized datapath.
+def _first_to_spike(rasters, signs, kmat: np.ndarray, window: int, exact: bool, neuron):
+    """The one first-to-spike loop: (predicted, decision_time) of a batch.
 
-    rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
-    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  operands are
-    the datapath_operands of qm.w_codes, built here unless given (once per
-    model by decide_blocks); the bias codes are qm's.  At each
-    step the codes of the lines the spike windows select sum in the 18-bit
-    saturating accumulator; the potential, that sum in weight steps plus
-    the dequantized bias (both in float64), clips to 1.4.3, goes through the
-    PWL sigmoid and is compared with the low 8 bits of the sample's LFSR,
-    one draw per neuron per step in index order, so step t's draws are
-    states t*n_outputs .. (t+1)*n_outputs - 1 of its run.  glm.first_spike
-    decides, the final clipped potentials naming the fallback's class.
-    Only the codes depend on qm.bits.
-
-    The steps run CHUNK_STEPS at a time, and a sample stops at the chunk in
-    which it decides: no step after it is summed, clipped or drawn.  The
-    fallback runs all T steps.  The whole batch runs as one block, so its
-    size bounds the memory of a chunk's GEMM operands; decide_blocks passes
-    at most glm.ENCODE_CHUNK samples.
-
-    Returns (predicted, decision_time), decision_time 0 for the fallback.
-    Raises ValueError when the spike trains are not qm.n_inputs wide, or
-    when there is not one sign per input and one seed per sample.
+    An _Accumulator over kmat sums CHUNK_STEPS steps at a time.  neuron(live,
+    t0, t1, acc) turns acc.sums(t0, t1), the sums of steps t0 .. t1 - 1 of
+    the undecided samples live, into (spikes, potentials), taking the sums
+    itself so that no frame holds them past its potentials; glm.first_spike
+    decides.  No step after a sample's deciding chunk is summed or passed to
+    the neuron; the fallback runs all T steps and has decision_time 0.
     """
-    kmat, exact = operands or datapath_operands(qm.w_codes)
-    gamma_real = qm.gamma_codes.astype(np.float64) * qm.gamma_step
-    rasters, signs = np.asarray(rasters), np.asarray(signs)
-    seeds = np.asarray(lfsr_seeds)
-    batch, n_inputs, duration = rasters.shape
-    if n_inputs != qm.n_inputs:
-        raise ValueError(f"spike train width {n_inputs} does not match the model's "
-                         f"{qm.n_inputs} inputs")
-    if signs.shape != (batch, n_inputs):
-        raise ValueError(f"signs of shape {signs.shape} for spike trains of shape "
-                         f"{rasters.shape}; need (batch, n_inputs) = {(batch, n_inputs)}")
-    if seeds.shape != (batch,):
-        raise ValueError(f"{seeds.size} LFSR seeds for a batch of {batch}; need one "
-                         "per sample")
-    n_outputs = qm.n_outputs
-    predicted = np.empty(batch, dtype=np.int64)
-    decision_time = np.empty(batch, dtype=np.int64)
+    batch, _, duration = np.shape(rasters)
+    predicted, decision_time = np.empty((2, batch), dtype=np.int64)
     live = np.arange(batch)  # samples still undecided
-    acc = _Accumulator(rasters, signs, kmat, qm.window, exact)
+    acc = _Accumulator(rasters, signs, kmat, window, exact)
     for t0 in range(0, duration, CHUNK_STEPS):
         t1 = min(t0 + CHUNK_STEPS, duration)
-        u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
-        draws = lfsr_run(seeds[live], (t1 - t0) * n_outputs, t0 * n_outputs)
-        spikes = pwl_sigmoid(u_codes) > (draws.reshape(u_codes.shape) & 0xFF)
-        chosen, when = first_spike(spikes, u_codes[:, -1])
+        spikes, potentials = neuron(live, t0, t1, acc)
+        chosen, when = first_spike(spikes, potentials[:, -1])
         done = (when > 0) | (t1 == duration)  # the fallback decides at T
         predicted[live[done]] = chosen[done]
         decision_time[live[done]] = np.where(when[done] > 0, when[done] + t0, 0)
@@ -406,19 +374,63 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     return predicted, decision_time
 
 
+def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
+                             operands=None):
+    """First-to-spike decisions of a batch through the quantized datapath.
+
+    rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
+    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  operands are
+    the datapath_operands of qm.w_codes, built here unless given (once per
+    model by decide_blocks); the bias codes are qm's.  _first_to_spike sums
+    the codes of the lines the spike windows select in the 18-bit
+    saturating accumulator, and its neuron is the datapath's: the
+    potential, that sum in weight steps plus the dequantized bias (both in
+    float64), clips to 1.4.3, goes through the PWL sigmoid and is compared
+    with the low 8 bits of the sample's LFSR, one draw per neuron per step
+    in index order, so step t's draws are states t*n_outputs ..
+    (t+1)*n_outputs - 1 of its run.  Only the codes depend on qm.bits.  The
+    batch runs as one block, so its size bounds the memory of a chunk's
+    GEMM operands; decide_blocks passes at most glm.ENCODE_CHUNK samples.
+
+    Returns (predicted, decision_time), decision_time 0 for the fallback.
+    Raises ValueError when the spike trains are not qm.n_inputs wide, or
+    when there is not one sign per input and one seed per sample.
+    """
+    kmat, exact = operands or datapath_operands(qm.w_codes)
+    gamma_real = qm.gamma_codes.astype(np.float64) * qm.gamma_step
+    rasters, signs, seeds = np.asarray(rasters), np.asarray(signs), np.asarray(lfsr_seeds)
+    batch, n_inputs, _ = rasters.shape
+    if n_inputs != qm.n_inputs:
+        raise ValueError(f"spike train width {n_inputs} does not match the model's "
+                         f"{qm.n_inputs} inputs")
+    if signs.shape != (batch, n_inputs):
+        raise ValueError(f"signs of shape {signs.shape} for spike trains of shape "
+                         f"{rasters.shape}; need (batch, n_inputs) = {(batch, n_inputs)}")
+    if seeds.shape != (batch,):
+        raise ValueError(f"{seeds.size} LFSR seeds for a batch of {batch}; need one per sample")
+
+    def neuron(live, t0, t1, acc):
+        u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
+        draws = lfsr_run(seeds[live], (t1 - t0) * qm.n_outputs, t0 * qm.n_outputs)
+        return pwl_sigmoid(u_codes) > (draws.reshape(u_codes.shape) & 0xFF), u_codes
+
+    return _first_to_spike(rasters, signs, kmat, qm.window, exact, neuron)
+
+
 def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     """First-to-spike decisions of a split by every model given, block by
     block, all on one encoding of it.
 
     For each glm.encoded_chunks block the rng draws the rasters once.  When
     a float model is given, it then draws that model's spike uniforms, one
-    per step and output, which spike where they fall below sigmoid of the
-    windowed potentials; glm.first_spike decides.  Every model in qms
-    decides the same rasters through first_to_spike_quantized, with LFSR
-    seed derive_lfsr_seed(seed, k) for sample k, on the datapath_operands
-    of its codes, built once.  simulate passes the core.unpack_model of its
-    device array, so it decides on the codes it reads back.  With no float
-    model the rng draws the rasters only.  The models must share
+    per step and output, and decides through _first_to_spike on its float64
+    kernel_matrix, which never saturates: a neuron spikes where its uniform
+    falls below sigmoid of its potential.  Every model in qms decides the
+    same rasters through first_to_spike_quantized, with LFSR seed
+    derive_lfsr_seed(seed, k) for sample k, on the datapath_operands of its
+    codes, built once.  simulate passes the core.unpack_model of its device
+    array, so it decides on the codes it reads back.  With no float model
+    the rng draws the rasters only.  The models must share
     presentation_time and n_inputs.
 
     Yields (start, rasters, decisions) per block: decisions holds one
@@ -432,15 +444,19 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
         raise ValueError("the models of one sweep must share presentation_time and n_inputs")
     signs = check_signs(signs)
     operands = [datapath_operands(qm.w_codes) for qm in qms]
-    if model is not None:
-        kmat = kernel_matrix(model.weights)
+    float_kmat = kernel_matrix(model.weights) if model is not None else None
     for start, rasters in encoded_chunks(magnitudes, duration, rng):
         stop = start + len(rasters)
         block_signs, decisions = signs[start:stop], []
         if model is not None:
-            u = windowed_potentials(rasters, block_signs, kmat, model.window)
-            u += model.biases
-            decisions.append(first_spike(rng.random(u.shape) < sigmoid(u), u[:, -1]))
+            uniforms = rng.random((len(rasters), duration, model.n_outputs))
+
+            def neuron(live, t0, t1, acc):
+                u = acc.sums(t0, t1) + model.biases
+                return uniforms[live, t0:t1] < sigmoid(u), u
+
+            decisions.append(_first_to_spike(rasters, block_signs, float_kmat, model.window,
+                                             True, neuron))
         if qms:
             seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
             for qm, qm_operands in zip(qms, operands):

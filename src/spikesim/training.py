@@ -103,8 +103,8 @@ def _batch_objective_and_gradient(kmat, biases, rasters, signs, labels):
     n_outputs), and biases (n_outputs,); rasters: (batch, n_inputs, T),
     signs: (batch, n_inputs), labels: (batch,).  Returns (grad_kmat,
     grad_gamma, mean_log_prob), grad_kmat in kmat's layout.  The signed
-    input rows are built once, for the potentials (add_tap_contributions,
-    as glm.windowed_potentials runs it) and for the kernel gradient (its
+    input rows are built once, for the potentials of every step (one
+    add_tap_contributions from step 0) and for the kernel gradient (its
     adjoint); the reduction order over the batch is fixed, so results are
     bit-reproducible at a fixed BLAS thread count.
     """
@@ -132,7 +132,7 @@ def _batch_objective_and_gradient(kmat, biases, rasters, signs, labels):
 
 def evaluate_float(model, magnitudes, signs, labels, rng) -> float:
     """Accuracy of stochastic first-to-spike inference with fresh encodings:
-    the float model's in quantize.accuracies."""
+    the float model's in quantize.accuracies, which stops at each decision."""
     return float(accuracies(labels, magnitudes, signs, rng, 0, model=model)[0])
 
 

@@ -83,6 +83,26 @@ def build_windows(raster: np.ndarray, window: int) -> np.ndarray:
     return out
 
 
+def windowed_potentials(rasters, signs, kmat: np.ndarray, window: int) -> np.ndarray:
+    """Kernel sums of a batch of spike trains over all T steps at once,
+    without the bias: the all-steps reference of the chunked first-to-spike
+    loop.
+
+    rasters is (batch, n_inputs, T), signs (batch, n_inputs) and kmat the
+    kernel_matrix of the kernels K.  Returns u of shape (batch, T, n_outputs),
+    in kmat's dtype, with u[b, t, i] = sum_d sum_j signs[b, j] rasters[b, j,
+    t-d] K[j, i, d-1] over taps d = 1..window and t-d >= 0 (0-based steps):
+    add_tap_contributions of every step's spikes at once.
+    """
+    from spikesim.glm import add_tap_contributions, signed_inputs
+
+    batch, _, duration = np.shape(rasters)
+    u = np.zeros((batch, duration, kmat.shape[1] // window), dtype=kmat.dtype)
+    add_tap_contributions(u, signed_inputs(rasters, signs, 0, duration - 1, kmat.dtype),
+                          kmat, window, 0)
+    return u
+
+
 def windowed_sums(raster, sign, kernels, dtype=np.float64) -> np.ndarray:
     """Kernel sums (duration, n_outputs) of one train: the window tensor
     contracted with the sign-flipped kernels by einsum, in `dtype`."""
@@ -144,7 +164,7 @@ def quantized_potentials(qm, raster, sign):
     active weight codes (an integer in weight-step units, not saturated);
     u_real adds the dequantized bias.
     """
-    from spikesim.glm import kernel_matrix, windowed_potentials
+    from spikesim.glm import kernel_matrix
 
     sums = windowed_potentials(
         raster[None], sign[None], kernel_matrix(qm.w_codes), qm.window

@@ -24,7 +24,7 @@ from spikesim.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from spikesim.glm import GlmModel, first_spike, kernel_matrix, sigmoid, windowed_potentials
+from spikesim.glm import GlmModel, first_spike, kernel_matrix, sigmoid
 from spikesim.perf import (
     REFERENCE_EFFICIENCY,
     compute_report,
@@ -50,7 +50,13 @@ from spikesim.training import (
     train,
 )
 
-from oracles import datapath_sums, draw_raster, kernel_sums_loop, lfsr_next
+from oracles import (
+    datapath_sums,
+    draw_raster,
+    kernel_sums_loop,
+    lfsr_next,
+    windowed_potentials,
+)
 
 
 def report(criterion, ok, detail):

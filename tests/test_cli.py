@@ -21,13 +21,12 @@ from spikesim.glm import (
     first_spike,
     kernel_matrix,
     sigmoid,
-    windowed_potentials,
 )
 from spikesim.perf import default_config, save_config
 from spikesim.quantize import QuantizedModel, derive_lfsr_seed, first_to_spike_quantized
 
 from corpora import write_digit_corpus, write_har_corpus
-from oracles import simulate_rows_loop
+from oracles import simulate_rows_loop, windowed_potentials
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,10 +17,16 @@ from spikesim.glm import (
     kernel_matrix,
     sigmoid,
     signed_inputs,
-    windowed_potentials,
     windowed_potentials_adjoint,
 )
-from oracles import build_windows, draw_raster, windowed_sums
+from spikesim.quantize import datapath_operands
+from oracles import (
+    build_windows,
+    datapath_sums,
+    draw_raster,
+    windowed_potentials,
+    windowed_sums,
+)
 
 
 def brute_force_potential(weights, biases, raster, sign, window, i, t):
@@ -89,6 +96,18 @@ class TestExpandKernel:
         kmat += np.arange(kmat.size).reshape(kmat.shape)
         assert np.array_equal(kernel_matrix(model.weights), kmat)
 
+    def test_codes_convert_to_float32_in_one_copy(self):
+        # the core's decoded codes are the transposed view of their word
+        # lines: the float32 kernel matrix is the one array allocated, with
+        # no float64 copy on the way
+        lines = np.random.default_rng(6).integers(-127, 128, size=(64, 7, 32)).astype(np.int16)
+        tracemalloc.start()
+        kmat = kernel_matrix(lines.transpose(0, 2, 1), np.float32)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert kmat.dtype == np.float32 and np.array_equal(kmat, lines.reshape(64, -1))
+        assert peak < kmat.nbytes + 4096
+
     def test_zero_weights_zero_kernel(self):
         model = GlmModel(n_inputs=1, n_outputs=1, presentation_time=5, window=5,
                          weights=np.zeros((1, 1, 5)), biases=np.zeros(1))
@@ -136,8 +155,8 @@ def small_model(rng, n_inputs=3, n_outputs=2, duration=6, window=4):
 
 
 def potentials(model, raster, sign):
-    """One train's membrane potentials (T, n_outputs), as training and
-    evaluate_float compute them: windowed_potentials plus the bias."""
+    """One train's membrane potentials (T, n_outputs), as training computes
+    them: the all-steps windowed_potentials plus the bias."""
     kmat = kernel_matrix(model.weights)
     return windowed_potentials(np.asarray(raster)[None], np.asarray(sign)[None], kmat,
                                model.window)[0] + model.biases
@@ -231,7 +250,8 @@ def kernel_case(rng, n_inputs, n_outputs, duration, window):
 
 
 class TestPotentialKernel:
-    """The one GEMM kernel against the window-tensor einsum oracle."""
+    """The one GEMM kernel against the window-tensor einsum oracle, as the
+    first-to-spike loop runs it: a chunk of steps at a time."""
 
     @pytest.mark.parametrize(
         "duration,window,batch",
@@ -242,7 +262,7 @@ class TestPotentialKernel:
         model = kernel_case(rng, 5, 3, duration, window)
         rasters = rng.integers(0, 2, size=(batch, 5, duration)).astype(np.uint8)
         signs = rng.choice([-1, 1], size=(batch, 5))
-        got = windowed_potentials(rasters, signs, kernel_matrix(model.weights), window)
+        got = datapath_sums(rasters, signs, kernel_matrix(model.weights), window, True)
         assert got.shape == (batch, duration, 3)
         for b in range(batch):
             want = windowed_sums(rasters[b], signs[b], model.weights)
@@ -254,7 +274,8 @@ class TestPotentialKernel:
         codes = rng.integers(-127, 128, size=(9, 4, window)).astype(np.int16)
         rasters = rng.integers(0, 2, size=(batch, 9, duration)).astype(np.uint8)
         signs = rng.choice([-1, 1], size=(batch, 9))
-        got = windowed_potentials(rasters, signs, kernel_matrix(codes), window)
+        kmat, exact = datapath_operands(codes)
+        got = datapath_sums(rasters, signs, kmat, window, exact)
         for b in range(batch):
             want = windowed_sums(rasters[b], signs[b], codes, dtype=np.int64)
             assert np.array_equal(got[b].astype(np.int64), want)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikesim import glm, quantize
-from spikesim.glm import GlmModel, kernel_matrix, windowed_potentials
+from spikesim.glm import GlmModel, kernel_matrix
 from spikesim.quantize import (
     LFSR_PERIOD,
     U_MAX_CODE,
@@ -30,6 +30,7 @@ from oracles import (
     quantized_decisions_loop,
     quantized_potentials,
     saturating_sums_loop,
+    windowed_potentials,
 )
 
 
@@ -663,6 +664,74 @@ class TestEarlyExit:
         kmat = quantize.datapath_operands(qm.w_codes)[0]
         assert kmat.dtype == np.float32
         assert assert_matches_loop(qm, rasters, signs, [seed]).tolist() == [0]
+
+
+def float_decisions(model, mags, signs, seed):
+    """decide_blocks' float decisions of a split, and the all-steps
+    reference's on the same rasters and uniforms: windowed_potentials plus
+    the bias over every step, then glm.first_spike.  Returns (got, want),
+    each of shape (2, n_samples): the classes, then the decision steps."""
+    blocks = decide_blocks(mags, signs, np.random.default_rng(seed), seed, model=model)
+    got = np.concatenate([np.stack(d) for _, _, [d] in blocks], axis=1)
+    rng, kmat, want = np.random.default_rng(seed), kernel_matrix(model.weights), []
+    for start, rasters in glm.encoded_chunks(mags, model.presentation_time, rng):
+        uniforms = rng.random((len(rasters), model.presentation_time, model.n_outputs))
+        u = windowed_potentials(rasters, signs[start : start + len(rasters)], kmat,
+                                model.window) + model.biases
+        want.append(np.stack(glm.first_spike(uniforms < glm.sigmoid(u), u[:, -1])))
+    return got, np.concatenate(want, axis=1)
+
+
+class TestFloatDecisions:
+    """The float model decides through the chunked, early-exit loop of the
+    quantized datapath, its float64 tap adds in chunk order, and matches
+    the all-steps potentials on the same uniforms."""
+
+    def test_random_shapes_match_the_all_steps_reference(self):
+        chunk = quantize.CHUNK_STEPS
+        rng = np.random.default_rng(160)
+        # T = 1, T off the chunk grid, windows longer than a chunk, then
+        # random shapes; batches of one block and of several
+        shapes = [(1, 1), (2 * chunk + 1, chunk + 2), (3 * chunk + 2, 2 * chunk + 1)]
+        shapes += [(d, int(rng.integers(1, d + 1)))
+                   for d in rng.integers(1, 3 * chunk + 3, size=37)]
+        times = set()
+        for case, (duration, window) in enumerate(shapes):
+            n_inputs, n_outputs = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+            batch = int(rng.choice([1, 17, glm.ENCODE_CHUNK, 2 * glm.ENCODE_CHUNK + 5]))
+            model = GlmModel(n_inputs, n_outputs, int(duration), window,
+                             weights=rng.normal(size=(n_inputs, n_outputs, window)),
+                             biases=rng.uniform(-7.0, -2.0, size=n_outputs))
+            mags = rng.random((batch, n_inputs))
+            signs = rng.choice([-1, 1], size=(batch, n_inputs))
+            got, want = float_decisions(model, mags, signs, case)
+            assert np.array_equal(got, want), (duration, window)
+            times |= set(got[1].tolist())
+        # decisions on both sides of every chunk boundary, and fallbacks
+        assert {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 0} <= times
+
+    def test_high_biases_sum_only_the_first_chunk(self, chunk_calls):
+        # sigmoid(30) is 1 - 1e-13: every sample spikes at step 1
+        rng = np.random.default_rng(161)
+        model = GlmModel(7, 4, 3 * quantize.CHUNK_STEPS + 1, 5,
+                         weights=rng.normal(size=(7, 4, 5)), biases=np.full(4, 30.0))
+        mags, signs = rng.random((40, 7)), rng.choice([-1, 1], size=(40, 7))
+        got, want = float_decisions(model, mags, signs, 161)
+        assert np.array_equal(got, want) and np.all(got[1] == 1)
+        assert chunk_calls == [(0, quantize.CHUNK_STEPS, 40)]
+
+    def test_a_model_that_never_fires_runs_every_chunk(self, chunk_calls):
+        # potentials below -57 fire with probability below 2e-25
+        chunk = quantize.CHUNK_STEPS
+        duration = 3 * chunk + 1
+        rng = np.random.default_rng(162)
+        model = GlmModel(7, 4, duration, 5, weights=rng.uniform(-0.05, 0.05, size=(7, 4, 5)),
+                         biases=rng.uniform(-61.0, -59.0, size=4))
+        mags, signs = rng.random((40, 7)), rng.choice([-1, 1], size=(40, 7))
+        got, want = float_decisions(model, mags, signs, 162)
+        assert np.array_equal(got, want) and np.all(got[1] == 0)
+        assert chunk_calls == [(0, chunk, 40), (chunk, 2 * chunk, 40),
+                               (2 * chunk, 3 * chunk, 40), (3 * chunk, duration, 40)]
 
 
 class TestOperandPrecision:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikesim.glm import GlmModel, first_spike, kernel_matrix, sigmoid, windowed_potentials
+from spikesim.glm import GlmModel, first_spike, kernel_matrix, sigmoid
 from spikesim.training import (
     TrainConfig,
     TrainingDiverged,
@@ -19,6 +19,7 @@ from oracles import (
     evaluate_float_loop,
     fts_log_prob,
     model_objective_and_gradient,
+    windowed_potentials,
 )
 
 
