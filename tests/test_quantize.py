@@ -707,7 +707,7 @@ class TestFloatDecisions:
             got, want = float_decisions(model, mags, signs, case)
             assert np.array_equal(got, want), (duration, window)
             times |= set(got[1].tolist())
-        # decisions on both sides of every chunk boundary, and fallbacks
+        # decisions on both sides of the first two chunk boundaries, and fallbacks
         assert {chunk, chunk + 1, 2 * chunk, 2 * chunk + 1, 0} <= times
 
     def test_high_biases_sum_only_the_first_chunk(self, chunk_calls):
