@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -339,33 +340,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--tau", type=int, default=8, help="spike window length")
     p_train.add_argument("--lr", type=float, default=0.05)
     p_train.add_argument("--batch-size", type=int, default=32)
-    p_train.set_defaults(func=cmd_train)
 
     p_quant = sub.add_parser("quantize", help="sweep synapse precisions")
     add_common(p_quant)
     p_quant.add_argument("--model", required=True, help="float model artifact")
     p_quant.add_argument("--bits", type=_bits, default="5,6,7,8",
                          help="comma-separated precisions to evaluate")
-    p_quant.set_defaults(func=cmd_quantize)
 
     p_sim = sub.add_parser("simulate", help="run the core simulator")
     add_common(p_sim)
     p_sim.add_argument("--model", required=True, help="quantized model artifact")
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_perf = sub.add_parser("perf", help="throughput/power/area report")
     add_common(p_perf, with_dataset=False)
     p_perf.add_argument("--perf-config", default=None,
                         help="JSON config (defaults to the built-in calibration)")
-    p_perf.set_defaults(func=cmd_perf)
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: a parse leaves no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command.  cmd_<command> is looked up when it runs, so a
+    function that replaces it in this module after the parser was built
+    still runs."""
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        return globals()[f"cmd_{args.command}"](args)
     except (DataFormatError, ArtifactError, FileNotFoundError) as exc:
         print(f"spikesim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

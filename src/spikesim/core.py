@@ -53,26 +53,29 @@ def _fields(codes, bits: int) -> np.ndarray:
 def _encode_rows(fields: np.ndarray, bits: int) -> np.ndarray:
     """Packed rows of b-bit fields (n_rows, n_outputs): each field's bits,
     most significant first.  At b=8 the fields are the bytes; below it they
-    are unpacked whole, left-aligned in their bytes, and packed again
-    without the pad bits below them."""
+    are unpacked whole, and one column take keeps the low b bits of each
+    byte, without the pad bits above them, for packing again."""
     if bits == 8:
         return fields
-    n_rows, n_outputs = fields.shape
-    unpacked = np.unpackbits(fields << (8 - bits), axis=1)
-    return np.packbits(unpacked.reshape(n_rows, n_outputs, 8)[:, :, :bits]
-                       .reshape(n_rows, -1), axis=1)
+    columns = (np.arange(fields.shape[1])[:, None] * 8 + np.arange(8 - bits, 8)).ravel()
+    return np.packbits(np.unpackbits(fields, axis=1).take(columns, axis=1), axis=1)
 
 
 def _decode_rows(rows: np.ndarray, bits: int, n_fields: int) -> np.ndarray:
     """Inverse of _encode_rows over _fields: the first n_fields codes of
-    packed rows as row-major int16 (take, where an index along axis 1
-    would return them column-major).  Field k is read from the 16-bit word
-    that starts at the byte holding its first bit."""
-    words = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.uint16)
-    words[:, :-1] = rows
-    start = np.arange(n_fields) * bits
-    shift = (16 - bits - start % 8).astype(np.uint16)
-    fields = (words.take(start // 8, axis=1) << 8 | words.take(start // 8 + 1, axis=1)) >> shift
+    packed rows as row-major int16.  At b=8 field k is byte k of its row.
+    Below it, field k is read from the 16-bit word that starts at the byte
+    holding its first bit (take, where an index along axis 1 would return
+    the fields column-major)."""
+    if bits == 8:
+        fields = rows[:, :n_fields]
+    else:
+        words = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.uint16)
+        words[:, :-1] = rows
+        start = np.arange(n_fields) * bits
+        shift = (16 - bits - start % 8).astype(np.uint16)
+        fields = (words.take(start // 8, axis=1) << 8
+                  | words.take(start // 8 + 1, axis=1)) >> shift
     mag = (fields & ((1 << (bits - 1)) - 1)).astype(np.int16)
     negative = ((fields >> (bits - 1)) & 1).astype(np.int16)
     return mag * (1 - 2 * negative)
@@ -123,11 +126,13 @@ def wordline_reads(rasters: np.ndarray, window: int) -> np.ndarray:
 
     Step t reads one line per spike latched 1..min(window, t - 1) steps
     before it, plus the bias line.  Only steps up to the decision (all T
-    for the fallback) execute.
+    for the fallback) execute.  The spikes of each step are counted in one
+    float32 GEMV against ones, exact while a count, at most n_inputs, is
+    below 2**24.
     """
-    spikes = rasters.sum(axis=1, dtype=np.int64)  # (batch, T) spikes per step
+    spikes = np.ones(rasters.shape[1], dtype=np.float32) @ rasters  # (batch, T)
     latched = np.zeros((spikes.shape[0], spikes.shape[1] + 1), dtype=np.int64)
-    np.cumsum(spikes, axis=1, out=latched[:, 1:])
+    np.cumsum(spikes, axis=1, dtype=np.int64, out=latched[:, 1:])
     t = np.arange(spikes.shape[1])
     return 1 + latched[:, t] - latched[:, np.maximum(t - window, 0)]
 

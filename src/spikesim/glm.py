@@ -66,7 +66,7 @@ def check_magnitudes(x) -> np.ndarray:
 def check_signs(signs) -> np.ndarray:
     """Per-channel sign flags of one input or a block of them, all +1 or -1."""
     signs = np.asarray(signs)
-    if not np.isin(signs, (-1, 1)).all():
+    if not (np.abs(signs) == 1).all():
         raise ValueError("sign entries must be +1 or -1")
     return signs
 

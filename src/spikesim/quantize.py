@@ -48,9 +48,10 @@ CHUNK_STEPS = 4
 
 
 def round_ties_away(x):
-    """Round to nearest integer, ties away from zero."""
+    """Round to nearest integer, ties away from zero.  x + copysign(0.5, x)
+    is +-(|x| + 0.5), rounded as in sign(x) * floor(|x| + 0.5)."""
     x = np.asarray(x, dtype=np.float64)
-    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 #: code range of the neuron's 1.4.3 potentials: value = code / 8, over
@@ -204,6 +205,12 @@ def pwl_sigmoid(code):
     neg_out = numer >> k
     pos_out = 256 - ((numer + (np.int64(1) << k) - 1) >> k)
     return np.where(q <= 0, neg_out, np.minimum(pos_out, 255))
+
+
+#: pwl_sigmoid of every 1.4.3 code, indexed by the code: 0..63 at 0..63 and
+#: -64..-1 at 64..127, where a negative index reads from the end
+_PWL_TABLE = np.roll(pwl_sigmoid(np.arange(U_MIN_CODE, U_MAX_CODE + 1)), U_MIN_CODE)
+_PWL_TABLE.flags.writeable = False
 
 
 def derive_lfsr_seed(seed: int, index: int) -> int:
@@ -385,12 +392,13 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     the codes of the lines the spike windows select in the 18-bit
     saturating accumulator, and its neuron is the datapath's: the
     potential, that sum in weight steps plus the dequantized bias (both in
-    float64), clips to 1.4.3, goes through the PWL sigmoid and is compared
-    with the low 8 bits of the sample's LFSR, one draw per neuron per step
-    in index order, so step t's draws are states t*n_outputs ..
-    (t+1)*n_outputs - 1 of its run.  Only the codes depend on qm.bits.  The
-    batch runs as one block, so its size bounds the memory of a chunk's
-    GEMM operands; decide_blocks passes at most glm.ENCODE_CHUNK samples.
+    float64), clips to 1.4.3, goes through the PWL sigmoid, read from a
+    table of its 128 codes, and is compared with the low 8 bits of the
+    sample's LFSR, one draw per neuron per step in index order, so step t's
+    draws are states t*n_outputs .. (t+1)*n_outputs - 1 of its run.  Only
+    the codes depend on qm.bits.  The batch runs as one block, so its size
+    bounds the memory of a chunk's GEMM operands; decide_blocks passes at
+    most glm.ENCODE_CHUNK samples.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     Raises ValueError when the spike trains are not qm.n_inputs wide, or
@@ -412,7 +420,7 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
     def neuron(live, t0, t1, acc):
         u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
         draws = lfsr_run(seeds[live], (t1 - t0) * qm.n_outputs, t0 * qm.n_outputs)
-        return pwl_sigmoid(u_codes) > (draws.reshape(u_codes.shape) & 0xFF), u_codes
+        return _PWL_TABLE[u_codes] > (draws.reshape(u_codes.shape) & 0xFF), u_codes
 
     return _first_to_spike(rasters, signs, kmat, qm.window, exact, neuron)
 

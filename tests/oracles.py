@@ -43,6 +43,32 @@ def unpack_memory(image):
     return codes[:-1], codes[-1]
 
 
+def encode_rows_strided(fields, bits: int) -> np.ndarray:
+    """Packed rows of b-bit fields, each field's bits most significant
+    first: every field shifted to the top of its byte, unpacked, cut to its
+    first b bits by a strided slice and packed again."""
+    if bits == 8:
+        return fields
+    n_rows, n_outputs = fields.shape
+    unpacked = np.unpackbits(fields << (8 - bits), axis=1)
+    return np.packbits(unpacked.reshape(n_rows, n_outputs, 8)[:, :, :bits]
+                       .reshape(n_rows, -1), axis=1)
+
+
+def decode_rows_words(rows, bits: int, n_fields: int) -> np.ndarray:
+    """The first n_fields codes of packed rows at any b as int16, field k
+    read from the 16-bit word that starts at the byte holding its first
+    bit: a sign bit (1 = negative) above b-1 magnitude bits."""
+    words = np.zeros((rows.shape[0], rows.shape[1] + 1), dtype=np.uint16)
+    words[:, :-1] = rows
+    start = np.arange(n_fields) * bits
+    shift = (16 - bits - start % 8).astype(np.uint16)
+    fields = (words[:, start // 8] << 8 | words[:, start // 8 + 1]) >> shift
+    mag = (fields & ((1 << (bits - 1)) - 1)).astype(np.int16)
+    negative = ((fields >> (bits - 1)) & 1).astype(np.int16)
+    return mag * (1 - 2 * negative)
+
+
 def load_image(path):
     """Read a core_image.bin back as (header, rows): the 7-byte magic
     SPKIMG\\0, six little-endian uint32 (version 1, n_inputs, n_outputs,
@@ -116,6 +142,30 @@ def draw_raster(mag, duration: int, rng) -> np.ndarray:
     spikes at each step with probability mag[j]."""
     mag = np.asarray(mag)
     return (rng.random((len(mag), duration)) < mag[:, None]).astype(np.uint8)
+
+
+def round_ties_away_spec(x):
+    """Nearest integer, ties away from zero, as sign(x) * floor(|x| + 0.5)."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def clip_to_fixed_spec(u):
+    """1.4.3 codes of real potentials: round_ties_away_spec(8u) saturated
+    to [-64, 63]."""
+    return np.clip(round_ties_away_spec(np.asarray(u, dtype=np.float64) * 8),
+                   -64, 63).astype(np.int64)
+
+
+def wordline_reads_sum(rasters, window: int) -> np.ndarray:
+    """Word lines read per step, (batch, T): the bias line plus the spikes
+    latched 1..min(window, t - 1) steps before step t, each step's spikes
+    summed in int64."""
+    spikes = np.asarray(rasters).sum(axis=1, dtype=np.int64)
+    latched = np.zeros((spikes.shape[0], spikes.shape[1] + 1), dtype=np.int64)
+    np.cumsum(spikes, axis=1, out=latched[:, 1:])
+    t = np.arange(spikes.shape[1])
+    return 1 + latched[:, t] - latched[:, np.maximum(t - window, 0)]
 
 
 def fts_log_prob(u, c: int, t: int) -> float:

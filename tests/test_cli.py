@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spikesim.cli
 from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_split_pair, main
 from spikesim.core import map_model_to_memory, unpack_model
 from spikesim.datasets import load_model, save_model
@@ -744,6 +745,66 @@ def test_run_config_records_every_argument(digits_run, tmp_path, command):
     expected.update(recorded, command=command, out_dir=str(out))
     assert len(expected) == 14
     assert json.loads((out / "run_config.json").read_text()) == expected
+
+
+class TestParserReuse:
+    """main builds its parser once per process and looks each command up
+    when it runs."""
+
+    # train, a usage error, then quantize and simulate of what train wrote;
+    # --out and --model are relative, so run_config.json and the quantized
+    # artifacts' source field name the same paths in every working directory
+    COMMANDS = [
+        ["train", "--out", "t", "--seed", "4", "--epochs", "2", "--T", "4", "--tau", "3"],
+        ["quantize", "--out", "bad", "--model", "t/model_float.bin", "--bits", "5,9"],
+        ["quantize", "--out", "q", "--seed", "4", "--model", "t/model_float.bin",
+         "--bits", "5,8"],
+        ["simulate", "--out", "s", "--seed", "4", "--model", "q/model_q5.bin"],
+    ]
+
+    @staticmethod
+    def files(root):
+        return {str(path.relative_to(root)): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    def test_one_process_writes_what_separate_processes_write(self, tmp_path, monkeypatch,
+                                                             capsys):
+        one, separate = tmp_path / "one", tmp_path / "separate"
+        one.mkdir()
+        separate.mkdir()
+        builds = []
+        build_parser = spikesim.cli.build_parser
+        monkeypatch.setattr(spikesim.cli, "build_parser",
+                            lambda: builds.append(1) or build_parser())
+        spikesim.cli._parser.cache_clear()
+        monkeypatch.chdir(one)
+        in_process = []
+        for argv in self.COMMANDS:
+            code = main(argv)
+            in_process.append((code, *capsys.readouterr()))
+        monkeypatch.undo()
+        assert len(builds) == 1
+        assert [code for code, _, _ in in_process] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK]
+
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        fresh = []
+        for argv in self.COMMANDS:
+            run = subprocess.run([sys.executable, "-m", "spikesim.cli", *argv], cwd=separate,
+                                 env=env, capture_output=True, text=True)
+            fresh.append((run.returncode, run.stdout, run.stderr))
+        assert in_process == fresh
+        assert self.files(one) == self.files(separate)
+        assert {"t/model_float.bin", "q/model_q5.bin", "s/trace.csv"} <= set(self.files(one))
+
+    def test_a_command_replaced_after_the_first_call_runs(self, trained_run, tmp_path,
+                                                          monkeypatch):
+        assert main(["simulate", "--model", str(trained_run / "model_float.bin"),
+                     "--out", str(tmp_path / "s")]) == EXIT_USAGE
+        ran = []
+        monkeypatch.setattr(spikesim.cli, "cmd_simulate",
+                            lambda args: ran.append(args) or 42)
+        assert main(["simulate", "--model", "q.bin", "--out", str(tmp_path / "s")]) == 42
+        assert [(args.command, args.model) for args in ran] == [("simulate", "q.bin")]
 
 
 def _sha256(*chunks):

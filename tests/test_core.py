@@ -3,6 +3,8 @@ import pytest
 
 from spikesim import quantize
 from spikesim.core import (
+    _decode_rows,
+    _encode_rows,
     latency_cdf,
     map_model_to_memory,
     save_image,
@@ -22,8 +24,10 @@ from spikesim.quantize import (
 from oracles import (
     build_windows,
     datapath_sums,
+    decode_rows_words,
     dequant_biases,
     device_bits,
+    encode_rows_strided,
     first_to_spike_loop,
     kernel_sums_loop,
     load_image,
@@ -31,6 +35,7 @@ from oracles import (
     spike_decision,
     spike_window,
     unpack_memory,
+    wordline_reads_sum,
 )
 
 
@@ -142,6 +147,23 @@ class TestMemoryMapping:
                     want[line, i * bits : (i + 1) * bits] = field
             assert np.array_equal(device_bits(image), want)
 
+    def test_byte_decode_matches_the_word_path_on_every_byte(self):
+        rows = np.stack([np.arange(256), np.arange(256)[::-1]]).astype(np.uint8)
+        for n_fields in (256, 255):
+            got = _decode_rows(rows, 8, n_fields)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, decode_rows_words(rows, 8, n_fields))
+        assert np.array_equal(_decode_rows(rows, 8, 256)[0], byte_codes(rows[0]))
+
+    def test_encode_matches_the_strided_packing_at_every_precision(self):
+        rng = np.random.default_rng(86)
+        for bits in DATAPATH_BITS:
+            fields = rng.integers(0, 2 ** bits, size=(16, 37), dtype=np.uint8)
+            fields[0] = np.resize(np.arange(2 ** bits, dtype=np.uint8), 37)
+            for width in (37, 1):  # a ragged last byte, and a row of one field
+                got = _encode_rows(fields[:, :width], bits)
+                assert np.array_equal(got, encode_rows_strided(fields[:, :width], bits)), bits
+
     def test_image_file_roundtrip(self, tmp_path):
         rng = np.random.default_rng(84)
         qm = random_qm(rng)
@@ -209,6 +231,20 @@ class TestGatherActiveWordlines:
         reads = wordline_reads(rasters, qm.window)
         assert np.all(reads == 1)
         assert np.all(core_sums(image, rasters, signs) == 0)
+
+    def test_counts_match_the_int64_sum(self):
+        rng = np.random.default_rng(87)
+        for shape, window in (((5, 9, 8), 3), ((1, 784, 8), 8), ((7, 3, 16), 16),
+                              ((4, 256, 7), 1)):
+            rasters = (rng.random(shape) < 0.4).astype(np.uint8)
+            got = wordline_reads(rasters, window)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, wordline_reads_sum(rasters, window))
+        # every input of a 5000-wide raster spikes at every step
+        rasters = np.ones((2, 5000, 6), dtype=np.uint8)
+        got = wordline_reads(rasters, 4)
+        assert np.array_equal(got, wordline_reads_sum(rasters, 4))
+        assert got[0].tolist() == [1, 5001, 10001, 15001, 20001, 20001]
 
     def test_count_is_popcount_plus_one_and_strictly_increasing(self, monkeypatch):
         # with the limit lowered so that most steps saturate, each step's

@@ -12,6 +12,7 @@ from spikesim.glm import (
     EncodingError,
     GlmModel,
     check_magnitudes,
+    check_signs,
     draw_rasters,
     encoded_chunks,
     kernel_matrix,
@@ -67,6 +68,19 @@ class TestRateEncode:
         assert check_magnitudes(x).tolist() == [[0.5, 0.0, 0.25]]
         _, rasters = next(encoded_chunks(x, 4000, np.random.default_rng(1)))
         assert 0.45 < rasters[0, 0].mean() < 0.55
+
+    @pytest.mark.parametrize("signs", [
+        [1, -1, 1], [1.0, -1.0], np.array([[1, -1], [-1, -1]], dtype=np.int8), [True],
+        [1, 0, -1], [2], [-2.0], [0.5], [1.0000001], [np.nan], [np.inf],
+        np.array([-128], dtype=np.int8),
+    ])
+    def test_signs_are_accepted_exactly_when_all_are_plus_or_minus_one(self, signs):
+        signs = np.asarray(signs)
+        if np.isin(signs, (-1, 1)).all():
+            assert check_signs(signs) is signs
+        else:
+            with pytest.raises(ValueError, match="sign entries must be"):
+                check_signs(signs)
 
     def test_rejects_out_of_range_and_non_finite(self):
         with pytest.raises(EncodingError):

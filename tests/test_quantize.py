@@ -20,8 +20,10 @@ from spikesim.quantize import (
     pwl_sigmoid,
     quantize_model,
     quantize_uniform,
+    round_ties_away,
 )
 from oracles import (
+    clip_to_fixed_spec,
     datapath_sums,
     dequant_biases,
     first_to_spike_loop,
@@ -29,6 +31,7 @@ from oracles import (
     lfsr_next,
     quantized_decisions_loop,
     quantized_potentials,
+    round_ties_away_spec,
     saturating_sums_loop,
     windowed_potentials,
 )
@@ -119,6 +122,26 @@ class TestClipToFixed:
         again = clip_to_fixed(once / 8)
         assert once == again
 
+    def test_matches_the_spec_on_ties_zeros_and_large_values(self):
+        k = np.arange(0.0, 70.0)
+        near = 2.0 ** 52 + np.array([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])
+        x = np.concatenate([k + 0.5, -(k + 0.5), [0.0, -0.0, 0.49999999999999994,
+                            -0.49999999999999994, 2.0 ** 53 + 2.0, 1e300, -1e300],
+                            near, -near])
+        assert np.array_equal(round_ties_away(x), round_ties_away_spec(x))
+        assert round_ties_away([0.5, 1.5, 2.5, -0.5, -2.5]).tolist() == [1, 2, 3, -1, -3]
+        # ties of the 1.4.3 grid, then values that saturate it
+        u = np.concatenate([x / 8, (k - 35.5) / 8, [8.0625, -8.0625, 100.0, -100.0]])
+        assert np.array_equal(clip_to_fixed(u), clip_to_fixed_spec(u))
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_spec_on_any_finite_values(self, values):
+        x = np.array(values)
+        assert np.array_equal(round_ties_away(x), round_ties_away_spec(x))
+        u = x[np.abs(x) <= 1e307]  # 8u stays finite
+        assert np.array_equal(clip_to_fixed(u), clip_to_fixed_spec(u))
+
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(63)
         us = rng.uniform(-12, 12, size=64)
@@ -160,6 +183,11 @@ class TestPwlSigmoid:
     def test_symmetry_sum(self):
         sums = {int(pwl_sigmoid(q) + pwl_sigmoid(-q)) for q in range(-127, 128)}
         assert sums <= {255, 256}
+
+    def test_neuron_table_is_pwl_sigmoid_on_every_1_4_3_code(self):
+        codes = np.arange(U_MIN_CODE, U_MAX_CODE + 1)
+        assert quantize._PWL_TABLE.shape == (128,)
+        assert np.array_equal(quantize._PWL_TABLE[codes], pwl_sigmoid(codes))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
