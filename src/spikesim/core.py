@@ -10,11 +10,10 @@ accumulator, clips the scaled potential to the 1.4.3 fixed-point format,
 applies the PWL sigmoid and draws one spike decision per output neuron
 from the shared LFSR.  Inference stops at the first output spike.
 
-map_model_to_memory sizes the array from the model it packs, and the image
-holds that model.  The core decides through quantize.first_to_spike_quantized,
-the one quantized datapath, on unpack_model of its image, the model whose
-codes are decoded from the array; wordline_reads counts the word lines each
-step reads.
+map_model_to_memory packs a model into the array, and the core decides
+through quantize.first_to_spike_quantized, the one quantized datapath, on
+unpack_model of it, the model decoded from the array; wordline_reads
+counts the word lines each step reads.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .glm import kernel_matrix, word_lines
 from .quantize import QuantizedModel
 
 _IMAGE_MAGIC = b"SPKIMG\x00"
@@ -36,8 +36,7 @@ class CoreMemoryImage:
     bits per word line, packed eight to a byte, most significant first, the
     last byte zero-padded.  It has as many rows as the least power of two
     above the bias line's address n_inputs * window: 2048 for a 256-input,
-    7-tap model.  These are the bytes core_image.bin stores after its
-    header."""
+    7-tap model.  core_image.bin stores these bytes after its header."""
 
     model: QuantizedModel
     rows: np.ndarray  # (device_rows, ceil(n_outputs * bits / 8)) uint8
@@ -90,22 +89,19 @@ def map_model_to_memory(qm: QuantizedModel) -> CoreMemoryImage:
     """
     n_lines = qm.n_inputs * qm.window
     fields = np.zeros((1 << n_lines.bit_length(), qm.n_outputs), dtype=np.uint8)
-    lines = _fields(qm.w_codes.transpose(0, 2, 1), qm.bits)  # (n_inputs, window, n_outputs)
-    fields[:n_lines] = lines.reshape(n_lines, qm.n_outputs)
+    fields[:n_lines] = _fields(kernel_matrix(qm.w_codes, np.int16), qm.bits).reshape(n_lines, -1)
     fields[n_lines] = _fields(qm.gamma_codes, qm.bits)
     return CoreMemoryImage(model=qm, rows=_encode_rows(fields, qm.bits))
 
 
 def unpack_model(image: CoreMemoryImage) -> QuantizedModel:
     """The model the array holds: image.model with the codes decoded from
-    word lines 0 .. n_inputs * window, the bias line last.  w_codes is the
-    transposed view of the decoded lines, so neither this function nor
-    kernel_matrix makes a transpose copy of them."""
+    word lines 0 .. n_inputs * window, the bias line last."""
     qm = image.model
     n_lines = qm.n_inputs * qm.window
     codes = _decode_rows(image.rows[: n_lines + 1], qm.bits, qm.n_outputs)
     lines = codes[:n_lines].reshape(qm.n_inputs, qm.window, qm.n_outputs)
-    return replace(qm, w_codes=lines.transpose(0, 2, 1), gamma_codes=codes[n_lines])
+    return replace(qm, w_codes=word_lines(lines), gamma_codes=codes[n_lines])
 
 
 def save_image(path, image: CoreMemoryImage):

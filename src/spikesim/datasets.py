@@ -386,8 +386,7 @@ def load_model(path) -> ModelArtifact:
         if found != dtype:
             raise ArtifactError(f"{path}: field {name} is stored as {found!r}, not {dtype!r}")
         try:  # unlike a slice's start, frombuffer's offset cannot be negative
-            fields[name] = np.frombuffer(payload[: at + nbytes], dtype,
-                                         offset=at).reshape(shape).copy()
+            fields[name] = np.frombuffer(payload[: at + nbytes], dtype, offset=at).reshape(shape)
             if name == "scales":
                 fields.update(zip(_SCALES, fields.pop(name).reshape(4).tolist()))
         except (TypeError, ValueError):

@@ -113,7 +113,8 @@ class GlmModel:
     """GLM network parameters: per-(input, output) kernels and biases.
 
     weights has shape (n_inputs, n_outputs, window): weights[j, i, d]
-    multiplies the input spike d+1 steps in the past.
+    multiplies the input spike d+1 steps in the past.  They are held as
+    word lines, as the core holds them, so kernel_matrix(weights) is a view.
     """
 
     n_inputs: int
@@ -124,13 +125,13 @@ class GlmModel:
     biases: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.biases = np.asarray(self.biases, dtype=np.float64)
-        if self.weights.shape != (self.n_inputs, self.n_outputs, self.window):
+        if np.shape(self.weights) != (self.n_inputs, self.n_outputs, self.window):
             raise ValueError(
-                f"weights shape {self.weights.shape} does not match "
+                f"weights shape {np.shape(self.weights)} does not match "
                 f"({self.n_inputs}, {self.n_outputs}, {self.window})"
             )
+        self.weights = held_as_word_lines(self.weights, np.float64)
+        self.biases = np.array(self.biases, dtype=np.float64)
         if self.biases.shape != (self.n_outputs,):
             raise ValueError("biases must have one entry per output")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.biases).all()):
@@ -140,26 +141,30 @@ class GlmModel:
 
     @classmethod
     def zeros(cls, n_inputs, n_outputs, presentation_time, window):
-        """All-zero parameters, the weights stored in kernel_matrix layout:
-        they are the transposed view of a contiguous (n_inputs, window,
-        n_outputs) array, so weights.transpose(0, 2, 1).reshape(n_inputs,
-        -1) is the kernel matrix itself, not a copy."""
+        """All-zero parameters."""
         return cls(n_inputs, n_outputs, presentation_time, window,
-                   weights=np.zeros((n_inputs, window, n_outputs)).transpose(0, 2, 1),
-                   biases=np.zeros(n_outputs))
+                   weights=np.zeros((n_inputs, n_outputs, window)), biases=np.zeros(n_outputs))
+
+
+def word_lines(kernels) -> np.ndarray:
+    """The word-line view (n_inputs, window, n_outputs) of kernels, and back."""
+    return np.asarray(kernels).transpose(0, 2, 1)
+
+
+def held_as_word_lines(kernels, dtype) -> np.ndarray:
+    """Kernels in dtype as the word_lines view of contiguous lines, copied only if not so."""
+    return word_lines(np.ascontiguousarray(word_lines(kernels), dtype))
 
 
 def kernel_matrix(kernels, dtype=np.float64) -> np.ndarray:
-    """Kernels (n_inputs, n_outputs, window) as the potential GEMM's operand.
-
-    Returns K of shape (n_inputs, window * n_outputs) in dtype with
-    K[j, d * n_outputs + i] = kernels[j, i, d], converted to dtype once.
-    Integer codes come through exactly, so the GEMM over them sums integers.
-    """
-    kernels = np.asarray(kernels)
-    n_inputs, n_outputs, window = kernels.shape
-    return np.ascontiguousarray(
-        kernels.transpose(0, 2, 1).reshape(n_inputs, window * n_outputs), dtype=dtype)
+    """Kernels (n_inputs, n_outputs, window) as the potential GEMM's operand:
+    K (n_inputs, window * n_outputs) in dtype, K[j, d * n_outputs + i] =
+    kernels[j, i, d], their word lines one row per input, so a view of
+    kernels held as word lines in dtype.  Integer codes come through
+    exactly, so the GEMM over them sums integers."""
+    lines = word_lines(held_as_word_lines(kernels, dtype))
+    n_inputs, window, n_outputs = lines.shape
+    return lines.reshape(n_inputs, window * n_outputs)
 
 
 def add_tap_contributions(u, inputs, kmat: np.ndarray, window: int, first: int):

@@ -1,16 +1,14 @@
 """Hardware-exact quantization and the quantized datapath.
 
-Covers the post-training uniform quantizer for weights and biases, the
-signed fixed-point clip applied to membrane potentials, the shift/add
-piecewise-linear sigmoid, the 16-bit LFSR used to sample output spikes,
-and _first_to_spike, the one chunked, early-exit loop that decides every
-sample.  first_to_spike_quantized runs it on b-bit synapse codes summed in
-an 18-bit saturating accumulator, with one fixed-width neuron (1.4.3 clip,
-PWL, 8-bit LFSR compare) whatever b is, integer-exact so that a software
-run reproduces the digital datapath bit for bit; the float model runs it
-with a sigmoid neuron.  decide_blocks is the one scoring loop: it draws a
-split's rasters a block at a time and decides each block with a float
-model and any quantized models; accuracies counts what it decides.
+Covers the post-training uniform quantizer, the 1.4.3 fixed-point clip of
+membrane potentials, the shift/add piecewise-linear sigmoid, the 16-bit
+LFSR that samples output spikes, and _first_to_spike, the one chunked,
+early-exit loop that decides every sample.  first_to_spike_quantized runs
+it on b-bit codes in an 18-bit saturating accumulator with one 8-bit
+neuron whatever b is, bit for bit as the digital datapath; the float
+model runs it with a sigmoid neuron.  decide_blocks, the one scoring
+loop, decides a split a block at a time with a float model and any
+quantized models; accuracies counts what it decides.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ from .glm import (
     check_signs,
     encoded_chunks,
     first_spike,
+    held_as_word_lines,
     kernel_matrix,
     sigmoid,
     signed_inputs,
@@ -104,7 +103,7 @@ def _zero_inclusive_range(values):
 
 @dataclass
 class QuantizedModel:
-    """Sign-magnitude b-bit codes for kernels and biases, plus their scales."""
+    """b-bit sign-magnitude codes of kernels, held as word lines, and biases, plus scales."""
 
     bits: int
     w_codes: np.ndarray      # (n_inputs, n_outputs, window) int16
@@ -126,7 +125,7 @@ class QuantizedModel:
             if codes.size and not (whole and -bound <= codes.min() and codes.max() <= bound):
                 raise ValueError(f"{what} codes are not whole {self.bits}-bit "
                                  "sign-magnitude codes")
-            setattr(self, name, codes.astype(np.int16, copy=False))
+            setattr(self, name, codes)
         if self.w_codes.ndim != 3 or self.w_codes.shape[2] != self.window:
             raise ValueError(f"w_codes of shape {self.w_codes.shape} is not "
                              f"(n_inputs, n_outputs, window {self.window})")
@@ -144,6 +143,8 @@ class QuantizedModel:
             if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
                 raise ValueError(f"{name}_min {lo} and {name}_max {hi}; need finite "
                                  f"{name}_min <= {name}_max")
+        self.w_codes = held_as_word_lines(self.w_codes, np.int16)
+        self.gamma_codes = np.array(self.gamma_codes, dtype=np.int16)
 
     @property
     def n_inputs(self) -> int:
@@ -387,18 +388,16 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
 
     rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
     +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  operands are
-    the datapath_operands of qm.w_codes, built here unless given (once per
-    model by decide_blocks); the bias codes are qm's.  _first_to_spike sums
-    the codes of the lines the spike windows select in the 18-bit
-    saturating accumulator, and its neuron is the datapath's: the
+    the datapath_operands of qm.w_codes, built here unless given.
+    _first_to_spike sums the codes of the lines the spike windows select in
+    the 18-bit saturating accumulator, and its neuron is the datapath's: the
     potential, that sum in weight steps plus the dequantized bias (both in
-    float64), clips to 1.4.3, goes through the PWL sigmoid, read from a
-    table of its 128 codes, and is compared with the low 8 bits of the
-    sample's LFSR, one draw per neuron per step in index order, so step t's
-    draws are states t*n_outputs .. (t+1)*n_outputs - 1 of its run.  Only
-    the codes depend on qm.bits.  The batch runs as one block, so its size
-    bounds the memory of a chunk's GEMM operands; decide_blocks passes at
-    most glm.ENCODE_CHUNK samples.
+    float64), clips to 1.4.3, goes through the PWL sigmoid table and is
+    compared with the low 8 bits of the sample's LFSR, one draw per neuron
+    per step in index order: step t's draws are states t*n_outputs ..
+    (t+1)*n_outputs - 1 of its run.  Only the codes depend on qm.bits.  The
+    batch runs as one block, so its size bounds the memory of a chunk's GEMM
+    operands.
 
     Returns (predicted, decision_time), decision_time 0 for the fallback.
     Raises ValueError when the spike trains are not qm.n_inputs wide, or
@@ -427,19 +426,16 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
 
 def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     """First-to-spike decisions of a split by every model given, block by
-    block, all on one encoding of it.
-
-    For each glm.encoded_chunks block the rng draws the rasters once.  When
-    a float model is given, it then draws that model's spike uniforms, one
-    per step and output, and decides through _first_to_spike on its float64
-    kernel_matrix, which never saturates: a neuron spikes where its uniform
-    falls below sigmoid of its potential.  Every model in qms decides the
-    same rasters through first_to_spike_quantized, with LFSR seed
-    derive_lfsr_seed(seed, k) for sample k, on the datapath_operands of its
-    codes, built once.  simulate passes the core.unpack_model of its device
-    array, so it decides on the codes it reads back.  With no float model
-    the rng draws the rasters only.  The models must share
-    presentation_time and n_inputs.
+    block, all on one encoding of it.  For each glm.encoded_chunks block the
+    rng draws the rasters once, then a float model's spike uniforms, one per
+    step and output: it decides through _first_to_spike on its float64
+    kernel_matrix, which never saturates, and a neuron spikes where its
+    uniform falls below sigmoid of its potential.  Every model in qms
+    decides the same rasters through first_to_spike_quantized, with LFSR
+    seed derive_lfsr_seed(seed, k) for sample k, on the datapath_operands of
+    its codes, built once.  The models must share presentation_time and
+    n_inputs, and the magnitudes and signs must be (n_samples, n_inputs):
+    ValueError before any draw.
 
     Yields (start, rasters, decisions) per block: decisions holds one
     (predicted, decision_time) per model, the float model's first.
@@ -450,9 +446,11 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     duration, n_inputs = models[0].presentation_time, models[0].n_inputs
     if any(m.presentation_time != duration or m.n_inputs != n_inputs for m in models):
         raise ValueError("the models of one sweep must share presentation_time and n_inputs")
-    signs = check_signs(signs)
+    magnitudes, signs = np.asarray(magnitudes), check_signs(signs)
+    if magnitudes.ndim != 2 or magnitudes.shape[1] != n_inputs or signs.shape != magnitudes.shape:
+        raise ValueError(f"magnitudes of shape {magnitudes.shape} and signs of shape "
+                         f"{signs.shape}; need both (n_samples, n_inputs {n_inputs})")
     operands = [datapath_operands(qm.w_codes) for qm in qms]
-    float_kmat = kernel_matrix(model.weights) if model is not None else None
     for start, rasters in encoded_chunks(magnitudes, duration, rng):
         stop = start + len(rasters)
         block_signs, decisions = signs[start:stop], []
@@ -463,8 +461,8 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
                 u = acc.sums(t0, t1) + model.biases
                 return uniforms[live, t0:t1] < sigmoid(u), u
 
-            decisions.append(_first_to_spike(rasters, block_signs, float_kmat, model.window,
-                                             True, neuron))
+            decisions.append(_first_to_spike(rasters, block_signs, kernel_matrix(model.weights),
+                                             model.window, True, neuron))
         if qms:
             seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
             for qm, qm_operands in zip(qms, operands):
@@ -474,9 +472,12 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
 
 
 def accuracies(labels, magnitudes, signs, rng, seed, qms=(), model=None) -> np.ndarray:
-    """The accuracy on labels of every model decide_blocks decides, the
-    float model's first; all zero on an empty split."""
+    """The accuracy on labels, one per sample, of every model decide_blocks
+    decides, the float model's first; all zero on an empty split."""
     labels = np.asarray(labels)
+    if labels.shape != np.shape(magnitudes)[:1]:
+        raise ValueError(f"labels of shape {labels.shape} for magnitudes of shape "
+                         f"{np.shape(magnitudes)}; need one label per sample")
     correct = np.zeros(len(qms) + (model is not None), dtype=np.int64)
     for start, rasters, decisions in decide_blocks(magnitudes, signs, rng, seed, qms, model):
         truth = labels[start : start + len(rasters)]

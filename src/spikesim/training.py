@@ -17,6 +17,7 @@ from .glm import (
     GlmModel,
     add_tap_contributions,
     draw_rasters,
+    kernel_matrix,
     log_one_minus_sigmoid,
     log_sigmoid,
     sigmoid,
@@ -157,9 +158,7 @@ def train(train_data, test_data, config: TrainConfig):
     n_outputs = int(train_data.n_classes)
 
     model = GlmModel.zeros(n_inputs, n_outputs, config.presentation_time, config.window)
-    # the weights are the kernels: SGD updates them in place through this
-    # view, the potential GEMM's operand
-    kmat = model.weights.transpose(0, 2, 1).reshape(n_inputs, -1)
+    kmat = kernel_matrix(model.weights)  # a view: SGD updates the weights through it
 
     test_mags = test_data.magnitudes()
     test_signs = test_data.signs()

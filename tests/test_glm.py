@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikesim.datasets import Dataset
+from spikesim.core import map_model_to_memory, unpack_model
+from spikesim.datasets import Dataset, load_model, make_synthetic, save_model
 from spikesim.glm import (
     ENCODE_CHUNK,
     EncodingError,
@@ -20,7 +21,8 @@ from spikesim.glm import (
     signed_inputs,
     windowed_potentials_adjoint,
 )
-from spikesim.quantize import datapath_operands
+from spikesim.quantize import QuantizedModel, datapath_operands, quantize_model, quantize_uniform
+from spikesim.training import TrainConfig, train
 from oracles import (
     build_windows,
     datapath_sums,
@@ -99,28 +101,63 @@ class TestRateEncode:
         assert np.array_equal(a, b)
 
 
+def made_kernels(how, tmp_path):
+    """The kernels of a 64-input, 16-output, 7-tap model made `how`, and
+    the values they must hold as a C-order array."""
+    rng = np.random.default_rng(6)
+    shape, duration = (64, 16, 7), 8
+    weights = rng.normal(size=shape)
+    model = GlmModel(*shape[:2], duration, shape[2], weights=weights, biases=np.zeros(16))
+    codes = rng.integers(-127, 128, size=shape)  # C-order int64, as the benchmark builds them
+    qm = QuantizedModel(bits=8, w_codes=codes, gamma_codes=np.zeros(16, dtype=int),
+                        w_min=-1.0, w_max=1.0, gamma_min=-1.0, gamma_max=0.0,
+                        presentation_time=duration, window=shape[2])
+    if how == "glm_constructor":
+        return model.weights, weights
+    if how == "quantized_constructor":
+        return qm.w_codes, codes
+    if how == "zeros":
+        return GlmModel.zeros(*shape[:2], duration, shape[2]).weights, np.zeros(shape)
+    if how == "train":
+        split = make_synthetic(32, n_features=64, n_classes=16)
+        trained, _ = train(split, split, TrainConfig(duration, shape[2], epochs=1))
+        assert trained.weights.any()  # SGD reached the weights through kernel_matrix
+        return trained.weights, np.ascontiguousarray(trained.weights)
+    if how == "quantize_model":
+        lo, hi = min(weights.min(), 0.0), max(weights.max(), 0.0)
+        return quantize_model(model, 8).w_codes, quantize_uniform(weights, 8, lo, hi)
+    if how in ("load_glm", "load_quantized"):
+        saved = model if how == "load_glm" else qm
+        save_model(tmp_path / "model.bin", saved)
+        loaded = load_model(tmp_path / "model.bin").model
+        return (loaded.weights, weights) if how == "load_glm" else (loaded.w_codes, codes)
+    assert how == "unpack_model"
+    return unpack_model(map_model_to_memory(qm)).w_codes, codes
+
+
 class TestExpandKernel:
     """A float model's weights are its kernels, one per (input, output) pair
     and tap; kernel_matrix lays them out as the potential GEMM's operand."""
 
-    def test_zero_model_weights_are_a_view_of_the_kernel_matrix(self):
-        # train updates the kernel matrix in place through this view
-        model = GlmModel.zeros(3, 2, 5, 4)
-        kmat = model.weights.transpose(0, 2, 1).reshape(3, -1)
-        kmat += np.arange(kmat.size).reshape(kmat.shape)
-        assert np.array_equal(kernel_matrix(model.weights), kmat)
-
-    def test_codes_convert_to_float32_in_one_copy(self):
-        # the core's decoded codes are the transposed view of their word
-        # lines: the float32 kernel matrix is the one array allocated, with
-        # no float64 copy on the way
-        lines = np.random.default_rng(6).integers(-127, 128, size=(64, 7, 32)).astype(np.int16)
+    @pytest.mark.parametrize("how", [
+        "glm_constructor", "quantized_constructor", "zeros", "train", "quantize_model",
+        "load_glm", "load_quantized", "unpack_model",
+    ])
+    def test_every_models_kernel_matrix_is_a_view_of_its_kernels(self, how, tmp_path):
+        # train updates the weights in place through this view, and the
+        # float32 operand of the codes is the one array its conversion makes
+        kernels, want = made_kernels(how, tmp_path)
+        assert np.array_equal(kernels, want)
+        kmat = kernel_matrix(kernels, kernels.dtype)
+        assert np.shares_memory(kmat, kernels)
+        j, i, d = np.indices(kernels.shape)
+        assert np.array_equal(kmat[j, d * kernels.shape[1] + i], want)
         tracemalloc.start()
-        kmat = kernel_matrix(lines.transpose(0, 2, 1), np.float32)
+        as_float32 = kernel_matrix(kernels, np.float32)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert kmat.dtype == np.float32 and np.array_equal(kmat, lines.reshape(64, -1))
-        assert peak < kmat.nbytes + 4096
+        assert np.array_equal(as_float32, kmat.astype(np.float32))
+        assert peak < as_float32.nbytes + 4096
 
     def test_zero_weights_zero_kernel(self):
         model = GlmModel(n_inputs=1, n_outputs=1, presentation_time=5, window=5,

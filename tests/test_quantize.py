@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spikesim.quantize import (
     U_MAX_CODE,
     U_MIN_CODE,
     QuantizedModel,
+    accuracies,
     clip_to_fixed,
     decide_blocks,
     derive_lfsr_seed,
@@ -559,6 +561,35 @@ class TestEvaluateSweep:
                                  ([q5], longer), ([q5], wider)):
             with pytest.raises(ValueError, match="share presentation_time and n_inputs"):
                 decided(mags, signs, 6, qms, float_model)
+
+    @pytest.mark.parametrize("kind", ["float", "quantized"])
+    @pytest.mark.parametrize("split", ["six_wide", "one_dim_signs", "signs_for_9_of_10"])
+    def test_rejects_a_split_that_does_not_fit_before_the_first_draw(self, kind, split):
+        model, mags, signs, _ = sweep_case()
+        models = {"model": model} if kind == "float" else {"qms": [quantize_model(model, 8)]}
+        mags, signs = {
+            "six_wide": (np.hstack([mags, mags[:, :1]]), np.hstack([signs, signs[:, :1]])),
+            "one_dim_signs": (mags[:1], signs[0]),
+            "signs_for_9_of_10": (mags[:10], signs[:9]),
+        }[split]
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=(
+                rf"magnitudes of shape \({len(mags)}, \d\) and signs of shape "
+                rf"{re.escape(str(signs.shape))}; need both \(n_samples, n_inputs 5\)")):
+            next(decide_blocks(mags, signs, rng, 7, **models))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kind", ["float", "quantized"])
+    def test_accuracies_need_one_label_per_sample(self, kind):
+        model, mags, signs, labels = sweep_case()
+        models = {"model": model} if kind == "float" else {"qms": [quantize_model(model, 8)]}
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"labels of shape \(20,\) for magnitudes of "
+                                             r"shape \(10, 5\); need one label per sample"):
+            accuracies(labels[:20], mags[:10], signs[:10], rng, 7, **models)
+        assert rng.bit_generator.state == state
 
 
 def coded_model(w_codes, gamma_codes, duration, bits=8, w_range=(-1.0, 1.0),
