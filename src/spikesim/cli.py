@@ -172,6 +172,13 @@ def cmd_train(args) -> int:
 
 def cmd_quantize(args) -> int:
     model, test_ds = _model_and_test_split(args, "glm")
+    # accuracy_vs_bits.csv lists --bits only, so another sweep's artifacts
+    # beside it would pass for this one's
+    swept = {f"model_q{bits}.bin" for bits in args.bits}
+    stale = sorted(p.name for p in Path(args.out).glob("model_q*.bin") if p.name not in swept)
+    if stale:
+        raise UsageError(f"--out {args.out} holds {', '.join(stale)}, widths not in "
+                         "--bits; use another --out or remove them")
 
     out_dir = _create_out(args)
     qms = [quantize_model(model, bits) for bits in args.bits]

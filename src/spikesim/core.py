@@ -11,7 +11,7 @@ applies the PWL sigmoid and draws one spike decision per output neuron
 from the shared LFSR.  Inference stops at the first output spike.
 
 map_model_to_memory packs a model into the array, and the core decides
-through quantize.first_to_spike_quantized, the one quantized datapath, on
+through quantize.first_to_spike_sweep, the one quantized datapath, on
 unpack_model of it, the model decoded from the array; wordline_reads
 counts the word lines each step reads.
 """
@@ -51,13 +51,19 @@ def _fields(codes, bits: int) -> np.ndarray:
 
 def _encode_rows(fields: np.ndarray, bits: int) -> np.ndarray:
     """Packed rows of b-bit fields (n_rows, n_outputs): each field's bits,
-    most significant first.  At b=8 the fields are the bytes; below it they
-    are unpacked whole, and one column take keeps the low b bits of each
-    byte, without the pad bits above them, for packing again."""
+    most significant first.  At b=8 the fields are the bytes.  Below it,
+    each run of 8 fields fills b bytes: field k of a run is shifted into
+    place in a 64-bit word, one field position at a time for every row and
+    run, and the low b bytes of each big-endian word are the run's bytes."""
     if bits == 8:
         return fields
-    columns = (np.arange(fields.shape[1])[:, None] * 8 + np.arange(8 - bits, 8)).ravel()
-    return np.packbits(np.unpackbits(fields, axis=1).take(columns, axis=1), axis=1)
+    n_rows, n_fields = fields.shape
+    words = np.zeros((n_rows, -(-n_fields // 8)), dtype=np.uint64)
+    for k in range(8):
+        column = fields[:, k::8]
+        words[:, : column.shape[1]] |= column.astype(np.uint64) << (bits * (7 - k))
+    runs = words.astype(">u8").view(np.uint8).reshape(n_rows, -1, 8)[:, :, 8 - bits :]
+    return runs.reshape(n_rows, -1)[:, : -(-n_fields * bits // 8)]
 
 
 def _decode_rows(rows: np.ndarray, bits: int, n_fields: int) -> np.ndarray:
@@ -137,9 +143,9 @@ def latency_cdf(decision_time, horizon: int):
     """Cumulative fraction of samples decided by each step.
 
     decision_time holds one decision step per sample, 0 for the no-spike
-    fallback, as quantize.first_to_spike_quantized returns it.  Returns (cdf,
-    no_spike_fraction) where cdf[t-1] is the fraction with a first spike at
-    step <= t.  cdf[-1] + no_spike_fraction == 1.
+    fallback, as quantize.first_to_spike_sweep returns it per model.
+    Returns (cdf, no_spike_fraction) where cdf[t-1] is the fraction with a
+    first spike at step <= t.  cdf[-1] + no_spike_fraction == 1.
     """
     decision_time = np.asarray(decision_time, dtype=np.int64)
     if decision_time.size == 0:

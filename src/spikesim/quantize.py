@@ -3,12 +3,13 @@
 Covers the post-training uniform quantizer, the 1.4.3 fixed-point clip of
 membrane potentials, the shift/add piecewise-linear sigmoid, the 16-bit
 LFSR that samples output spikes, and _first_to_spike, the one chunked,
-early-exit loop that decides every sample.  first_to_spike_quantized runs
-it on b-bit codes in an 18-bit saturating accumulator with one 8-bit
-neuron whatever b is, bit for bit as the digital datapath; the float
-model runs it with a sigmoid neuron.  decide_blocks, the one scoring
-loop, decides a split a block at a time with a float model and any
-quantized models; accuracies counts what it decides.
+early-exit loop that decides every sample.  first_to_spike_sweep runs it
+on the b-bit codes of every width of a sweep at once, in an 18-bit
+saturating accumulator with one 8-bit neuron whatever b is, bit for bit
+as the digital datapath; the float model runs it with a sigmoid neuron.
+decide_blocks, the one scoring loop, decides a split a block at a time
+with a float model and any quantized models; accuracies counts what it
+decides.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .glm import (
     kernel_matrix,
     sigmoid,
     signed_inputs,
+    word_lines,
 )
 
 LFSR_MASK = 0xFFFF
@@ -268,13 +270,17 @@ def lfsr_run(states, n: int, skip: int = 0) -> np.ndarray:
     return sequence[(start[..., None] + np.arange(n)) % LFSR_PERIOD]
 
 
-def datapath_operands(w_codes):
-    """The operands first_to_spike_quantized sums: (kmat, exact).
+def datapath_operands(*w_codes):
+    """The operands the quantized datapath sums for one or more models'
+    kernel codes (n_inputs, n_outputs, window) of one shape: (kmat, exact).
 
-    kmat is the glm.kernel_matrix of the kernel codes (n_inputs, n_outputs,
-    window) in float32.  exact is True when no neuron's code magnitudes sum
-    to more than ACC_LIMIT: then no running sum of any step can saturate,
-    and the plain sum is the accumulator's for every input.
+    kmat is the glm.kernel_matrix, in float32, of the codes stacked along
+    the output axis: model m's neuron i is output m * n_outputs + i of one
+    wider model, so K[j, d * M * n_outputs + m * n_outputs + i] holds its
+    tap d.  exact is True when no neuron's code magnitudes sum to more than
+    ACC_LIMIT: then no running sum of any step can saturate, and the plain
+    sum is the accumulator's for every input.  Raises ValueError when the
+    codes differ in shape.
 
     float32 sums every step the datapath keeps exactly.  Each partial sum
     of a step's potential, in the GEMM or in the tap adds, is an integer no
@@ -284,8 +290,14 @@ def datapath_operands(w_codes):
     round down to ACC_LIMIT or below: it sums non-negative terms.  So does
     each neuron's |code| sum over kmat, which decides exact.
     """
-    kmat = kernel_matrix(w_codes, np.float32)
-    magnitudes = np.abs(kmat).sum(axis=0).reshape(np.shape(w_codes)[2], -1).sum(axis=0)
+    shapes = {np.shape(codes) for codes in w_codes}
+    if len(shapes) != 1:
+        raise ValueError(f"codes of shapes {sorted(shapes)} in one sweep; the models must "
+                         "share one (n_inputs, n_outputs, window)")
+    lines = np.concatenate([word_lines(codes) for codes in w_codes], axis=2, dtype=np.float32)
+    n_inputs, window, _ = lines.shape
+    kmat = lines.reshape(n_inputs, -1)
+    magnitudes = np.abs(kmat).sum(axis=0).reshape(window, -1).sum(axis=0)
     return kmat, bool(magnitudes.max(initial=0) <= ACC_LIMIT)
 
 
@@ -300,7 +312,9 @@ class _Accumulator:
     are plain, unless the codes could saturate (exact False).  Then a second
     buffer over |codes| bounds each step's running sums, and the steps above
     ACC_LIMIT are summed again, one clamped add per line position in address
-    order (input-major, then tap), all of a chunk's such steps together.
+    order (input-major, then tap), all of a chunk's such steps together.  A
+    neuron whose own bound stays within ACC_LIMIT never clamps, so the re-sum
+    gives its plain sum.
     """
 
     def __init__(self, rasters, signs, kmat: np.ndarray, window: int, exact: bool):
@@ -353,63 +367,83 @@ class _Accumulator:
         return acc
 
 
-def _first_to_spike(rasters, signs, kmat: np.ndarray, window: int, exact: bool, neuron):
-    """The one first-to-spike loop: (predicted, decision_time) of a batch.
+def _first_to_spike(rasters, signs, kmat: np.ndarray, window: int, exact: bool, neuron,
+                    n_models: int = 1):
+    """The one first-to-spike loop: (predicted, decision_time) of a batch,
+    each (n_models, batch) for n_models models stacked along kmat's outputs.
 
     An _Accumulator over kmat sums CHUNK_STEPS steps at a time.  neuron(live,
     t0, t1, acc) turns acc.sums(t0, t1), the sums of steps t0 .. t1 - 1 of
-    the undecided samples live, into (spikes, potentials), taking the sums
-    itself so that no frame holds them past its potentials; glm.first_spike
-    decides.  No step after a sample's deciding chunk is summed or passed to
-    the neuron; the fallback runs all T steps and has decision_time 0.
+    the samples live, into (spikes, potentials) of every stacked output,
+    taking the sums itself so that no frame holds them past its potentials;
+    glm.first_spike decides each model.  A sample stays live until every
+    model has decided it, and no step after that chunk is summed or passed
+    to the neuron.  The fallback runs all T steps and has decision_time 0.
     """
     batch, _, duration = np.shape(rasters)
-    predicted, decision_time = np.empty((2, batch), dtype=np.int64)
-    live = np.arange(batch)  # samples still undecided
+    predicted, decision_time = np.empty((2, n_models, batch), dtype=np.int64)
+    live = np.arange(batch)  # samples some model has still to decide
+    undecided = np.ones((batch, n_models), dtype=bool)  # of the live samples
     acc = _Accumulator(rasters, signs, kmat, window, exact)
     for t0 in range(0, duration, CHUNK_STEPS):
         t1 = min(t0 + CHUNK_STEPS, duration)
         spikes, potentials = neuron(live, t0, t1, acc)
-        chosen, when = first_spike(spikes, potentials[:, -1])
-        done = (when > 0) | (t1 == duration)  # the fallback decides at T
-        predicted[live[done]] = chosen[done]
-        decision_time[live[done]] = np.where(when[done] > 0, when[done] + t0, 0)
-        if done.all():
+        # one first_spike row per live sample and model
+        rows = len(live) * n_models
+        by_model = spikes.reshape(len(live), t1 - t0, n_models, -1).swapaxes(1, 2)
+        chosen, when = first_spike(by_model.reshape(rows, t1 - t0, -1),
+                                   potentials[:, -1].reshape(rows, -1))
+        chosen, when = chosen.reshape(-1, n_models), when.reshape(-1, n_models)
+        done = undecided & ((when > 0) | (t1 == duration))  # the fallback decides at T
+        ks, ms = np.nonzero(done)
+        samples, steps = live[ks], when[ks, ms]
+        predicted[ms, samples] = chosen[ks, ms]
+        decision_time[ms, samples] = np.where(steps > 0, steps + t0, 0)
+        undecided ^= done
+        needed = undecided.any(axis=1)
+        if not needed.any():
             break
-        if done.any():
-            live = live[~done]
-            acc.keep(~done)
+        if not needed.all():
+            live, undecided = live[needed], undecided[needed]
+            acc.keep(needed)
     return predicted, decision_time
 
 
-def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
-                             operands=None):
-    """First-to-spike decisions of a batch through the quantized datapath.
+def first_to_spike_sweep(qms, rasters, signs, lfsr_seeds, operands=None):
+    """First-to-spike decisions of a batch by every quantized model of a
+    sweep, in one pass through the datapath.
 
-    rasters is (batch, n_inputs, T) of {0, 1}, signs (batch, n_inputs) of
-    +-1 and lfsr_seeds one nonzero 16-bit seed per sample.  operands are
-    the datapath_operands of qm.w_codes, built here unless given.
-    _first_to_spike sums the codes of the lines the spike windows select in
-    the 18-bit saturating accumulator, and its neuron is the datapath's: the
-    potential, that sum in weight steps plus the dequantized bias (both in
-    float64), clips to 1.4.3, goes through the PWL sigmoid table and is
-    compared with the low 8 bits of the sample's LFSR, one draw per neuron
-    per step in index order: step t's draws are states t*n_outputs ..
-    (t+1)*n_outputs - 1 of its run.  Only the codes depend on qm.bits.  The
-    batch runs as one block, so its size bounds the memory of a chunk's GEMM
-    operands.
+    qms share one shape (n_inputs, n_outputs, window).  rasters is (batch,
+    n_inputs, T) of {0, 1}, signs (batch, n_inputs) of +-1 and lfsr_seeds
+    one nonzero 16-bit seed per sample.  operands are the datapath_operands
+    of the models' codes, built here unless given.  _first_to_spike sums the
+    codes of the lines the spike windows select in the 18-bit saturating
+    accumulator, every model's as one stacked model in one GEMM per chunk,
+    and its neuron is the datapath's: each potential, that sum in its
+    model's weight steps plus its dequantized bias (both in float64), clips
+    to 1.4.3, goes through the PWL sigmoid table and is compared with the
+    low 8 bits of the sample's LFSR, one draw per neuron per step in index
+    order: step t's draws are states t*n_outputs .. (t+1)*n_outputs - 1 of
+    its run.  Every model reads the same draws; only the codes depend on
+    the model's bits.  A sample leaves the pass once every model has decided
+    it.  The batch runs as one block, so its size bounds the memory of a
+    chunk's GEMM operands.
 
-    Returns (predicted, decision_time), decision_time 0 for the fallback.
-    Raises ValueError when the spike trains are not qm.n_inputs wide, or
-    when there is not one sign per input and one seed per sample.
+    Returns (predicted, decision_time), each (len(qms), batch),
+    decision_time 0 for the fallback.  Raises ValueError when the spike
+    trains are not the models' n_inputs wide, or when there is not one
+    sign per input and one seed per sample.
     """
-    kmat, exact = operands or datapath_operands(qm.w_codes)
-    gamma_real = qm.gamma_codes.astype(np.float64) * qm.gamma_step
+    kmat, exact = operands or datapath_operands(*(qm.w_codes for qm in qms))
+    n_outputs = qms[0].n_outputs
+    w_step = np.repeat([qm.w_step for qm in qms], n_outputs)
+    gamma_real = np.concatenate([qm.gamma_codes.astype(np.float64) * qm.gamma_step
+                                 for qm in qms])
     rasters, signs, seeds = np.asarray(rasters), np.asarray(signs), np.asarray(lfsr_seeds)
     batch, n_inputs, _ = rasters.shape
-    if n_inputs != qm.n_inputs:
+    if n_inputs != qms[0].n_inputs:
         raise ValueError(f"spike train width {n_inputs} does not match the model's "
-                         f"{qm.n_inputs} inputs")
+                         f"{qms[0].n_inputs} inputs")
     if signs.shape != (batch, n_inputs):
         raise ValueError(f"signs of shape {signs.shape} for spike trains of shape "
                          f"{rasters.shape}; need (batch, n_inputs) = {(batch, n_inputs)}")
@@ -417,11 +451,15 @@ def first_to_spike_quantized(qm: QuantizedModel, rasters, signs, lfsr_seeds,
         raise ValueError(f"{seeds.size} LFSR seeds for a batch of {batch}; need one per sample")
 
     def neuron(live, t0, t1, acc):
-        u_codes = clip_to_fixed(acc.sums(t0, t1) * qm.w_step + gamma_real)
-        draws = lfsr_run(seeds[live], (t1 - t0) * qm.n_outputs, t0 * qm.n_outputs)
-        return _PWL_TABLE[u_codes] > (draws.reshape(u_codes.shape) & 0xFF), u_codes
+        potentials = acc.sums(t0, t1)
+        potentials *= w_step
+        potentials += gamma_real
+        u_codes = clip_to_fixed(potentials)
+        draws = lfsr_run(seeds[live], (t1 - t0) * n_outputs, t0 * n_outputs) & 0xFF
+        pwl = _PWL_TABLE[u_codes].reshape(len(live), t1 - t0, len(qms), n_outputs)
+        return pwl > draws.reshape(len(live), t1 - t0, 1, n_outputs), u_codes
 
-    return _first_to_spike(rasters, signs, kmat, qm.window, exact, neuron)
+    return _first_to_spike(rasters, signs, kmat, qms[0].window, exact, neuron, len(qms))
 
 
 def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
@@ -430,11 +468,12 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     rng draws the rasters once, then a float model's spike uniforms, one per
     step and output: it decides through _first_to_spike on its float64
     kernel_matrix, which never saturates, and a neuron spikes where its
-    uniform falls below sigmoid of its potential.  Every model in qms
-    decides the same rasters through first_to_spike_quantized, with LFSR
-    seed derive_lfsr_seed(seed, k) for sample k, on the datapath_operands of
-    its codes, built once.  The models must share presentation_time and
-    n_inputs, and the magnitudes and signs must be (n_samples, n_inputs):
+    uniform falls below sigmoid of its potential.  The models in qms decide
+    the same rasters together, in one first_to_spike_sweep per block on
+    their datapath_operands, built once, with LFSR seed
+    derive_lfsr_seed(seed, k) for sample k.  The models must share
+    presentation_time and n_inputs, the quantized ones also n_outputs and
+    window, and the magnitudes and signs must be (n_samples, n_inputs):
     ValueError before any draw.
 
     Yields (start, rasters, decisions) per block: decisions holds one
@@ -450,7 +489,7 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     if magnitudes.ndim != 2 or magnitudes.shape[1] != n_inputs or signs.shape != magnitudes.shape:
         raise ValueError(f"magnitudes of shape {magnitudes.shape} and signs of shape "
                          f"{signs.shape}; need both (n_samples, n_inputs {n_inputs})")
-    operands = [datapath_operands(qm.w_codes) for qm in qms]
+    operands = datapath_operands(*(qm.w_codes for qm in qms)) if qms else None
     for start, rasters in encoded_chunks(magnitudes, duration, rng):
         stop = start + len(rasters)
         block_signs, decisions = signs[start:stop], []
@@ -461,13 +500,11 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
                 u = acc.sums(t0, t1) + model.biases
                 return uniforms[live, t0:t1] < sigmoid(u), u
 
-            decisions.append(_first_to_spike(rasters, block_signs, kernel_matrix(model.weights),
-                                             model.window, True, neuron))
+            decisions += zip(*_first_to_spike(rasters, block_signs, kernel_matrix(model.weights),
+                                              model.window, True, neuron))
         if qms:
             seeds = [derive_lfsr_seed(seed, k) for k in range(start, stop)]
-            for qm, qm_operands in zip(qms, operands):
-                decisions.append(
-                    first_to_spike_quantized(qm, rasters, block_signs, seeds, qm_operands))
+            decisions += zip(*first_to_spike_sweep(qms, rasters, block_signs, seeds, operands))
         yield start, rasters, decisions
 
 

@@ -270,6 +270,15 @@ def datapath_sums(rasters, signs, kmat, window, exact):
                            for t0 in range(0, duration, CHUNK_STEPS)], axis=1)
 
 
+def first_to_spike_quantized(qm, rasters, signs, lfsr_seeds, operands=None):
+    """One quantized model's (predicted, decision_time) of a batch: the
+    sweep of quantize.first_to_spike_sweep with that model alone."""
+    from spikesim.quantize import first_to_spike_sweep
+
+    predicted, decision_time = first_to_spike_sweep([qm], rasters, signs, lfsr_seeds, operands)
+    return predicted[0], decision_time[0]
+
+
 def infer_fts_quantized_loop(qm, raster, sign, lfsr_seed):
     """Per-step, per-neuron first-to-spike through the quantized datapath.
 

@@ -38,7 +38,6 @@ from spikesim.quantize import (
     datapath_operands,
     decide_blocks,
     derive_lfsr_seed,
-    first_to_spike_quantized,
     pwl_sigmoid,
     quantize_model,
 )
@@ -53,6 +52,7 @@ from spikesim.training import (
 from oracles import (
     datapath_sums,
     draw_raster,
+    first_to_spike_quantized,
     kernel_sums_loop,
     lfsr_next,
     windowed_potentials,

@@ -24,10 +24,10 @@ from spikesim.glm import (
     sigmoid,
 )
 from spikesim.perf import default_config, save_config
-from spikesim.quantize import QuantizedModel, derive_lfsr_seed, first_to_spike_quantized
+from spikesim.quantize import QuantizedModel, derive_lfsr_seed
 
 from corpora import write_digit_corpus, write_har_corpus
-from oracles import simulate_rows_loop, windowed_potentials
+from oracles import first_to_spike_quantized, simulate_rows_loop, windowed_potentials
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +171,23 @@ class TestQuantizeCommand:
             ])
             assert code == EXIT_USAGE
             assert not list(out.glob("model_q*.bin"))
+
+    def test_out_with_other_widths_is_usage_error_before_writing(self, trained_run, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "quant"
+        argv = ["quantize", "--dataset", "synthetic", "--out", str(out),
+                "--model", str(trained_run / "model_float.bin"), "--seed", "11"]
+        assert main([*argv, "--bits", "7,8"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main([*argv, "--bits", "5"]) == EXIT_USAGE
+        assert ("--out " + str(out) + " holds model_q7.bin, model_q8.bin, widths not in "
+                "--bits") in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # the same widths in any order, or more widths, may reuse the directory
+        assert main([*argv, "--bits", "8,7"]) == EXIT_OK
+        assert main([*argv, "--bits", "8"]) == EXIT_USAGE
+        assert main([*argv, "--bits", "5,7,8"]) == EXIT_OK
 
     def test_sweep_accuracy_does_not_degrade_with_more_bits(self, tmp_path):
         # well-trained models: 8-bit accuracy should match or beat 5-bit

@@ -18,7 +18,6 @@ from spikesim.quantize import (
     QuantizedModel,
     datapath_operands,
     derive_lfsr_seed,
-    first_to_spike_quantized,
 )
 
 from oracles import (
@@ -29,6 +28,7 @@ from oracles import (
     device_bits,
     encode_rows_strided,
     first_to_spike_loop,
+    first_to_spike_quantized,
     kernel_sums_loop,
     load_image,
     saturating_sums_loop,

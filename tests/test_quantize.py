@@ -17,7 +17,6 @@ from spikesim.quantize import (
     clip_to_fixed,
     decide_blocks,
     derive_lfsr_seed,
-    first_to_spike_quantized,
     lfsr_run,
     pwl_sigmoid,
     quantize_model,
@@ -29,6 +28,7 @@ from oracles import (
     datapath_sums,
     dequant_biases,
     first_to_spike_loop,
+    first_to_spike_quantized,
     infer_fts_quantized_loop,
     lfsr_next,
     quantized_decisions_loop,
@@ -534,6 +534,62 @@ class TestEvaluateSweep:
         assert decided(*split, 4, qms) == [decided(*split, 4, [qm])[0] for qm in qms]
         assert decided(*split, 4, qms, model)[0] == decided(*split, 4, (), model)[0]
 
+    def test_widths_deciding_in_different_chunks_equal_one_call_per_width(self):
+        # b=2 and b=8 decide some samples in different chunks, so a sample
+        # stays in the pass for one width after the other has decided it
+        model, mags, signs, _ = sweep_case()
+        qms = [quantize_model(model, 2), quantize_model(model, 8)]
+        swept = decided(mags, signs, 4, qms)
+        assert swept == [decided(mags, signs, 4, [qm])[0] for qm in qms]
+        last = (model.presentation_time - 1) // quantize.CHUNK_STEPS
+
+        def chunk(decision_time):
+            return (decision_time - 1) // quantize.CHUNK_STEPS if decision_time else last
+
+        assert any(chunk(t2) != chunk(t8) for (_, t2), (_, t8) in zip(*swept))
+
+    def test_saturating_width_stacked_with_exact_ones(self, monkeypatch):
+        # with the accumulator limit lowered to 65, the b=8 codes can saturate
+        # and change decisions, while no b=2 or b=5 neuron's codes sum past it
+        model, mags, signs, _ = sweep_case()
+        qms = [quantize_model(model, bits) for bits in (2, 8, 5)]
+        unclamped = decided(mags, signs, 4, qms[1:2])[0]
+        monkeypatch.setattr(quantize, "ACC_LIMIT", 65)
+        assert [quantize.datapath_operands(qm.w_codes)[1] for qm in qms] == [True, False, True]
+        swept = decided(mags, signs, 4, qms)
+        assert swept == [decided(mags, signs, 4, [qm])[0] for qm in qms]
+        assert swept[1] == quantized_decisions_loop(qms[1], mags, signs, seed=4)
+        assert swept[1] != unclamped
+
+    def test_a_sweep_leaves_the_rng_where_one_width_does(self):
+        model, mags, signs, _ = sweep_case()
+        qms = [quantize_model(model, bits) for bits in (2, 5, 8)]
+        states = []
+        for sweep in ((qms, model), (qms[:1], model), ((), model), (qms, None), (qms[:1], None)):
+            rng = np.random.default_rng(4)
+            for _ in decide_blocks(mags, signs, rng, 4, *sweep):
+                pass
+            states.append(rng.bit_generator.state)
+        assert states[0] == states[1] == states[2]
+        assert states[3] == states[4]
+
+    def test_one_accumulator_pass_per_chunk_for_every_width(self, monkeypatch):
+        # every quantized GEMM sums all four widths' codes at once, so a
+        # block runs no more GEMMs than it has chunks
+        model, mags, signs, labels = sweep_case()
+        widths = []
+        add = quantize.add_tap_contributions
+
+        def counted(u, inputs, kmat, window, first):
+            widths.append(kmat.shape[1])
+            return add(u, inputs, kmat, window, first)
+
+        monkeypatch.setattr(quantize, "add_tap_contributions", counted)
+        decided(mags, signs, 4, [quantize_model(model, bits) for bits in (5, 6, 7, 8)])
+        chunks = math.ceil(model.presentation_time / quantize.CHUNK_STEPS)
+        assert 0 < len(widths) <= chunks * math.ceil(len(labels) / glm.ENCODE_CHUNK)
+        assert set(widths) == {4 * model.n_outputs * model.window}
+
     def test_each_block_is_drawn_once_per_sweep(self, monkeypatch):
         model, mags, signs, labels = sweep_case()
         draws = []
@@ -561,6 +617,21 @@ class TestEvaluateSweep:
                                  ([q5], longer), ([q5], wider)):
             with pytest.raises(ValueError, match="share presentation_time and n_inputs"):
                 decided(mags, signs, 6, qms, float_model)
+
+    @pytest.mark.parametrize("field, value", [("window", 3), ("n_outputs", 4)])
+    def test_rejects_widths_of_another_shape_before_the_first_draw(self, field, value):
+        model, mags, signs, _ = sweep_case()
+        shape = {"n_inputs": 5, "n_outputs": 3, "window": 4, field: value}
+        other = GlmModel(presentation_time=model.presentation_time, **shape,
+                         weights=np.ones((shape["n_inputs"], shape["n_outputs"], shape["window"])),
+                         biases=np.zeros(shape["n_outputs"]))
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"codes of shapes \[.*\] in one sweep; the models "
+                                             r"must share one \(n_inputs, n_outputs, window\)"):
+            next(decide_blocks(mags, signs, rng, 7,
+                               [quantize_model(model, 5), quantize_model(other, 8)], model))
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kind", ["float", "quantized"])
     @pytest.mark.parametrize("split", ["six_wide", "one_dim_signs", "signs_for_9_of_10"])
