@@ -12,8 +12,8 @@ odd pairs and the change first in even pairs.  The output JSON holds every
 run and, for each end-to-end metric of each workload, both sides' median and
 quartiles and the number of pairs the change won, by the metric's ``better``
 in BENCHMARK.json; a tie wins for neither.  Next to that summary it holds
-each side's total attempted and failed operations.  The copies are removed
-when the runs end.
+each side's total attempted and failed operations, and the line count of
+each side's src/spikesim/*.py.  The copies are removed when the runs end.
 
 Usage (from the repository root):
 
@@ -68,6 +68,12 @@ def src_tree(rev: str) -> str:
         env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
         _git("add", "--", "src", env=env)
         return _git("write-tree", "--prefix=src/", env=env)
+
+
+def src_lines(copy: Path) -> int:
+    """The lines of src/spikesim/*.py in a copy, counted as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (copy / "src" / "spikesim").glob("*.py"))
 
 
 def run_once(copy: Path, seconds) -> dict:
@@ -143,6 +149,7 @@ def main(argv=None) -> int:
         copies = {"parent": work / "parent", "change": work / "change"}
         export(args.parent, copies["parent"])
         export(args.change, copies["change"])
+        lines = {side: src_lines(copy) for side, copy in copies.items()}
         runs = []
         for i in range(PAIRS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -170,6 +177,7 @@ def main(argv=None) -> int:
         "order": "alternating: parent first in odd pairs, change first in even pairs",
         "summary": summarize(runs, better),
         "operations": operation_totals(runs),
+        "src_lines": lines,
         "runs": runs,
     }
     Path(args.out).write_text(json.dumps(result, indent=1) + "\n")

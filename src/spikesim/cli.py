@@ -2,8 +2,9 @@
 
 Every command resolves its configuration (including the one seed that
 drives all randomness), writes it as run_config.json next to the
-outputs, and emits deterministic CSV/JSON files: reruns with the same
-arguments at a fixed BLAS thread count produce byte-identical outputs.
+outputs, and emits deterministic CSV/JSON files, all through _write_csv
+and _write_json: reruns with the same arguments at a fixed BLAS thread
+count produce byte-identical outputs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -30,15 +31,9 @@ from .datasets import (
     normalize_splits,
     save_model,
 )
-from .perf import (
-    compute_report,
-    default_config,
-    load_config,
-    render_report,
-    save_config,
-)
+from .perf import compute_report, default_config, render_report
 from .quantize import DATAPATH_BITS, accuracies, decide_blocks, quantize_model
-from .training import TrainConfig, TrainingDiverged, train, write_metrics_csv
+from .training import TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,6 +56,21 @@ _RUN_CONFIG_FIELDS = {
 }
 
 
+def _write_csv(path, header, rows):
+    """Write one CSV output: the header row, then the rows, each ending in LF."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj):
+    """Write one JSON output: indent 2, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _create_out(args) -> Path:
     """Create --out and write run_config.json into it.  Each command calls
     this after its last argument check, so a rejected command leaves no
@@ -74,9 +84,7 @@ def _create_out(args) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create --out {out_dir}: {exc.strerror}") from None
-    with open(out_dir / "run_config.json", "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "run_config.json", config)
     return out_dir
 
 
@@ -162,7 +170,9 @@ def cmd_train(args) -> int:
         {"seed": args.seed, "epochs": args.epochs, "T": args.T, "tau": args.tau,
          "dataset": args.dataset},
     )
-    write_metrics_csv(out_dir / "metrics.csv", metrics)
+    _write_csv(out_dir / "metrics.csv", ["epoch", "train_acc", "test_acc", "mean_loss"],
+               ([m.epoch, f"{m.train_accuracy:.6f}", f"{m.test_accuracy:.6f}",
+                 f"{m.mean_loss:.8f}"] for m in metrics))
     final = metrics[-1]
     print(f"trained {args.epochs} epochs on {args.dataset}: "
           f"train_acc={final.train_accuracy:.4f} test_acc={final.test_accuracy:.4f}")
@@ -193,11 +203,8 @@ def cmd_quantize(args) -> int:
         )
         print(f"b={bits}: accuracy={acc:.4f} (float baseline {float_acc:.4f})")
 
-    with open(out_dir / "accuracy_vs_bits.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bits", "test_acc", "float_baseline"])
-        for bits, acc in zip(args.bits, accs):
-            writer.writerow([bits, f"{acc:.6f}", f"{float_acc:.6f}"])
+    _write_csv(out_dir / "accuracy_vs_bits.csv", ["bits", "test_acc", "float_baseline"],
+               ([bits, f"{acc:.6f}", f"{float_acc:.6f}"] for bits, acc in zip(args.bits, accs)))
     print(f"wrote {out_dir / 'accuracy_vs_bits.csv'}")
     return EXIT_OK
 
@@ -209,56 +216,42 @@ def cmd_simulate(args) -> int:
     out_dir = _create_out(args)
     save_image(out_dir / "core_image.bin", image)
     labels = test_ds.labels
-
-    decisions, correct = [], []
-    with open(out_dir / "decisions.csv", "w", newline="") as dec_fh, open(
-        out_dir / "trace.csv", "w", newline=""
-    ) as trace_fh:
-        dec_writer = csv.writer(dec_fh, lineterminator="\n")
-        dec_writer.writerow(
-            ["sample_id", "true_label", "predicted", "decision_time",
-             "fallback", "correct"]
-        )
-        trace_writer = csv.writer(trace_fh, lineterminator="\n")
-        trace_writer.writerow(
-            ["sample_id", "step", "wordlines_read", "decided", "class", "t_d"]
-        )
-        for start, rasters, [(predicted, decision_time)] in decide_blocks(
+    blocks = [
+        (predicted, decision_time, wordline_reads(rasters, qm.window))
+        for _, rasters, [(predicted, decision_time)] in decide_blocks(
             test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(args.seed),
             args.seed, [unpack_model(image)],
+        )
+    ]
+    predicted, decision_time, reads = (np.concatenate(parts) for parts in zip(*blocks))
+    correct, fallback = predicted == labels, decision_time == 0
+    t_csv = np.where(fallback, -1, decision_time)
+
+    _write_csv(out_dir / "decisions.csv",
+               ["sample_id", "true_label", "predicted", "decision_time", "fallback", "correct"],
+               zip(range(len(labels)), labels.tolist(), predicted.tolist(), t_csv.tolist(),
+                   fallback.astype(int).tolist(), correct.astype(int).tolist()))
+
+    def trace_rows():
+        for k, (cls, t_d, sample_reads) in enumerate(
+            zip(predicted.tolist(), t_csv.tolist(), reads.tolist())
         ):
-            stop = start + len(rasters)
-            reads = wordline_reads(rasters, qm.window)
-            decisions += decision_time.tolist()
-            correct += (predicted == labels[start:stop]).tolist()
-            dec_rows, trace_rows = [], []
-            for k, cls, t_d, sample_reads in zip(
-                range(start, stop), predicted.tolist(), decision_time.tolist(),
-                reads.tolist(),
-            ):
-                steps = t_d or len(sample_reads)  # the fallback runs every step
-                t_csv = t_d or -1
-                dec_rows.append(
-                    [k, labels[k], cls, t_csv, int(t_d == 0), int(cls == labels[k])]
-                )
-                trace_rows += [[k, step, n, 0, "", ""]
-                               for step, n in enumerate(sample_reads[: steps - 1], start=1)]
-                trace_rows.append([k, steps, sample_reads[steps - 1], 1, cls, t_csv])
-            dec_writer.writerows(dec_rows)
-            trace_writer.writerows(trace_rows)
+            steps = t_d if t_d > 0 else len(sample_reads)  # the fallback runs every step
+            yield from ([k, step, n, 0, "", ""]
+                        for step, n in enumerate(sample_reads[: steps - 1], start=1))
+            yield [k, steps, sample_reads[steps - 1], 1, cls, t_d]
+
+    _write_csv(out_dir / "trace.csv",
+               ["sample_id", "step", "wordlines_read", "decided", "class", "t_d"], trace_rows())
 
     horizon = qm.presentation_time
-    cdf_all, no_spike = latency_cdf(decisions, horizon)
-    correct = np.array(correct)
+    cdf_all, no_spike = latency_cdf(decision_time, horizon)
     if correct.any():
-        cdf_correct, _ = latency_cdf(np.array(decisions)[correct], horizon)
+        cdf_correct, _ = latency_cdf(decision_time[correct], horizon)
     else:
         cdf_correct = np.zeros(horizon)
-    with open(out_dir / "latency_cdf.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "cdf_all", "cdf_correct"])
-        for t in range(horizon):
-            writer.writerow([t + 1, f"{cdf_all[t]:.6f}", f"{cdf_correct[t]:.6f}"])
+    _write_csv(out_dir / "latency_cdf.csv", ["t", "cdf_all", "cdf_correct"],
+               ([t + 1, f"{cdf_all[t]:.6f}", f"{cdf_correct[t]:.6f}"] for t in range(horizon)))
 
     print(f"simulated {len(labels)} samples: accuracy={correct.mean():.4f} "
           f"no_spike={no_spike:.4f}")
@@ -270,16 +263,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    perf_config = (
-        load_config(args.perf_config) if args.perf_config else default_config()
-    )
+    perf_config = (json.loads(Path(args.perf_config).read_text()) if args.perf_config
+                   else default_config())
     report = compute_report(perf_config)
 
     out_dir = _create_out(args)
-    save_config(out_dir / "perf_config.json", perf_config)
-    with open(out_dir / "perf_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "perf_config.json", perf_config)
+    _write_json(out_dir / "perf_report.json", report)
     text = render_report(report)
     (out_dir / "perf_report.txt").write_text(text)
     print(text, end="")
@@ -378,7 +368,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return globals()[f"cmd_{args.command}"](args)
-    except (DataFormatError, ArtifactError, FileNotFoundError) as exc:
+    except (DataFormatError, ArtifactError, OSError) as exc:
         print(f"spikesim: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDiverged as exc:

@@ -112,7 +112,10 @@ def _open_maybe_gzip(path):
 
 
 def _read_exact(fh, n, path, what):
-    data = fh.read(n)
+    try:
+        data = fh.read(n)
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise DataFormatError(f"{path}: corrupt gzip stream while reading {what}: {exc}") from None
     if len(data) != n:
         raise DataFormatError(
             f"{path}: truncated while reading {what} "
@@ -185,16 +188,25 @@ def load_digits(images_path, labels_path, split: str) -> Dataset:
     )
 
 
+def _read_text(path) -> str:
+    """The whole of a text file; a DataFormatError names it when it cannot
+    be decoded."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file: {exc}") from None
+
+
 def _parse_features(features_path) -> np.ndarray:
     """The (rows, width) features of a text file, parsed in one np.loadtxt
     call over the comma-normalised text.  When that fails, finds a value
-    that is not finite, or returns fewer rows than the file has lines (a
-    blank line, or one of nothing but commas, which loadtxt would skip),
-    the line scan parses the file again and names the offending line."""
-    with open(features_path) as fh:
-        text = fh.read()
-    n_lines = text.count("\n") + (not text.endswith("\n"))
-    if text.strip():
+    that is not finite, or returns fewer rows than the file has non-blank
+    lines (a line of nothing but commas, which loadtxt would skip), the
+    line scan parses the file again and names the offending line."""
+    text = _read_text(features_path)
+    n_lines = sum(1 for line in text.split("\n") if line.strip())
+    if n_lines:
         try:
             features = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2,
                                   comments=None)
@@ -250,22 +262,21 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
     features = _parse_features(features_path)
 
     labels = []
-    with open(labels_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                label = int(line.strip())
-            except ValueError:
-                raise DataFormatError(
-                    f"{labels_path}:{lineno}: label {line.strip()!r} is not an integer"
-                ) from None
-            if not 1 <= label <= n_classes:
-                raise DataFormatError(
-                    f"{labels_path}:{lineno}: unknown label {label}, "
-                    f"expected 1..{n_classes}"
-                )
-            labels.append(label - 1)
+    for lineno, line in enumerate(_read_text(labels_path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            label = int(line.strip())
+        except ValueError:
+            raise DataFormatError(
+                f"{labels_path}:{lineno}: label {line.strip()!r} is not an integer"
+            ) from None
+        if not 1 <= label <= n_classes:
+            raise DataFormatError(
+                f"{labels_path}:{lineno}: unknown label {label}, "
+                f"expected 1..{n_classes}"
+            )
+        labels.append(label - 1)
 
     if len(features) != len(labels):
         raise DataFormatError(

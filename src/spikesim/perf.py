@@ -10,7 +10,6 @@ back-solved from the reference efficiency table and flagged calibrated.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -175,17 +174,6 @@ def _number(config: dict, path: str, positive: bool = False) -> float:
         kind = "positive" if positive else "non-negative"
         raise ValueError(f"perf config {path!r} must be a finite {kind} number, not {value!r}")
     return value
-
-
-def load_config(path) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def save_config(path, config: dict):
-    with open(path, "w") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def compute_report(config: dict | None = None) -> dict:

@@ -8,7 +8,6 @@ over the decision step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,17 +61,6 @@ class EpochMetrics:
     train_accuracy: float
     test_accuracy: float
     mean_loss: float
-
-
-def write_metrics_csv(path, metrics):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_acc", "test_acc", "mean_loss"])
-        for m in metrics:
-            writer.writerow(
-                [m.epoch, f"{m.train_accuracy:.6f}", f"{m.test_accuracy:.6f}",
-                 f"{m.mean_loss:.8f}"]
-            )
 
 
 def _log_prob_series(u_tm, labels):

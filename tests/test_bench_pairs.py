@@ -48,3 +48,15 @@ def test_totals_each_sides_operations_over_the_runs():
         "parent": {"attempted": 27162, "failed": 0},
         "change": {"attempted": 26968, "failed": 0},
     }
+
+
+def test_counts_the_package_lines_of_a_copy(tmp_path):
+    # src/spikesim/*.py only, each newline a line as wc -l counts them
+    package = tmp_path / "src" / "spikesim"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("one\ntwo\nthree\n")
+    (package / "b.py").write_text("\nlast, unterminated")
+    (package / "notes.txt").write_text("not\ncode\n")
+    (package / "sub" / "c.py").write_text("nested\n")
+    (tmp_path / "src" / "top.py").write_text("outside\n")
+    assert bench_pairs.src_lines(tmp_path) == 4

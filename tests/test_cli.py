@@ -1,4 +1,5 @@
 import csv
+import gzip
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ import pytest
 import spikesim.cli
 from spikesim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _load_split_pair, main
 from spikesim.core import map_model_to_memory, unpack_model
-from spikesim.datasets import load_model, save_model
+from spikesim.datasets import load_model, save_model, write_idx_images
 from spikesim.glm import (
     GlmModel,
     draw_rasters,
@@ -23,7 +24,7 @@ from spikesim.glm import (
     kernel_matrix,
     sigmoid,
 )
-from spikesim.perf import default_config, save_config
+from spikesim.perf import default_config
 from spikesim.quantize import QuantizedModel, derive_lfsr_seed
 
 from corpora import write_digit_corpus, write_har_corpus
@@ -318,6 +319,63 @@ class TestSimulateCommand:
         assert (f"fraction decided within 4 steps: {float(cdf_all):.4f}; "
                 f"of the correct decisions: {float(cdf_correct):.4f}") in capsys.readouterr().out
 
+    @staticmethod
+    def _simulate_8_bit(tmp_path, data_args, w_codes, gamma_codes, seed=0, T=6, window=4):
+        """simulate on a hand-built 8-bit artifact; its bias codes of +-127
+        clip to the 1.4.3 rails: (decisions rows, trace rows, latency_cdf
+        rows), each row a dict of its CSV fields."""
+        qm = QuantizedModel(bits=8, w_codes=w_codes, gamma_codes=gamma_codes,
+                            w_min=-1.0, w_max=1.0, gamma_min=-10.0, gamma_max=10.0,
+                            presentation_time=T, window=window)
+        artifact, out = tmp_path / "model_q8.bin", tmp_path / "sim"
+        save_model(artifact, qm, {"bits": 8})
+        assert main(["simulate", *data_args, "--model", str(artifact), "--seed", str(seed),
+                     "--out", str(out)]) == EXIT_OK
+        return [list(csv.DictReader((out / name).read_text().splitlines()))
+                for name in ("decisions.csv", "trace.csv", "latency_cdf.csv")]
+
+    def test_silent_inputs_read_only_the_bias_line(self, tmp_path):
+        data = write_digit_corpus(tmp_path / "data", n_train=10, n_test=40)
+        write_idx_images(data / "t10k-images-idx3-ubyte", np.zeros((40, 25), np.uint8), 5, 5)
+        rng = np.random.default_rng(7)
+        decisions, trace, _ = self._simulate_8_bit(
+            tmp_path, ["--dataset", "digits", "--data-dir", str(data)],
+            rng.integers(-127, 128, size=(25, 10, 4)), rng.integers(-50, -20, size=10))
+        assert {row["wordlines_read"] for row in trace} == {"1"}
+        steps = [6 if row["fallback"] == "1" else int(row["decision_time"]) for row in decisions]
+        assert [int(row["sample_id"]) for row in trace] == np.repeat(range(40), steps).tolist()
+
+    def test_biases_at_the_floor_never_fire(self, tmp_path):
+        decisions, trace, cdf = self._simulate_8_bit(
+            tmp_path, ["--dataset", "synthetic"], np.zeros((16, 4, 4)), np.full(4, -127))
+        assert len(decisions) == 64
+        assert {(row["fallback"], row["decision_time"]) for row in decisions} == {("1", "-1")}
+        assert [(row["sample_id"], row["step"], row["decided"], row["t_d"]) for row in trace] == [
+            (str(k), str(t), str(int(t == 6)), "-1" if t == 6 else "")
+            for k in range(64) for t in range(1, 7)]
+        assert {row["cdf_all"] for row in cdf} == {"0.000000"}
+
+    # the one synthetic test sample, by seed, whose four step-1 LFSR bytes
+    # are all 0xFF: PWL(7.875) = 255 is not above them
+    STEP_1_SILENT = {0: [], 1: [60], 2: [], 3: []}
+
+    @pytest.mark.parametrize("seed", STEP_1_SILENT)
+    def test_dominant_biases_decide_at_step_1_on_the_bias_line(self, tmp_path, seed):
+        decisions, trace, cdf = self._simulate_8_bit(
+            tmp_path, ["--dataset", "synthetic"], np.zeros((16, 4, 4)), np.full(4, 127),
+            seed=seed)
+        late = [int(row["sample_id"]) for row in decisions if row["decision_time"] != "1"]
+        assert late == self.STEP_1_SILENT[seed]
+        first_rows = [row for row in trace if row["step"] == "1"]
+        assert len(first_rows) == 64
+        for row, decision in zip(first_rows, decisions):
+            if int(row["sample_id"]) not in late:
+                assert row == {"sample_id": decision["sample_id"], "step": "1",
+                               "wordlines_read": "1", "decided": "1",
+                               "class": decision["predicted"], "t_d": "1"}
+        assert len(trace) == 64 + sum(int(decisions[k]["decision_time"]) - 1 for k in late)
+        assert float(cdf[0]["cdf_all"]) == (64 - len(late)) / 64
+
     def test_rows_match_the_step_loop_at_every_precision(self, trained_run, tmp_path):
         quant = tmp_path / "quant"
         assert main([
@@ -570,7 +628,7 @@ class TestPerfCommand:
             else:
                 entry[key] = value
         bad = tmp_path / "perf.json"
-        save_config(bad, config)
+        bad.write_text(json.dumps(config))
         out = tmp_path / "p"
         return main(["perf", "--out", str(out), "--perf-config", str(bad)]), out
 
@@ -675,6 +733,52 @@ def test_out_that_cannot_be_a_directory_is_usage_error(tmp_path, argv, message):
     assert (tmp_path / "F").read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantize", "--model"], ["simulate", "--model"], ["perf", "--perf-config"],
+])
+def test_input_that_is_a_directory_is_data_error(tmp_path, capsys, argv):
+    directory, out = tmp_path / "a_directory", tmp_path / "out"
+    directory.mkdir()
+    assert main([*argv, str(directory), "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"spikesim: data error: [Errno 21] Is a directory: '{directory}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "unknown_method", "corrupt_deflate"])
+def test_damaged_gzip_idx_file_is_data_error(tmp_path, capsys, damage):
+    # gzip's own errors name no file: the loader names it
+    data = write_digit_corpus(tmp_path / "data", n_train=12, n_test=6)
+    plain = data / "t10k-images-idx3-ubyte"
+    gz = gzip.compress(plain.read_bytes())
+    damaged = data / "t10k-images-idx3-ubyte.gz"
+    damaged.write_bytes({
+        "truncated": gz[: len(gz) // 2],
+        "unknown_method": gz[:2] + bytes(30),
+        "corrupt_deflate": gz[:10] + bytes(b ^ 0xFF for b in gz[10:-8]) + gz[-8:],
+    }[damage])
+    plain.unlink()
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", "digits", "--data-dir", str(data), "--epochs", "1",
+                 "--T", "4", "--tau", "4", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        f"spikesim: data error: {damaged}: corrupt gzip stream while reading ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["X_test.txt", "y_train.txt"])
+def test_har_file_that_is_not_utf8_is_data_error(tmp_path, capsys, name):
+    data = write_har_corpus(tmp_path / "data", n_train=12, n_test=6)
+    path = data / name
+    path.write_bytes(path.read_bytes()[:-1] + b"\xff\n")
+    out = tmp_path / "out"
+    assert main(["train", "--dataset", "har", "--data-dir", str(data), "--epochs", "1",
+                 "--T", "4", "--tau", "4", "--out", str(out)]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        f"spikesim: data error: {path}: not a text file: 'utf-8' codec can't decode byte 0xff")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "quantize", "simulate"])
 def test_empty_test_split_is_data_error(digits_run, tmp_path, capsys, command):
     data = write_digit_corpus(tmp_path / "data", n_train=12, n_test=0)
@@ -736,7 +840,7 @@ def test_run_config_records_every_argument(digits_run, tmp_path, command):
     # every field of run_config.json, null where the command lacks the flag
     data, digits_float, digits_q8 = (str(p) for p in digits_run)
     perf_config = tmp_path / "perf.json"
-    save_config(perf_config, default_config())
+    perf_config.write_text(json.dumps(default_config()))
     digits = ["--dataset", "digits", "--data-dir", data]
     argv, recorded = {
         "train": (["train", *digits, "--seed", "9", "--limit", "12", "--epochs", "2",

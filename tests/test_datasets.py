@@ -7,6 +7,7 @@ import zlib
 import numpy as np
 import pytest
 
+from spikesim import datasets
 from spikesim.cli import EXIT_DATA, main
 from spikesim.datasets import (
     ArtifactError,
@@ -174,6 +175,19 @@ class TestHarLoading:
         feat.write_text("1,2\n,,,\n3,4\n")
         with pytest.raises(DataFormatError, match=r"X.txt:2: row has 0 fields, expected 2"):
             load_har(feat, lab, "train")
+
+    def test_blank_lines_do_not_send_the_file_to_the_line_scan(self, tmp_path, monkeypatch):
+        # loadtxt skips blank lines, so they leave its row count whole
+        feat, lab, _, _ = write_har_files(tmp_path)
+        text = "\n" + feat.read_text().replace("\n", "\n \t\n", 3) + "\n\n"
+        feat.write_text(text)
+        want = datasets._scan_features(feat, text)
+
+        def scan(*args):
+            raise AssertionError("the line scan ran")
+
+        monkeypatch.setattr(datasets, "_scan_features", scan)
+        assert np.array_equal(load_har(feat, lab, "train").features, want)
 
     def test_unknown_label_rejected(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)

@@ -1,9 +1,8 @@
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikesim.cli import EXIT_OK, main
 from spikesim.perf import (
     REFERENCE_EFFICIENCY,
     compute_report,
@@ -11,10 +10,8 @@ from spikesim.perf import (
     efficiency,
     energy_per_step,
     gsops,
-    load_config,
     render_report,
     rollup,
-    save_config,
 )
 
 
@@ -154,16 +151,17 @@ class TestReport:
         assert "195.275" in text
 
     def test_config_roundtrip_and_version_check(self, tmp_path):
-        config = default_config()
-        path = tmp_path / "perf.json"
-        save_config(path, config)
-        assert compute_report(load_config(path)) == compute_report(config)
-        bad = dict(config)
+        # perf_config.json, read back through --perf-config, reproduces the report
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["perf", "--out", str(first)]) == EXIT_OK
+        assert main(["perf", "--perf-config", str(first / "perf_config.json"),
+                     "--out", str(second)]) == EXIT_OK
+        for name in ("perf_report.json", "perf_report.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+        bad = default_config()
         bad["version"] = 99
-        bad_path = tmp_path / "bad.json"
-        bad_path.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match="unsupported perf config version 99"):
-            compute_report(load_config(bad_path))
+            compute_report(bad)
 
     def test_validation_names_the_first_missing_key(self):
         config = default_config()
