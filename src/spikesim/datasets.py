@@ -203,17 +203,19 @@ def _parse_features(features_path) -> np.ndarray:
     call over the comma-normalised text.  When that fails, finds a value
     that is not finite, or returns fewer rows than the file has non-blank
     lines (a line of nothing but commas, which loadtxt would skip), the
-    line scan parses the file again and names the offending line."""
+    line scan parses the file again and names the offending line.  The
+    non-blank lines are counted only when loadtxt returns fewer rows than
+    the file has lines."""
     text = _read_text(features_path)
-    n_lines = sum(1 for line in text.split("\n") if line.strip())
-    if n_lines:
+    if text.strip():
         try:
             features = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2,
                                   comments=None)
         except ValueError:
             features = None
-        if (features is not None and len(features) == n_lines
-                and np.isfinite(features).all()):
+        if (features is not None and np.isfinite(features).all()
+                and (len(features) == text.count("\n") + (not text.endswith("\n"))
+                     or len(features) == sum(1 for line in text.split("\n") if line.strip()))):
             return features
     return _scan_features(features_path, text)
 
