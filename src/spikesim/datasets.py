@@ -203,9 +203,7 @@ def _parse_features(features_path) -> np.ndarray:
     call over the comma-normalised text.  When that fails, finds a value
     that is not finite, or returns fewer rows than the file has non-blank
     lines (a line of nothing but commas, which loadtxt would skip), the
-    line scan parses the file again and names the offending line.  The
-    non-blank lines are counted only when loadtxt returns fewer rows than
-    the file has lines."""
+    line scan parses the file again and names the offending line."""
     text = _read_text(features_path)
     if text.strip():
         try:
@@ -214,8 +212,7 @@ def _parse_features(features_path) -> np.ndarray:
         except ValueError:
             features = None
         if (features is not None and np.isfinite(features).all()
-                and (len(features) == text.count("\n") + (not text.endswith("\n"))
-                     or len(features) == sum(1 for line in text.split("\n") if line.strip()))):
+                and len(features) == sum(1 for line in text.split("\n") if line.strip())):
             return features
     return _scan_features(features_path, text)
 
