@@ -24,6 +24,7 @@ from .core import latency_cdf, map_model_to_memory, save_image, unpack_model, wo
 from .datasets import (
     ArtifactError,
     DataFormatError,
+    _read_text,
     load_digits,
     load_har,
     load_model,
@@ -263,8 +264,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_perf(args) -> int:
-    perf_config = (json.loads(Path(args.perf_config).read_text()) if args.perf_config
-                   else default_config())
+    try:
+        perf_config = (json.loads(_read_text(args.perf_config)) if args.perf_config
+                       else default_config())
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{args.perf_config}: not JSON: {exc}") from None
     report = compute_report(perf_config)
 
     out_dir = _create_out(args)

@@ -10,7 +10,6 @@ features can flip weight signs during accumulation.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import struct
 import zlib
@@ -200,19 +199,22 @@ def _read_text(path) -> str:
 
 def _parse_features(features_path) -> np.ndarray:
     """The (rows, width) features of a text file, parsed in one np.loadtxt
-    call over the comma-normalised text.  When that fails, finds a value
-    that is not finite, or returns fewer rows than the file has non-blank
-    lines (a line of nothing but commas, which loadtxt would skip), the
-    line scan parses the file again and names the offending line."""
+    call over the lines of the comma-normalised text.  When that fails,
+    finds a value that is not finite, or returns fewer rows than the file
+    has non-blank lines, the line scan parses the file again and names the
+    offending line.  loadtxt skips blank lines only, so the one non-blank
+    line it can drop is a line of nothing but commas: the lines are counted
+    only when the text holds a comma."""
     text = _read_text(features_path)
-    if text.strip():
+    if text and not text.isspace():
         try:
-            features = np.loadtxt(io.StringIO(text.replace(",", " ")), ndmin=2,
+            features = np.loadtxt(text.replace(",", " ").split("\n"), ndmin=2,
                                   comments=None)
         except ValueError:
             features = None
         if (features is not None and np.isfinite(features).all()
-                and len(features) == sum(1 for line in text.split("\n") if line.strip())):
+                and ("," not in text or len(features)
+                     == sum(1 for line in text.split("\n") if line.strip()))):
             return features
     return _scan_features(features_path, text)
 

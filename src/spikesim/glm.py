@@ -23,12 +23,8 @@ class EncodingError(ValueError):
 def sigmoid(u):
     """Logistic function 1 / (1 + exp(-u)), stable for large |u|."""
     u = np.asarray(u, dtype=np.float64)
-    out = np.empty_like(u)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
+    e = np.exp(np.minimum(u, -u))  # exp(-u) where u >= 0, exp(u) below
+    return np.where(u >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(u):

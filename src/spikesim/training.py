@@ -71,9 +71,9 @@ def _log_prob_series(u_tm, labels):
     the labeled neuron silent before t and spiking at t.
     """
     silent = log_one_minus_sigmoid(u_tm)
-    lab = np.asarray(labels).reshape(-1, 1, 1)
-    silent_c = np.take_along_axis(silent, lab, axis=2)[:, :, 0]  # (batch, T)
-    fire_c = np.take_along_axis(log_sigmoid(u_tm), lab, axis=2)[:, :, 0]
+    rows = np.arange(len(u_tm))
+    silent_c = silent[rows, :, labels]  # (batch, T)
+    fire_c = log_sigmoid(u_tm[rows, :, labels])
     s_all = np.cumsum(silent.sum(axis=2), axis=1)
     s_c = np.cumsum(silent_c, axis=1)
     s_c_prev = np.concatenate([np.zeros((u_tm.shape[0], 1)), s_c[:, :-1]], axis=1)

@@ -599,6 +599,18 @@ class TestPerfCommand:
         code = main(["perf", "--out", str(tmp_path / "p"), "--perf-config", str(bad)])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"version": 1,', "not JSON: Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "not a text file: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ])
+    def test_config_that_is_not_json_is_data_error(self, tmp_path, capsys, content, message):
+        # the decoders' messages name no file: the command names it
+        bad, out = tmp_path / "bad.json", tmp_path / "p"
+        bad.write_bytes(content)
+        assert main(["perf", "--out", str(out), "--perf-config", str(bad)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"spikesim: data error: {bad}: {message}")
+        assert not out.exists()
+
     # SHA-256 of the default config's outputs
     PINNED = {
         "perf_report.json": "89f193cb323cef5c9a0eb7a509c104ace8cc660732c4601755c5ced6027e640f",

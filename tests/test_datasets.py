@@ -106,6 +106,17 @@ def write_har_files(tmp_path, n=10, width=5, delim=" "):
     return feat_path, lab_path, features, labels
 
 
+def uci_field(v):
+    """v as the UCI HAR files write it: %.7e with a three-digit exponent,
+    right-aligned in 16 columns."""
+    mantissa, exponent = f"{v:.7e}".split("e")
+    return f"{mantissa}e{int(exponent):+04d}".rjust(16)
+
+
+def scan_not_run(*args):
+    raise AssertionError("the line scan ran")
+
+
 class TestHarLoading:
     def test_whitespace_and_comma_delimiters(self, tmp_path):
         for delim in (" ", ","):
@@ -182,12 +193,45 @@ class TestHarLoading:
         text = "\n" + feat.read_text().replace("\n", "\n \t\n", 3) + "\n\n"
         feat.write_text(text)
         want = datasets._scan_features(feat, text)
-
-        def scan(*args):
-            raise AssertionError("the line scan ran")
-
-        monkeypatch.setattr(datasets, "_scan_features", scan)
+        monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
         assert np.array_equal(load_har(feat, lab, "train").features, want)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_comma_free_blank_lines_do_not_send_the_file_to_the_line_scan(
+            self, tmp_path, monkeypatch, newline):
+        # loadtxt's blank lines are Python's: every whitespace character but
+        # the line ends, which the text-mode read makes "\n"
+        feat, lab, _, _ = write_har_files(tmp_path)
+        blank = "".join(c for c in map(chr, range(0x3001)) if c.isspace() and c not in "\r\n")
+        lines = feat.read_text().split("\n")
+        feat.write_bytes(newline.join(["", *lines[:4], blank, "", *lines[4:], "\t"]).encode())
+        assert "," not in feat.read_text()
+        want = datasets._scan_features(feat, feat.read_text())
+        monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
+        assert load_har(feat, lab, "train").features.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout", ["uci", "crlf", "cr", "no_final_newline", "commas",
+                                        "wide"])
+    def test_features_equal_the_line_scan_bit_for_bit(self, tmp_path, monkeypatch, layout):
+        # loadtxt and Python's float both round every decimal correctly
+        rng = np.random.default_rng(3)
+        shape = (6, 561) if layout == "wide" else (12, 7)
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-9, 9, size=shape)
+        values[0, :4] = [-0.0, 5e-324, 1.7976931348623157e308, 2.8858451e-1]
+        values[1, :3] = [1.234e-100, -9.87e150, -2.2e-310]
+        sep, end = {"uci": ("", "\n"), "crlf": ("", "\r\n"), "cr": ("", "\r"),
+                    "no_final_newline": ("", ""), "commas": (",", "\n"),
+                    "wide": (" ", "\n")}[layout]
+        field = uci_field if sep == "" else "{:.7e}".format
+        rows = [sep.join(map(field, row)) for row in values]
+        feat, lab = tmp_path / "X.txt", tmp_path / "y.txt"
+        feat.write_bytes(((end or "\n").join(rows) + end).encode())
+        lab.write_text("1\n" * len(values))
+        want = datasets._scan_features(feat, feat.read_text())
+        monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
+        got = load_har(feat, lab, "train").features
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
 
     def test_unknown_label_rejected(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)
