@@ -1,19 +1,20 @@
-"""Dataset ingestion, normalization and model-artifact persistence.
+"""Dataset ingestion, scaling and model-artifact persistence.
 
 Loaders parse the big-endian IDX image/label container and the
 whitespace/comma text format used by the activity-recognition corpus.
-Normalization is per-feature min-max scaling of magnitudes, fitted on
-the training split only; signs are preserved separately so negative
-features can flip weight signs during accumulation.
+A split is scaled once, when it is built: per-feature min-max scaling of
+magnitudes by bounds that the caller passes in (fixed for pixels, the
+train split's for activity features), with the signs kept separately so
+negative features can flip weight signs during accumulation.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
+import math
 import struct
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from .quantize import QuantizedModel
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+HAR_CLASSES = 6
 
 _ARTIFACT_MAGIC = b"SPKM"
 _ARTIFACT_VERSION = 1
@@ -39,152 +41,115 @@ class ArtifactError(ValueError):
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n_samples, n_features) raw values
-    labels: np.ndarray    # (n_samples,) class indices
+    """One split as the network reads it."""
+
+    magnitudes: np.ndarray  # (n_samples, n_features) float64 in [0, 1]
+    signs: np.ndarray       # (n_samples, n_features) int8, +1 or -1
+    labels: np.ndarray      # (n_samples,) class indices
     split: str
     n_classes: int
-    norm_min: np.ndarray | None = None  # per-feature |x| minimum (train stats)
-    norm_max: np.ndarray | None = None
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
+        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
+        self.signs = np.asarray(self.signs, dtype=np.int8)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if len(self.features) != len(self.labels):
+        if self.magnitudes.shape != self.signs.shape:
             raise DataFormatError(
-                f"{len(self.features)} samples but {len(self.labels)} labels"
+                f"magnitudes of shape {self.magnitudes.shape} but signs of "
+                f"shape {self.signs.shape}"
+            )
+        if len(self.magnitudes) != len(self.labels):
+            raise DataFormatError(
+                f"{len(self.magnitudes)} samples but {len(self.labels)} labels"
             )
         if len(self.labels) and not (
             0 <= self.labels.min() and self.labels.max() < self.n_classes
         ):
             raise DataFormatError("labels out of range for declared class count")
 
+    @classmethod
+    def scaled(cls, features, labels, split: str, n_classes: int, lo, hi) -> Dataset:
+        """The split of raw features: magnitudes |x| min-max scaled by the
+        per-feature bounds lo..hi and clipped into [0, 1], where a feature
+        whose hi is not above its lo reads 0, and signs -1 for x < 0 and +1
+        otherwise."""
+        features = np.asarray(features, dtype=np.float64)
+        span = hi - lo
+        safe = np.where(span > 0, span, 1.0)
+        scaled = (np.abs(features) - lo) / safe
+        scaled[:, span <= 0] = 0.0
+        return cls(np.clip(scaled, 0.0, 1.0), np.where(features < 0, -1, 1).astype(np.int8),
+                   labels, split, n_classes)
+
     @property
     def n_samples(self) -> int:
-        return self.features.shape[0]
+        return self.magnitudes.shape[0]
 
     @property
     def n_features(self) -> int:
-        return self.features.shape[1]
-
-    def magnitudes(self) -> np.ndarray:
-        """Normalized magnitudes in [0, 1] using the attached train stats."""
-        if self.norm_min is None or self.norm_max is None:
-            raise ValueError(f"{self.split} split has no normalization stats")
-        span = self.norm_max - self.norm_min
-        safe = np.where(span > 0, span, 1.0)
-        scaled = (np.abs(self.features) - self.norm_min) / safe
-        scaled[:, span <= 0] = 0.0
-        return np.clip(scaled, 0.0, 1.0)
-
-    def signs(self) -> np.ndarray:
-        return np.where(self.features < 0, -1, 1).astype(np.int8)
+        return self.magnitudes.shape[1]
 
 
-def fit_normalization(train: Dataset):
-    """Per-feature min/max of magnitudes, from the training split alone."""
-    if train.split != "train":
-        raise ValueError("normalization statistics must come from the train split")
-    mags = np.abs(train.features)
-    return mags.min(axis=0), mags.max(axis=0)
-
-
-def normalize_splits(train: Dataset, test: Dataset):
-    """Attach train-split statistics to both splits (test is never read)."""
-    mn, mx = fit_normalization(train)
-    train.norm_min, train.norm_max = mn, mx
-    test.norm_min, test.norm_max = mn.copy(), mx.copy()
-    return train, test
-
-
-@contextmanager
-def _open_maybe_gzip(path):
-    """The file opened once for reading, through gzip if it starts with the
-    gzip magic."""
-    with open(path, "rb") as fh:
-        gzipped = fh.read(2) == b"\x1f\x8b"
-        fh.seek(0)
-        if gzipped:
-            with gzip.GzipFile(fileobj=fh, mode="rb") as gz:
-                yield gz
-        else:
-            yield fh
-
-
-def _read_exact(fh, n, path, what):
-    try:
-        data = fh.read(n)
-    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
-        raise DataFormatError(f"{path}: corrupt gzip stream while reading {what}: {exc}") from None
-    if len(data) != n:
+def _need(path, data, start, n, what):
+    """A DataFormatError unless data holds n bytes from start on."""
+    if len(data) < start + n:
         raise DataFormatError(
             f"{path}: truncated while reading {what} "
-            f"(wanted {n} bytes, got {len(data)})"
+            f"(wanted {n} bytes, got {max(len(data) - start, 0)})"
         )
-    return data
 
 
-def _read_idx_header(fh, path, expected_magic, n_dims):
-    magic = struct.unpack(">I", _read_exact(fh, 4, path, "magic"))[0]
+def _read_idx(path, expected_magic, n_dims, what):
+    """The dimensions and the flat uint8 payload of an IDX file, from one
+    read of the file, decompressed whole if it starts with the gzip magic."""
+    data = Path(path).read_bytes()
+    if data[:2] == b"\x1f\x8b":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            raise DataFormatError(
+                f"{path}: corrupt gzip stream while reading {what}: {exc}") from None
+    _need(path, data, 0, 4, "magic")
+    (magic,) = struct.unpack_from(">I", data)
     if magic != expected_magic:
         raise DataFormatError(
             f"{path}: bad magic 0x{magic:08x} at offset 0, "
             f"expected 0x{expected_magic:08x}"
         )
-    return struct.unpack(f">{n_dims}I", _read_exact(fh, 4 * n_dims, path, "dimensions"))
-
-
-def load_idx_images(path) -> np.ndarray:
-    """Parse an IDX image file into a (count, rows*cols) uint8 matrix."""
-    with _open_maybe_gzip(path) as fh:
-        count, rows, cols = _read_idx_header(fh, path, IDX_IMAGES_MAGIC, 3)
-        raw = _read_exact(fh, count * rows * cols, path, f"{count} images")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-
-def load_idx_labels(path) -> np.ndarray:
-    with _open_maybe_gzip(path) as fh:
-        (count,) = _read_idx_header(fh, path, IDX_LABELS_MAGIC, 1)
-        raw = _read_exact(fh, count, path, f"{count} labels")
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    _need(path, data, 4, 4 * n_dims, "dimensions")
+    dims = struct.unpack_from(f">{n_dims}I", data, 4)
+    size, start = math.prod(dims), 4 + 4 * n_dims
+    _need(path, data, start, size, f"{dims[0]} {what}")
+    return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
 
 
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int):
     """Pack a (count, rows*cols) uint8 matrix into the IDX container."""
     images = np.asarray(images, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(images), rows, cols))
-        fh.write(images.tobytes())
+    Path(path).write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(images), rows, cols)
+                           + images.tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray):
     labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
-        fh.write(labels.tobytes())
+    Path(path).write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + labels.tobytes())
 
 
 def load_digits(images_path, labels_path, split: str) -> Dataset:
     """Handwritten-digit split from IDX image/label files.
 
-    Pixels are non-negative, so normalization is fixed to the full byte
-    range and every sign is +1.
+    Pixels are non-negative, so they scale by the fixed bounds 0..255 and
+    every sign is +1.
     """
-    features = load_idx_images(images_path).astype(np.float64)
-    labels = load_idx_labels(labels_path)
-    if len(features) != len(labels):
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGES_MAGIC, 3, "images")
+    _, labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1, "labels")
+    if count != len(labels):
         raise DataFormatError(
-            f"{images_path} holds {len(features)} images but "
+            f"{images_path} holds {count} images but "
             f"{labels_path} holds {len(labels)} labels"
         )
-    n_features = features.shape[1]
-    return Dataset(
-        features=features,
-        labels=labels,
-        split=split,
-        n_classes=10,
-        norm_min=np.zeros(n_features),
-        norm_max=np.full(n_features, 255.0),
-    )
+    return Dataset.scaled(pixels.reshape(count, rows * cols), labels, split, 10,
+                          np.zeros(rows * cols), np.full(rows * cols, 255.0))
 
 
 def _read_text(path) -> str:
@@ -252,13 +217,14 @@ def _scan_features(features_path, text) -> np.ndarray:
     return features
 
 
-def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Dataset:
-    """Activity-recognition split from delimited text feature/label files.
+def load_har(features_path, labels_path):
+    """The raw (features, labels) of an activity-recognition split, from
+    delimited text feature/label files.
 
     Features may be whitespace- or comma-separated and must be finite;
-    labels are one integer per line in 1..n_classes (mapped to 0-based).
-    Signs are preserved; normalization stats are fitted later on the train
-    split.
+    labels are one integer per line in 1..HAR_CLASSES, mapped to 0-based.
+    The caller scales the features, by the train split's bounds for both
+    splits.
     """
     features = _parse_features(features_path)
 
@@ -272,10 +238,10 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
             raise DataFormatError(
                 f"{labels_path}:{lineno}: label {line.strip()!r} is not an integer"
             ) from None
-        if not 1 <= label <= n_classes:
+        if not 1 <= label <= HAR_CLASSES:
             raise DataFormatError(
                 f"{labels_path}:{lineno}: unknown label {label}, "
-                f"expected 1..{n_classes}"
+                f"expected 1..{HAR_CLASSES}"
             )
         labels.append(label - 1)
 
@@ -284,12 +250,7 @@ def load_har(features_path, labels_path, split: str, n_classes: int = 6) -> Data
             f"{features_path} holds {len(features)} rows but "
             f"{labels_path} holds {len(labels)} labels"
         )
-    return Dataset(
-        features=features,
-        labels=np.array(labels, dtype=np.int64),
-        split=split,
-        n_classes=n_classes,
-    )
+    return features, np.array(labels, dtype=np.int64)
 
 
 def make_synthetic(n_samples: int, n_features: int = 16, n_classes: int = 4,
@@ -308,14 +269,8 @@ def make_synthetic(n_samples: int, n_features: int = 16, n_classes: int = 4,
     labels = rng.integers(0, n_classes, size=n_samples)
     features = protos[labels] + rng.normal(scale=noise, size=(n_samples, n_features))
     features = np.clip(features, 0.0, 1.0)
-    return Dataset(
-        features=features,
-        labels=labels,
-        split=split,
-        n_classes=n_classes,
-        norm_min=np.zeros(n_features),
-        norm_max=np.ones(n_features),
-    )
+    return Dataset.scaled(features, labels, split, n_classes,
+                          np.zeros(n_features), np.ones(n_features))
 
 
 @dataclass

@@ -128,9 +128,10 @@ def evaluate_float(model, magnitudes, signs, labels, rng) -> float:
 def train(train_data, test_data, config: TrainConfig):
     """Minibatch stochastic gradient ascent on the first-to-spike objective.
 
-    train_data / test_data expose magnitudes() in [0, 1], signs(), and
-    labels.  Spike rasters are re-drawn every epoch.  Returns the trained
-    model and the per-epoch metrics trajectory.  After each epoch the model
+    train_data / test_data are datasets.Dataset splits, scaled at load:
+    SGD and scoring read their magnitudes in [0, 1], signs and labels.
+    Spike rasters are re-drawn every epoch.  Returns the trained model and
+    the per-epoch metrics trajectory.  After each epoch the model
     is scored on the first TRAIN_EVAL_CAP train samples and the whole test
     split, with draws from a child of the seed's SeedSequence, so scoring
     never moves SGD's stream or the model.
@@ -139,18 +140,14 @@ def train(train_data, test_data, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     score_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
 
-    mags = train_data.magnitudes()
-    signs = train_data.signs()
-    labels = np.asarray(train_data.labels)
+    mags = train_data.magnitudes
+    signs = train_data.signs
+    labels = train_data.labels
     n_samples, n_inputs = mags.shape
     n_outputs = int(train_data.n_classes)
 
     model = GlmModel.zeros(n_inputs, n_outputs, config.presentation_time, config.window)
     kmat = kernel_matrix(model.weights)  # a view: SGD updates the weights through it
-
-    test_mags = test_data.magnitudes()
-    test_signs = test_data.signs()
-    test_labels = np.asarray(test_data.labels)
 
     metrics = []
     for epoch in range(1, config.epochs + 1):
@@ -177,7 +174,8 @@ def train(train_data, test_data, config: TrainConfig):
 
         train_acc = evaluate_float(model, mags[:TRAIN_EVAL_CAP], signs[:TRAIN_EVAL_CAP],
                                    labels[:TRAIN_EVAL_CAP], score_rng)
-        test_acc = evaluate_float(model, test_mags, test_signs, test_labels, score_rng)
+        test_acc = evaluate_float(model, test_data.magnitudes, test_data.signs,
+                                  test_data.labels, score_rng)
         metrics.append(
             EpochMetrics(epoch, train_acc, test_acc, epoch_loss / max(n_batches, 1))
         )

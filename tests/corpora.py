@@ -1,8 +1,18 @@
-"""Tiny corpora on disk in the formats the CLI reads, used only by tests."""
+"""Tiny corpora, on disk in the formats the CLI reads or in memory as
+splits, used only by tests."""
 
 import numpy as np
 
-from spikesim.datasets import write_idx_images, write_idx_labels
+from spikesim.datasets import Dataset, write_idx_images, write_idx_labels
+
+
+def separable_task(rng, n_samples=60):
+    """A two-class split of four positive inputs: each class drives its own
+    pair of inputs near 0.9 and the other pair near 0.05."""
+    protos = np.array([[0.9, 0.9, 0.05, 0.05], [0.05, 0.05, 0.9, 0.9]])
+    labels = rng.integers(0, 2, size=n_samples)
+    mags = np.clip(protos[labels] + rng.normal(scale=0.02, size=(n_samples, 4)), 0.0, 1.0)
+    return Dataset(mags, np.ones((n_samples, 4), dtype=np.int8), labels, "train", 2)
 
 
 def write_digit_corpus(root, n_train, n_test, side=5, seed=0, test_side=None):

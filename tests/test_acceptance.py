@@ -17,9 +17,7 @@ from spikesim.core import latency_cdf, map_model_to_memory, unpack_model
 from spikesim.datasets import (
     Dataset,
     load_digits,
-    load_har,
     load_model,
-    normalize_splits,
     save_model,
     write_idx_images,
     write_idx_labels,
@@ -49,6 +47,7 @@ from spikesim.training import (
     train,
 )
 
+from corpora import separable_task
 from oracles import (
     datapath_sums,
     draw_raster,
@@ -247,25 +246,6 @@ def test_criterion_07_lfsr_period_and_rate():
     )
 
 
-class _Arrays:
-    def __init__(self, mags, signs, labels, n_classes):
-        self._mags, self._signs = mags, signs
-        self.labels, self.n_classes = labels, n_classes
-
-    def magnitudes(self):
-        return self._mags
-
-    def signs(self):
-        return self._signs
-
-
-def _separable_task(rng, n=60):
-    protos = np.array([[0.9, 0.9, 0.05, 0.05], [0.05, 0.05, 0.9, 0.9]])
-    labels = rng.integers(0, 2, size=n)
-    mags = np.clip(protos[labels] + rng.normal(scale=0.02, size=(n, 4)), 0, 1)
-    return _Arrays(mags, np.ones((n, 4), dtype=np.int8), labels, 2)
-
-
 def _digit_subset(tmp_path, n_train=1000, n_test=200):
     """Real digit corpus if IDX files are available, otherwise the bundled
     8x8 handwritten digits written through the IDX loader."""
@@ -281,8 +261,6 @@ def _digit_subset(tmp_path, n_train=1000, n_test=200):
                     img.with_name(img.name + suffix),
                     lab.with_name(lab.name + suffix), "train",
                 )
-                train_ds.features = train_ds.features[: n_train + n_test]
-                train_ds.labels = train_ds.labels[: n_train + n_test]
                 return _split(train_ds, n_train, n_test)
     sklearn_digits = pytest.importorskip("sklearn.datasets")
     bunch = sklearn_digits.load_digits()
@@ -297,23 +275,18 @@ def _digit_subset(tmp_path, n_train=1000, n_test=200):
 
 
 def _split(ds, n_train, n_test):
-    train_ds = Dataset(
-        features=ds.features[:n_train], labels=ds.labels[:n_train],
-        split="train", n_classes=ds.n_classes,
-        norm_min=ds.norm_min, norm_max=ds.norm_max,
+    """The first n_train samples of ds as the train split and the next
+    n_test as the test split."""
+    return tuple(
+        Dataset(ds.magnitudes[rows], ds.signs[rows], ds.labels[rows], split, ds.n_classes)
+        for split, rows in (("train", slice(n_train)),
+                            ("test", slice(n_train, n_train + n_test)))
     )
-    test_ds = Dataset(
-        features=ds.features[n_train : n_train + n_test],
-        labels=ds.labels[n_train : n_train + n_test],
-        split="test", n_classes=ds.n_classes,
-        norm_min=ds.norm_min, norm_max=ds.norm_max,
-    )
-    return train_ds, test_ds
 
 
 def test_criterion_08_desk_scale_learning(tmp_path):
     rng = np.random.default_rng(808)
-    toy = _separable_task(rng)
+    toy = separable_task(rng)
     toy_model, toy_metrics = train(
         toy, toy,
         TrainConfig(presentation_time=4, window=4, epochs=50,
@@ -328,7 +301,7 @@ def test_criterion_08_desk_scale_learning(tmp_path):
     )
     model, _ = train(train_ds, test_ds, config)
     digit_acc = evaluate_float(
-        model, test_ds.magnitudes(), test_ds.signs(), test_ds.labels,
+        model, test_ds.magnitudes, test_ds.signs, test_ds.labels,
         np.random.default_rng(99),
     )
     ok = toy_best >= 0.95 and digit_acc >= 0.80
@@ -365,7 +338,7 @@ def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
         qm = load_model(q / f"model_q{bits}.bin").model
         rng = np.random.default_rng(1)
         evaluator = []
-        for k, (mag, sign) in enumerate(zip(test_ds.magnitudes(), test_ds.signs())):
+        for k, (mag, sign) in enumerate(zip(test_ds.magnitudes, test_ds.signs)):
             raster = draw_raster(mag, qm.presentation_time, rng)
             cls, t_d = first_to_spike_quantized(qm, raster[None], sign[None],
                                                 [derive_lfsr_seed(1, k)])
@@ -384,9 +357,9 @@ def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
     kmat, redraw = kernel_matrix(float_model.weights), np.random.default_rng(2)
     differ, floor = np.zeros(len(qms), dtype=np.int64), 0
     for start, rasters, [(float_cls, _), *quantized] in decide_blocks(
-        test_ds.magnitudes(), test_ds.signs(), np.random.default_rng(1), 1, qms, float_model
+        test_ds.magnitudes, test_ds.signs, np.random.default_rng(1), 1, qms, float_model
     ):
-        u = windowed_potentials(rasters, test_ds.signs()[start : start + len(rasters)],
+        u = windowed_potentials(rasters, test_ds.signs[start : start + len(rasters)],
                                 kmat, float_model.window) + float_model.biases
         again, _ = first_spike(redraw.random(u.shape) < sigmoid(u), u[:, -1])
         differ += [np.count_nonzero(cls != float_cls) for cls, _ in quantized]
@@ -469,7 +442,7 @@ def test_full_digits_pipeline(tmp_path):
         batch_size=32, seed=1,
     )
     model, _ = train(train_ds, test_ds, config)
-    mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
+    mags, signs, labels = test_ds.magnitudes, test_ds.signs, test_ds.labels
     float_acc = evaluate_float(model, mags, signs, labels, np.random.default_rng(2))
     print(f"\nfull digits float accuracy: {float_acc:.4f} (target ~0.935)")
     assert float_acc >= 0.925
@@ -504,25 +477,18 @@ def test_full_digits_pipeline(tmp_path):
 @pytest.mark.full
 def test_full_har_accuracy():
     data_dir = Path(os.environ.get("SPIKESIM_DATA", "data"))
-    paths = {}
-    for split in ("train", "test"):
-        for prefix in ("X", "y"):
-            for candidate in (data_dir / f"{prefix}_{split}.txt",
-                              data_dir / split / f"{prefix}_{split}.txt"):
-                if candidate.exists():
-                    paths[(prefix, split)] = candidate
-    if len(paths) != 4:
+    if not all((data_dir / f"{prefix}_{split}.txt").exists()
+               or (data_dir / split / f"{prefix}_{split}.txt").exists()
+               for prefix in ("X", "y") for split in ("train", "test")):
         pytest.skip(f"activity-recognition corpus not found under {data_dir}")
-    train_ds = load_har(paths[("X", "train")], paths[("y", "train")], "train")
-    test_ds = load_har(paths[("X", "test")], paths[("y", "test")], "test")
-    normalize_splits(train_ds, test_ds)
+    train_ds, test_ds = _load_split_pair("har", str(data_dir), 1, None)
     config = TrainConfig(
         presentation_time=16, window=16, epochs=200, learning_rate=0.05,
         batch_size=32, seed=1,
     )
     model, _ = train(train_ds, test_ds, config)
     acc = evaluate_float(
-        model, test_ds.magnitudes(), test_ds.signs(), test_ds.labels,
+        model, test_ds.magnitudes, test_ds.signs, test_ds.labels,
         np.random.default_rng(2),
     )
     print(f"\nfull activity-recognition accuracy: {acc:.4f} (target ~0.945)")

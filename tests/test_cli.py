@@ -216,7 +216,7 @@ class TestQuantizeCommand:
         # every width decides those rasters with the LFSR seeds of seed 6
         data, float_path, quant = multi_block_run
         _, test_ds = _load_split_pair("digits", str(data), 6, None)
-        mags, signs, labels = test_ds.magnitudes(), test_ds.signs(), test_ds.labels
+        mags, signs, labels = test_ds.magnitudes, test_ds.signs, test_ds.labels
         model = load_model(float_path).model
         qms = [load_model(quant / f"model_q{bits}.bin").model for bits in (5, 6, 7, 8)]
         rng = np.random.default_rng(6)
@@ -392,7 +392,7 @@ class TestSimulateCommand:
                 "--model", str(model), "--seed", "4",
             ]) == EXIT_OK
             decisions, trace = simulate_rows_loop(
-                load_model(model).model, test_ds.magnitudes(), test_ds.signs(),
+                load_model(model).model, test_ds.magnitudes, test_ds.signs,
                 test_ds.labels, seed=4,
             )
             with open(out / "decisions.csv", newline="") as fh:
@@ -410,7 +410,7 @@ class TestSimulateCommand:
                      "--seed", "9", "--out", str(tmp_path), "--model", str(model)]) == EXIT_OK
         _, test_ds = _load_split_pair("digits", str(data), 9, None)
         decisions, trace = simulate_rows_loop(
-            load_model(model).model, test_ds.magnitudes(), test_ds.signs(),
+            load_model(model).model, test_ds.magnitudes, test_ds.signs,
             test_ds.labels, seed=9,
         )
         with open(tmp_path / "decisions.csv", newline="") as fh:
@@ -425,7 +425,7 @@ class TestSimulateCommand:
         data, _, quant = multi_block_run
         model = quant / "model_q8.bin"
         _, test_ds = _load_split_pair("digits", str(data), 9, None)
-        busiest = int(np.argmax(test_ds.magnitudes().sum(axis=0)))
+        busiest = int(np.argmax(test_ds.magnitudes.sum(axis=0)))
         images = []
 
         def tampered(qm):
@@ -445,7 +445,7 @@ class TestSimulateCommand:
         monkeypatch.setattr("spikesim.cli.map_model_to_memory", tampered)
         assert main(argv + ["--out", str(tmp_path / "tampered")]) == EXIT_OK
         decisions, trace = simulate_rows_loop(
-            unpack_model(images[0]), test_ds.magnitudes(), test_ds.signs(), test_ds.labels,
+            unpack_model(images[0]), test_ds.magnitudes, test_ds.signs, test_ds.labels,
             seed=9,
         )
         with open(tmp_path / "tampered" / "decisions.csv", newline="") as fh:
@@ -757,7 +757,8 @@ def test_input_that_is_a_directory_is_data_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "unknown_method", "corrupt_deflate"])
+@pytest.mark.parametrize("damage", ["truncated", "unknown_method", "corrupt_deflate",
+                                    "trailing_bytes"])
 def test_damaged_gzip_idx_file_is_data_error(tmp_path, capsys, damage):
     # gzip's own errors name no file: the loader names it
     data = write_digit_corpus(tmp_path / "data", n_train=12, n_test=6)
@@ -768,6 +769,8 @@ def test_damaged_gzip_idx_file_is_data_error(tmp_path, capsys, damage):
         "truncated": gz[: len(gz) // 2],
         "unknown_method": gz[:2] + bytes(30),
         "corrupt_deflate": gz[:10] + bytes(b ^ 0xFF for b in gz[10:-8]) + gz[-8:],
+        # bytes after the member that are not another member
+        "trailing_bytes": gz + b"not gzip",
     }[damage])
     plain.unlink()
     out = tmp_path / "out"
@@ -1045,10 +1048,10 @@ class TestPinnedTraining:
         src = Path(__file__).resolve().parent.parent / "src"
         for name, args in self.runs(tmp_path).items():
             got = {}
-            for threads in ("1", "2"):
+            for threads in ("1", "2", "4"):
                 out = tmp_path / f"{name}_{threads}"
                 env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
                 subprocess.run([sys.executable, "-m", "spikesim.cli", "train", "--out", str(out),
                                 *args], env=env, check=True, capture_output=True)
                 got[threads] = self.outputs(out)
-            assert got["1"] == got["2"], name
+            assert got["1"] == got["2"] == got["4"], name

@@ -8,17 +8,15 @@ import numpy as np
 import pytest
 
 from spikesim import datasets
-from spikesim.cli import EXIT_DATA, main
+from spikesim.cli import EXIT_DATA, _load_split_pair, main
 from spikesim.datasets import (
     ArtifactError,
     DataFormatError,
     Dataset,
-    fit_normalization,
     load_digits,
     load_har,
     load_model,
     make_synthetic,
-    normalize_splits,
     save_model,
     write_idx_images,
     write_idx_labels,
@@ -51,7 +49,7 @@ class TestIdxLoading:
             ds = load_digits(img, lab, "train")
             assert ds.n_samples == 12
             assert ds.n_features == 12
-            assert np.array_equal(ds.features, images.astype(np.float64))
+            assert np.array_equal(ds.magnitudes, images / 255.0)
             assert np.array_equal(ds.labels, labels)
             assert ds.n_classes == 10
 
@@ -61,14 +59,15 @@ class TestIdxLoading:
         write_idx_images(tmp_path / "i.idx", images, 4, 3)
         write_idx_labels(tmp_path / "l.idx", labels)
         ds = load_digits(tmp_path / "i.idx", tmp_path / "l.idx", "test")
-        assert np.array_equal(ds.features, images)
+        assert np.array_equal(ds.magnitudes * 255.0, images)
         assert ds.labels.tolist() == [3, 7]
 
     def test_pixel_normalization_divides_by_255(self, tmp_path):
         img, lab, images, _ = write_digit_files(tmp_path)
         ds = load_digits(img, lab, "train")
-        assert np.allclose(ds.magnitudes(), images / 255.0)
-        assert np.all(ds.signs() == 1)
+        assert np.allclose(ds.magnitudes, images / 255.0)
+        assert ds.signs.dtype == np.int8
+        assert np.all(ds.signs == 1)
 
     def test_bad_magic_reports_offset(self, tmp_path):
         img, lab, _, _ = write_digit_files(tmp_path)
@@ -83,6 +82,28 @@ class TestIdxLoading:
         img.write_bytes(img.read_bytes()[:-5])
         with pytest.raises(DataFormatError, match="truncated"):
             load_digits(img, lab, "train")
+
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("keep, what, wanted", [(2, "magic", 4), (10, "dimensions", 12)])
+    def test_file_shorter_than_its_header_reports_truncation(self, tmp_path, gz, keep, what,
+                                                              wanted):
+        # 2 bytes of the magic, or the magic and 6 of the 12 dimension bytes
+        img, lab, _, _ = write_digit_files(tmp_path)
+        head = img.read_bytes()[:keep]
+        img.write_bytes(gzip.compress(head) if gz else head)
+        got = keep if what == "magic" else keep - 4
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"{img}: truncated while reading {what} (wanted {wanted} bytes, got {got})")):
+            load_digits(img, lab, "train")
+
+    def test_gzip_file_of_two_members_loads(self, tmp_path):
+        img, lab, images, labels = write_digit_files(tmp_path)
+        for path in (img, lab):
+            raw = path.read_bytes()
+            path.write_bytes(gzip.compress(raw[:13]) + gzip.compress(raw[13:]))
+        ds = load_digits(img, lab, "train")
+        assert np.array_equal(ds.magnitudes, images / 255.0)
+        assert np.array_equal(ds.labels, labels)
 
     def test_count_mismatch_rejected(self, tmp_path):
         img, _, _, _ = write_digit_files(tmp_path)
@@ -121,22 +142,22 @@ class TestHarLoading:
     def test_whitespace_and_comma_delimiters(self, tmp_path):
         for delim in (" ", ","):
             feat, lab, features, labels = write_har_files(tmp_path, delim=delim)
-            ds = load_har(feat, lab, "train")
-            assert np.allclose(ds.features, features, atol=1e-6)
-            assert np.array_equal(ds.labels, labels - 1)
-            assert ds.n_classes == 6
+            got, got_labels = load_har(feat, lab)
+            assert np.allclose(got, features, atol=1e-6)
+            assert np.array_equal(got_labels, labels - 1)
 
     def test_signs_preserved_for_negative_features(self, tmp_path):
         feat, lab, features, _ = write_har_files(tmp_path)
-        ds = load_har(feat, lab, "train")
-        assert np.array_equal(ds.signs() == -1, ds.features < 0)
+        got, labels = load_har(feat, lab)
+        ds = Dataset.scaled(got, labels, "train", 6, np.zeros(5), np.ones(5))
+        assert np.array_equal(ds.signs == -1, got < 0)
 
     def test_ragged_row_reports_line_number(self, tmp_path):
         feat, lab, _, _ = write_har_files(tmp_path)
         with open(feat, "a") as fh:
             fh.write("0.1 0.2\n")
         with pytest.raises(DataFormatError, match=":11:"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_value_reports_line_number(self, tmp_path, token):
@@ -147,7 +168,7 @@ class TestHarLoading:
         lines[3] = " ".join(fields) + "\n"
         feat.write_text("".join(lines))
         with pytest.raises(DataFormatError, match=r":4: field 3 is (-?inf|nan),"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_feature_file_without_rows_rejected(self, tmp_path, text):
@@ -155,7 +176,7 @@ class TestHarLoading:
         feat.write_text(text)
         lab.write_text("")
         with pytest.raises(DataFormatError, match="X.txt: no feature rows"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
 
     @pytest.mark.parametrize("last_row", ["-1E+2 3 .5", "-1E+2 3 1_0"])
     def test_mixed_text_parses_as_python_floats(self, tmp_path, last_row):
@@ -168,9 +189,9 @@ class TestHarLoading:
         lab.write_text("1\n2\n3\n")
         want = [[float(t) for t in row.replace(",", " ").split()]
                 for row in text.split("\n") if row.strip()]
-        ds = load_har(feat, lab, "train")
-        assert ds.features.dtype == np.float64
-        assert ds.features.tolist() == want
+        got, _ = load_har(feat, lab)
+        assert got.dtype == np.float64
+        assert got.tolist() == want
 
     def test_errors_name_lines_counted_with_blank_ones(self, tmp_path):
         feat, lab = tmp_path / "X.txt", tmp_path / "y.txt"
@@ -178,14 +199,14 @@ class TestHarLoading:
         feat.write_text("1 2\n\n\n3 x\n")
         with pytest.raises(DataFormatError,
                            match=r"X.txt:4: could not convert string to float: 'x'"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
         feat.write_text("1 2\n\n3 4 5\n")
         with pytest.raises(DataFormatError, match=r"X.txt:3: row has 3 fields, expected 2"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
         # a row of nothing but commas is a row of 0 fields, not a blank line
         feat.write_text("1,2\n,,,\n3,4\n")
         with pytest.raises(DataFormatError, match=r"X.txt:2: row has 0 fields, expected 2"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
 
     def test_blank_lines_do_not_send_the_file_to_the_line_scan(self, tmp_path, monkeypatch):
         # loadtxt skips blank lines, so they leave its row count whole
@@ -194,7 +215,7 @@ class TestHarLoading:
         feat.write_text(text)
         want = datasets._scan_features(feat, text)
         monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
-        assert np.array_equal(load_har(feat, lab, "train").features, want)
+        assert np.array_equal(load_har(feat, lab)[0], want)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_comma_free_blank_lines_do_not_send_the_file_to_the_line_scan(
@@ -208,7 +229,7 @@ class TestHarLoading:
         assert "," not in feat.read_text()
         want = datasets._scan_features(feat, feat.read_text())
         monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
-        assert load_har(feat, lab, "train").features.tobytes() == want.tobytes()
+        assert load_har(feat, lab)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", ["uci", "crlf", "cr", "no_final_newline", "commas",
                                         "wide"])
@@ -229,7 +250,7 @@ class TestHarLoading:
         lab.write_text("1\n" * len(values))
         want = datasets._scan_features(feat, feat.read_text())
         monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
-        got = load_har(feat, lab, "train").features
+        got = load_har(feat, lab)[0]
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()
 
@@ -241,61 +262,55 @@ class TestHarLoading:
         with open(lab, "w") as fh:
             fh.writelines(lines)
         with pytest.raises(DataFormatError, match="unknown label 9"):
-            load_har(feat, lab, "train")
+            load_har(feat, lab)
 
 
 class TestNormalization:
     def test_stats_come_from_train_split_only(self, tmp_path):
-        train = Dataset(
-            features=np.array([[0.5, -2.0], [1.0, 4.0]]),
-            labels=np.array([0, 1]),
-            split="train", n_classes=2,
-        )
-        test = Dataset(
-            features=np.array([[3.0, -8.0]]),  # outside the train range
-            labels=np.array([0]),
-            split="test", n_classes=2,
-        )
-        normalize_splits(train, test)
-        assert np.array_equal(train.norm_max, [1.0, 4.0])
-        assert np.array_equal(test.norm_max, [1.0, 4.0])
+        # the test split's 3.0 and -8.0 lie outside the train range
+        data = tmp_path / "data"
+        data.mkdir()
+        for split, rows, labels in (("train", "0.5 -2.0\n1.0 4.0\n", "1\n2\n"),
+                                    ("test", "3.0 -8.0\n", "1\n")):
+            (data / f"X_{split}.txt").write_text(rows)
+            (data / f"y_{split}.txt").write_text(labels)
+        train, test = _load_split_pair("har", str(data), 0, None)
+        assert train.magnitudes.tolist() == [[0.0, 0.0], [1.0, 1.0]]
         # out-of-range test magnitudes clip into [0, 1]
-        assert test.magnitudes().max() == 1.0
-        assert np.all(train.magnitudes() <= 1.0)
-        assert np.all(train.magnitudes() >= 0.0)
-
-    def test_fit_refuses_non_train_split(self):
-        ds = make_synthetic(4, split="test")
-        with pytest.raises(ValueError):
-            fit_normalization(ds)
+        assert test.magnitudes.tolist() == [[1.0, 1.0]]
+        assert test.signs.tolist() == [[1, -1]]
 
     def test_degenerate_feature_maps_to_zero(self):
-        train = Dataset(
-            features=np.array([[2.0, 1.0], [2.0, 3.0]]),
-            labels=np.array([0, 1]),
-            split="train", n_classes=2,
-        )
-        train.norm_min, train.norm_max = fit_normalization(train)
-        assert np.all(train.magnitudes()[:, 0] == 0.0)
+        features = np.array([[2.0, 1.0], [2.0, 3.0]])
+        train = Dataset.scaled(features, [0, 1], "train", 2, np.array([2.0, 1.0]),
+                               np.array([2.0, 3.0]))
+        assert np.all(train.magnitudes[:, 0] == 0.0)
+        assert train.magnitudes[:, 1].tolist() == [0.0, 1.0]
+
+    def test_magnitudes_and_signs_of_different_shapes_rejected(self):
+        with pytest.raises(DataFormatError, match=r"magnitudes of shape \(2, 3\) but signs "
+                                                  r"of shape \(2, 2\)"):
+            Dataset(np.zeros((2, 3)), np.ones((2, 2)), [0, 1], "train", 2)
 
     def test_synthetic_is_deterministic(self):
         a = make_synthetic(20, seed=5)
         b = make_synthetic(20, seed=5)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a.magnitudes, b.magnitudes)
         assert np.array_equal(a.labels, b.labels)
-        assert a.magnitudes().max() <= 1.0
+        assert 0.0 <= a.magnitudes.min() and a.magnitudes.max() <= 1.0
+        assert np.all(a.signs == 1)
 
     def test_synthetic_splits_with_one_seed_share_the_task(self):
         train = make_synthetic(400, seed=5, noise=0.01)
         test = make_synthetic(400, seed=5, noise=0.01, sample_seed=6, split="test")
         assert not np.array_equal(train.labels, test.labels)
         for c in range(train.n_classes):
-            centre = train.features[train.labels == c].mean(axis=0)
-            other = test.features[test.labels == c].mean(axis=0)
+            centre = train.magnitudes[train.labels == c].mean(axis=0)
+            other = test.magnitudes[test.labels == c].mean(axis=0)
             assert np.abs(centre - other).max() < 0.01
         # without sample_seed the samples follow the prototypes' generator
         again = make_synthetic(400, seed=5, noise=0.01)
-        assert np.array_equal(again.features, train.features)
+        assert np.array_equal(again.magnitudes, train.magnitudes)
 
 
 def build_models(rng):

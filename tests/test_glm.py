@@ -64,8 +64,8 @@ class TestRateEncode:
 
     def test_signs_follow_input_and_zero_maps_positive(self):
         x = np.array([[-0.5, 0.0, 0.25]])
-        ds = Dataset(features=x, labels=np.zeros(1), split="train", n_classes=1)
-        assert ds.signs().tolist() == [[-1, 1, 1]]
+        ds = Dataset.scaled(x, [0], "train", 1, np.zeros(3), np.ones(3))
+        assert ds.signs.tolist() == [[-1, 1, 1]]
         # negative channels spike on magnitude
         assert check_magnitudes(x).tolist() == [[0.5, 0.0, 0.25]]
         _, rasters = next(encoded_chunks(x, 4000, np.random.default_rng(1)))

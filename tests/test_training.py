@@ -14,6 +14,7 @@ from spikesim.training import (
     evaluate_float,
     train,
 )
+from corpora import separable_task
 from oracles import (
     batch_objective_and_gradient_windows,
     evaluate_float_loop,
@@ -21,22 +22,6 @@ from oracles import (
     model_objective_and_gradient,
     windowed_potentials,
 )
-
-
-class ArrayData:
-    """Minimal dataset stand-in for the trainer."""
-
-    def __init__(self, mags, signs, labels, n_classes):
-        self._mags = np.asarray(mags, dtype=np.float64)
-        self._signs = np.asarray(signs, dtype=np.int8)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        self.n_classes = n_classes
-
-    def magnitudes(self):
-        return self._mags
-
-    def signs(self):
-        return self._signs
 
 
 def product_form_log_prob(u, c, t):
@@ -332,15 +317,6 @@ class TestInferFloat:
             assert abs(p_hat - p) <= 3 * sigma + 1e-12, (key, p, p_hat)
 
 
-def separable_task(rng, n_samples=60):
-    protos = np.array([[0.9, 0.9, 0.05, 0.05], [0.05, 0.05, 0.9, 0.9]])
-    labels = rng.integers(0, 2, size=n_samples)
-    mags = protos[labels] + rng.normal(scale=0.02, size=(n_samples, 4))
-    mags = np.clip(mags, 0.0, 1.0)
-    signs = np.ones((n_samples, 4), dtype=np.int8)
-    return ArrayData(mags, signs, labels, 2)
-
-
 class TestTrain:
     def test_learns_separable_task(self):
         rng = np.random.default_rng(51)
@@ -404,7 +380,7 @@ class TestTrain:
 
         want = GlmModel.zeros(4, 2, 4, 3)
         kmat = want.weights.transpose(0, 2, 1).reshape(4, -1)  # a view, as in train
-        mags, signs, labels = data.magnitudes(), data.signs(), data.labels
+        mags, signs, labels = data.magnitudes, data.signs, data.labels
         sgd = np.random.default_rng(5)
         score = np.random.default_rng(np.random.SeedSequence(5).spawn(1)[0])
         for m in metrics:
