@@ -54,10 +54,8 @@ class Dataset:
         self.signs = np.asarray(self.signs, dtype=np.int8)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.magnitudes.shape != self.signs.shape:
-            raise DataFormatError(
-                f"magnitudes of shape {self.magnitudes.shape} but signs of "
-                f"shape {self.signs.shape}"
-            )
+            raise DataFormatError(f"magnitudes of shape {self.magnitudes.shape} but "
+                                  f"signs of shape {self.signs.shape}")
         if len(self.magnitudes) != len(self.labels):
             raise DataFormatError(
                 f"{len(self.magnitudes)} samples but {len(self.labels)} labels"
@@ -69,17 +67,18 @@ class Dataset:
 
     @classmethod
     def scaled(cls, features, labels, split: str, n_classes: int, lo, hi) -> Dataset:
-        """The split of raw features: magnitudes |x| min-max scaled by the
-        per-feature bounds lo..hi and clipped into [0, 1], where a feature
-        whose hi is not above its lo reads 0, and signs -1 for x < 0 and +1
-        otherwise."""
-        features = np.asarray(features, dtype=np.float64)
+        """The split of raw features: |x| min-max scaled by the per-feature
+        bounds lo..hi and clipped into [0, 1] (0 where hi <= lo), and signs
+        -1 where x < 0, else +1.  In place, to allocate one float array."""
+        features = np.asarray(features)
         span = hi - lo
         safe = np.where(span > 0, span, 1.0)
-        scaled = (np.abs(features) - lo) / safe
+        scaled = np.abs(features, dtype=np.float64)
+        scaled -= lo
+        scaled /= safe
         scaled[:, span <= 0] = 0.0
-        return cls(np.clip(scaled, 0.0, 1.0), np.where(features < 0, -1, 1).astype(np.int8),
-                   labels, split, n_classes)
+        return cls(np.clip(scaled, 0.0, 1.0, out=scaled),
+                   1 - 2 * (features < 0).astype(np.int8), labels, split, n_classes)
 
     @property
     def n_samples(self) -> int:
@@ -95,7 +94,7 @@ def _need(path, data, start, n, what):
     if len(data) < start + n:
         raise DataFormatError(
             f"{path}: truncated while reading {what} "
-            f"(wanted {n} bytes, got {max(len(data) - start, 0)})"
+            f"(wanted {n} bytes, got {len(data) - start})"
         )
 
 

@@ -279,13 +279,18 @@ class TestNormalization:
         # out-of-range test magnitudes clip into [0, 1]
         assert test.magnitudes.tolist() == [[1.0, 1.0]]
         assert test.signs.tolist() == [[1, -1]]
+        # --limit cuts the scaled splits: the bounds still span both train rows
+        train, test = _load_split_pair("har", str(data), 0, 1)
+        assert train.magnitudes.tolist() == [[0.0, 0.0]]
+        assert test.magnitudes.tolist() == [[1.0, 1.0]]
 
     def test_degenerate_feature_maps_to_zero(self):
-        features = np.array([[2.0, 1.0], [2.0, 3.0]])
-        train = Dataset.scaled(features, [0, 1], "train", 2, np.array([2.0, 1.0]),
-                               np.array([2.0, 3.0]))
-        assert np.all(train.magnitudes[:, 0] == 0.0)
-        assert train.magnitudes[:, 1].tolist() == [0.0, 1.0]
+        # feature 0 was constant 2.0 where the bounds came from, so the 5.0
+        # reads 0 as well
+        features = np.array([[2.0, 1.0], [5.0, 3.0]])
+        ds = Dataset.scaled(features, [0, 1], "test", 2, np.array([2.0, 1.0]),
+                            np.array([2.0, 3.0]))
+        assert ds.magnitudes.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
     def test_magnitudes_and_signs_of_different_shapes_rejected(self):
         with pytest.raises(DataFormatError, match=r"magnitudes of shape \(2, 3\) but signs "
