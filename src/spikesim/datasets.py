@@ -89,13 +89,14 @@ class Dataset:
         return self.magnitudes.shape[1]
 
 
-def _need(path, data, start, n, what):
-    """A DataFormatError unless data holds n bytes from start on."""
+def _take(path, data, start, n, what):
+    """data[start:start + n], or a DataFormatError if data ends before that."""
     if len(data) < start + n:
         raise DataFormatError(
             f"{path}: truncated while reading {what} "
             f"(wanted {n} bytes, got {len(data) - start})"
         )
+    return data[start : start + n]
 
 
 def _read_idx(path, expected_magic, n_dims, what):
@@ -108,30 +109,31 @@ def _read_idx(path, expected_magic, n_dims, what):
         except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
             raise DataFormatError(
                 f"{path}: corrupt gzip stream while reading {what}: {exc}") from None
-    _need(path, data, 0, 4, "magic")
-    (magic,) = struct.unpack_from(">I", data)
+    view = memoryview(data)  # its slices share the buffer
+    (magic,) = struct.unpack(">I", _take(path, view, 0, 4, "magic"))
     if magic != expected_magic:
         raise DataFormatError(
             f"{path}: bad magic 0x{magic:08x} at offset 0, "
             f"expected 0x{expected_magic:08x}"
         )
-    _need(path, data, 4, 4 * n_dims, "dimensions")
-    dims = struct.unpack_from(f">{n_dims}I", data, 4)
-    size, start = math.prod(dims), 4 + 4 * n_dims
-    _need(path, data, start, size, f"{dims[0]} {what}")
-    return dims, np.frombuffer(data, dtype=np.uint8, count=size, offset=start)
+    dims = struct.unpack(f">{n_dims}I", _take(path, view, 4, 4 * n_dims, "dimensions"))
+    payload = _take(path, view, 4 + 4 * n_dims, math.prod(dims), f"{dims[0]} {what}")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def write_idx_images(path, images: np.ndarray, rows: int, cols: int):
     """Pack a (count, rows*cols) uint8 matrix into the IDX container."""
     images = np.asarray(images, dtype=np.uint8)
-    Path(path).write_bytes(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(images), rows, cols)
-                           + images.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(images), rows, cols))
+        fh.write(images.tobytes())
 
 
 def write_idx_labels(path, labels: np.ndarray):
     labels = np.asarray(labels, dtype=np.uint8)
-    Path(path).write_bytes(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + labels.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
+        fh.write(labels.tobytes())
 
 
 def load_digits(images_path, labels_path, split: str) -> Dataset:
