@@ -22,10 +22,9 @@ import numpy as np
 
 from .core import latency_cdf, map_model_to_memory, save_image, unpack_model, wordline_reads
 from .datasets import (
-    HAR_CLASSES,
     ArtifactError,
     DataFormatError,
-    Dataset,
+    _check_widths,
     _read_text,
     load_digits,
     load_har,
@@ -104,12 +103,6 @@ def _find(root: Path, *names: str) -> Path:
     raise DataFormatError(f"could not find {' or '.join(names)} under {root}")
 
 
-def _check_widths(train_width: int, test_width: int):
-    if train_width != test_width:
-        raise DataFormatError(f"the train split has {train_width} features "
-                              f"but the test split has {test_width}")
-
-
 def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int | None):
     if dataset == "synthetic":
         # one task: the test split reuses the train split's class prototypes
@@ -126,17 +119,11 @@ def _load_split_pair(dataset: str, data_dir: str | None, seed: int, limit: int |
         )
     elif dataset == "har":
         root = Path(data_dir)
-        (x_train, y_train), (x_test, y_test) = (
-            load_har(*(_find(root, f"{prefix}_{split}.txt", f"{split}/{prefix}_{split}.txt")
-                       for prefix in ("X", "y")))
+        train_ds, test_ds = load_har(*(
+            [_find(root, f"{prefix}_{split}.txt", f"{split}/{prefix}_{split}.txt")
+             for prefix in ("X", "y")]
             for split in ("train", "test")
-        )
-        # checked before scaling: both splits scale by the train split's bounds
-        _check_widths(x_train.shape[1], x_test.shape[1])
-        train_mags = np.abs(x_train)
-        lo, hi = train_mags.min(axis=0), train_mags.max(axis=0)
-        train_ds = Dataset.scaled(x_train, y_train, "train", HAR_CLASSES, lo, hi)
-        test_ds = Dataset.scaled(x_test, y_test, "test", HAR_CLASSES, lo, hi)
+        ))
     else:
         raise UsageError(f"unknown dataset {dataset!r}")
     _check_widths(train_ds.n_features, test_ds.n_features)
@@ -205,8 +192,8 @@ def cmd_quantize(args) -> int:
     out_dir = _create_out(args)
     qms = [quantize_model(model, bits) for bits in args.bits]
     # the float baseline and every width decide the same rasters
-    float_acc, *accs = accuracies(test_ds.labels, test_ds.magnitudes, test_ds.signs,
-                                  np.random.default_rng(args.seed), args.seed, qms, model)
+    float_acc, *accs = accuracies(test_ds, np.random.default_rng(args.seed), args.seed,
+                                  qms, model)
     for bits, qm, acc in zip(args.bits, qms, accs):
         save_model(
             out_dir / f"model_q{bits}.bin", qm,
@@ -231,9 +218,7 @@ def cmd_simulate(args) -> int:
     blocks = [
         (predicted, decision_time, wordline_reads(rasters, qm.window))
         for _, rasters, [(predicted, decision_time)] in decide_blocks(
-            test_ds.magnitudes, test_ds.signs, np.random.default_rng(args.seed),
-            args.seed, [unpack_model(image)],
-        )
+            test_ds, np.random.default_rng(args.seed), args.seed, [unpack_model(image)])
     ]
     predicted, decision_time, reads = (np.concatenate(parts) for parts in zip(*blocks))
     correct, fallback = predicted == labels, decision_time == 0

@@ -2,10 +2,11 @@
 
 Loaders parse the big-endian IDX image/label container and the
 whitespace/comma text format used by the activity-recognition corpus.
-A split is scaled once, when it is built: per-feature min-max scaling of
-magnitudes by bounds that the caller passes in (fixed for pixels, the
-train split's for activity features), with the signs kept separately so
-negative features can flip weight signs during accumulation.
+A split is scaled once and checked once, when it is built: per-feature
+min-max scaling of magnitudes by bounds that the loader passes in (fixed
+for pixels, the train split's for activity features), with the signs kept
+separately so negative features can flip weight signs during accumulation.
+Every later stage reads a split as Dataset built it, unchecked.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ class ArtifactError(ValueError):
 
 @dataclass
 class Dataset:
-    """One split as the network reads it."""
+    """One split as the network reads it, checked when it is built."""
 
     magnitudes: np.ndarray  # (n_samples, n_features) float64 in [0, 1]
     signs: np.ndarray       # (n_samples, n_features) int8, +1 or -1
@@ -50,20 +51,26 @@ class Dataset:
     n_classes: int
 
     def __post_init__(self):
-        self.magnitudes = np.asarray(self.magnitudes, dtype=np.float64)
-        self.signs = np.asarray(self.signs, dtype=np.int8)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.magnitudes.shape != self.signs.shape:
-            raise DataFormatError(f"magnitudes of shape {self.magnitudes.shape} but "
-                                  f"signs of shape {self.signs.shape}")
-        if len(self.magnitudes) != len(self.labels):
-            raise DataFormatError(
-                f"{len(self.magnitudes)} samples but {len(self.labels)} labels"
-            )
-        if len(self.labels) and not (
-            0 <= self.labels.min() and self.labels.max() < self.n_classes
-        ):
-            raise DataFormatError("labels out of range for declared class count")
+        """The one check of a split, on the values as given: the casts
+        below would wrap or truncate signs and labels."""
+        magnitudes, signs, labels = map(np.asarray, (self.magnitudes, self.signs, self.labels))
+        if magnitudes.ndim != 2 or signs.shape != magnitudes.shape:
+            raise DataFormatError(f"magnitudes of shape {magnitudes.shape} but signs of shape "
+                                  f"{signs.shape}; need both (n_samples, n_features)")
+        if labels.shape != magnitudes.shape[:1]:
+            raise DataFormatError(f"{len(magnitudes)} samples but labels of shape "
+                                  f"{labels.shape}; need one label per sample")
+        if magnitudes.size and not (0 <= magnitudes.min() and magnitudes.max() <= 1):
+            raise DataFormatError(_magnitude_fault(magnitudes))
+        if not (np.abs(signs) == 1).all():
+            raise DataFormatError("sign entries must be +1 or -1")
+        whole = np.issubdtype(labels.dtype, np.integer) or (np.round(labels) == labels).all()
+        if labels.size and not (whole and 0 <= labels.min() and labels.max() < self.n_classes):
+            raise DataFormatError(f"labels must be whole class indices in "
+                                  f"0..{self.n_classes - 1}")
+        self.magnitudes = magnitudes.astype(np.float64, copy=False)
+        self.signs = signs.astype(np.int8, copy=False)
+        self.labels = labels.astype(np.int64, copy=False)
 
     @classmethod
     def scaled(cls, features, labels, split: str, n_classes: int, lo, hi) -> Dataset:
@@ -87,6 +94,19 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.magnitudes.shape[1]
+
+
+def _magnitude_fault(magnitudes) -> str:
+    """What puts magnitudes outside [0, 1]: a non-finite value, or the
+    channel of the value furthest out."""
+    magnitudes = magnitudes.astype(np.float64)
+    if not np.isfinite(magnitudes).all():
+        return "magnitudes contain non-finite values"
+    worst = np.unravel_index(np.argmax(np.maximum(magnitudes - 1, -magnitudes)),
+                             magnitudes.shape)
+    value = magnitudes[worst]
+    return (f"channel {worst[-1]} has magnitude {value:g} {'> 1' if value > 1 else '< 0'}; "
+            "normalize first")
 
 
 def _take(path, data, start, n, what):
@@ -218,14 +238,33 @@ def _scan_features(features_path, text) -> np.ndarray:
     return features
 
 
-def load_har(features_path, labels_path):
-    """The raw (features, labels) of an activity-recognition split, from
-    delimited text feature/label files.
+def _check_widths(train_width: int, test_width: int):
+    if train_width != test_width:
+        raise DataFormatError(f"the train split has {train_width} features "
+                              f"but the test split has {test_width}")
+
+
+def load_har(train_paths, test_paths):
+    """The (train, test) splits of the activity-recognition corpus, each
+    from a (features, labels) pair of text file paths.
+
+    Both splits scale by the train split's per-feature |x| bounds, so they
+    must be as wide.
+    """
+    (x_train, y_train), (x_test, y_test) = (_read_har_split(*paths)
+                                            for paths in (train_paths, test_paths))
+    _check_widths(x_train.shape[1], x_test.shape[1])
+    train_mags = np.abs(x_train)
+    lo, hi = train_mags.min(axis=0), train_mags.max(axis=0)
+    return (Dataset.scaled(x_train, y_train, "train", HAR_CLASSES, lo, hi),
+            Dataset.scaled(x_test, y_test, "test", HAR_CLASSES, lo, hi))
+
+
+def _read_har_split(features_path, labels_path):
+    """The raw (features, labels) of one activity-recognition split.
 
     Features may be whitespace- or comma-separated and must be finite;
     labels are one integer per line in 1..HAR_CLASSES, mapped to 0-based.
-    The caller scales the features, by the train split's bounds for both
-    splits.
     """
     features = _parse_features(features_path)
 

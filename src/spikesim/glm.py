@@ -7,6 +7,10 @@ with probability sigmoid(potential).  add_tap_contributions is the one
 potential kernel: training runs it over every step of a minibatch, and
 quantize's first-to-spike loop a chunk of steps at a time, for the float
 model and the quantized datapath alike.
+
+No function here checks a split: its magnitudes, signs and labels are
+checked once, when its datasets.Dataset is built, and quantize.decide_blocks
+checks that it fits the models it scores.
 """
 
 from __future__ import annotations
@@ -14,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class EncodingError(ValueError):
-    """Raised when an input vector cannot be rate-encoded."""
 
 
 def sigmoid(u):
@@ -42,33 +42,8 @@ def log_one_minus_sigmoid(u):
 ENCODE_CHUNK = 64
 
 
-def check_magnitudes(x) -> np.ndarray:
-    """|x| of one input vector or a block of them, validated for rate encoding.
-
-    Raises EncodingError on non-finite values or a magnitude above 1.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(x).all():
-        raise EncodingError("input contains non-finite values")
-    mag = np.abs(x)
-    if (mag > 1.0).any():
-        worst = np.unravel_index(np.argmax(mag), mag.shape)
-        raise EncodingError(
-            f"channel {worst[-1]} has magnitude {mag[worst]:g} > 1; normalize first"
-        )
-    return mag
-
-
-def check_signs(signs) -> np.ndarray:
-    """Per-channel sign flags of one input or a block of them, all +1 or -1."""
-    signs = np.asarray(signs)
-    if not (np.abs(signs) == 1).all():
-        raise ValueError("sign entries must be +1 or -1")
-    return signs
-
-
 def draw_rasters(mag: np.ndarray, duration: int, rng: np.random.Generator) -> np.ndarray:
-    """Bernoulli spike rasters for validated magnitudes: mag.shape + (duration,).
+    """Bernoulli spike rasters for magnitudes in [0, 1]: mag.shape + (duration,).
 
     One rng.random call, so a block of samples consumes the same stream as
     one call per sample in order.
@@ -76,15 +51,12 @@ def draw_rasters(mag: np.ndarray, duration: int, rng: np.random.Generator) -> np
     return (rng.random(mag.shape + (duration,)) < mag[..., None]).astype(np.uint8)
 
 
-def encoded_chunks(magnitudes, duration: int, rng: np.random.Generator):
-    """Yield (start, rasters) for consecutive blocks of ENCODE_CHUNK samples.
-
-    The whole split is validated once, before the first draw; the rasters
-    are those one draw_rasters call per sample would draw from the same rng.
-    """
-    mags = check_magnitudes(magnitudes)
-    for start in range(0, len(mags), ENCODE_CHUNK):
-        yield start, draw_rasters(mags[start : start + ENCODE_CHUNK], duration, rng)
+def encoded_chunks(magnitudes: np.ndarray, duration: int, rng: np.random.Generator):
+    """Yield (start, rasters) for consecutive blocks of ENCODE_CHUNK samples
+    of a split's magnitudes: those one draw_rasters call per sample would
+    draw from the same rng."""
+    for start in range(0, len(magnitudes), ENCODE_CHUNK):
+        yield start, draw_rasters(magnitudes[start : start + ENCODE_CHUNK], duration, rng)
 
 
 def first_spike(spikes, final):

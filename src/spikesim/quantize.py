@@ -22,7 +22,6 @@ import numpy as np
 from .glm import (
     GlmModel,
     add_tap_contributions,
-    check_signs,
     encoded_chunks,
     first_spike,
     held_as_word_lines,
@@ -267,7 +266,7 @@ def lfsr_run(states, n: int, skip: int = 0) -> np.ndarray:
         raise ValueError("LFSR state must be a nonzero 16-bit value")
     sequence, position = _lfsr_table()
     start = position[states].astype(np.int64) + skip
-    return sequence[(start[..., None] + np.arange(n)) % LFSR_PERIOD]
+    return sequence.take(start[..., None] + np.arange(n), mode="wrap")
 
 
 def datapath_operands(*w_codes):
@@ -462,19 +461,19 @@ def first_to_spike_sweep(qms, rasters, signs, lfsr_seeds, operands=None):
     return _first_to_spike(rasters, signs, kmat, qms[0].window, exact, neuron, len(qms))
 
 
-def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
-    """First-to-spike decisions of a split by every model given, block by
-    block, all on one encoding of it.  For each glm.encoded_chunks block the
-    rng draws the rasters once, then a float model's spike uniforms, one per
-    step and output: it decides through _first_to_spike on its float64
-    kernel_matrix, which never saturates, and a neuron spikes where its
-    uniform falls below sigmoid of its potential.  The models in qms decide
-    the same rasters together, in one first_to_spike_sweep per block on
-    their datapath_operands, built once, with LFSR seed
-    derive_lfsr_seed(seed, k) for sample k.  The models must share
-    presentation_time and n_inputs, the quantized ones also n_outputs and
-    window, and the magnitudes and signs must be (n_samples, n_inputs):
-    ValueError before any draw.
+def decide_blocks(split, rng, seed, qms=(), model=None):
+    """First-to-spike decisions of a datasets.Dataset split by every model
+    given, block by block, all on one encoding of it.  For each
+    glm.encoded_chunks block the rng draws the rasters once, then a float
+    model's spike uniforms, one per step and output: it decides through
+    _first_to_spike on its float64 kernel_matrix, which never saturates,
+    and a neuron spikes where its uniform falls below sigmoid of its
+    potential.  The models in qms decide the same rasters together, in one
+    first_to_spike_sweep per block on their datapath_operands, built once,
+    with LFSR seed derive_lfsr_seed(seed, k) for sample k.  The models must
+    share presentation_time and n_inputs, the quantized ones also n_outputs
+    and window, and the split must have n_inputs features: ValueError
+    before any draw.
 
     Yields (start, rasters, decisions) per block: decisions holds one
     (predicted, decision_time) per model, the float model's first.
@@ -485,14 +484,13 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
     duration, n_inputs = models[0].presentation_time, models[0].n_inputs
     if any(m.presentation_time != duration or m.n_inputs != n_inputs for m in models):
         raise ValueError("the models of one sweep must share presentation_time and n_inputs")
-    magnitudes, signs = np.asarray(magnitudes), check_signs(signs)
-    if magnitudes.ndim != 2 or magnitudes.shape[1] != n_inputs or signs.shape != magnitudes.shape:
-        raise ValueError(f"magnitudes of shape {magnitudes.shape} and signs of shape "
-                         f"{signs.shape}; need both (n_samples, n_inputs {n_inputs})")
+    if split.n_features != n_inputs:
+        raise ValueError(f"a split of {split.n_features} features for models of "
+                         f"{n_inputs} inputs; they must match")
     operands = datapath_operands(*(qm.w_codes for qm in qms)) if qms else None
-    for start, rasters in encoded_chunks(magnitudes, duration, rng):
+    for start, rasters in encoded_chunks(split.magnitudes, duration, rng):
         stop = start + len(rasters)
-        block_signs, decisions = signs[start:stop], []
+        block_signs, decisions = split.signs[start:stop], []
         if model is not None:
             uniforms = rng.random((len(rasters), duration, model.n_outputs))
 
@@ -508,15 +506,11 @@ def decide_blocks(magnitudes, signs, rng, seed, qms=(), model=None):
         yield start, rasters, decisions
 
 
-def accuracies(labels, magnitudes, signs, rng, seed, qms=(), model=None) -> np.ndarray:
-    """The accuracy on labels, one per sample, of every model decide_blocks
+def accuracies(split, rng, seed, qms=(), model=None) -> np.ndarray:
+    """The accuracy on the split's labels of every model decide_blocks
     decides, the float model's first; all zero on an empty split."""
-    labels = np.asarray(labels)
-    if labels.shape != np.shape(magnitudes)[:1]:
-        raise ValueError(f"labels of shape {labels.shape} for magnitudes of shape "
-                         f"{np.shape(magnitudes)}; need one label per sample")
     correct = np.zeros(len(qms) + (model is not None), dtype=np.int64)
-    for start, rasters, decisions in decide_blocks(magnitudes, signs, rng, seed, qms, model):
-        truth = labels[start : start + len(rasters)]
+    for start, rasters, decisions in decide_blocks(split, rng, seed, qms, model):
+        truth = split.labels[start : start + len(rasters)]
         correct += [np.count_nonzero(predicted == truth) for predicted, _ in decisions]
-    return correct / max(len(labels), 1)
+    return correct / max(split.n_samples, 1)

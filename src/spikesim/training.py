@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datasets import Dataset
 from .glm import (
     GlmModel,
     add_tap_contributions,
@@ -121,8 +122,10 @@ def _batch_objective_and_gradient(kmat, biases, rasters, signs, labels):
 
 def evaluate_float(model, magnitudes, signs, labels, rng) -> float:
     """Accuracy of stochastic first-to-spike inference with fresh encodings:
-    the float model's in quantize.accuracies, which stops at each decision."""
-    return float(accuracies(labels, magnitudes, signs, rng, 0, model=model)[0])
+    the float model's in quantize.accuracies, which stops at each decision,
+    on the split of the arrays given."""
+    split = Dataset(magnitudes, signs, labels, "evaluated", model.n_outputs)
+    return float(accuracies(split, rng, 0, model=model)[0])
 
 
 def train(train_data, test_data, config: TrainConfig):

@@ -15,6 +15,20 @@ def separable_task(rng, n_samples=60):
     return Dataset(mags, np.ones((n_samples, 4), dtype=np.int8), labels, "train", 2)
 
 
+def split_of(magnitudes, signs, labels=None):
+    """The "test" Dataset of the arrays given: labels all 0 unless given,
+    and one class more than the largest label."""
+    labels = np.zeros(len(magnitudes), dtype=np.int64) if labels is None else labels
+    return Dataset(magnitudes, signs, labels, "test", int(np.max(labels, initial=0)) + 1)
+
+
+def rows(split, index, name=None):
+    """The samples of split that index selects, as a split of their own,
+    named name or as split is."""
+    return Dataset(split.magnitudes[index], split.signs[index], split.labels[index],
+                   name or split.split, split.n_classes)
+
+
 def write_digit_corpus(root, n_train, n_test, side=5, seed=0, test_side=None):
     """IDX train/t10k image and label files of side x side random pixels
     (test_side x test_side in t10k, if given), labels cycling through the

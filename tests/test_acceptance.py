@@ -15,7 +15,6 @@ import pytest
 from spikesim.cli import EXIT_OK, _load_split_pair, main
 from spikesim.core import latency_cdf, map_model_to_memory, unpack_model
 from spikesim.datasets import (
-    Dataset,
     load_digits,
     load_model,
     save_model,
@@ -47,7 +46,7 @@ from spikesim.training import (
     train,
 )
 
-from corpora import separable_task
+from corpora import rows, separable_task
 from oracles import (
     datapath_sums,
     draw_raster,
@@ -277,11 +276,8 @@ def _digit_subset(tmp_path, n_train=1000, n_test=200):
 def _split(ds, n_train, n_test):
     """The first n_train samples of ds as the train split and the next
     n_test as the test split."""
-    return tuple(
-        Dataset(ds.magnitudes[rows], ds.signs[rows], ds.labels[rows], split, ds.n_classes)
-        for split, rows in (("train", slice(n_train)),
-                            ("test", slice(n_train, n_train + n_test)))
-    )
+    return (rows(ds, slice(n_train), "train"),
+            rows(ds, slice(n_train, n_train + n_test), "test"))
 
 
 def test_criterion_08_desk_scale_learning(tmp_path):
@@ -357,7 +353,7 @@ def test_criterion_11_quick_start_learns_and_quantizes(tmp_path):
     kmat, redraw = kernel_matrix(float_model.weights), np.random.default_rng(2)
     differ, floor = np.zeros(len(qms), dtype=np.int64), 0
     for start, rasters, [(float_cls, _), *quantized] in decide_blocks(
-        test_ds.magnitudes, test_ds.signs, np.random.default_rng(1), 1, qms, float_model
+        test_ds, np.random.default_rng(1), 1, qms, float_model
     ):
         u = windowed_potentials(rasters, test_ds.signs[start : start + len(rasters)],
                                 kmat, float_model.window) + float_model.biases
@@ -451,16 +447,16 @@ def test_full_digits_pipeline(tmp_path):
     # first 2000 test samples
     sweep = (5, 6, 7, 8)
     qms = [quantize_model(model, bits) for bits in sweep]
-    paired_float, *accs = accuracies(labels[:2000], mags[:2000], signs[:2000],
-                                     np.random.default_rng(3), 3, qms, model)
+    first_2000 = rows(test_ds, slice(2000))
+    paired_float, *accs = accuracies(first_2000, np.random.default_rng(3), 3, qms, model)
     for bits, acc in zip(sweep, accs):
         print(f"b={bits} quantized accuracy: {acc:.4f} (float {paired_float:.4f})")
     assert accs[0] >= paired_float - 0.02
 
     qm = qms[-1]
     core = unpack_model(map_model_to_memory(qm))
-    blocks = [d for _, _, [d] in decide_blocks(mags[:2000], signs[:2000],
-                                               np.random.default_rng(4), 4, [core])]
+    blocks = [d for _, _, [d] in decide_blocks(first_2000, np.random.default_rng(4), 4,
+                                               [core])]
     predicted, decision_time = (np.concatenate(arrays) for arrays in zip(*blocks))
     correct = predicted == labels[: len(decision_time)]
     cdf, _ = latency_cdf(decision_time, qm.presentation_time)

@@ -14,15 +14,15 @@ from spikesim.datasets import (
     DataFormatError,
     Dataset,
     load_digits,
-    load_har,
     load_model,
     make_synthetic,
     save_model,
     write_idx_images,
     write_idx_labels,
 )
-from spikesim.glm import GlmModel
+from spikesim.glm import ENCODE_CHUNK, GlmModel
 from spikesim.quantize import QuantizedModel, quantize_model
+from spikesim.training import evaluate_float
 
 
 def write_digit_files(tmp_path, n=12, rows=4, cols=3, gz=False):
@@ -142,13 +142,13 @@ class TestHarLoading:
     def test_whitespace_and_comma_delimiters(self, tmp_path):
         for delim in (" ", ","):
             feat, lab, features, labels = write_har_files(tmp_path, delim=delim)
-            got, got_labels = load_har(feat, lab)
+            got, got_labels = datasets._read_har_split(feat, lab)
             assert np.allclose(got, features, atol=1e-6)
             assert np.array_equal(got_labels, labels - 1)
 
     def test_signs_preserved_for_negative_features(self, tmp_path):
         feat, lab, features, _ = write_har_files(tmp_path)
-        got, labels = load_har(feat, lab)
+        got, labels = datasets._read_har_split(feat, lab)
         ds = Dataset.scaled(got, labels, "train", 6, np.zeros(5), np.ones(5))
         assert np.array_equal(ds.signs == -1, got < 0)
 
@@ -157,7 +157,7 @@ class TestHarLoading:
         with open(feat, "a") as fh:
             fh.write("0.1 0.2\n")
         with pytest.raises(DataFormatError, match=":11:"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity", "1e400"])
     def test_non_finite_value_reports_line_number(self, tmp_path, token):
@@ -168,7 +168,7 @@ class TestHarLoading:
         lines[3] = " ".join(fields) + "\n"
         feat.write_text("".join(lines))
         with pytest.raises(DataFormatError, match=r":4: field 3 is (-?inf|nan),"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
 
     @pytest.mark.parametrize("text", ["", "\n  \n"])
     def test_feature_file_without_rows_rejected(self, tmp_path, text):
@@ -176,7 +176,7 @@ class TestHarLoading:
         feat.write_text(text)
         lab.write_text("")
         with pytest.raises(DataFormatError, match="X.txt: no feature rows"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
 
     @pytest.mark.parametrize("last_row", ["-1E+2 3 .5", "-1E+2 3 1_0"])
     def test_mixed_text_parses_as_python_floats(self, tmp_path, last_row):
@@ -189,7 +189,7 @@ class TestHarLoading:
         lab.write_text("1\n2\n3\n")
         want = [[float(t) for t in row.replace(",", " ").split()]
                 for row in text.split("\n") if row.strip()]
-        got, _ = load_har(feat, lab)
+        got, _ = datasets._read_har_split(feat, lab)
         assert got.dtype == np.float64
         assert got.tolist() == want
 
@@ -199,14 +199,14 @@ class TestHarLoading:
         feat.write_text("1 2\n\n\n3 x\n")
         with pytest.raises(DataFormatError,
                            match=r"X.txt:4: could not convert string to float: 'x'"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
         feat.write_text("1 2\n\n3 4 5\n")
         with pytest.raises(DataFormatError, match=r"X.txt:3: row has 3 fields, expected 2"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
         # a row of nothing but commas is a row of 0 fields, not a blank line
         feat.write_text("1,2\n,,,\n3,4\n")
         with pytest.raises(DataFormatError, match=r"X.txt:2: row has 0 fields, expected 2"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
 
     def test_blank_lines_do_not_send_the_file_to_the_line_scan(self, tmp_path, monkeypatch):
         # loadtxt skips blank lines, so they leave its row count whole
@@ -215,7 +215,7 @@ class TestHarLoading:
         feat.write_text(text)
         want = datasets._scan_features(feat, text)
         monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
-        assert np.array_equal(load_har(feat, lab)[0], want)
+        assert np.array_equal(datasets._read_har_split(feat, lab)[0], want)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_comma_free_blank_lines_do_not_send_the_file_to_the_line_scan(
@@ -229,7 +229,7 @@ class TestHarLoading:
         assert "," not in feat.read_text()
         want = datasets._scan_features(feat, feat.read_text())
         monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
-        assert load_har(feat, lab)[0].tobytes() == want.tobytes()
+        assert datasets._read_har_split(feat, lab)[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layout", ["uci", "crlf", "cr", "no_final_newline", "commas",
                                         "wide"])
@@ -250,7 +250,7 @@ class TestHarLoading:
         lab.write_text("1\n" * len(values))
         want = datasets._scan_features(feat, feat.read_text())
         monkeypatch.setattr(datasets, "_scan_features", scan_not_run)
-        got = load_har(feat, lab)[0]
+        got = datasets._read_har_split(feat, lab)[0]
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()
 
@@ -262,7 +262,7 @@ class TestHarLoading:
         with open(lab, "w") as fh:
             fh.writelines(lines)
         with pytest.raises(DataFormatError, match="unknown label 9"):
-            load_har(feat, lab)
+            datasets._read_har_split(feat, lab)
 
 
 class TestNormalization:
@@ -292,10 +292,6 @@ class TestNormalization:
                             np.array([2.0, 3.0]))
         assert ds.magnitudes.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
-    def test_magnitudes_and_signs_of_different_shapes_rejected(self):
-        with pytest.raises(DataFormatError, match=r"magnitudes of shape \(2, 3\) but signs "
-                                                  r"of shape \(2, 2\)"):
-            Dataset(np.zeros((2, 3)), np.ones((2, 2)), [0, 1], "train", 2)
 
     def test_synthetic_is_deterministic(self):
         a = make_synthetic(20, seed=5)
@@ -316,6 +312,91 @@ class TestNormalization:
         # without sample_seed the samples follow the prototypes' generator
         again = make_synthetic(400, seed=5, noise=0.01)
         assert np.array_equal(again.magnitudes, train.magnitudes)
+
+
+class TestDatasetChecks:
+    """Dataset's construction is the one check of a split, on the values
+    as given, before they are cast."""
+
+    def test_magnitudes_and_signs_of_different_shapes_rejected(self):
+        with pytest.raises(DataFormatError, match=r"magnitudes of shape \(2, 3\) but signs "
+                                                  r"of shape \(2, 2\)"):
+            Dataset(np.zeros((2, 3)), np.ones((2, 2)), [0, 1], "train", 2)
+
+    @pytest.mark.parametrize("n_samples, signs_shape", [(1, (5,)), (10, (9, 5))],
+                             ids=["one_dim_signs", "signs_for_9_of_10"])
+    def test_signs_of_another_shape_rejected(self, n_samples, signs_shape):
+        with pytest.raises(DataFormatError, match=re.escape(
+                f"magnitudes of shape ({n_samples}, 5) but signs of shape {signs_shape}")):
+            Dataset(np.zeros((n_samples, 5)), np.ones(signs_shape), np.zeros(n_samples),
+                    "test", 1)
+
+    def test_need_one_label_per_sample(self):
+        with pytest.raises(DataFormatError, match=r"10 samples but labels of shape \(20,\); "
+                                                  "need one label per sample"):
+            Dataset(np.zeros((10, 5)), np.ones((10, 5)), np.zeros(20), "test", 1)
+
+    def test_magnitudes_need_a_sample_axis_and_a_feature_axis(self):
+        with pytest.raises(DataFormatError, match=r"magnitudes of shape \(5,\) but signs of "
+                                                  r"shape \(5,\); need both \(n_samples, "
+                                                  r"n_features\)"):
+            Dataset(np.zeros(5), np.ones(5), np.zeros(5), "test", 1)
+
+    @pytest.mark.parametrize("value, message", [
+        (np.nan, "magnitudes contain non-finite values"),
+        (np.inf, "magnitudes contain non-finite values"),
+        (1.5, "channel 2 has magnitude 1.5 > 1; normalize first"),
+        (-1.5, "channel 2 has magnitude -1.5 < 0; normalize first"),
+    ])
+    def test_rejects_magnitudes_out_of_range_and_non_finite(self, value, message):
+        mags = np.full((3, 4), 0.5)
+        mags[1, 2] = value
+        with pytest.raises(DataFormatError, match=re.escape(message)):
+            Dataset(mags, np.ones((3, 4)), np.zeros(3), "test", 1)
+
+    @pytest.mark.parametrize("signs", [
+        [1, -1, 1], [1.0, -1.0], np.array([[1, -1], [-1, -1]], dtype=np.int8), [True],
+        [1, 0, -1], [2], [-2.0], [0.5], [1.0000001], [np.nan], [np.inf],
+        np.array([-128], dtype=np.int8),
+    ])
+    def test_signs_are_accepted_exactly_when_all_are_plus_or_minus_one(self, signs):
+        signs = np.atleast_2d(signs)
+        mags, labels = np.zeros(signs.shape), np.zeros(len(signs))
+        if np.isin(signs, (-1, 1)).all():
+            ds = Dataset(mags, signs, labels, "test", 1)
+            assert ds.signs.dtype == np.int8 and np.array_equal(ds.signs, signs)
+        else:
+            with pytest.raises(DataFormatError, match="sign entries must be"):
+                Dataset(mags, signs, labels, "test", 1)
+
+    @pytest.mark.parametrize("signs", [np.array([255, 1, 1], dtype=np.uint8), [1.5, 1, 1]])
+    def test_signs_that_a_cast_would_make_plus_or_minus_one_rejected(self, signs):
+        # an int8 cast made 255 -1 and truncated 1.5 to 1
+        with pytest.raises(DataFormatError, match="sign entries must be"):
+            Dataset(np.zeros((1, 3)), np.atleast_2d(signs), [0], "test", 2)
+
+    @pytest.mark.parametrize("labels", [[0, 1.7], [0, np.nan], [0, 2], [-1, 0]])
+    def test_labels_must_be_whole_class_indices(self, labels):
+        # an int64 cast made 1.7 the class 1
+        with pytest.raises(DataFormatError, match=r"labels must be whole class indices in 0\.\.1"):
+            Dataset(np.zeros((2, 3)), np.ones((2, 3)), labels, "test", 2)
+
+    def test_whole_float_labels_are_class_indices(self):
+        ds = Dataset(np.zeros((2, 3)), np.ones((2, 3)), [1.0, 0.0], "test", 2)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("bad_value", [1.5, np.nan])
+    def test_whole_split_is_validated_before_any_draw(self, bad_value):
+        # a bad value in the last encoding block stops scoring before the
+        # first block is drawn
+        model = GlmModel.zeros(2, 2, 4, 2)
+        mags = np.full((ENCODE_CHUNK + 2, 2), 0.5)
+        mags[-1, 1] = bad_value
+        rng = np.random.default_rng(41)
+        state = rng.bit_generator.state
+        with pytest.raises(DataFormatError):
+            evaluate_float(model, mags, np.ones(mags.shape), np.zeros(len(mags)), rng)
+        assert rng.bit_generator.state == state
 
 
 def build_models(rng):

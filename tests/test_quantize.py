@@ -13,7 +13,6 @@ from spikesim.quantize import (
     U_MAX_CODE,
     U_MIN_CODE,
     QuantizedModel,
-    accuracies,
     clip_to_fixed,
     decide_blocks,
     derive_lfsr_seed,
@@ -37,6 +36,7 @@ from oracles import (
     saturating_sums_loop,
     windowed_potentials,
 )
+from corpora import rows, split_of
 
 
 def scalar_quantize(v, lo, hi, bits):
@@ -436,11 +436,11 @@ class TestQuantizedDecisions:
             assert (int(predicted[k]), int(decision_time[k]) or None) == want
 
     def test_evaluate_matches_per_sample_loop(self):
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         for bits in (5, 8):
             qm = quantize_model(model, bits)
-            [got] = decided(mags, signs, bits, [qm])
-            assert got == quantized_decisions_loop(qm, mags, signs, seed=bits)
+            [got] = decided(split, bits, [qm])
+            assert got == quantized_decisions_loop(qm, split.magnitudes, split.signs, seed=bits)
 
     @pytest.mark.parametrize("signs_shape, n_seeds, message", [
         ((3, 4), 3, r"signs of shape \(3, 4\) .* need \(batch, n_inputs\) = \(3, 5\)"),
@@ -491,8 +491,8 @@ class TestQuantizedDecisions:
 
 
 def sweep_case(n_inputs=5, duration=6):
-    """A float model and a split of more than one encoding block:
-    (model, magnitudes, signs, labels)."""
+    """A float model and a Dataset split of more than one encoding block:
+    (model, split)."""
     rng = np.random.default_rng(110)
     model = GlmModel(
         n_inputs=n_inputs, n_outputs=3, presentation_time=duration, window=4,
@@ -500,15 +500,15 @@ def sweep_case(n_inputs=5, duration=6):
     )
     x = rng.uniform(-1.0, 1.0, size=(150, n_inputs))
     labels = rng.integers(0, 3, size=150)
-    return model, np.abs(x), np.where(x < 0, -1, 1), labels
+    return model, split_of(np.abs(x), np.where(x < 0, -1, 1), labels)
 
 
-def decided(mags, signs, seed, qms, model=None):
+def decided(split, seed, qms, model=None):
     """Each model's (predicted, decision_time) of every sample in
     decide_blocks from default_rng(seed), the float model's first."""
     per_model = [[] for _ in range(len(qms) + (model is not None))]
     rng = np.random.default_rng(seed)
-    for _, _, decisions in decide_blocks(mags, signs, rng, seed, qms, model):
+    for _, _, decisions in decide_blocks(split, rng, seed, qms, model):
         for out, (predicted, decision_time) in zip(per_model, decisions):
             out += zip(predicted.tolist(), decision_time.tolist())
     return per_model
@@ -518,29 +518,29 @@ class TestEvaluateSweep:
     """decide_blocks decides every model of a sweep on one encoding."""
 
     def test_each_entry_matches_per_sample_loop(self):
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         qms = [quantize_model(model, 5), quantize_model(model, 8)]
-        want = [quantized_decisions_loop(qm, mags, signs, seed=3) for qm in qms]
-        assert decided(mags, signs, 3, qms) == want
+        want = [quantized_decisions_loop(qm, split.magnitudes, split.signs, seed=3) for qm in qms]
+        assert decided(split, 3, qms) == want
 
     @pytest.mark.parametrize("limit", [None, 70])
     def test_sweep_equals_one_call_per_model(self, limit):
         # the float model draws its uniforms after each block's rasters, and
         # the quantized models draw nothing from the rng: the float
         # decisions are the same with or without the sweep
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
-        split = mags[:limit], signs[:limit]
-        assert decided(*split, 4, qms) == [decided(*split, 4, [qm])[0] for qm in qms]
-        assert decided(*split, 4, qms, model)[0] == decided(*split, 4, (), model)[0]
+        split = rows(split, slice(limit))
+        assert decided(split, 4, qms) == [decided(split, 4, [qm])[0] for qm in qms]
+        assert decided(split, 4, qms, model)[0] == decided(split, 4, (), model)[0]
 
     def test_widths_deciding_in_different_chunks_equal_one_call_per_width(self):
         # b=2 and b=8 decide some samples in different chunks, so a sample
         # stays in the pass for one width after the other has decided it
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         qms = [quantize_model(model, 2), quantize_model(model, 8)]
-        swept = decided(mags, signs, 4, qms)
-        assert swept == [decided(mags, signs, 4, [qm])[0] for qm in qms]
+        swept = decided(split, 4, qms)
+        assert swept == [decided(split, 4, [qm])[0] for qm in qms]
         last = (model.presentation_time - 1) // quantize.CHUNK_STEPS
 
         def chunk(decision_time):
@@ -551,23 +551,24 @@ class TestEvaluateSweep:
     def test_saturating_width_stacked_with_exact_ones(self, monkeypatch):
         # with the accumulator limit lowered to 65, the b=8 codes can saturate
         # and change decisions, while no b=2 or b=5 neuron's codes sum past it
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         qms = [quantize_model(model, bits) for bits in (2, 8, 5)]
-        unclamped = decided(mags, signs, 4, qms[1:2])[0]
+        unclamped = decided(split, 4, qms[1:2])[0]
         monkeypatch.setattr(quantize, "ACC_LIMIT", 65)
         assert [quantize.datapath_operands(qm.w_codes)[1] for qm in qms] == [True, False, True]
-        swept = decided(mags, signs, 4, qms)
-        assert swept == [decided(mags, signs, 4, [qm])[0] for qm in qms]
-        assert swept[1] == quantized_decisions_loop(qms[1], mags, signs, seed=4)
+        swept = decided(split, 4, qms)
+        assert swept == [decided(split, 4, [qm])[0] for qm in qms]
+        assert swept[1] == quantized_decisions_loop(qms[1], split.magnitudes, split.signs,
+                                                    seed=4)
         assert swept[1] != unclamped
 
     def test_a_sweep_leaves_the_rng_where_one_width_does(self):
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         qms = [quantize_model(model, bits) for bits in (2, 5, 8)]
         states = []
         for sweep in ((qms, model), (qms[:1], model), ((), model), (qms, None), (qms[:1], None)):
             rng = np.random.default_rng(4)
-            for _ in decide_blocks(mags, signs, rng, 4, *sweep):
+            for _ in decide_blocks(split, rng, 4, *sweep):
                 pass
             states.append(rng.bit_generator.state)
         assert states[0] == states[1] == states[2]
@@ -576,7 +577,7 @@ class TestEvaluateSweep:
     def test_one_accumulator_pass_per_chunk_for_every_width(self, monkeypatch):
         # every quantized GEMM sums all four widths' codes at once, so a
         # block runs no more GEMMs than it has chunks
-        model, mags, signs, labels = sweep_case()
+        model, split = sweep_case()
         widths = []
         add = quantize.add_tap_contributions
 
@@ -585,13 +586,13 @@ class TestEvaluateSweep:
             return add(u, inputs, kmat, window, first)
 
         monkeypatch.setattr(quantize, "add_tap_contributions", counted)
-        decided(mags, signs, 4, [quantize_model(model, bits) for bits in (5, 6, 7, 8)])
+        decided(split, 4, [quantize_model(model, bits) for bits in (5, 6, 7, 8)])
         chunks = math.ceil(model.presentation_time / quantize.CHUNK_STEPS)
-        assert 0 < len(widths) <= chunks * math.ceil(len(labels) / glm.ENCODE_CHUNK)
+        assert 0 < len(widths) <= chunks * math.ceil(split.n_samples / glm.ENCODE_CHUNK)
         assert set(widths) == {4 * model.n_outputs * model.window}
 
     def test_each_block_is_drawn_once_per_sweep(self, monkeypatch):
-        model, mags, signs, labels = sweep_case()
+        model, split = sweep_case()
         draws = []
         draw_rasters = glm.draw_rasters
 
@@ -601,26 +602,26 @@ class TestEvaluateSweep:
 
         monkeypatch.setattr(glm, "draw_rasters", counted)
         qms = [quantize_model(model, bits) for bits in (5, 6, 7, 8)]
-        decided(mags, signs, 5, qms, model)
-        assert len(draws) == math.ceil(len(labels) / glm.ENCODE_CHUNK)
-        assert sum(draws) == len(labels)
+        decided(split, 5, qms, model)
+        assert len(draws) == math.ceil(split.n_samples / glm.ENCODE_CHUNK)
+        assert sum(draws) == split.n_samples
 
     def test_rejects_empty_and_mixed_sweeps(self):
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         q5 = quantize_model(model, 5)
         longer = sweep_case(duration=8)[0]
         wider = sweep_case(n_inputs=6)[0]
         with pytest.raises(ValueError, match="at least one model"):
-            decided(mags, signs, 6, [])
+            decided(split, 6, [])
         for qms, float_model in (([q5, quantize_model(longer, 5)], None),
                                  ([q5, quantize_model(wider, 5)], None),
                                  ([q5], longer), ([q5], wider)):
             with pytest.raises(ValueError, match="share presentation_time and n_inputs"):
-                decided(mags, signs, 6, qms, float_model)
+                decided(split, 6, qms, float_model)
 
     @pytest.mark.parametrize("field, value", [("window", 3), ("n_outputs", 4)])
     def test_rejects_widths_of_another_shape_before_the_first_draw(self, field, value):
-        model, mags, signs, _ = sweep_case()
+        model, split = sweep_case()
         shape = {"n_inputs": 5, "n_outputs": 3, "window": 4, field: value}
         other = GlmModel(presentation_time=model.presentation_time, **shape,
                          weights=np.ones((shape["n_inputs"], shape["n_outputs"], shape["window"])),
@@ -629,37 +630,22 @@ class TestEvaluateSweep:
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"codes of shapes \[.*\] in one sweep; the models "
                                              r"must share one \(n_inputs, n_outputs, window\)"):
-            next(decide_blocks(mags, signs, rng, 7,
+            next(decide_blocks(split, rng, 7,
                                [quantize_model(model, 5), quantize_model(other, 8)], model))
         assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kind", ["float", "quantized"])
-    @pytest.mark.parametrize("split", ["six_wide", "one_dim_signs", "signs_for_9_of_10"])
-    def test_rejects_a_split_that_does_not_fit_before_the_first_draw(self, kind, split):
-        model, mags, signs, _ = sweep_case()
+    def test_rejects_a_split_of_another_width_before_the_first_draw(self, kind):
+        # what a split holds is checked when its Dataset is built
+        # (tests/test_datasets.py); decide_blocks checks that it fits
+        model, split = sweep_case()
         models = {"model": model} if kind == "float" else {"qms": [quantize_model(model, 8)]}
-        mags, signs = {
-            "six_wide": (np.hstack([mags, mags[:, :1]]), np.hstack([signs, signs[:, :1]])),
-            "one_dim_signs": (mags[:1], signs[0]),
-            "signs_for_9_of_10": (mags[:10], signs[:9]),
-        }[split]
+        six_wide = split_of(np.hstack([split.magnitudes, split.magnitudes[:, :1]]),
+                            np.hstack([split.signs, split.signs[:, :1]]), split.labels)
         rng = np.random.default_rng(7)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=(
-                rf"magnitudes of shape \({len(mags)}, \d\) and signs of shape "
-                rf"{re.escape(str(signs.shape))}; need both \(n_samples, n_inputs 5\)")):
-            next(decide_blocks(mags, signs, rng, 7, **models))
-        assert rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("kind", ["float", "quantized"])
-    def test_accuracies_need_one_label_per_sample(self, kind):
-        model, mags, signs, labels = sweep_case()
-        models = {"model": model} if kind == "float" else {"qms": [quantize_model(model, 8)]}
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=r"labels of shape \(20,\) for magnitudes of "
-                                             r"shape \(10, 5\); need one label per sample"):
-            accuracies(labels[:20], mags[:10], signs[:10], rng, 7, **models)
+        with pytest.raises(ValueError, match="a split of 6 features for models of 5 inputs"):
+            next(decide_blocks(six_wide, rng, 7, **models))
         assert rng.bit_generator.state == state
 
 
@@ -801,7 +787,8 @@ def float_decisions(model, mags, signs, seed):
     reference's on the same rasters and uniforms: windowed_potentials plus
     the bias over every step, then glm.first_spike.  Returns (got, want),
     each of shape (2, n_samples): the classes, then the decision steps."""
-    blocks = decide_blocks(mags, signs, np.random.default_rng(seed), seed, model=model)
+    blocks = decide_blocks(split_of(mags, signs), np.random.default_rng(seed), seed,
+                           model=model)
     got = np.concatenate([np.stack(d) for _, _, [d] in blocks], axis=1)
     rng, kmat, want = np.random.default_rng(seed), kernel_matrix(model.weights), []
     for start, rasters in glm.encoded_chunks(mags, model.presentation_time, rng):
