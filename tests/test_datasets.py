@@ -292,7 +292,6 @@ class TestNormalization:
                             np.array([2.0, 3.0]))
         assert ds.magnitudes.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
-
     def test_synthetic_is_deterministic(self):
         a = make_synthetic(20, seed=5)
         b = make_synthetic(20, seed=5)
